@@ -45,7 +45,7 @@ from .solutions import (CanonicalExtension, SamplerSpec, SolutionReport,
                         joint_spectral_measure, moments_from_pair,
                         refine_measure, solve_canonical, verify_solution)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

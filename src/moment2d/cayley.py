@@ -40,12 +40,12 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .config import (CONTRACTION_SLACK, FIXED_POINT_TOL, STRUCTURE_TOL,
-                     SUBSPACE_TOL)
+from .config import (CONTRACTION_SLACK, DEFAULT_TOLERANCES, FIXED_POINT_TOL,
+                     STRUCTURE_TOL, SUBSPACE_TOL, Tolerances)
 from .errors import (ContractionViolatedError, EmbeddingLostError,
                      FixedPointError, NoDecompositionError,
-                     NotDirectSumError, NotSelfAdjointA2Error,
-                     NotSupportedError, StructureViolationError)
+                     NotDirectSumError, NotSupportedError,
+                     StructureViolationError)
 from .gns import SymmetricPair
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
                      intersect_subspaces, is_conjugation, is_hermitian,
@@ -71,6 +71,10 @@ __all__ = [
     "commutation_check",
     "minimal_subspace",
 ]
+
+#: A parameter direction counts as norm-preserving when its squared norm
+#: gain reaches ``1 - NORM_TOL`` (admissibility criterion).
+NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,13 +117,15 @@ class IsometricPair:
         """Matrix acting as ``V`` on ``D(V)`` and as 0 on ``N0``."""
         return self.v_action @ self.v_domain.conj().T
 
-    def operator_domain(self, subspace_tol: float = SUBSPACE_TOL) -> np.ndarray:
+    def operator_domain(self, *,
+                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """Orthonormal basis of ``D(A) = (E - V) D(V)``.
 
         ``V`` has no fixed vectors when it comes from a symmetric ``A``,
         so the map is injective and the basis has ``dim D(V)`` columns.
         """
-        return orth_columns(self.v_domain - self.v_action, subspace_tol)
+        return orth_columns(self.v_domain - self.v_action,
+                            tolerances.subspace_tol)
 
 
 @dataclass(frozen=True)
@@ -128,13 +134,12 @@ class ContractionParameter:
 
     Either a constant matrix ``N0 -> Ninf`` (in the stored defect bases)
     or a callable ``z -> matrix``.  Evaluation enforces the contraction
-    bound: largest singular value at most ``1 + slack``.
+    bound: largest singular value at most ``1 + CONTRACTION_SLACK``.
     """
 
     constant: bool
     matrix: np.ndarray | None = None
     evaluator: Callable[[complex], np.ndarray] | None = None
-    slack: float = CONTRACTION_SLACK
 
     @staticmethod
     def const(matrix) -> "ContractionParameter":
@@ -152,9 +157,10 @@ class ContractionParameter:
             value = as_complex_matrix(self.evaluator(complex(z)))
         if value.size:
             top = float(np.linalg.svd(value, compute_uv=False)[0])
-            if top > 1.0 + self.slack:
+            if top > 1.0 + CONTRACTION_SLACK:
                 raise ContractionViolatedError(
-                    f"parameter has singular value {top} > 1 + {self.slack}")
+                    f"parameter has singular value {top} > "
+                    f"1 + {CONTRACTION_SLACK}")
         return value
 
 
@@ -166,9 +172,8 @@ class ConjugationFactorization:
     l_matrix: np.ndarray
 
 
-def cayley(pair: SymmetricPair, which: int,
-           subspace_tol: float = SUBSPACE_TOL,
-           structure_tol: float = STRUCTURE_TOL) -> CayleyIsometry:
+def cayley(pair: SymmetricPair, which: int, *,
+           tolerances: Tolerances = DEFAULT_TOLERANCES) -> CayleyIsometry:
     """Cayley transform ``(A + i)(A - i)^{-1}`` of one operator.
 
     Works with the stored domain basis ``Q`` and action ``T``:
@@ -183,14 +188,14 @@ def cayley(pair: SymmetricPair, which: int,
     if q.shape[1] == 0:
         return CayleyIsometry(domain=empty_basis(n), action=empty_basis(n),
                               range=empty_basis(n))
-    if not is_hermitian(q.conj().T @ t, structure_tol):
+    if not is_hermitian(q.conj().T @ t, tolerances.structure_tol):
         raise StructureViolationError(
             f"operator A{which} is not symmetric on its domain")
     minus = t - 1j * q
     plus = t + 1j * q
     dom, r = np.linalg.qr(minus)
     action = scipy.linalg.solve_triangular(r.T, plus.T, lower=True).T
-    rng = orth_columns(action, subspace_tol)
+    rng = orth_columns(action, tolerances.subspace_tol)
     if rng.shape[1] != dom.shape[1]:
         raise StructureViolationError(
             f"Cayley range of A{which} lost dimension "
@@ -219,10 +224,8 @@ def inverse_cayley(u: np.ndarray, fixed_tol: float = FIXED_POINT_TOL,
     return 0.5 * (a + a.conj().T)
 
 
-def build_isometric_pair(pair: SymmetricPair,
-                         subspace_tol: float = SUBSPACE_TOL,
-                         structure_tol: float = STRUCTURE_TOL,
-                         fixed_tol: float = FIXED_POINT_TOL) -> IsometricPair:
+def build_isometric_pair(pair: SymmetricPair, *,
+                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsometricPair:
     """Assemble the Cayley isometry of ``A1`` with the unitary ``U`` of
     ``A2`` and verify the structural invariants.
 
@@ -232,11 +235,11 @@ def build_isometric_pair(pair: SymmetricPair,
     ``StructureViolationError``; a non-self-adjoint ``A2`` raises
     ``NotSelfAdjointA2Error`` with the defect indices attached.
     """
-    if not pair.a2_selfadjoint:
-        raise NotSelfAdjointA2Error(
-            "A2 is not self-adjoint; extension machinery unavailable",
-            defect_a1=pair.defect_index(1), defect_a2=pair.defect_index(2))
-    iso = cayley(pair, 1, subspace_tol, structure_tol)
+    pair.require_a2_selfadjoint(
+        "A2 is not self-adjoint; extension machinery unavailable")
+    subspace_tol = tolerances.subspace_tol
+    structure_tol = tolerances.structure_tol
+    iso = cayley(pair, 1, tolerances=tolerances)
     a2 = pair.full_matrix(2)
     n = pair.dim
     eye = np.eye(n)
@@ -244,7 +247,7 @@ def build_isometric_pair(pair: SymmetricPair,
     if not is_unitary(u, structure_tol):
         raise StructureViolationError("Cayley transform of A2 not unitary")
     sigma_min = float(np.linalg.svd(u - eye, compute_uv=False)[-1])
-    if sigma_min <= fixed_tol:
+    if sigma_min <= tolerances.fixed_point_tol:
         raise StructureViolationError(
             "Cayley transform of A2 has an eigenvalue at 1; A2 is outside "
             "the numerically supported range")
@@ -286,7 +289,7 @@ def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
         raise ValueError(
             f"parameter shape {value.shape} does not match defect "
             f"dimensions ({ninf_dim}, {n0_dim})")
-    full = iso.v_action @ iso.v_domain.conj().T
+    full = iso.v_on_space()
     if n0_dim:
         full = full + iso.ninf_basis @ value @ iso.n0_basis.conj().T
     return full
@@ -385,15 +388,16 @@ def strip_fixed_elements(w1: np.ndarray, w2: np.ndarray,
 
 def forbidden_operator_from_subspaces(n_plus: np.ndarray,
                                       n_minus: np.ndarray,
-                                      domain_basis: np.ndarray,
-                                      subspace_tol: float = SUBSPACE_TOL,
-                                      residual_gate: float = STRUCTURE_TOL) -> tuple:
+                                      domain_basis: np.ndarray, *,
+                                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """Forbidden operator from defect subspaces and the operator domain.
 
     ``n_plus`` spans ``N_i``, ``n_minus`` spans ``N_{-i}`` and
     ``domain_basis`` spans ``D(A)``, all as orthonormal columns.  Same
-    returns and errors as :func:`forbidden_operator`.
+    returns and errors as :func:`forbidden_operator`; the decomposition
+    gate is ``tolerances.structure_tol``.
     """
+    subspace_tol = tolerances.subspace_tol
     n = n_plus.shape[0]
     q = domain_basis
     if intersect_subspaces(n_minus, q, subspace_tol).shape[1]:
@@ -406,16 +410,16 @@ def forbidden_operator_from_subspaces(n_plus: np.ndarray,
     stacked = np.hstack([n_minus, q])
     coeffs, _, _, _ = np.linalg.lstsq(stacked, psi_basis, rcond=None)
     residual = float(np.linalg.norm(stacked @ coeffs - psi_basis))
-    if residual > residual_gate * max(1.0, float(np.linalg.norm(psi_basis))):
+    if residual > tolerances.structure_tol * max(
+            1.0, float(np.linalg.norm(psi_basis))):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
     x_matrix = n_minus @ coeffs[: n_minus.shape[1], :]
     return psi_basis, x_matrix
 
 
-def forbidden_operator(pair: SymmetricPair, which: int = 1,
-                       subspace_tol: float = SUBSPACE_TOL,
-                       residual_gate: float = STRUCTURE_TOL) -> tuple:
+def forbidden_operator(pair: SymmetricPair, which: int = 1, *,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """Domain basis and matrix of the forbidden operator ``X``.
 
     ``dom X = N_i & (N_{-i} (+) D(A))`` where ``N_{+-i}`` are the defect
@@ -426,17 +430,16 @@ def forbidden_operator(pair: SymmetricPair, which: int = 1,
     direct and ``NoDecompositionError`` when a decomposition residual
     exceeds the gate.
     """
-    iso = cayley(pair, which, subspace_tol)
-    n_plus = complement_basis(iso.domain, subspace_tol)    # N_i
-    n_minus = complement_basis(iso.range, subspace_tol)    # N_-i
+    iso = cayley(pair, which, tolerances=tolerances)
+    n_plus = complement_basis(iso.domain, tolerances.subspace_tol)    # N_i
+    n_minus = complement_basis(iso.range, tolerances.subspace_tol)    # N_-i
     return forbidden_operator_from_subspaces(
-        n_plus, n_minus, pair.domain(which), subspace_tol, residual_gate)
+        n_plus, n_minus, pair.domain(which), tolerances=tolerances)
 
 
 def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
-                           n_minus: np.ndarray, domain_basis: np.ndarray,
-                           subspace_tol: float = SUBSPACE_TOL,
-                           norm_tol: float = 1e-8) -> bool:
+                           n_minus: np.ndarray, domain_basis: np.ndarray, *,
+                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Derived admissibility criterion for a constant parameter value.
 
     ``value`` maps ``N_i`` coordinates (``n_plus`` columns) to ``N_{-i}``
@@ -447,7 +450,7 @@ def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
     if n_plus.shape[1] == 0:
         return True
     psi_basis, x_matrix = forbidden_operator_from_subspaces(
-        n_plus, n_minus, domain_basis, subspace_tol)
+        n_plus, n_minus, domain_basis, tolerances=tolerances)
     if psi_basis.shape[1] == 0:
         return True
     # F acting on dom X in space coordinates.
@@ -455,7 +458,8 @@ def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
     diff = f_matrix - x_matrix
     _, s, vh = np.linalg.svd(diff, full_matrices=True)
     top = float(s[0]) if s.size else 0.0
-    null_dim = diff.shape[1] - int(np.sum(s > subspace_tol * max(top, 1.0)))
+    null_dim = diff.shape[1] - int(
+        np.sum(s > tolerances.subspace_tol * max(top, 1.0)))
     if null_dim == 0:
         return True
     kernel = vh.conj().T[:, diff.shape[1] - null_dim:]
@@ -464,13 +468,12 @@ def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
     fb = f_matrix @ kernel
     gram = fb.conj().T @ fb
     top_eig = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
-    return top_eig < (1.0 - norm_tol)
+    return top_eig < (1.0 - NORM_TOL)
 
 
 def admissibility_check(pair: SymmetricPair, phi: ContractionParameter,
-                        which: int = 1,
-                        subspace_tol: float = SUBSPACE_TOL,
-                        norm_tol: float = 1e-8) -> bool:
+                        which: int = 1, *,
+                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Admissibility of an extension parameter for the chosen operator.
 
     Constant parameters use the criterion derived in the module
@@ -491,21 +494,21 @@ def admissibility_check(pair: SymmetricPair, phi: ContractionParameter,
         if value.shape != (0, 0):
             raise ValueError("parameter must be 0x0 for zero defect")
         return True
-    iso = cayley(pair, which, subspace_tol)
-    n_plus = complement_basis(iso.domain, subspace_tol)
-    n_minus = complement_basis(iso.range, subspace_tol)
+    iso = cayley(pair, which, tolerances=tolerances)
+    n_plus = complement_basis(iso.domain, tolerances.subspace_tol)
+    n_minus = complement_basis(iso.range, tolerances.subspace_tol)
     value = phi.at(0.0)
     if value.shape != (n_minus.shape[1], n_plus.shape[1]):
         raise ValueError(
             f"parameter shape {value.shape} does not match defect "
             f"dimensions ({n_minus.shape[1]}, {n_plus.shape[1]})")
     return constant_admissibility(value, n_plus, n_minus, pair.domain(which),
-                                  subspace_tol, norm_tol)
+                                  tolerances=tolerances)
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,
-                      z: complex = 0.0,
-                      tol: float = STRUCTURE_TOL) -> bool:
+                      z: complex = 0.0, *,
+                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether ``(V (+) Phi_z) U = U (V (+) Phi_z)`` within tolerance.
 
     Checked on full matrices; when ``U D(V) = D(V)`` holds (enforced at
@@ -516,7 +519,7 @@ def commutation_check(iso: IsometricPair, phi: ContractionParameter,
     u = iso.u_matrix
     comm = float(np.linalg.norm(m @ u - u @ m))
     scale = max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(u)))
-    return comm <= tol * scale
+    return comm <= tolerances.structure_tol * scale
 
 
 def minimal_subspace(u: np.ndarray, h_embed: np.ndarray,

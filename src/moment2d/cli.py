@@ -4,6 +4,8 @@ Exit codes are fixed for scripting: 0 success, 1 input or configuration
 error, 2 verification or positivity failure, 3 structural gate
 (non-self-adjoint second shift, broken internal structure), 4 parameter
 gate (inadmissible, non-commuting, or otherwise rejected parameter).
+A package error exits with the ``exit_code`` of its class
+(:mod:`moment2d.errors`).
 All floating-point output uses 17 significant digits and reruns with
 the same configuration are byte-identical.
 """
@@ -11,6 +13,7 @@ the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -19,17 +22,9 @@ import numpy as np
 from . import io
 from .cayley import ContractionParameter, build_isometric_pair
 from .config import DEFAULT_TOLERANCES
-from .errors import (AdmissibilityFailedError, ClusterAmbiguityError,
-                     CommutationViolatedError, ContractionViolatedError,
-                     DomainCollapseError, EmbeddingLostError,
-                     ExcludedPointError, FixedPointError,
-                     InconsistentShiftError, IndexOutOfRangeError,
-                     Moment2dError, NegativeDenominatorError,
-                     NoDecompositionError, NotDirectSumError, NotPsdError,
-                     NotSelfAdjointA2Error, NotSupportedError,
-                     NotUnitaryError, PointMismatchError, SchemaError,
-                     SingularMatrixError, SingularShiftError,
-                     StructureViolationError)
+from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
+                     FixedPointError, Moment2dError, NotSelfAdjointA2Error,
+                     SchemaError)
 from .moments import carleman_diagnostic, check_psd
 from .resolvents import pair_resolvent_symmetric
 from .scenarios import e1, e2, e3
@@ -38,22 +33,10 @@ from .solutions import SamplerSpec, solve_canonical, verify_solution
 __all__ = ["main"]
 
 EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_VERIFY = 2
-EXIT_STRUCTURE = 3
-EXIT_PARAMETER = 4
 
-_INPUT_ERRORS = (SchemaError, IndexOutOfRangeError,
-                 NegativeDenominatorError, NotSupportedError)
-_VERIFY_ERRORS = (NotPsdError,)
-_STRUCTURE_ERRORS = (NotSelfAdjointA2Error, StructureViolationError,
-                     InconsistentShiftError, ClusterAmbiguityError,
-                     DomainCollapseError, NotDirectSumError,
-                     NoDecompositionError, EmbeddingLostError,
-                     SingularShiftError, SingularMatrixError)
-_PARAMETER_ERRORS = (AdmissibilityFailedError, CommutationViolatedError,
-                     ContractionViolatedError, FixedPointError,
-                     NotUnitaryError, ExcludedPointError, PointMismatchError)
+#: ``Tolerances`` fields settable by flag (``--rank-tol``) or config key.
+TOLERANCE_FIELDS = ("rank_tol", "psd_tol", "subspace_tol", "cluster_tol",
+                    "atom_merge_tol", "verify_tol")
 
 
 def _fmt(x: float) -> str:
@@ -95,16 +78,12 @@ def _positive(value: float, name: str) -> float:
 
 
 def _tolerances(args, config: dict):
-    tol = DEFAULT_TOLERANCES
     updates = {}
-    for field in ("rank_tol", "subspace_tol", "cluster_tol",
-                  "atom_merge_tol"):
+    for field in TOLERANCE_FIELDS:
         value = _resolve(args, config, field, None)
         if value is not None:
             updates[field] = _positive(value, field)
-    if updates:
-        tol = tol.replace(**updates)
-    return tol
+    return dataclasses.replace(DEFAULT_TOLERANCES, **updates)
 
 
 def _sampler(args, config: dict) -> SamplerSpec:
@@ -146,15 +125,13 @@ def _load_source(path: str):
 def cmd_check(args) -> int:
     config = _load_config(args.config)
     table = io.moment_table_from_json(io.read_json(args.table))
-    psd_tol = _resolve(args, config, "psd_tol", None)
-    if psd_tol is not None:
-        psd_tol = _positive(psd_tol, "psd_tol")
+    tolerances = _tolerances(args, config)
     variant = _resolve(args, config, "carleman_variant", "pair")
     psd_rows = []
     all_ok = True
     for d_m in range(table.max_m // 2 + 1):
         for d_n in range(table.max_n // 2 + 1):
-            ok, min_eig = check_psd(table, d_m, d_n, psd_tol)
+            ok, min_eig = check_psd(table, d_m, d_n, tolerances=tolerances)
             all_ok = all_ok and ok
             psd_rows.append({"d_m": d_m, "d_n": d_n, "ok": bool(ok),
                              "min_eig": float(min_eig)})
@@ -182,8 +159,6 @@ def cmd_solve_canonical(args) -> int:
     source = _load_source(args.input)
     sampler = _sampler(args, config)
     tolerances = _tolerances(args, config)
-    verify_tol = _positive(_resolve(args, config, "verify_tol", 1e-8),
-                           "verify_tol")
     d_m = _resolve(args, config, "d_m", None)
     d_n = _resolve(args, config, "d_n", None)
     max_n = _resolve(args, config, "max_n", None)
@@ -199,8 +174,8 @@ def cmd_solve_canonical(args) -> int:
             d_m=None if d_m is None else int(d_m),
             d_n=None if d_n is None else int(d_n),
             max_n=None if max_n is None else int(max_n),
-            tolerances=tolerances, verify_tol=verify_tol,
-            refine=bool(args.refine), on_reject=on_reject):
+            tolerances=tolerances, refine=bool(args.refine),
+            on_reject=on_reject):
         path = os.path.join(out_dir, f"solution-{count:04d}.json")
         io.write_json(io.report_to_json(report), path)
         sys.stdout.write(
@@ -216,9 +191,7 @@ def cmd_eval_resolvent(args) -> int:
     config = _load_config(args.config)
     pair = io.pair_from_json(io.read_json(args.input))
     tolerances = _tolerances(args, config)
-    iso = build_isometric_pair(pair, tolerances.subspace_tol,
-                               tolerances.structure_tol,
-                               tolerances.fixed_point_tol)
+    iso = build_isometric_pair(pair, tolerances=tolerances)
     d_n0 = iso.n0_basis.shape[1]
     d_ninf = iso.ninf_basis.shape[1]
     if args.phi is None:
@@ -237,11 +210,8 @@ def cmd_eval_resolvent(args) -> int:
     for lam1 in grid1:
         for lam2 in grid2:
             try:
-                matrix = pair_resolvent_symmetric(
-                    iso, phi, lam1, lam2,
-                    subspace_tol=tolerances.subspace_tol,
-                    structure_tol=tolerances.structure_tol,
-                    excluded_radius=tolerances.excluded_radius)
+                matrix = pair_resolvent_symmetric(iso, phi, lam1, lam2,
+                                                  tolerances=tolerances)
             except ExcludedPointError:
                 excluded += 1
                 continue
@@ -289,8 +259,8 @@ def cmd_verify(args) -> int:
     config = _load_config(args.config)
     measure = io.measure_from_json(io.read_json(args.measure))
     table = io.moment_table_from_json(io.read_json(args.table))
-    tol = _positive(_resolve(args, config, "verify_tol", 1e-8), "verify_tol")
-    report = verify_solution(measure, table, tol)
+    report = verify_solution(measure, table,
+                             tolerances=_tolerances(args, config))
     _write_or_print(io.dumps(io.report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -338,10 +308,9 @@ def cmd_demo(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON file with flag overrides")
     parser.add_argument("--output", help="output file (default stdout)")
-    for field in ("rank-tol", "psd-tol", "subspace-tol", "cluster-tol",
-                  "atom-merge-tol", "verify-tol"):
-        parser.add_argument(f"--{field}", type=float, default=None,
-                            dest=field.replace("-", "_"))
+    for field in TOLERANCE_FIELDS:
+        parser.add_argument("--" + field.replace("_", "-"), type=float,
+                            default=None, dest=field)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,28 +380,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except Moment2dError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except (OSError, ValueError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except _VERIFY_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VERIFY
-    except NotSelfAdjointA2Error as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        if exc.defect_a1 is not None or exc.defect_a2 is not None:
+        if isinstance(exc, NotSelfAdjointA2Error) and (
+                exc.defect_a1 is not None or exc.defect_a2 is not None):
             sys.stderr.write(f"defect indices: A1={exc.defect_a1} "
                              f"A2={exc.defect_a2}\n")
-        return EXIT_STRUCTURE
-    except _STRUCTURE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STRUCTURE
-    except _PARAMETER_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARAMETER
-    except Moment2dError as exc:
+        return exc.exit_code
+    except (OSError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -1,13 +1,21 @@
-"""Default numerical tolerances and run configuration.
+"""Numerical tolerances of the pipeline.
 
-All tolerances are exposed as explicit operation arguments; the values
-here are the package-wide defaults.  ``Tolerances`` bundles them for the
-pipeline entry points and the CLI.
+The tunable thresholds of the pipeline's gates (Gram rank cut, shift
+consistency, Cayley structure, commutation, extension, clustering,
+verification) are the fields of one :class:`Tolerances` value.  Pipeline
+functions take it as the keyword ``tolerances`` (default
+:data:`DEFAULT_TOLERANCES`); override a field with
+``Tolerances(rank_tol=1e-12)`` or ``dataclasses.replace(tol,
+rank_tol=1e-12)``.  The constants below hold the defaults.
+Matrix-level helpers (``linalg`` and the matrix functions of
+``cayley``) take a plain float, because callers pass them scaled
+values.  Thresholds with a single value in use are constants of the
+module that reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 #: Relative eigenvalue threshold for the Gram rank decision.
 RANK_TOL = 1e-9
@@ -50,10 +58,17 @@ CARLEMAN_SLOPE = -0.5
 #: invariance, Hermitian symmetry).
 STRUCTURE_TOL = 1e-9
 
+#: Largest absolute moment error a verified solution may show.
+VERIFY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of the numerical knobs used by pipeline entry points."""
+    """Bundle of the numerical knobs read by the pipeline functions.
+
+    ``psd_tol`` None means the scale-aware default
+    ``PSD_TOL_BASE * (1 + max |s|)`` of :func:`moment2d.moments.check_psd`.
+    """
 
     rank_tol: float = RANK_TOL
     psd_tol: float | None = None
@@ -63,17 +78,9 @@ class Tolerances:
     cluster_tol: float = CLUSTER_TOL
     atom_merge_tol: float = ATOM_MERGE_TOL
     weight_drop_tol: float = WEIGHT_DROP_TOL
-    contraction_slack: float = CONTRACTION_SLACK
     excluded_radius: float = EXCLUDED_RADIUS
     structure_tol: float = STRUCTURE_TOL
-    carleman_window: int = CARLEMAN_WINDOW
-    carleman_eps: float = CARLEMAN_EPS
-    carleman_slope: float = CARLEMAN_SLOPE
-
-    def replace(self, **kwargs) -> "Tolerances":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(kwargs)
-        return Tolerances(**values)
+    verify_tol: float = VERIFY_TOL
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -20,15 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RANK_TOL, RESIDUAL_GATE, STRUCTURE_TOL, SUBSPACE_TOL
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (DomainCollapseError, InconsistentShiftError,
-                     NotPsdError, SingularShiftError)
+                     NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
 from .linalg import is_hermitian, orth_columns
 from .moments import (MomentTable, carleman_diagnostic, CarlemanReport,
                       moment_matrix, monomial_indices)
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators",
            "quasianalytic_vector_check"]
+
+#: Relative tolerance of the norm identity checked by
+#: :func:`quasianalytic_vector_check`.
+NORM_IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,27 +106,36 @@ class SymmetricPair:
                 f"operator A{which} is not everywhere defined")
         return self.action(which) @ dom.conj().T
 
+    def require_a2_selfadjoint(self, message: str):
+        """Raise ``NotSelfAdjointA2Error`` with ``message`` and the defect
+        indices attached unless ``A2`` is self-adjoint."""
+        if not self.a2_selfadjoint:
+            raise NotSelfAdjointA2Error(message,
+                                        defect_a1=self.defect_index(1),
+                                        defect_a2=self.defect_index(2))
+
     @staticmethod
     def _check_which(which: int):
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
 
 
-def build_gns(table: MomentTable, d_m: int, d_n: int,
-              rank_tol: float = RANK_TOL) -> GnsSpace:
+def build_gns(table: MomentTable, d_m: int, d_n: int, *,
+              tolerances: Tolerances = DEFAULT_TOLERANCES) -> GnsSpace:
     """Quotient-space coordinates from the localized moment matrix.
 
     The Gram matrix is eigendecomposed; eigenvalues at or below
-    ``rank_tol`` times the largest are treated as kernel, an eigenvalue
-    below the negated threshold raises ``NotPsdError``.  Coordinates are
-    ``sqrt(lambda) * E^T`` over the retained eigenpairs, so column inner
-    products reproduce the Gram entries exactly in exact arithmetic.
+    ``tolerances.rank_tol`` times the largest are treated as kernel, an
+    eigenvalue below the negated threshold raises ``NotPsdError``.
+    Coordinates are ``sqrt(lambda) * E^T`` over the retained eigenpairs,
+    so column inner products reproduce the Gram entries exactly in exact
+    arithmetic.
     """
     gram = moment_matrix(table, d_m, d_n)
     idx = monomial_indices(d_m, d_n)
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    thresh = rank_tol * scale
+    thresh = tolerances.rank_tol * scale
     if eigvals.size and float(eigvals[0]) < -thresh:
         raise NotPsdError(
             f"Gram matrix at rectangle ({d_m}, {d_n}) has eigenvalue "
@@ -137,11 +150,12 @@ def build_gns(table: MomentTable, d_m: int, d_n: int,
     vecs = vecs[:, order]
     coords = np.sqrt(lam)[:, None] * vecs.T
     return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=tuple(idx), gram=gram,
-                    rank=int(lam.size), coords=coords, rank_tol=rank_tol)
+                    rank=int(lam.size), coords=coords,
+                    rank_tol=tolerances.rank_tol)
 
 
-def _shift_operator(space: GnsSpace, which: int, residual_gate: float,
-                    subspace_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _shift_operator(space: GnsSpace, which: int,
+                    tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Domain basis and action matrix of one shift operator."""
     d_m, d_n = space.d_m, space.d_n
     if which == 1:
@@ -154,7 +168,7 @@ def _shift_operator(space: GnsSpace, which: int, residual_gate: float,
     cols_shifted = [space.index_of(m, n) for (m, n) in shifted]
     dom_vectors = space.coords[:, cols]
     img_vectors = space.coords[:, cols_shifted]
-    basis = orth_columns(dom_vectors, subspace_tol)
+    basis = orth_columns(dom_vectors, tolerances.subspace_tol)
     if basis.shape[1] == 0:
         raise DomainCollapseError(f"domain of A{which} is zero-dimensional")
     # Solve action @ (basis^H dom) = img in least squares.  The residual
@@ -168,7 +182,8 @@ def _shift_operator(space: GnsSpace, which: int, residual_gate: float,
         raise SingularShiftError(f"shift solve failed for A{which}: {exc}")
     action = action_t.T
     residual = float(np.linalg.norm(action @ r - img_vectors))
-    gate = residual_gate * max(1.0, float(np.linalg.norm(space.gram)))
+    gate = tolerances.residual_gate * max(
+        1.0, float(np.linalg.norm(space.gram)))
     if residual > gate:
         raise InconsistentShiftError(
             f"shift A{which} leaves the quotient span: residual "
@@ -176,10 +191,8 @@ def _shift_operator(space: GnsSpace, which: int, residual_gate: float,
     return basis, action
 
 
-def build_operators(space: GnsSpace,
-                    residual_gate: float = RESIDUAL_GATE,
-                    subspace_tol: float = SUBSPACE_TOL,
-                    structure_tol: float = STRUCTURE_TOL) -> SymmetricPair:
+def build_operators(space: GnsSpace, *,
+                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> SymmetricPair:
     """Symmetric shift pair on the GNS quotient.
 
     Requires ``d_m >= 1`` and ``d_n >= 1`` so that both shifts have a
@@ -190,10 +203,8 @@ def build_operators(space: GnsSpace,
     """
     if space.d_m < 1 or space.d_n < 1:
         raise ValueError("build_operators needs d_m >= 1 and d_n >= 1")
-    a1_domain, a1_action = _shift_operator(space, 1, residual_gate,
-                                           subspace_tol)
-    a2_domain, a2_action = _shift_operator(space, 2, residual_gate,
-                                           subspace_tol)
+    a1_domain, a1_action = _shift_operator(space, 1, tolerances)
+    a2_domain, a2_action = _shift_operator(space, 2, tolerances)
     dim = space.rank
     h00 = space.class_vector(0, 0)
     # Real Gram, real eigendecomposition: the conjugation fixing all
@@ -202,7 +213,7 @@ def build_operators(space: GnsSpace,
     a2_full = a2_domain.shape[1] == dim
     a2_selfadjoint = bool(
         a2_full and is_hermitian(a2_action @ a2_domain.conj().T,
-                                 structure_tol))
+                                 tolerances.structure_tol))
     return SymmetricPair(dim=dim,
                          a1_domain=a1_domain.astype(complex),
                          a1_action=a1_action.astype(complex),
@@ -235,9 +246,8 @@ def _class_vector_via_pair(pair: SymmetricPair, m: int, k: int,
 
 def quasianalytic_vector_check(pair: SymmetricPair, table: MomentTable,
                                m: int, big_k: int,
-                               variant: str = "pair",
-                               cross_check_tol: float = 1e-8,
-                               domain_tol: float = SUBSPACE_TOL) -> CarlemanReport:
+                               variant: str = "pair", *,
+                               tolerances: Tolerances = DEFAULT_TOLERANCES) -> CarlemanReport:
     """Carleman-type diagnostic re-expressed through operator norms.
 
     The diagnostic terms are ``||h_{m+1,k} - i h_{m,k}||^(-1/k)`` style
@@ -255,15 +265,16 @@ def quasianalytic_vector_check(pair: SymmetricPair, table: MomentTable,
     for k in range(0, big_k + 1):
         if 2 * k > table.max_n or 2 * m + 2 > table.max_m:
             break
-        va = _class_vector_via_pair(pair, m + 1, k, domain_tol)
-        vb = _class_vector_via_pair(pair, m, k, domain_tol)
+        va = _class_vector_via_pair(pair, m + 1, k, tolerances.subspace_tol)
+        vb = _class_vector_via_pair(pair, m, k, tolerances.subspace_tol)
         if va is None or vb is None:
             continue
         lhs = float(np.linalg.norm(va - 1j * vb) ** 2)
         rhs = table.values[2 * m, 2 * k] + table.values[2 * m + 2, 2 * k]
         scale = max(1.0, abs(rhs))
-        if abs(lhs - rhs) > cross_check_tol * scale:
+        if abs(lhs - rhs) > NORM_IDENTITY_TOL * scale:
             raise InconsistentShiftError(
                 f"norm identity failed at (m={m}, k={k}): "
-                f"|{lhs:.12e} - {rhs:.12e}| > {cross_check_tol} * {scale:.3e}")
+                f"|{lhs:.12e} - {rhs:.12e}| > "
+                f"{NORM_IDENTITY_TOL} * {scale:.3e}")
     return report

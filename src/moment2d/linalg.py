@@ -19,16 +19,11 @@ __all__ = [
     "orth_columns",
     "complement_basis",
     "intersect_subspaces",
-    "subspace_contains",
     "subspace_residual",
     "is_hermitian",
     "is_unitary",
     "require_unitary",
     "haar_unitary",
-    "apply_antilinear",
-    "compose_antilinear_antilinear",
-    "compose_linear_antilinear",
-    "compose_antilinear_linear",
     "is_conjugation",
     "empty_basis",
 ]
@@ -106,11 +101,6 @@ def subspace_residual(basis: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(out)) / denom
 
 
-def subspace_contains(basis: np.ndarray, x: np.ndarray,
-                      tol: float = SUBSPACE_TOL) -> bool:
-    return subspace_residual(basis, x) <= tol
-
-
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     a = as_complex_matrix(a)
     scale = 1.0 + float(np.linalg.norm(a))
@@ -144,26 +134,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def apply_antilinear(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the antilinear map represented by ``m`` to ``x``."""
-    return as_complex_matrix(m) @ np.conj(x)
-
-
-def compose_antilinear_antilinear(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Matrix of the *linear* map ``x -> m1 @ conj(m2 @ conj(x))``."""
-    return as_complex_matrix(m1) @ np.conj(as_complex_matrix(m2))
-
-
-def compose_linear_antilinear(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Antilinear matrix of ``x -> a @ (m @ conj(x))``."""
-    return as_complex_matrix(a) @ as_complex_matrix(m)
-
-
-def compose_antilinear_linear(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Antilinear matrix of ``x -> m @ conj(a @ x)``."""
-    return as_complex_matrix(m) @ np.conj(as_complex_matrix(a))
 
 
 def is_conjugation(m: np.ndarray, tol: float) -> bool:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (ATOM_MERGE_TOL, CARLEMAN_EPS, CARLEMAN_SLOPE,
-                     CARLEMAN_WINDOW, PSD_TOL_BASE)
+                     CARLEMAN_WINDOW, DEFAULT_TOLERANCES, PSD_TOL_BASE,
+                     Tolerances)
 from .errors import (IndexOutOfRangeError, NegativeDenominatorError)
 
 __all__ = [
@@ -189,14 +190,16 @@ def moment_matrix(table: MomentTable, d_m: int, d_n: int) -> np.ndarray:
     return gram
 
 
-def check_psd(table: MomentTable, d_m: int, d_n: int,
-              tol: float | None = None) -> tuple[bool, float]:
+def check_psd(table: MomentTable, d_m: int, d_n: int, *,
+              tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
     """Positive semidefiniteness test for the localized moment matrix.
 
-    Returns ``(is_psd, min_eigenvalue)``.  The default tolerance is
-    ``1e-10 * (1 + max |s|)`` over the referenced entries.
+    Returns ``(is_psd, min_eigenvalue)``.  The negativity tolerance is
+    ``tolerances.psd_tol``; when that is None it is ``1e-10 * (1 + max
+    |s|)`` over the referenced entries.
     """
     gram = moment_matrix(table, d_m, d_n)
+    tol = tolerances.psd_tol
     if tol is None:
         tol = PSD_TOL_BASE * (1.0 + float(np.max(np.abs(gram))))
     eigs = np.linalg.eigvalsh(gram)
@@ -226,9 +229,8 @@ def _carleman_terms(table: MomentTable, m: int, big_k: int,
     return terms
 
 
-def _verdict(terms: list[float], window: int, eps: float,
-             slope_threshold: float) -> str:
-    tail = terms[-window:] if len(terms) >= window else terms
+def _verdict(terms: list[float]) -> str:
+    tail = terms[-CARLEMAN_WINDOW:]
     if not tail:
         return VERDICT_INCONCLUSIVE
     if any(math.isinf(t) for t in tail):
@@ -241,30 +243,28 @@ def _verdict(terms: list[float], window: int, eps: float,
         xs = np.log(np.arange(k0, k0 + len(tail), dtype=float))
         ys = np.log(np.asarray(tail))
         slope = np.polyfit(xs, ys, 1)[0]
-        if slope <= slope_threshold:
+        if slope <= CARLEMAN_SLOPE:
             return VERDICT_CONVERGING
-    if min(tail) >= eps:
+    if min(tail) >= CARLEMAN_EPS:
         return VERDICT_DIVERGING
     return VERDICT_INCONCLUSIVE
 
 
 def carleman_diagnostic(table: MomentTable, m: int, big_k: int,
-                        variant: str = "pair",
-                        window: int = CARLEMAN_WINDOW,
-                        eps: float = CARLEMAN_EPS,
-                        slope_threshold: float = CARLEMAN_SLOPE) -> CarlemanReport:
+                        variant: str = "pair") -> CarlemanReport:
     """Finite-truncation Carleman-type diagnostic for row ``m``.
 
     Computes the terms ``(s_{2m,2k} + s_{2m+2,2k})^(-1/(2k))`` for
     ``k = 1..K`` (variant ``"pair"``; variant ``"single"`` uses
     ``s_{2m,2k}`` alone) and their partial sums.  Zero denominators give
     infinite terms.  The verdict is a three-valued heuristic over the
-    tail window and is advisory only:
+    tail window of the last ``CARLEMAN_WINDOW`` terms and is advisory
+    only:
 
     * any infinite window term -> ``diverging-trend``;
     * strictly decreasing window terms whose log-log slope is at most
-      ``slope_threshold`` -> ``converging-trend``;
-    * otherwise, window terms all >= ``eps`` -> ``diverging-trend``;
+      ``CARLEMAN_SLOPE`` -> ``converging-trend``;
+    * otherwise, window terms all >= ``CARLEMAN_EPS`` -> ``diverging-trend``;
     * otherwise ``inconclusive``.
 
     A full-series divergence certificate can never be extracted from a
@@ -272,13 +272,11 @@ def carleman_diagnostic(table: MomentTable, m: int, big_k: int,
     """
     if big_k < 1:
         raise ValueError("K must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     terms = _carleman_terms(table, m, big_k, variant)
     sums = []
     running = 0.0
     for t in terms:
         running += t
         sums.append(running)
-    verdict = _verdict(terms, window, eps, slope_threshold)
+    verdict = _verdict(terms)
     return CarlemanReport(m=m, partial_sums=tuple(sums), verdict=verdict)

@@ -8,9 +8,9 @@ Two coordinate systems are used and converted with the Moebius map
 * ``z``-type points: the open unit disk for Chumakin resolvents, the
   complement of the unit circle for :func:`unitary_moebius`;
 * ``lam``-type points: the complex plane without the real axis.  Disks
-  of radius ``excluded_radius`` around ``+-i`` are excluded as well; the
-  boundary values there are defined only as weak limits, and callers
-  who need them must take the limits themselves.
+  of radius ``Tolerances.excluded_radius`` around ``+-i`` are excluded
+  as well; the boundary values there are defined only as weak limits,
+  and callers who need them must take the limits themselves.
 
 Sign convention
 ---------------
@@ -35,7 +35,7 @@ import numpy as np
 from .cayley import (ContractionParameter, IsometricPair,
                      commutation_check, constant_admissibility,
                      extend_isometry)
-from .config import EXCLUDED_RADIUS, PSD_TOL_BASE, STRUCTURE_TOL, SUBSPACE_TOL
+from .config import DEFAULT_TOLERANCES, PSD_TOL_BASE, Tolerances
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, PointMismatchError,
@@ -60,6 +60,10 @@ __all__ = [
 # Points this close to the real axis (relative to 1 + |lam|) count as real.
 REAL_AXIS_TOL = 1e-12
 
+# Relative distance within which a z-type point matches the Moebius image
+# of its lam-type partner (correspondence_check).
+MATCH_TOL = 1e-10
+
 
 def cayley_point(lam: complex) -> complex:
     """Moebius image ``z = (lam - i)/(lam + i)`` of a spectral point."""
@@ -73,9 +77,10 @@ def inverse_cayley_point(z: complex) -> complex:
     return 1j * (1.0 + z) / (1.0 - z)
 
 
-def validate_spectral_point(lam: complex, name: str = "lambda",
-                            excluded_radius: float = EXCLUDED_RADIUS) -> complex:
-    """Check that ``lam`` is non-real and outside the disks around ``+-i``.
+def validate_spectral_point(lam: complex, name: str = "lambda", *,
+                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> complex:
+    """Check that ``lam`` is non-real and outside the disks of radius
+    ``tolerances.excluded_radius`` around ``+-i``.
 
     Returns the point as a ``complex``; raises ``ExcludedPointError``
     otherwise.
@@ -86,7 +91,7 @@ def validate_spectral_point(lam: complex, name: str = "lambda",
     if abs(lam.imag) <= REAL_AXIS_TOL * (1.0 + abs(lam)):
         raise ExcludedPointError(f"{name} = {lam} lies on the real axis")
     for pole, label in ((1j, "i"), (-1j, "-i")):
-        if abs(lam - pole) <= excluded_radius:
+        if abs(lam - pole) <= tolerances.excluded_radius:
             raise ExcludedPointError(
                 f"{name} = {lam} lies in the excluded neighborhood of {label}")
     return lam
@@ -128,6 +133,13 @@ def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
     z = complex(z)
     if abs(z) >= 1.0:
         raise ExcludedPointError(f"z = {z} is not in the open unit disk")
+    return _extended_resolvent(iso, phi, z)
+
+
+def _extended_resolvent(iso: IsometricPair, phi: ContractionParameter,
+                        z: complex) -> np.ndarray:
+    # No disk check: pair_resolvent_symmetric also solves at the z1 of a
+    # huge lambda1, where |z1| rounds to 1 but the solve is still sound.
     full = extend_isometry(iso, phi, z)
     eye = np.eye(iso.dim, dtype=complex)
     try:
@@ -157,8 +169,8 @@ def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
 
 
 def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
-                           h_embed: np.ndarray, z1: complex, z2: complex,
-                           tol: float = STRUCTURE_TOL) -> np.ndarray:
+                           h_embed: np.ndarray, z1: complex, z2: complex, *,
+                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Compression of ``U1(z1) U2(z2)`` to the embedded subspace.
 
     ``h_embed`` is an orthonormal basis of the subspace (identity for
@@ -169,7 +181,7 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
     h = as_complex_matrix(h_embed)
     comm = float(np.linalg.norm(u1 @ u2 - u2 @ u1))
     scale = max(1.0, float(np.linalg.norm(u1)) * float(np.linalg.norm(u2)))
-    if comm > tol * scale:
+    if comm > tolerances.structure_tol * scale:
         raise CommutationViolatedError(
             f"extension unitaries do not commute (residual {comm:.3e})")
     m = unitary_moebius(u1, z1) @ unitary_moebius(u2, z2)
@@ -177,7 +189,7 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
 
 
 def _admissible_via_iso(iso: IsometricPair, phi: ContractionParameter,
-                        subspace_tol: float, norm_tol: float) -> bool:
+                        tolerances: Tolerances) -> bool:
     if not phi.constant:
         if iso.defect_dim == 0:
             return True
@@ -192,17 +204,14 @@ def _admissible_via_iso(iso: IsometricPair, phi: ContractionParameter,
         raise ValueError(
             f"parameter shape {value.shape} does not match defect "
             f"dimensions {expected}")
-    return constant_admissibility(value, iso.n0_basis, iso.ninf_basis,
-                                  iso.operator_domain(subspace_tol),
-                                  subspace_tol, norm_tol)
+    return constant_admissibility(
+        value, iso.n0_basis, iso.ninf_basis,
+        iso.operator_domain(tolerances=tolerances), tolerances=tolerances)
 
 
 def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
-                             lambda1: complex, lambda2: complex,
-                             subspace_tol: float = SUBSPACE_TOL,
-                             structure_tol: float = STRUCTURE_TOL,
-                             norm_tol: float = 1e-8,
-                             excluded_radius: float = EXCLUDED_RADIUS) -> np.ndarray:
+                             lambda1: complex, lambda2: complex, *,
+                             tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Generalized resolvent of the symmetric/self-adjoint pair.
 
     Evaluates the product described in the module docstring at
@@ -211,43 +220,38 @@ def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
     conjugated points.  The parameter must pass the commutation and
     admissibility gates.
     """
-    lam1 = validate_spectral_point(lambda1, "lambda1", excluded_radius)
-    lam2 = validate_spectral_point(lambda2, "lambda2", excluded_radius)
+    lam1 = validate_spectral_point(lambda1, "lambda1", tolerances=tolerances)
+    lam2 = validate_spectral_point(lambda2, "lambda2", tolerances=tolerances)
     if lam1.imag < 0.0:
         m = pair_resolvent_symmetric(iso, phi, lam1.conjugate(),
-                                     lam2.conjugate(), subspace_tol,
-                                     structure_tol, norm_tol, excluded_radius)
+                                     lam2.conjugate(), tolerances=tolerances)
         return m.conj().T
-    if not _admissible_via_iso(iso, phi, subspace_tol, norm_tol):
+    if not _admissible_via_iso(iso, phi, tolerances):
         raise AdmissibilityFailedError(
             "parameter is forbidden for this operator (admissibility "
             "criterion failed)")
     z1 = cayley_point(lam1)
     z2 = cayley_point(lam2)
-    if not commutation_check(iso, phi, z1, structure_tol):
+    if not commutation_check(iso, phi, z1, tolerances=tolerances):
         raise CommutationViolatedError(
             "extended isometry does not commute with the second Cayley "
             "transform")
-    full = extend_isometry(iso, phi, z1)
     eye = np.eye(iso.dim, dtype=complex)
-    try:
-        chum = np.linalg.solve(eye - z1 * full, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"resolvent singular at z1 = {z1}") from exc
-    return (eye - 2.0 * chum) @ unitary_moebius(iso.u_matrix, z2)
+    return ((eye - 2.0 * _extended_resolvent(iso, phi, z1))
+            @ unitary_moebius(iso.u_matrix, z2))
 
 
 def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,
-                              lambda2: complex,
-                              excluded_radius: float = EXCLUDED_RADIUS) -> complex:
+                              lambda2: complex, *,
+                              tolerances: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """Scalar pair resolvent of an atomic measure.
 
     Direct sum of ``w * (1 + lam1 t1)/(t1 - lam1) * (1 + lam2 t2)/(t2 - lam2)``
     over the atoms; this is the value the operator formulas reproduce
     for the measure's joint spectral data.
     """
-    lam1 = validate_spectral_point(lambda1, "lambda1", excluded_radius)
-    lam2 = validate_spectral_point(lambda2, "lambda2", excluded_radius)
+    lam1 = validate_spectral_point(lambda1, "lambda1", tolerances=tolerances)
+    lam2 = validate_spectral_point(lambda2, "lambda2", tolerances=tolerances)
     t1 = measure.points[:, 0]
     t2 = measure.points[:, 1]
     factors = ((1.0 + lam1 * t1) / (t1 - lam1)) * ((1.0 + lam2 * t2) / (t2 - lam2))
@@ -255,29 +259,30 @@ def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,
 
 
 def correspondence_check(sample_u: ResolventSample, sample_s: ResolventSample,
-                         tol: float = STRUCTURE_TOL,
-                         match_tol: float = 1e-10,
-                         excluded_radius: float = EXCLUDED_RADIUS) -> bool:
+                         *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Whether a ``z``-type and a ``lam``-type sample are negatives of
     each other at corresponding points.
 
     The points must satisfy ``z_j = (lam_j - i)/(lam_j + i)`` within
-    ``match_tol`` and the ``lam`` points must be valid spectral points;
+    ``MATCH_TOL`` and the ``lam`` points must be valid spectral points;
     violations raise ``PointMismatchError``.  Returns True iff
-    ``sample_u.matrix = -sample_s.matrix`` within ``tol``.
+    ``sample_u.matrix = -sample_s.matrix`` within
+    ``tolerances.structure_tol``.
     """
     if sample_u.kind != "u" or sample_s.kind != "s":
         raise PointMismatchError(
             f"expected kinds ('u', 's'), got ({sample_u.kind!r}, "
             f"{sample_s.kind!r})")
     try:
-        lam1 = validate_spectral_point(sample_s.p1, "lambda1", excluded_radius)
-        lam2 = validate_spectral_point(sample_s.p2, "lambda2", excluded_radius)
+        lam1 = validate_spectral_point(sample_s.p1, "lambda1",
+                                       tolerances=tolerances)
+        lam2 = validate_spectral_point(sample_s.p2, "lambda2",
+                                       tolerances=tolerances)
     except ExcludedPointError as exc:
         raise PointMismatchError(str(exc)) from exc
     for z, lam, name in ((sample_u.p1, lam1, "z1"), (sample_u.p2, lam2, "z2")):
         expected = cayley_point(lam)
-        if abs(complex(z) - expected) > match_tol * (1.0 + abs(expected)):
+        if abs(complex(z) - expected) > MATCH_TOL * (1.0 + abs(expected)):
             raise PointMismatchError(
                 f"{name} = {z} does not match the Moebius image {expected}")
     a = sample_u.matrix
@@ -285,7 +290,7 @@ def correspondence_check(sample_u: ResolventSample, sample_s: ResolventSample,
     if a.shape != b.shape:
         raise ValueError(f"sample shapes differ: {a.shape} vs {b.shape}")
     scale = max(1.0, float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a + b)) <= tol * scale
+    return float(np.linalg.norm(a + b)) <= tolerances.structure_tol * scale
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,9 @@ import scipy.optimize
 
 from .cayley import (ConjugationFactorization, IsometricPair,
                      build_isometric_pair, godich_lutsenko, inverse_cayley)
-from .config import (ATOM_MERGE_TOL, CLUSTER_TOL, DEFAULT_TOLERANCES,
-                     FIXED_POINT_TOL, STRUCTURE_TOL, SUBSPACE_TOL,
-                     WEIGHT_DROP_TOL, Tolerances)
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
-                     FixedPointError, NotSelfAdjointA2Error,
-                     StructureViolationError)
+                     FixedPointError, StructureViolationError)
 from .gns import (SymmetricPair, _class_vector_via_pair, build_gns,
                   build_operators)
 from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
@@ -51,6 +48,17 @@ __all__ = [
 ]
 
 SAMPLER_KINDS = ("identity-only", "haar-random", "exhaustive-phases")
+
+#: Random real combinations ``c1 A1 + c2 A2`` that
+#: :func:`joint_spectral_measure` tries, and the seed they are drawn from.
+MAX_COMBINATIONS = 5
+COMBINATION_SEED = 1234
+
+#: Resolvent cross-check of every emitted solution: number of random
+#: point pairs, their seed, and the relative tolerance.
+CROSS_POINTS = 5
+CROSS_SEED = 777
+CROSS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,17 +136,17 @@ def _cluster_values(values: np.ndarray, tol: float) -> list:
     return [np.asarray(c["idx"], dtype=int) for c in clusters]
 
 
-def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec,
-                                  cluster_tol: float = CLUSTER_TOL,
-                                  structure_tol: float = STRUCTURE_TOL) -> Iterator[np.ndarray]:
+def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
+                                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
     """Stream of unitaries commuting with the unitary ``w2``.
 
     The commutant of a unitary matrix consists exactly of the block
     operators over its eigenspaces (eigenvalues clustered at
-    ``cluster_tol``), so every emitted matrix is unitary and commutes
-    with ``w2`` up to rounding.  Deterministic under a fixed sampler.
-    An empty ``w2`` yields an empty stream.
+    ``tolerances.cluster_tol``), so every emitted matrix is unitary and
+    commutes with ``w2`` up to rounding.  Deterministic under a fixed
+    sampler.  An empty ``w2`` yields an empty stream.
     """
+    structure_tol = tolerances.structure_tol
     w2 = require_unitary(w2, structure_tol, "W2")
     d = w2.shape[0]
     if d == 0:
@@ -148,7 +156,7 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec,
     if float(np.linalg.norm(off)) > structure_tol * d:
         raise StructureViolationError("W2 is not normal within tolerance")
     eigvals = np.diagonal(t)
-    blocks = _cluster_values(eigvals, cluster_tol)
+    blocks = _cluster_values(eigvals, tolerances.cluster_tol)
 
     def assemble(block_mats: list) -> np.ndarray:
         m = np.zeros((d, d), dtype=complex)
@@ -172,9 +180,8 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec,
 
 
 def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
-                        u2: np.ndarray,
-                        fixed_tol: float = FIXED_POINT_TOL,
-                        structure_tol: float = STRUCTURE_TOL) -> CanonicalExtension:
+                        u2: np.ndarray, *,
+                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> CanonicalExtension:
     """Self-adjoint extension of ``A1`` from a commutant parameter.
 
     Computes ``W2 = U|_{H2}``, its conjugation factorization ``(K, L)``,
@@ -185,10 +192,9 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     structural failures (reduction, range of ``U24``, extension or
     commutation property) raise ``StructureViolationError``.
     """
-    if not pair.a2_selfadjoint:
-        raise NotSelfAdjointA2Error(
-            "A2 is not self-adjoint; canonical extensions unavailable",
-            defect_a1=pair.defect_index(1), defect_a2=pair.defect_index(2))
+    pair.require_a2_selfadjoint(
+        "A2 is not self-adjoint; canonical extensions unavailable")
+    structure_tol = tolerances.structure_tol
     n0 = iso.n0_basis
     ninf = iso.ninf_basis
     u = iso.u_matrix
@@ -224,7 +230,8 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
         v_tilde = v_tilde + u24 @ u2 @ n0.conj().T
     if not is_unitary(v_tilde, structure_tol * 10):
         raise StructureViolationError("extended isometry is not unitary")
-    a1_tilde = inverse_cayley(v_tilde, fixed_tol, structure_tol * 10)
+    a1_tilde = inverse_cayley(v_tilde, tolerances.fixed_point_tol,
+                              structure_tol * 10)
     ext_res = float(np.linalg.norm(a1_tilde @ pair.a1_domain - pair.a1_action))
     scale = max(1.0, float(np.linalg.norm(pair.a1_action)))
     if ext_res > structure_tol * 100 * scale:
@@ -241,13 +248,8 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
                               factorization=factorization, u24=u24)
 
 
-def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
-                           cluster_tol: float = CLUSTER_TOL,
-                           weight_drop_tol: float = WEIGHT_DROP_TOL,
-                           merge_tol: float = ATOM_MERGE_TOL,
-                           structure_tol: float = STRUCTURE_TOL,
-                           max_retries: int = 5,
-                           combo_seed: int = 1234) -> AtomicMeasure:
+def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
+                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> AtomicMeasure:
     """Joint spectral measure of two commuting Hermitian matrices.
 
     Diagonalizes a random real combination ``c1 A1 + c2 A2``, clusters
@@ -255,10 +257,13 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
     the compressed operators, which must be scalar on the cluster; a
     non-scalar compression means the random combination collided two
     distinct joint eigenvalues, and a fresh combination is drawn (at
-    most ``max_retries`` times before ``ClusterAmbiguityError``).
-    Weights are ``||P h00||^2``; atoms below ``weight_drop_tol`` are
-    dropped and atoms within ``merge_tol`` are merged.
+    most ``MAX_COMBINATIONS`` in all before ``ClusterAmbiguityError``).
+    Weights are ``||P h00||^2``; atoms below ``tolerances.weight_drop_tol``
+    are dropped and atoms within ``tolerances.atom_merge_tol`` are merged.
     """
+    structure_tol = tolerances.structure_tol
+    cluster_tol = tolerances.cluster_tol
+    merge_tol = tolerances.atom_merge_tol
     a1 = as_complex_matrix(a1)
     a2 = as_complex_matrix(a2)
     h = np.asarray(h00, dtype=complex).reshape(-1)
@@ -272,8 +277,8 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
     if comm > structure_tol * op_scale * op_scale:
         raise CommutationViolatedError(
             f"operators do not commute (residual {comm:.3e})")
-    rng = np.random.default_rng(combo_seed)
-    for _ in range(max_retries):
+    rng = np.random.default_rng(COMBINATION_SEED)
+    for _ in range(MAX_COMBINATIONS):
         c = rng.normal(size=2)
         c = c / np.linalg.norm(c)
         m = c[0] * a1 + c[1] * a2
@@ -305,7 +310,8 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
             atoms.append((t1, t2, weight))
         if not ok:
             continue
-        kept = [(t1, t2, w) for (t1, t2, w) in atoms if w >= weight_drop_tol]
+        kept = [(t1, t2, w) for (t1, t2, w) in atoms
+                if w >= tolerances.weight_drop_tol]
         merged: list[list[float]] = []
         for t1, t2, w in kept:
             for entry in merged:
@@ -324,24 +330,25 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
         return AtomicMeasure(points, weights, merge_tol).sorted()
     raise ClusterAmbiguityError(
         f"joint eigenvalue clusters remained ambiguous after "
-        f"{max_retries} random combinations")
+        f"{MAX_COMBINATIONS} random combinations")
 
 
-def verify_solution(measure: AtomicMeasure, table: MomentTable,
-                    tol: float = 1e-8, determinate: bool | None = None,
-                    u2_seed: str | None = None) -> SolutionReport:
+def verify_solution(measure: AtomicMeasure, table: MomentTable, *,
+                    determinate: bool | None = None,
+                    u2_seed: str | None = None,
+                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> SolutionReport:
     """Compare a measure's exact moments against a table.
 
     ``max_abs_moment_error`` is the worst absolute deviation over the
     full stored rectangle; ``passed`` records the comparison with
-    ``tol``.
+    ``tolerances.verify_tol``.
     """
     mom = moments_of_measure(measure, table.max_m, table.max_n)
     err = float(np.max(np.abs(mom.values - table.values)))
     return SolutionReport(measure=measure, max_abs_moment_error=err,
                           degrees_checked=(table.max_m, table.max_n),
                           determinate=determinate, u2_seed=u2_seed,
-                          passed=bool(err <= tol))
+                          passed=bool(err <= tolerances.verify_tol))
 
 
 def determinacy(pair: SymmetricPair) -> bool:
@@ -351,16 +358,13 @@ def determinacy(pair: SymmetricPair) -> bool:
     self-adjoint, i.e. to vanishing defect numbers; here that means the
     domain of ``A1`` spans the whole space.
     """
-    if not pair.a2_selfadjoint:
-        raise NotSelfAdjointA2Error(
-            "determinacy criterion requires A2 self-adjoint",
-            defect_a1=pair.defect_index(1), defect_a2=pair.defect_index(2))
+    pair.require_a2_selfadjoint(
+        "determinacy criterion requires A2 self-adjoint")
     return pair.defect_index(1) == 0
 
 
-def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int,
-                      domain_tol: float = SUBSPACE_TOL,
-                      structure_tol: float = STRUCTURE_TOL) -> MomentTable:
+def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int, *,
+                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> MomentTable:
     """Moments ``(A1^m A2^n h00, h00)`` reachable through the domains.
 
     Rows are added while every chain ``A1^m A2^n h00`` with ``n <=
@@ -372,7 +376,7 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int,
         raise ValueError("max_m and max_n must be >= 0")
     rows = []
     for m in range(max_m + 1):
-        vecs = [_class_vector_via_pair(pair, m, n, domain_tol)
+        vecs = [_class_vector_via_pair(pair, m, n, tolerances.subspace_tol)
                 for n in range(max_n + 1)]
         if any(v is None for v in vecs):
             break
@@ -382,7 +386,8 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int,
                          "support the m = 0 chain")
     values = np.asarray(rows)
     worst = float(np.max(np.abs(values.imag)))
-    if worst > structure_tol * (1.0 + float(np.max(np.abs(values)))):
+    if worst > tolerances.structure_tol * (
+            1.0 + float(np.max(np.abs(values)))):
         raise StructureViolationError(
             f"pair moments are not real (max imaginary part {worst:.3e})")
     return MomentTable(len(rows) - 1, max_n, values.real)
@@ -478,12 +483,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
                     d_m: int | None = None, d_n: int | None = None,
                     max_n: int | None = None,
                     tolerances: Tolerances = DEFAULT_TOLERANCES,
-                    verify_tol: float = 1e-8,
                     refine: bool = False,
-                    cross_check: bool = True,
-                    cross_points: int = 5,
-                    cross_tol: float = 1e-8,
-                    cross_seed: int = 777,
                     on_reject: Callable[[str, FixedPointError], None] | None = None) -> Iterator[SolutionReport]:
     """Stream of canonical solutions for a table or an operator pair.
 
@@ -497,7 +497,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
 
     Every emitted measure is cross-validated: the scalar pair resolvent
     of the extension equals the atomic-sum kernel of the measure at
-    ``cross_points`` random points within ``cross_tol`` (else
+    ``CROSS_POINTS`` seeded random points within ``CROSS_TOL`` (else
     ``StructureViolationError``).  Parameters whose extended isometry
     has a fixed point are skipped after calling ``on_reject(label,
     error)`` when given.  With ``refine`` (table input only) atoms and
@@ -509,10 +509,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
             d_m = table.max_m // 2
         if d_n is None:
             d_n = table.max_n // 2
-        space = build_gns(table, d_m, d_n, tolerances.rank_tol)
-        pair = build_operators(space, tolerances.residual_gate,
-                               tolerances.subspace_tol,
-                               tolerances.structure_tol)
+        space = build_gns(table, d_m, d_n, tolerances=tolerances)
+        pair = build_operators(space, tolerances=tolerances)
         ref_table = table
         from_table = True
     elif isinstance(source, SymmetricPair):
@@ -520,22 +518,17 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         from_table = False
     else:
         raise TypeError("source must be a MomentTable or a SymmetricPair")
-    if not pair.a2_selfadjoint:
-        raise NotSelfAdjointA2Error(
-            "A2 is not self-adjoint on this input; canonical solutions "
-            "are unavailable (operator-driven input with a self-adjoint "
-            "A2 is the supported route)",
-            defect_a1=pair.defect_index(1), defect_a2=pair.defect_index(2))
-    determinate = pair.defect_index(1) == 0
-    iso = build_isometric_pair(pair, tolerances.subspace_tol,
-                               tolerances.structure_tol,
-                               tolerances.fixed_point_tol)
+    pair.require_a2_selfadjoint(
+        "A2 is not self-adjoint on this input; canonical solutions "
+        "are unavailable (operator-driven input with a self-adjoint "
+        "A2 is the supported route)")
+    determinate = determinacy(pair)
+    iso = build_isometric_pair(pair, tolerances=tolerances)
     if not from_table:
         if max_n is None:
             max_n = 2 * pair.dim
         ref_table = moments_from_pair(pair, 2 * pair.dim, max_n,
-                                      tolerances.subspace_tol,
-                                      tolerances.structure_tol)
+                                      tolerances=tolerances)
     a2_full = pair.full_matrix(2)
     if determinate:
         stream = iter([np.zeros((0, 0), dtype=complex)])
@@ -543,34 +536,28 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     else:
         w2 = iso.n0_basis.conj().T @ iso.u_matrix @ iso.n0_basis
         stream = enumerate_commutant_unitaries(w2, sampler,
-                                               tolerances.cluster_tol,
-                                               tolerances.structure_tol)
+                                               tolerances=tolerances)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
-    points = _cross_validation_points(cross_points, cross_seed) if cross_check else []
+    points = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
     for u2, label in zip(stream, labels):
         try:
-            ext = canonical_extension(pair, iso, u2,
-                                      tolerances.fixed_point_tol,
-                                      tolerances.structure_tol)
+            ext = canonical_extension(pair, iso, u2, tolerances=tolerances)
         except FixedPointError as exc:
             if on_reject is not None:
                 on_reject(label, exc)
             continue
-        measure = joint_spectral_measure(
-            ext.a1_tilde, a2_full, pair.h00,
-            cluster_tol=tolerances.cluster_tol,
-            weight_drop_tol=tolerances.weight_drop_tol,
-            merge_tol=tolerances.atom_merge_tol,
-            structure_tol=tolerances.structure_tol)
+        measure = joint_spectral_measure(ext.a1_tilde, a2_full, pair.h00,
+                                         tolerances=tolerances)
         for lam1, lam2 in points:
             lhs = _selfadjoint_pair_scalar(ext.a1_tilde, a2_full, pair.h00,
                                            lam1, lam2)
-            rhs = pair_resolvent_of_measure(measure, lam1, lam2)
-            if abs(lhs - rhs) > cross_tol * (1.0 + abs(rhs)):
+            rhs = pair_resolvent_of_measure(measure, lam1, lam2,
+                                            tolerances=tolerances)
+            if abs(lhs - rhs) > CROSS_TOL * (1.0 + abs(rhs)):
                 raise StructureViolationError(
                     f"resolvent cross-validation failed at ({lam1}, {lam2}): "
-                    f"|{lhs} - {rhs}| > {cross_tol}")
+                    f"|{lhs} - {rhs}| > {CROSS_TOL}")
         if refine and from_table:
             measure = refine_measure(measure, ref_table)
-        yield verify_solution(measure, ref_table, verify_tol,
-                              determinate=determinate, u2_seed=label)
+        yield verify_solution(measure, ref_table, determinate=determinate,
+                              u2_seed=label, tolerances=tolerances)

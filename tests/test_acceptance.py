@@ -285,7 +285,7 @@ def test_criterion_08_determinacy_classifier(acceptance_log):
     agree = True
     for mu in _suite_measures():
         table = moments_of_measure(mu, 12, 12)
-        pair = build_operators(build_gns(table, 6, 6, tol.rank_tol))
+        pair = build_operators(build_gns(table, 6, 6, tolerances=tol))
         det = determinacy(pair)
         agree = agree and det and det == (pair.defect_index(1) == 0)
     for dim, defect, seed in EXTENSION_SETUPS:

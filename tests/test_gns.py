@@ -9,6 +9,7 @@ from moment2d import (
     InconsistentShiftError,
     MomentTable,
     NotPsdError,
+    Tolerances,
     build_gns,
     build_operators,
     e1,
@@ -152,7 +153,7 @@ def test_quasianalytic_check_flags_mismatched_table():
 
 def test_rank_tolerance_controls_kernel_cut():
     table = e2().table
-    loose = build_gns(table, 1, 1, rank_tol=0.9)
+    loose = build_gns(table, 1, 1, tolerances=Tolerances(rank_tol=0.9))
     assert loose.rank == 2  # both retained eigenvalues equal the maximum
-    strict = build_gns(table, 1, 1, rank_tol=1e-14)
+    strict = build_gns(table, 1, 1, tolerances=Tolerances(rank_tol=1e-14))
     assert strict.rank == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +20,10 @@ from moment2d import (
     moments_of_measure,
     verify_solution,
 )
-from moment2d import io
+import moment2d
+from moment2d import cli, io
 from moment2d.cli import main
+from moment2d.errors import Moment2dError
 
 
 def _scalar_pair() -> SymmetricPair:
@@ -213,6 +216,20 @@ def test_cli_eval_resolvent_counts_excluded_points(tmp_path: Path, capsys):
     assert out["rows"] == []
 
 
+def test_cli_eval_resolvent_point_near_unit_circle(tmp_path: Path, capsys):
+    # |z1| = |(l1 - i)/(l1 + i)| rounds to 1 for this l1, yet the point
+    # is valid and keeps the closed form 1/(l1 l2).
+    files = _write_demo(tmp_path, capsys)
+    assert main(["eval-resolvent", str(files["e1-pair.json"]),
+                 "--l1-start", "1e9+1j", "--l2-start", "2j",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["excluded"] == 0
+    (row,) = out["rows"]
+    value = complex(row[4], row[5])
+    assert value == pytest.approx(1 / ((1e9 + 1j) * 2j), rel=1e-9)
+
+
 def test_cli_eval_resolvent_grid_needs_stop(tmp_path: Path):
     files = _write_demo(tmp_path)
     assert main(["eval-resolvent", str(files["e1-pair.json"]),
@@ -289,3 +306,40 @@ def test_console_script_entry_point(tmp_path: Path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "wrote" in result.stdout
+
+
+# Exit code per error class, as documented in README's exit-code table.
+README_EXIT_CODES = {
+    "Moment2dError": 1, "SchemaError": 1, "IndexOutOfRangeError": 1,
+    "NegativeDenominatorError": 1, "NotSupportedError": 1,
+    "NotPsdError": 2,
+    "InconsistentShiftError": 3, "DomainCollapseError": 3,
+    "SingularShiftError": 3, "EmbeddingLostError": 3,
+    "NotDirectSumError": 3, "NoDecompositionError": 3,
+    "SingularMatrixError": 3, "ClusterAmbiguityError": 3,
+    "NotSelfAdjointA2Error": 3, "StructureViolationError": 3,
+    "FixedPointError": 4, "ContractionViolatedError": 4,
+    "NotUnitaryError": 4, "CommutationViolatedError": 4,
+    "ExcludedPointError": 4, "AdmissibilityFailedError": 4,
+    "PointMismatchError": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "error_class", [Moment2dError] + Moment2dError.__subclasses__(),
+    ids=lambda cls: cls.__name__)
+def test_cli_exit_code_of_every_error_class(error_class, monkeypatch,
+                                            capsys):
+    def raise_it(args):
+        raise error_class("boom")
+
+    monkeypatch.setattr(cli, "cmd_demo", raise_it)
+    assert main(["demo"]) == README_EXIT_CODES[error_class.__name__]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert moment2d.__version__ == match.group(1)

@@ -12,6 +12,7 @@ from moment2d import (
     IndexOutOfRangeError,
     MomentTable,
     NegativeDenominatorError,
+    Tolerances,
     carleman_diagnostic,
     check_psd,
     e1,
@@ -197,3 +198,10 @@ def test_monomial_indices_cover_rectangle(d_m, d_n):
     assert len(set(idx)) == len(idx)
     degrees = [m + n for m, n in idx]
     assert degrees == sorted(degrees)
+
+
+def test_check_psd_reads_psd_tol():
+    table = MomentTable(0, 0, np.array([[-1e-6]]))
+    assert check_psd(table, 0, 0) == (False, -1e-6)
+    loose = Tolerances(psd_tol=1e-5)
+    assert check_psd(table, 0, 0, tolerances=loose) == (True, -1e-6)

@@ -13,6 +13,7 @@ from moment2d import (
     NotUnitaryError,
     SamplerSpec,
     SymmetricPair,
+    Tolerances,
     build_isometric_pair,
     canonical_extension,
     determinacy,
@@ -276,3 +277,14 @@ def test_solve_canonical_recovers_measures_from_tables():
         assert got.n_atoms == want.n_atoms
         assert np.max(np.abs(got.points - want.points)) < 1e-7
         assert np.max(np.abs(got.weights - want.weights)) < 1e-7
+
+
+def test_verify_solution_reads_verify_tol():
+    scenario = e2()
+    values = scenario.table.values.copy()
+    values[0, 0] += 1e-6
+    table = MomentTable(scenario.table.max_m, scenario.table.max_n, values)
+    assert verify_solution(scenario.measure, table).passed is False
+    loose = Tolerances(verify_tol=1e-5)
+    assert verify_solution(scenario.measure, table,
+                           tolerances=loose).passed is True
