@@ -38,6 +38,9 @@ EXIT_OK = 0
 TOLERANCE_FIELDS = ("rank_tol", "psd_tol", "subspace_tol", "cluster_tol",
                     "atom_merge_tol", "verify_tol")
 
+#: Flags whose value is a complex number, which may begin with ``-``.
+COMPLEX_FLAGS = ("--l1-start", "--l1-stop", "--l2-start", "--l2-stop")
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -372,10 +375,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_complex_values(argv: list) -> list:
+    """Rewrite ``--l1-start -1+2j`` as ``--l1-start=-1+2j``.
+
+    argparse takes a separate value that begins with ``-`` and is not a
+    plain negative number, such as ``-1-0.25j``, for an option and
+    refuses the flag for lacking its argument.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1] in COMPLEX_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_complex_values(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -224,23 +224,27 @@ def build_operators(space: GnsSpace, *,
                          a2_selfadjoint=a2_selfadjoint)
 
 
+def _shift_step(domain: np.ndarray, action: np.ndarray, x: np.ndarray,
+                tol: float) -> np.ndarray | None:
+    """``A x`` for the operator stored as ``(domain, action)``, or None when
+    ``x`` leaves its domain: the residual of the projection onto the
+    domain exceeds ``tol * max(1, ||x||)``."""
+    c = domain.conj().T @ x
+    if np.linalg.norm(x - domain @ c) > tol * max(1.0, np.linalg.norm(x)):
+        return None
+    return action @ c
+
+
 def _class_vector_via_pair(pair: SymmetricPair, m: int, k: int,
                            tol: float) -> np.ndarray | None:
     """``A1^m A2^k h00`` through the stored actions, or None when the
     chain leaves a domain."""
     x = pair.h00.copy()
-    for _ in range(k):
-        dom = pair.a2_domain
-        c = dom.conj().T @ x
-        if np.linalg.norm(x - dom @ c) > tol * max(1.0, np.linalg.norm(x)):
+    for domain, action in ([(pair.a2_domain, pair.a2_action)] * k
+                           + [(pair.a1_domain, pair.a1_action)] * m):
+        x = _shift_step(domain, action, x, tol)
+        if x is None:
             return None
-        x = pair.a2_action @ c
-    for _ in range(m):
-        dom = pair.a1_domain
-        c = dom.conj().T @ x
-        if np.linalg.norm(x - dom @ c) > tol * max(1.0, np.linalg.norm(x)):
-            return None
-        x = pair.a1_action @ c
     return x
 
 

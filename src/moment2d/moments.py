@@ -79,6 +79,28 @@ class MomentTable:
         return float(self.values[m, n])
 
 
+def _has_close_pair(points: np.ndarray, tol: float) -> bool:
+    """Whether two rows of ``points`` (shape ``(k, 2)``, finite) lie
+    within ``tol`` of each other in max-coordinate distance.
+
+    After sorting on ``t1``, the rounded difference ``t1[a + g] - t1[a]``
+    grows with the rank gap ``g``, so the scan over gaps stops at the
+    first gap where no pair is within ``tol`` in ``t1``: O(k log k) when
+    the atoms are apart in ``t1``, and the same decision as comparing
+    every pair, since floating-point subtraction is antisymmetric.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    t1 = points[order, 0]
+    t2 = points[order, 1]
+    for gap in range(1, t1.size):
+        near = t1[gap:] - t1[:-gap] <= tol
+        if not near.any():
+            return False
+        if np.any(near & (np.abs(t2[gap:] - t2[:-gap]) <= tol)):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many weighted points ``sum_i w_i * delta_{(t1_i, t2_i)}``.
@@ -107,11 +129,14 @@ class AtomicMeasure:
             raise ValueError("atoms must be finite")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive")
-        for i in range(points.shape[0]):
-            for j in range(i + 1, points.shape[0]):
-                if np.max(np.abs(points[i] - points[j])) <= self.merge_tol:
-                    raise ValueError(
-                        f"atoms {i} and {j} coincide within merge tolerance")
+        if _has_close_pair(points, self.merge_tol):
+            # Name the first coinciding pair in input order.
+            for i in range(points.shape[0]):
+                for j in range(i + 1, points.shape[0]):
+                    if np.max(np.abs(points[i] - points[j])) <= self.merge_tol:
+                        raise ValueError(
+                            f"atoms {i} and {j} coincide within merge "
+                            f"tolerance")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -181,13 +206,8 @@ def moment_matrix(table: MomentTable, d_m: int, d_n: int) -> np.ndarray:
         raise IndexOutOfRangeError(
             f"rectangle ({d_m}, {d_n}) needs moments up to "
             f"({2 * d_m}, {2 * d_n}), table holds ({table.max_m}, {table.max_n})")
-    idx = monomial_indices(d_m, d_n)
-    size = len(idx)
-    gram = np.empty((size, size))
-    for a, (m1, n1) in enumerate(idx):
-        for b, (m2, n2) in enumerate(idx):
-            gram[a, b] = table.values[m1 + m2, n1 + n2]
-    return gram
+    m, n = np.array(monomial_indices(d_m, d_n)).T
+    return table.values[m[:, None] + m[None, :], n[:, None] + n[None, :]]
 
 
 def check_psd(table: MomentTable, d_m: int, d_n: int, *,

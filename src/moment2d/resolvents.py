@@ -349,15 +349,10 @@ class TrigMomentTable:
         order_j``, ``0 <= k <= order_k``; PSD iff the table is a
         truncated moment sequence of a positive measure.
         """
-        nj, nk = self.order_j + 1, self.order_k + 1
-        size = nj * nk
-        m = np.zeros((size, size), dtype=complex)
-        for j in range(nj):
-            for k in range(nk):
-                for jp in range(nj):
-                    for kp in range(nk):
-                        m[j * nk + k, jp * nk + kp] = self.c_full[
-                            self.order_j + j - jp, self.order_k + k - kp]
+        nk = self.order_k + 1
+        j, k = np.divmod(np.arange((self.order_j + 1) * nk), nk)
+        m = self.c_full[self.order_j + np.subtract.outer(j, j),
+                        self.order_k + np.subtract.outer(k, k)]
         return 0.5 * (m + m.conj().T)
 
     def psd_check(self, tol: float | None = None) -> tuple:

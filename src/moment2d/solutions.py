@@ -26,8 +26,7 @@ from .cayley import (ConjugationFactorization, IsometricPair,
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, StructureViolationError)
-from .gns import (SymmetricPair, _class_vector_via_pair, build_gns,
-                  build_operators)
+from .gns import SymmetricPair, _shift_step, build_gns, build_operators
 from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
                      is_unitary, require_unitary, subspace_residual)
 from .moments import AtomicMeasure, MomentTable, moments_of_measure
@@ -371,19 +370,37 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int, *,
     max_n`` stays inside the stored domains, up to ``max_m``; the
     result's ``max_m`` reports how far that held (0 when ``h00`` already
     leaves ``D(A1)``).  Values must come out real within tolerance.
+
+    Row 0 is the chain ``A2^n h00``; row ``m`` applies ``A1`` once to
+    each vector of row ``m - 1`` and stops at the first one outside
+    ``D(A1)``.  A table with ``M + 1`` rows thus costs at most ``(M + 2)
+    * (max_n + 1)`` domain-tested shift steps, O(m n) where rebuilding
+    every chain from ``h00`` took O(m n (m + n)); each vector still
+    takes exactly the steps of its own chain, so the values are the
+    same to the last bit.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
-    rows = []
-    for m in range(max_m + 1):
-        vecs = [_class_vector_via_pair(pair, m, n, tolerances.subspace_tol)
-                for n in range(max_n + 1)]
-        if any(v is None for v in vecs):
+    tol = tolerances.subspace_tol
+    row = [pair.h00]
+    for _ in range(max_n):
+        x = _shift_step(pair.a2_domain, pair.a2_action, row[-1], tol)
+        if x is None:
+            raise ValueError("no moment row is reachable: h00 must at "
+                             "least support the m = 0 chain")
+        row.append(x)
+    rows = [[complex(np.vdot(pair.h00, v)) for v in row]]
+    while len(rows) <= max_m:
+        shifted = []
+        for v in row:
+            x = _shift_step(pair.a1_domain, pair.a1_action, v, tol)
+            if x is None:
+                break
+            shifted.append(x)
+        if len(shifted) < len(row):
             break
-        rows.append([complex(np.vdot(pair.h00, v)) for v in vecs])
-    if not rows:
-        raise ValueError("no moment row is reachable: h00 must at least "
-                         "support the m = 0 chain")
+        row = shifted
+        rows.append([complex(np.vdot(pair.h00, v)) for v in row])
     values = np.asarray(rows)
     worst = float(np.max(np.abs(values.imag)))
     if worst > tolerances.structure_tol * (

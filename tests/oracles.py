@@ -86,3 +86,65 @@ def random_point_pair(rng: np.random.Generator,
 def scalar_pair_resolvent(measure, lam1: complex, lam2: complex) -> complex:
     """Resolvent scalar of an atomic measure, as the Herglotz sum."""
     return herglotz_kernel_sum(measure.points, measure.weights, lam1, lam2)
+
+
+def pair_moments_per_chain(pair, max_m: int, max_n: int,
+                           tol: float) -> np.ndarray:
+    """Rows of ``(A1^m A2^n h00, h00)`` with every chain rebuilt from h00.
+
+    Each step projects onto the stored domain basis, tests the residual
+    against ``tol * max(1, ||x||)`` and applies the action.  Rows stop
+    at the first ``m`` whose chains do not all stay inside the domains;
+    the result has shape ``(rows, max_n + 1)`` and may have no rows.
+    """
+    def chain(m, n):
+        x = pair.h00.copy()
+        for dom, act in ([(pair.a2_domain, pair.a2_action)] * n
+                         + [(pair.a1_domain, pair.a1_action)] * m):
+            c = dom.conj().T @ x
+            if np.linalg.norm(x - dom @ c) > tol * max(1.0, np.linalg.norm(x)):
+                return None
+            x = act @ c
+        return x
+
+    rows = []
+    for m in range(max_m + 1):
+        vecs = [chain(m, n) for n in range(max_n + 1)]
+        if any(v is None for v in vecs):
+            break
+        rows.append([complex(np.vdot(pair.h00, v)) for v in vecs])
+    return np.asarray(rows, dtype=complex).reshape(len(rows), max_n + 1)
+
+
+def first_close_pair(points: np.ndarray, tol: float):
+    """First ``(i, j)``, ``i < j``, in input order with max-coordinate
+    distance at most ``tol``, or None."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.max(np.abs(points[i] - points[j])) <= tol:
+                return i, j
+    return None
+
+
+def moment_matrix_direct(values: np.ndarray, index: list) -> np.ndarray:
+    """Gram matrix ``s_{m+m', n+n'}`` over the monomial ``index``."""
+    gram = np.empty((len(index), len(index)))
+    for a, (m1, n1) in enumerate(index):
+        for b, (m2, n2) in enumerate(index):
+            gram[a, b] = values[m1 + m2, n1 + n2]
+    return gram
+
+
+def block_toeplitz_direct(c_full: np.ndarray, order_j: int,
+                          order_k: int) -> np.ndarray:
+    """``M[(j,k),(j',k')] = c_{j-j', k-k'}``, rows row-major in ``(j, k)``,
+    made Hermitian as ``(M + M^H) / 2``."""
+    nj, nk = order_j + 1, order_k + 1
+    m = np.zeros((nj * nk, nj * nk), dtype=complex)
+    for j in range(nj):
+        for k in range(nk):
+            for jp in range(nj):
+                for kp in range(nk):
+                    m[j * nk + k, jp * nk + kp] = c_full[
+                        order_j + j - jp, order_k + k - kp]
+    return 0.5 * (m + m.conj().T)

@@ -5,20 +5,27 @@ import pytest
 
 from moment2d import (
     AtomicMeasure,
+    DEFAULT_TOLERANCES,
     DomainCollapseError,
     InconsistentShiftError,
     MomentTable,
     NotPsdError,
+    SymmetricPair,
     Tolerances,
     build_gns,
     build_operators,
     e1,
     e2,
     e3,
+    e3_class,
     moments_from_pair,
     moments_of_measure,
     quasianalytic_vector_check,
+    random_atomic_measure,
 )
+from moment2d import solutions
+
+import oracles
 
 
 def _random_measure(rng, k):
@@ -130,6 +137,96 @@ def test_moments_from_pair_stops_at_domain_boundary():
 def test_moments_from_pair_validates_inputs():
     with pytest.raises(ValueError):
         moments_from_pair(e2().pair, -1, 0)
+
+
+def _assert_matches_per_chain(pair, max_m, max_n):
+    ref = oracles.pair_moments_per_chain(pair, max_m, max_n,
+                                         DEFAULT_TOLERANCES.subspace_tol)
+    table = moments_from_pair(pair, max_m, max_n)
+    assert table.max_m == ref.shape[0] - 1
+    assert table.max_n == max_n
+    assert np.array_equal(table.values, ref.real)
+    return table
+
+
+def test_moments_from_pair_equals_per_chain_definition():
+    for dim in (3, 4, 5, 8, 12, 16, 20):
+        for defect in (1, 2):
+            pair = e3_class(dim, defect, 100 * dim + defect).pair
+            for max_m, max_n in ((0, 0), (2, 5), (2 * dim, 2 * dim)):
+                _assert_matches_per_chain(pair, max_m, max_n)
+    # Table-built pairs with h00 in D(A1), where several rows are reachable.
+    rng = np.random.default_rng(11)
+    reached = []
+    for degree in (4, 6, 8, 10):
+        mu = random_atomic_measure(rng, coord_low=-1.0, coord_high=1.0)
+        table = moments_of_measure(mu, degree, degree)
+        pair = build_operators(build_gns(table, degree // 2, degree // 2))
+        for max_m, max_n in ((3, 3), (12, 6), (2 * pair.dim, 2 * pair.dim)):
+            reached.append(_assert_matches_per_chain(pair, max_m, max_n).max_m)
+    assert max(reached) >= 6
+
+
+def _unit(i, dim=3):
+    v = np.zeros(dim, dtype=complex)
+    v[i] = 1.0
+    return v
+
+
+def _basis_pair(a1_cols, a1_images, a2_cols, a2_images):
+    """Pair on C^3 with h00 = e0, each domain spanned by unit vectors and
+    each action sending them to the given unit vectors."""
+    def op(cols, images):
+        dom = np.stack([_unit(i) for i in cols], axis=1)
+        act = np.stack([_unit(i) for i in images], axis=1)
+        return dom, act
+    a1_domain, a1_action = op(a1_cols, a1_images)
+    a2_domain, a2_action = op(a2_cols, a2_images)
+    return SymmetricPair(dim=3, a1_domain=a1_domain, a1_action=a1_action,
+                         a2_domain=a2_domain, a2_action=a2_action,
+                         h00=_unit(0), j_matrix=np.eye(3, dtype=complex),
+                         a2_selfadjoint=False)
+
+
+def _counting_a1_tests(monkeypatch, pair):
+    """Record each ``A1`` domain test of ``moments_from_pair`` as passed
+    (True) or failed (False)."""
+    seen = []
+    step = solutions._shift_step
+
+    def counted(domain, action, x, tol):
+        out = step(domain, action, x, tol)
+        if domain is pair.a1_domain:
+            seen.append(out is not None)
+        return out
+    monkeypatch.setattr(solutions, "_shift_step", counted)
+    return seen
+
+
+def test_moments_from_pair_chain_leaving_a2_domain_raises():
+    # A2 e0 = e1 and e1 is outside D(A2) = span{e0}.
+    pair = _basis_pair([0, 1, 2], [0, 1, 2], [0], [1])
+    assert _assert_matches_per_chain(pair, 3, 1).max_m == 3
+    assert oracles.pair_moments_per_chain(
+        pair, 3, 2, DEFAULT_TOLERANCES.subspace_tol).shape[0] == 0
+    with pytest.raises(ValueError, match="no moment row is reachable"):
+        moments_from_pair(pair, 3, 2)
+
+
+def test_moments_from_pair_row_stops_at_first_vector_outside_a1(monkeypatch):
+    # A2 = identity; A1 e0 = e1, A1 e1 = e2, e2 outside D(A1): rows 0-2
+    # exist and row 3 fails on its first vector.
+    pair = _basis_pair([0, 1], [1, 2], [0, 1, 2], [0, 1, 2])
+    _assert_matches_per_chain(pair, 5, 2)
+    seen = _counting_a1_tests(monkeypatch, pair)
+    assert moments_from_pair(pair, 5, 2).max_m == 2
+    assert seen == [True] * 6 + [False]
+    # A2 swaps e0 and e2, A1 e0 = e1: row 1 fails on its second vector.
+    pair = _basis_pair([0, 1], [1, 1], [0, 1, 2], [2, 1, 0])
+    _assert_matches_per_chain(pair, 5, 1)
+    seen = _counting_a1_tests(monkeypatch, pair)
+    assert moments_from_pair(pair, 5, 1).max_m == 0
+    assert seen == [True, False]
 
 
 def test_quasianalytic_check_matches_table_diagnostic():

@@ -230,6 +230,23 @@ def test_cli_eval_resolvent_point_near_unit_circle(tmp_path: Path, capsys):
     assert value == pytest.approx(1 / ((1e9 + 1j) * 2j), rel=1e-9)
 
 
+def test_cli_eval_resolvent_takes_separate_negative_values(tmp_path: Path,
+                                                           capsys):
+    files = _write_demo(tmp_path, capsys)
+    values = {"--l1-start": "-1+2j", "--l1-stop": "-0.5+1j",
+              "--l2-start": "-2j", "--l2-stop": "-1-0.25j"}
+    counts = ["--l1-count", "3", "--l2-count", "2"]
+    outputs = []
+    for joined in (True, False):
+        argv = ["eval-resolvent", str(files["e3-pair.json"])] + counts
+        for flag, value in values.items():
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 6 + 1
+
+
 def test_cli_eval_resolvent_grid_needs_stop(tmp_path: Path):
     files = _write_demo(tmp_path)
     assert main(["eval-resolvent", str(files["e1-pair.json"]),

@@ -205,3 +205,60 @@ def test_check_psd_reads_psd_tol():
     assert check_psd(table, 0, 0) == (False, -1e-6)
     loose = Tolerances(psd_tol=1e-5)
     assert check_psd(table, 0, 0, tolerances=loose) == (True, -1e-6)
+
+
+def _check_duplicates_like_reference(points, tol):
+    expected = oracles.first_close_pair(points, tol)
+    if expected is None:
+        mu = AtomicMeasure(points, np.ones(len(points)), tol)
+        assert np.array_equal(mu.points, points.reshape(-1, 2))
+    else:
+        i, j = expected
+        with pytest.raises(ValueError) as info:
+            AtomicMeasure(points, np.ones(len(points)), tol)
+        assert str(info.value) == (
+            f"atoms {i} and {j} coincide within merge tolerance")
+
+
+# Coordinates on a coarse grid make ties, pairs exactly ``tol`` apart and
+# pairs close in one coordinate only common.
+_grid_coord = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+
+
+@given(st.lists(st.tuples(st.one_of(_grid_coord, st.floats(-1.0, 1.0)),
+                          st.one_of(_grid_coord, st.floats(-1.0, 1.0))),
+                max_size=9),
+       st.sampled_from([0.0, 1e-9, 0.25, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_duplicate_atoms_match_pairwise_reference(coords, tol):
+    _check_duplicates_like_reference(
+        np.asarray(coords, dtype=float).reshape(-1, 2), tol)
+
+
+def test_duplicate_atom_edge_cases():
+    cases = [
+        ([], 0.1),                                   # k = 0
+        ([[0.3, 0.4]], 0.1),                         # k = 1
+        ([[0.0, 0.0], [0.0, 1.0], [0.0, 0.5]], 0.1),  # ties in t1, apart
+        ([[0.0, 0.0], [0.0, 1.0], [0.0, 0.05]], 0.1),  # ties in t1, close
+        ([[0.0, 0.0], [0.5, 0.25]], 0.5),            # distance exactly tol
+        ([[1.0, 0.0], [0.0, 0.0]], 0.5),             # close in t2 only
+        ([[0.0, 1.0], [0.01, 0.0]], 0.5),            # close in t1 only
+        ([[2.0, 0.0], [0.0, 3.0], [0.3, 3.2], [2.1, 0.1]], 0.25),
+    ]
+    for coords, tol in cases:
+        _check_duplicates_like_reference(
+            np.asarray(coords, dtype=float).reshape(-1, 2), tol)
+    with pytest.raises(ValueError, match="atoms 0 and 3 coincide"):
+        AtomicMeasure(np.array(cases[-1][0]), np.ones(4), 0.25)
+
+
+def test_moment_matrix_equals_entrywise_definition():
+    rng = np.random.default_rng(3)
+    table = MomentTable(10, 10, rng.normal(size=(11, 11)))
+    for d_m, d_n in ((0, 0), (1, 3), (4, 2), (5, 5)):
+        gram = moment_matrix(table, d_m, d_n)
+        expected = oracles.moment_matrix_direct(
+            table.values, monomial_indices(d_m, d_n))
+        assert gram.dtype == np.float64
+        assert np.array_equal(gram, expected)

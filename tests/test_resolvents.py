@@ -276,3 +276,16 @@ def test_trig_moment_table_validation():
         trig_moments_from_resolvent(
             iso, ContractionParameter.pointwise(lambda z: np.zeros((0, 0))),
             e1().pair.h00, 1, 1)
+
+
+def test_block_toeplitz_equals_entrywise_definition():
+    rng = np.random.default_rng(4)
+    for order_j, order_k in ((0, 0), (1, 2), (3, 3)):
+        shape = (2 * order_j + 1, 2 * order_k + 1)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c = 0.5 * (c + np.conj(c[::-1, ::-1]))
+        c[order_j, order_k] = 1.0 + float(np.max(np.abs(c)))
+        table = TrigMomentTable(order_j, order_k, c)
+        assert np.array_equal(
+            table.block_toeplitz(),
+            oracles.block_toeplitz_direct(table.c_full, order_j, order_k))
