@@ -10,11 +10,10 @@ same pipelines on the command line.
 
 from .cayley import (CayleyIsometry, ConjugationFactorization,
                      ContractionParameter, IsometricPair,
-                     admissibility_check, build_isometric_pair, cayley,
-                     commutation_check, constant_admissibility,
-                     extend_isometry, fixed_subspace, forbidden_operator,
-                     forbidden_operator_from_subspaces, godich_lutsenko,
-                     inverse_cayley, minimal_subspace, strip_fixed_elements)
+                     build_isometric_pair, cayley, commutation_check,
+                     constant_admissibility, extend_isometry, fixed_subspace,
+                     forbidden_operator, godich_lutsenko, inverse_cayley,
+                     minimal_subspace, strip_fixed_elements)
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (AdmissibilityFailedError, ClusterAmbiguityError,
                      CommutationViolatedError, ContractionViolatedError,
@@ -62,8 +61,7 @@ __all__ = [
     "ConjugationFactorization", "cayley", "inverse_cayley",
     "build_isometric_pair", "extend_isometry", "godich_lutsenko",
     "fixed_subspace", "strip_fixed_elements", "forbidden_operator",
-    "forbidden_operator_from_subspaces", "constant_admissibility",
-    "admissibility_check", "commutation_check", "minimal_subspace",
+    "constant_admissibility", "commutation_check", "minimal_subspace",
     # resolvents
     "ResolventSample", "TrigMomentTable", "cayley_point",
     "inverse_cayley_point", "chumakin_resolvent", "unitary_moebius",

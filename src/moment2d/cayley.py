@@ -23,13 +23,15 @@ collapses to a finite computation:
     F admissible  <=>  { psi in dom X : F psi = X psi and
                          ||F psi|| = ||psi|| } = {0}.
 
-:func:`admissibility_check` implements exactly this as a
-kernel-plus-isometric-subspace computation: first the null space of
-``F - X`` on ``dom X``, then the subspace of that null space on which
-the contraction ``F`` preserves norms (singular value 1).  When the
-domain of the operator is the whole space both defect subspaces vanish
-and every contraction is trivially admissible; genuinely point-dependent
-parameter families outside that shortcut are not supported here.
+:func:`constant_admissibility` is the one implementation of this
+criterion, a kernel-plus-isometric-subspace computation: first the null
+space of ``F - X`` on ``dom X``, then the subspace of that null space on
+which the contraction ``F`` preserves norms (singular value 1).  It reads
+``N0``, ``Ninf`` and ``D(A)`` from the :class:`IsometricPair`, the only
+holder of the Cayley data of ``A1``.  When the domain of the operator is
+the whole space both defect subspaces vanish and every contraction is
+trivially admissible; genuinely point-dependent parameter families
+outside that shortcut are not supported here.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ __all__ = [
     "fixed_subspace",
     "strip_fixed_elements",
     "forbidden_operator",
-    "forbidden_operator_from_subspaces",
     "constant_admissibility",
-    "admissibility_check",
     "commutation_check",
     "minimal_subspace",
 ]
@@ -112,6 +112,26 @@ class IsometricPair:
     @property
     def defect_dim(self) -> int:
         return self.n0_basis.shape[1]
+
+    @property
+    def w2(self) -> np.ndarray:
+        """``W2 = U|_{N0}`` in ``n0_basis`` coordinates."""
+        return self.n0_basis.conj().T @ self.u_matrix @ self.n0_basis
+
+    def parameter_at(self, phi: "ContractionParameter",
+                     z: complex = 0.0) -> np.ndarray:
+        """Value ``Phi_z : N0 -> Ninf`` in the stored defect bases.
+
+        Raises ``ValueError`` when its shape does not match the defect
+        dimensions.
+        """
+        value = phi.at(z)
+        expected = (self.ninf_basis.shape[1], self.defect_dim)
+        if value.shape != expected:
+            raise ValueError(
+                f"parameter shape {value.shape} does not match defect "
+                f"dimensions {expected}")
+        return value
 
     def v_on_space(self) -> np.ndarray:
         """Matrix acting as ``V`` on ``D(V)`` and as 0 on ``N0``."""
@@ -172,25 +192,25 @@ class ConjugationFactorization:
     l_matrix: np.ndarray
 
 
-def cayley(pair: SymmetricPair, which: int, *,
+def cayley(pair: SymmetricPair, *,
            tolerances: Tolerances = DEFAULT_TOLERANCES) -> CayleyIsometry:
-    """Cayley transform ``(A + i)(A - i)^{-1}`` of one operator.
+    """Cayley transform ``(A1 + i)(A1 - i)^{-1}`` of the first operator.
 
     Works with the stored domain basis ``Q`` and action ``T``:
-    ``(A - i)(Q c) = (T - iQ) c`` and the transform maps it to
-    ``(T + iQ) c``.  Since ``A`` is symmetric, ``||(A - i)x||^2 =
-    ||A x||^2 + ||x||^2``, so ``T - iQ`` has full column rank and the
+    ``(A1 - i)(Q c) = (T - iQ) c`` and the transform maps it to
+    ``(T + iQ) c``.  Since ``A1`` is symmetric, ``||(A1 - i)x||^2 =
+    ||A1 x||^2 + ||x||^2``, so ``T - iQ`` has full column rank and the
     returned action has orthonormal columns.
     """
-    q = pair.domain(which)
-    t = pair.action(which)
+    q = pair.a1_domain
+    t = pair.a1_action
     n = pair.dim
     if q.shape[1] == 0:
         return CayleyIsometry(domain=empty_basis(n), action=empty_basis(n),
                               range=empty_basis(n))
     if not is_hermitian(q.conj().T @ t, tolerances.structure_tol):
         raise StructureViolationError(
-            f"operator A{which} is not symmetric on its domain")
+            "operator A1 is not symmetric on its domain")
     minus = t - 1j * q
     plus = t + 1j * q
     dom, r = np.linalg.qr(minus)
@@ -198,7 +218,7 @@ def cayley(pair: SymmetricPair, which: int, *,
     rng = orth_columns(action, tolerances.subspace_tol)
     if rng.shape[1] != dom.shape[1]:
         raise StructureViolationError(
-            f"Cayley range of A{which} lost dimension "
+            f"Cayley range of A1 lost dimension "
             f"({rng.shape[1]} != {dom.shape[1]})")
     return CayleyIsometry(domain=dom, action=action, range=rng)
 
@@ -239,7 +259,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
     structure_tol = tolerances.structure_tol
-    iso = cayley(pair, 1, tolerances=tolerances)
+    iso = cayley(pair, tolerances=tolerances)
     a2 = pair.full_matrix(2)
     n = pair.dim
     eye = np.eye(n)
@@ -247,7 +267,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
     if not is_unitary(u, structure_tol):
         raise StructureViolationError("Cayley transform of A2 not unitary")
     sigma_min = float(np.linalg.svd(u - eye, compute_uv=False)[-1])
-    if sigma_min <= tolerances.fixed_point_tol:
+    if sigma_min <= FIXED_POINT_TOL:
         raise StructureViolationError(
             "Cayley transform of A2 has an eigenvalue at 1; A2 is outside "
             "the numerically supported range")
@@ -282,15 +302,9 @@ def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
     Unitary precisely when ``Phi_z`` is unitary (square with all
     singular values 1).
     """
-    value = phi.at(z)
-    n0_dim = iso.n0_basis.shape[1]
-    ninf_dim = iso.ninf_basis.shape[1]
-    if value.shape != (ninf_dim, n0_dim):
-        raise ValueError(
-            f"parameter shape {value.shape} does not match defect "
-            f"dimensions ({ninf_dim}, {n0_dim})")
+    value = iso.parameter_at(phi, z)
     full = iso.v_on_space()
-    if n0_dim:
+    if iso.defect_dim:
         full = full + iso.ninf_basis @ value @ iso.n0_basis.conj().T
     return full
 
@@ -386,27 +400,30 @@ def strip_fixed_elements(w1: np.ndarray, w2: np.ndarray,
     return w1, w2, basis
 
 
-def forbidden_operator_from_subspaces(n_plus: np.ndarray,
-                                      n_minus: np.ndarray,
-                                      domain_basis: np.ndarray, *,
-                                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """Forbidden operator from defect subspaces and the operator domain.
+def forbidden_operator(iso: IsometricPair, *,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """Domain basis and matrix of the forbidden operator ``X`` of ``A1``.
 
-    ``n_plus`` spans ``N_i``, ``n_minus`` spans ``N_{-i}`` and
-    ``domain_basis`` spans ``D(A)``, all as orthonormal columns.  Same
-    returns and errors as :func:`forbidden_operator`; the decomposition
-    gate is ``tolerances.structure_tol``.
+    ``dom X = N0 & (Ninf (+) D(A))`` with the defect subspaces
+    ``N0 = N_i`` and ``Ninf = N_-i`` and ``D(A)`` all read from ``iso``;
+    ``X psi = phi`` for the unique decomposition ``psi = phi + d``.
+    Returns ``(psi_basis, x_matrix)`` with ``x_matrix`` holding the image
+    of each ``psi_basis`` column in space coordinates.  Raises
+    ``NotDirectSumError`` when the sum is not direct and
+    ``NoDecompositionError`` when a decomposition residual exceeds
+    ``tolerances.structure_tol``.
     """
     subspace_tol = tolerances.subspace_tol
-    n = n_plus.shape[0]
-    q = domain_basis
+    n_plus = iso.n0_basis
+    n_minus = iso.ninf_basis
+    q = iso.operator_domain(tolerances=tolerances)
     if intersect_subspaces(n_minus, q, subspace_tol).shape[1]:
         raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
     ambient = orth_columns(np.hstack([n_minus, q]), subspace_tol)
     psi_basis = intersect_subspaces(n_plus, ambient, subspace_tol)
     p = psi_basis.shape[1]
     if p == 0:
-        return psi_basis, empty_basis(n)[:, :0]
+        return psi_basis, empty_basis(iso.dim)[:, :0]
     stacked = np.hstack([n_minus, q])
     coeffs, _, _, _ = np.linalg.lstsq(stacked, psi_basis, rcond=None)
     residual = float(np.linalg.norm(stacked @ coeffs - psi_basis))
@@ -418,43 +435,31 @@ def forbidden_operator_from_subspaces(n_plus: np.ndarray,
     return psi_basis, x_matrix
 
 
-def forbidden_operator(pair: SymmetricPair, which: int = 1, *,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """Domain basis and matrix of the forbidden operator ``X``.
-
-    ``dom X = N_i & (N_{-i} (+) D(A))`` where ``N_{+-i}`` are the defect
-    subspaces of the chosen operator; ``X psi = phi`` for the unique
-    decomposition ``psi = phi + d``.  Returns ``(psi_basis, x_matrix)``
-    with ``x_matrix`` holding the image of each ``psi_basis`` column in
-    space coordinates.  Raises ``NotDirectSumError`` when the sum is not
-    direct and ``NoDecompositionError`` when a decomposition residual
-    exceeds the gate.
-    """
-    iso = cayley(pair, which, tolerances=tolerances)
-    n_plus = complement_basis(iso.domain, tolerances.subspace_tol)    # N_i
-    n_minus = complement_basis(iso.range, tolerances.subspace_tol)    # N_-i
-    return forbidden_operator_from_subspaces(
-        n_plus, n_minus, pair.domain(which), tolerances=tolerances)
-
-
-def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
-                           n_minus: np.ndarray, domain_basis: np.ndarray, *,
+def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Derived admissibility criterion for a constant parameter value.
+    """Admissibility of an extension parameter for ``A1``.
 
-    ``value`` maps ``N_i`` coordinates (``n_plus`` columns) to ``N_{-i}``
-    coordinates (``n_minus`` columns).  Returns False iff some nonzero
-    ``psi`` in the forbidden-operator domain satisfies ``F psi = X psi``
-    with ``||F psi|| = ||psi||``.
+    Constant parameters use the criterion derived in the module
+    docstring: inadmissible iff some nonzero ``psi`` in the
+    forbidden-operator domain has ``F psi = X psi`` with ``||F psi|| =
+    ||psi||``.  Non-constant parameters are accepted only through the
+    dense-domain shortcut (zero defect); otherwise ``NotSupportedError``.
+    A constant value of the wrong shape raises ``ValueError``.
     """
-    if n_plus.shape[1] == 0:
+    if not phi.constant:
+        if iso.defect_dim == 0:
+            return True
+        raise NotSupportedError(
+            "pointwise parameter families are only supported when the "
+            "operator domain is the whole space")
+    value = iso.parameter_at(phi)
+    if iso.defect_dim == 0:
         return True
-    psi_basis, x_matrix = forbidden_operator_from_subspaces(
-        n_plus, n_minus, domain_basis, tolerances=tolerances)
+    psi_basis, x_matrix = forbidden_operator(iso, tolerances=tolerances)
     if psi_basis.shape[1] == 0:
         return True
     # F acting on dom X in space coordinates.
-    f_matrix = n_minus @ value @ (n_plus.conj().T @ psi_basis)
+    f_matrix = iso.ninf_basis @ value @ (iso.n0_basis.conj().T @ psi_basis)
     diff = f_matrix - x_matrix
     _, s, vh = np.linalg.svd(diff, full_matrices=True)
     top = float(s[0]) if s.size else 0.0
@@ -469,41 +474,6 @@ def constant_admissibility(value: np.ndarray, n_plus: np.ndarray,
     gram = fb.conj().T @ fb
     top_eig = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
     return top_eig < (1.0 - NORM_TOL)
-
-
-def admissibility_check(pair: SymmetricPair, phi: ContractionParameter,
-                        which: int = 1, *,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Admissibility of an extension parameter for the chosen operator.
-
-    Constant parameters use the criterion derived in the module
-    docstring: inadmissible iff some nonzero ``psi`` in the
-    forbidden-operator domain has ``F psi = X psi`` with ``||F psi|| =
-    ||psi||``.  Non-constant parameters are accepted only through the
-    dense-domain shortcut (zero defect); otherwise ``NotSupportedError``.
-    """
-    defect = pair.defect_index(which)
-    if not phi.constant:
-        if defect == 0:
-            return True
-        raise NotSupportedError(
-            "pointwise parameter families are only supported when the "
-            "operator domain is the whole space")
-    if defect == 0:
-        value = phi.at(0.0)
-        if value.shape != (0, 0):
-            raise ValueError("parameter must be 0x0 for zero defect")
-        return True
-    iso = cayley(pair, which, tolerances=tolerances)
-    n_plus = complement_basis(iso.domain, tolerances.subspace_tol)
-    n_minus = complement_basis(iso.range, tolerances.subspace_tol)
-    value = phi.at(0.0)
-    if value.shape != (n_minus.shape[1], n_plus.shape[1]):
-        raise ValueError(
-            f"parameter shape {value.shape} does not match defect "
-            f"dimensions ({n_minus.shape[1]}, {n_plus.shape[1]})")
-    return constant_admissibility(value, n_plus, n_minus, pair.domain(which),
-                                  tolerances=tolerances)
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,

@@ -1,16 +1,19 @@
 """Numerical tolerances of the pipeline.
 
-The tunable thresholds of the pipeline's gates (Gram rank cut, shift
-consistency, Cayley structure, commutation, extension, clustering,
-verification) are the fields of one :class:`Tolerances` value.  Pipeline
-functions take it as the keyword ``tolerances`` (default
-:data:`DEFAULT_TOLERANCES`); override a field with
-``Tolerances(rank_tol=1e-12)`` or ``dataclasses.replace(tol,
+The tunable thresholds of the pipeline's gates (Gram rank cut, PSD
+test, subspace decisions, Cayley structure and commutation, clustering,
+atom merging, verification) are the seven fields of one
+:class:`Tolerances` value.  Pipeline functions take it as the keyword
+``tolerances`` (default :data:`DEFAULT_TOLERANCES`); override a field
+with ``Tolerances(rank_tol=1e-12)`` or ``dataclasses.replace(tol,
 rank_tol=1e-12)``.  The constants below hold the defaults.
 Matrix-level helpers (``linalg`` and the matrix functions of
 ``cayley``) take a plain float, because callers pass them scaled
-values.  Thresholds with a single value in use are constants of the
-module that reads them.
+values.  Thresholds with a single value in use are module constants:
+the ones defined below (shift residual gate, fixed-point distance,
+weight drop, excluded radius, contraction slack, Carleman heuristic)
+are read directly by the modules that apply them, the others sit in
+the one module that reads them.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ VERIFY_TOL = 1e-8
 class Tolerances:
     """Bundle of the numerical knobs read by the pipeline functions.
 
+    Every field is read by some pipeline gate and can be set from the
+    command line (``cli.TOLERANCE_FIELDS``) except ``structure_tol``.
+
     ``psd_tol`` None means the scale-aware default
     ``PSD_TOL_BASE * (1 + max |s|)`` of :func:`moment2d.moments.check_psd`.
     """
@@ -73,12 +79,8 @@ class Tolerances:
     rank_tol: float = RANK_TOL
     psd_tol: float | None = None
     subspace_tol: float = SUBSPACE_TOL
-    residual_gate: float = RESIDUAL_GATE
-    fixed_point_tol: float = FIXED_POINT_TOL
     cluster_tol: float = CLUSTER_TOL
     atom_merge_tol: float = ATOM_MERGE_TOL
-    weight_drop_tol: float = WEIGHT_DROP_TOL
-    excluded_radius: float = EXCLUDED_RADIUS
     structure_tol: float = STRUCTURE_TOL
     verify_tol: float = VERIFY_TOL
 

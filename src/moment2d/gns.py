@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, RESIDUAL_GATE, Tolerances
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
 from .linalg import is_hermitian, orth_columns
@@ -182,7 +182,7 @@ def _shift_operator(space: GnsSpace, which: int,
         raise SingularShiftError(f"shift solve failed for A{which}: {exc}")
     action = action_t.T
     residual = float(np.linalg.norm(action @ r - img_vectors))
-    gate = tolerances.residual_gate * max(
+    gate = RESIDUAL_GATE * max(
         1.0, float(np.linalg.norm(space.gram)))
     if residual > gate:
         raise InconsistentShiftError(

@@ -185,6 +185,13 @@ def complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
+def _complex_cell(cell, what: str) -> complex:
+    cell = _expect_list(cell, what)
+    _expect(len(cell) == 2, f"{what} must be [re, im]")
+    return complex(_expect_real(cell[0], f"{what}[0]"),
+                   _expect_real(cell[1], f"{what}[1]"))
+
+
 def complex_matrix_from_json(obj, what: str, rows: int | None = None,
                              cols: int | None = None) -> np.ndarray:
     data = _expect_list(obj, what)
@@ -198,19 +205,9 @@ def complex_matrix_from_json(obj, what: str, rows: int | None = None,
             width = len(row)
         _expect(len(row) == width,
                 f"{what}[{i}] has {len(row)} entries, expected {width}")
-        values = []
-        for j, cell in enumerate(row):
-            cell = _expect_list(cell, f"{what}[{i}][{j}]")
-            _expect(len(cell) == 2, f"{what}[{i}][{j}] must be [re, im]")
-            values.append(complex(_expect_real(cell[0], f"{what}[{i}][{j}][0]"),
-                                  _expect_real(cell[1], f"{what}[{i}][{j}][1]")))
-        out_rows.append(values)
-    n_rows = len(out_rows)
-    n_cols = width if width is not None else 0
-    out = np.zeros((n_rows, n_cols), dtype=complex)
-    for i, values in enumerate(out_rows):
-        out[i, :] = values
-    return out
+        out_rows.append([_complex_cell(cell, f"{what}[{i}][{j}]")
+                         for j, cell in enumerate(row)])
+    return np.array(out_rows, dtype=complex).reshape(len(out_rows), width or 0)
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:
@@ -222,13 +219,8 @@ def complex_vector_from_json(obj, what: str, length: int | None = None) -> np.nd
     data = _expect_list(obj, what)
     if length is not None:
         _expect(len(data) == length, f"{what} must have {length} entries")
-    values = []
-    for i, cell in enumerate(data):
-        cell = _expect_list(cell, f"{what}[{i}]")
-        _expect(len(cell) == 2, f"{what}[{i}] must be [re, im]")
-        values.append(complex(_expect_real(cell[0], f"{what}[{i}][0]"),
-                              _expect_real(cell[1], f"{what}[{i}][1]")))
-    return np.array(values, dtype=complex)
+    return np.array([_complex_cell(cell, f"{what}[{i}]")
+                     for i, cell in enumerate(data)], dtype=complex)
 
 
 def pair_to_json(pair: SymmetricPair) -> dict:

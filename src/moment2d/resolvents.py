@@ -8,7 +8,7 @@ Two coordinate systems are used and converted with the Moebius map
 * ``z``-type points: the open unit disk for Chumakin resolvents, the
   complement of the unit circle for :func:`unitary_moebius`;
 * ``lam``-type points: the complex plane without the real axis.  Disks
-  of radius ``Tolerances.excluded_radius`` around ``+-i`` are excluded
+  of radius ``EXCLUDED_RADIUS`` around ``+-i`` are excluded
   as well; the boundary values there are defined only as weak limits,
   and callers who need them must take the limits themselves.
 
@@ -35,7 +35,8 @@ import numpy as np
 from .cayley import (ContractionParameter, IsometricPair,
                      commutation_check, constant_admissibility,
                      extend_isometry)
-from .config import DEFAULT_TOLERANCES, PSD_TOL_BASE, Tolerances
+from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
+                     Tolerances)
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, PointMismatchError,
@@ -77,10 +78,9 @@ def inverse_cayley_point(z: complex) -> complex:
     return 1j * (1.0 + z) / (1.0 - z)
 
 
-def validate_spectral_point(lam: complex, name: str = "lambda", *,
-                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> complex:
+def validate_spectral_point(lam: complex, name: str = "lambda") -> complex:
     """Check that ``lam`` is non-real and outside the disks of radius
-    ``tolerances.excluded_radius`` around ``+-i``.
+    ``EXCLUDED_RADIUS`` around ``+-i``.
 
     Returns the point as a ``complex``; raises ``ExcludedPointError``
     otherwise.
@@ -91,7 +91,7 @@ def validate_spectral_point(lam: complex, name: str = "lambda", *,
     if abs(lam.imag) <= REAL_AXIS_TOL * (1.0 + abs(lam)):
         raise ExcludedPointError(f"{name} = {lam} lies on the real axis")
     for pole, label in ((1j, "i"), (-1j, "-i")):
-        if abs(lam - pole) <= tolerances.excluded_radius:
+        if abs(lam - pole) <= EXCLUDED_RADIUS:
             raise ExcludedPointError(
                 f"{name} = {lam} lies in the excluded neighborhood of {label}")
     return lam
@@ -188,27 +188,6 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
     return h.conj().T @ m @ h
 
 
-def _admissible_via_iso(iso: IsometricPair, phi: ContractionParameter,
-                        tolerances: Tolerances) -> bool:
-    if not phi.constant:
-        if iso.defect_dim == 0:
-            return True
-        raise NotSupportedError(
-            "pointwise parameter families are only supported when the "
-            "operator domain is the whole space")
-    if iso.defect_dim == 0:
-        return True
-    value = phi.at(0.0)
-    expected = (iso.ninf_basis.shape[1], iso.n0_basis.shape[1])
-    if value.shape != expected:
-        raise ValueError(
-            f"parameter shape {value.shape} does not match defect "
-            f"dimensions {expected}")
-    return constant_admissibility(
-        value, iso.n0_basis, iso.ninf_basis,
-        iso.operator_domain(tolerances=tolerances), tolerances=tolerances)
-
-
 def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
                              lambda1: complex, lambda2: complex, *,
                              tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -220,13 +199,13 @@ def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
     conjugated points.  The parameter must pass the commutation and
     admissibility gates.
     """
-    lam1 = validate_spectral_point(lambda1, "lambda1", tolerances=tolerances)
-    lam2 = validate_spectral_point(lambda2, "lambda2", tolerances=tolerances)
+    lam1 = validate_spectral_point(lambda1, "lambda1")
+    lam2 = validate_spectral_point(lambda2, "lambda2")
     if lam1.imag < 0.0:
         m = pair_resolvent_symmetric(iso, phi, lam1.conjugate(),
                                      lam2.conjugate(), tolerances=tolerances)
         return m.conj().T
-    if not _admissible_via_iso(iso, phi, tolerances):
+    if not constant_admissibility(iso, phi, tolerances=tolerances):
         raise AdmissibilityFailedError(
             "parameter is forbidden for this operator (admissibility "
             "criterion failed)")
@@ -242,16 +221,15 @@ def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
 
 
 def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,
-                              lambda2: complex, *,
-                              tolerances: Tolerances = DEFAULT_TOLERANCES) -> complex:
+                              lambda2: complex) -> complex:
     """Scalar pair resolvent of an atomic measure.
 
     Direct sum of ``w * (1 + lam1 t1)/(t1 - lam1) * (1 + lam2 t2)/(t2 - lam2)``
     over the atoms; this is the value the operator formulas reproduce
     for the measure's joint spectral data.
     """
-    lam1 = validate_spectral_point(lambda1, "lambda1", tolerances=tolerances)
-    lam2 = validate_spectral_point(lambda2, "lambda2", tolerances=tolerances)
+    lam1 = validate_spectral_point(lambda1, "lambda1")
+    lam2 = validate_spectral_point(lambda2, "lambda2")
     t1 = measure.points[:, 0]
     t2 = measure.points[:, 1]
     factors = ((1.0 + lam1 * t1) / (t1 - lam1)) * ((1.0 + lam2 * t2) / (t2 - lam2))
@@ -274,10 +252,8 @@ def correspondence_check(sample_u: ResolventSample, sample_s: ResolventSample,
             f"expected kinds ('u', 's'), got ({sample_u.kind!r}, "
             f"{sample_s.kind!r})")
     try:
-        lam1 = validate_spectral_point(sample_s.p1, "lambda1",
-                                       tolerances=tolerances)
-        lam2 = validate_spectral_point(sample_s.p2, "lambda2",
-                                       tolerances=tolerances)
+        lam1 = validate_spectral_point(sample_s.p1, "lambda1")
+        lam2 = validate_spectral_point(sample_s.p2, "lambda2")
     except ExcludedPointError as exc:
         raise PointMismatchError(str(exc)) from exc
     for z, lam, name in ((sample_u.p1, lam1, "z1"), (sample_u.p2, lam2, "z2")):

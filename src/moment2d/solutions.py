@@ -23,7 +23,8 @@ import scipy.optimize
 
 from .cayley import (ConjugationFactorization, IsometricPair,
                      build_isometric_pair, godich_lutsenko, inverse_cayley)
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, WEIGHT_DROP_TOL,
+                     Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, StructureViolationError)
 from .gns import SymmetricPair, _shift_step, build_gns, build_operators
@@ -202,7 +203,7 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     if u2.shape != (d2, d2):
         raise ValueError(f"U2 has shape {u2.shape}, expected ({d2}, {d2})")
     u2 = require_unitary(u2, structure_tol, "U2")
-    w2 = n0.conj().T @ u @ n0
+    w2 = iso.w2
     if d2:
         red = float(np.linalg.norm(u @ n0 - n0 @ w2))
         if red > structure_tol * max(1.0, float(np.linalg.norm(u))):
@@ -229,7 +230,7 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
         v_tilde = v_tilde + u24 @ u2 @ n0.conj().T
     if not is_unitary(v_tilde, structure_tol * 10):
         raise StructureViolationError("extended isometry is not unitary")
-    a1_tilde = inverse_cayley(v_tilde, tolerances.fixed_point_tol,
+    a1_tilde = inverse_cayley(v_tilde, FIXED_POINT_TOL,
                               structure_tol * 10)
     ext_res = float(np.linalg.norm(a1_tilde @ pair.a1_domain - pair.a1_action))
     scale = max(1.0, float(np.linalg.norm(pair.a1_action)))
@@ -257,8 +258,8 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     non-scalar compression means the random combination collided two
     distinct joint eigenvalues, and a fresh combination is drawn (at
     most ``MAX_COMBINATIONS`` in all before ``ClusterAmbiguityError``).
-    Weights are ``||P h00||^2``; atoms below ``tolerances.weight_drop_tol``
-    are dropped and atoms within ``tolerances.atom_merge_tol`` are merged.
+    Weights are ``||P h00||^2``; atoms below ``WEIGHT_DROP_TOL`` are
+    dropped and atoms within ``tolerances.atom_merge_tol`` are merged.
     """
     structure_tol = tolerances.structure_tol
     cluster_tol = tolerances.cluster_tol
@@ -310,7 +311,7 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
         if not ok:
             continue
         kept = [(t1, t2, w) for (t1, t2, w) in atoms
-                if w >= tolerances.weight_drop_tol]
+                if w >= WEIGHT_DROP_TOL]
         merged: list[list[float]] = []
         for t1, t2, w in kept:
             for entry in merged:
@@ -551,8 +552,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         stream = iter([np.zeros((0, 0), dtype=complex)])
         labels = iter(["determinate"])
     else:
-        w2 = iso.n0_basis.conj().T @ iso.u_matrix @ iso.n0_basis
-        stream = enumerate_commutant_unitaries(w2, sampler,
+        stream = enumerate_commutant_unitaries(iso.w2, sampler,
                                                tolerances=tolerances)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
     points = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
@@ -568,8 +568,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         for lam1, lam2 in points:
             lhs = _selfadjoint_pair_scalar(ext.a1_tilde, a2_full, pair.h00,
                                            lam1, lam2)
-            rhs = pair_resolvent_of_measure(measure, lam1, lam2,
-                                            tolerances=tolerances)
+            rhs = pair_resolvent_of_measure(measure, lam1, lam2)
             if abs(lhs - rhs) > CROSS_TOL * (1.0 + abs(rhs)):
                 raise StructureViolationError(
                     f"resolvent cross-validation failed at ({lam1}, {lam2}): "

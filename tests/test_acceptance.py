@@ -39,8 +39,8 @@ from moment2d import (
     trig_moments_from_resolvent,
 )
 from moment2d.cayley import (
-    admissibility_check,
     commutation_check,
+    constant_admissibility,
     extend_isometry,
     godich_lutsenko,
 )
@@ -115,12 +115,11 @@ def _extension_results() -> dict:
     for dim, defect, seed in EXTENSION_SETUPS:
         pair = e3_class(dim, defect, seed).pair
         iso = build_isometric_pair(pair)
-        w2 = iso.n0_basis.conj().T @ iso.u_matrix @ iso.n0_basis
         b2 = pair.full_matrix(2)
         eye = np.eye(dim, dtype=complex)
         count = 0
         sampler = SamplerSpec(kind="haar-random", count=40, seed=1000 + seed)
-        for u2 in enumerate_commutant_unitaries(w2, sampler):
+        for u2 in enumerate_commutant_unitaries(iso.w2, sampler):
             if count == 10:
                 break
             try:
@@ -129,7 +128,7 @@ def _extension_results() -> dict:
                 continue
             phi = ContractionParameter.const(
                 iso.ninf_basis.conj().T @ ext.u24 @ u2)
-            gates = gates and admissibility_check(pair, phi)
+            gates = gates and constant_admissibility(iso, phi)
             gates = gates and commutation_check(iso, phi, 0.1 + 0.2j)
             count += 1
             v_tilde = extend_isometry(iso, phi, 0.0)
@@ -180,9 +179,8 @@ def test_criterion_03_unitary_symmetric_correspondence(acceptance_log):
 def test_criterion_04_adjoint_and_reflection_symmetry(acceptance_log):
     pair = e3_class(5, 1, 12).pair
     iso = build_isometric_pair(pair)
-    w2 = iso.n0_basis.conj().T @ iso.u_matrix @ iso.n0_basis
     sampler = SamplerSpec(kind="haar-random", count=1, seed=5)
-    u2 = next(iter(enumerate_commutant_unitaries(w2, sampler)))
+    u2 = next(iter(enumerate_commutant_unitaries(iso.w2, sampler)))
     ext = canonical_extension(pair, iso, u2)
     phi = ContractionParameter.const(iso.ninf_basis.conj().T @ ext.u24 @ u2)
     b2 = pair.full_matrix(2)

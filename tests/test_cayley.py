@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moment2d import (
+    AdmissibilityFailedError,
     CommutationViolatedError,
     ContractionParameter,
     ContractionViolatedError,
@@ -13,21 +14,22 @@ from moment2d import (
     NotSupportedError,
     NotUnitaryError,
     StructureViolationError,
+    IsometricPair,
     SymmetricPair,
-    admissibility_check,
     build_isometric_pair,
     canonical_extension,
     cayley,
     commutation_check,
     constant_admissibility,
     e3,
+    e3_class,
     extend_isometry,
     fixed_subspace,
     forbidden_operator,
-    forbidden_operator_from_subspaces,
     godich_lutsenko,
     inverse_cayley,
     minimal_subspace,
+    pair_resolvent_symmetric,
     strip_fixed_elements,
 )
 from moment2d.linalg import is_unitary, subspace_residual
@@ -83,7 +85,7 @@ def _two_block_pair() -> SymmetricPair:
 
 def test_cayley_of_diagonal_operator():
     pair = _full_pair(np.diag([0.0, 1.0]), np.zeros((2, 2)))
-    iso = cayley(pair, 1)
+    iso = cayley(pair)
     v_full = iso.action @ iso.domain.conj().T
     assert np.max(np.abs(v_full - np.diag([-1.0, 1j]))) < 1e-12
     assert iso.range.shape == (2, 2)
@@ -209,46 +211,74 @@ def test_strip_fixed_elements_gates():
 
 
 def test_forbidden_operator_of_scalar_pair():
-    psi_basis, x_matrix = forbidden_operator(_scalar_pair(), 1)
+    psi_basis, x_matrix = forbidden_operator(
+        build_isometric_pair(_scalar_pair()))
     # D(A) = {0}, so N_i = N_-i = the whole line and X is the identity.
     assert psi_basis.shape == (1, 1)
     assert np.max(np.abs(x_matrix - psi_basis)) < 1e-12
 
 
 def test_forbidden_operator_requires_direct_sum():
+    # V e1 = -e1, so D(A) = (E - V) D(V) = span(e1); the hand-built Ninf
+    # is span(e1) as well, and N_-i + D(A) is not a direct sum.
     e1_col = np.eye(2, dtype=complex)[:, [0]]
+    e2_col = np.eye(2, dtype=complex)[:, [1]]
+    iso = IsometricPair(dim=2, v_domain=e1_col, v_action=-e1_col,
+                        v_range=e1_col, n0_basis=e2_col, ninf_basis=e1_col,
+                        u_matrix=np.eye(2, dtype=complex))
+    assert subspace_residual(iso.operator_domain(), e1_col) < 1e-12
     with pytest.raises(NotDirectSumError):
-        forbidden_operator_from_subspaces(e1_col, e1_col, e1_col)
+        forbidden_operator(iso)
+    with pytest.raises(NotDirectSumError):
+        constant_admissibility(iso, ContractionParameter.const([[0.5]]))
 
 
 def test_constant_admissibility_on_the_scalar_pair():
-    pair = _scalar_pair()
+    iso = build_isometric_pair(_scalar_pair())
     # The inadmissible direction is exactly the unitary value fixing psi.
     for value, expected in ((1.0, False), (0.5, True), (-1.0, True),
                             (1j, True), (0.9999, True)):
         phi = ContractionParameter.const(np.array([[value]], dtype=complex))
-        assert admissibility_check(pair, phi) is expected
+        assert constant_admissibility(iso, phi) is expected
 
 
 def test_admissibility_dense_domain_shortcuts():
-    pair = _full_pair(np.zeros((1, 1)), np.zeros((1, 1)))
+    iso = build_isometric_pair(_full_pair(np.zeros((1, 1)), np.zeros((1, 1))))
     empty = ContractionParameter.const(np.zeros((0, 0)))
-    assert admissibility_check(pair, empty) is True
+    assert constant_admissibility(iso, empty) is True
     moving = ContractionParameter.pointwise(lambda z: np.zeros((0, 0)))
-    assert admissibility_check(pair, moving) is True
+    assert constant_admissibility(iso, moving) is True
     with pytest.raises(NotSupportedError):
-        admissibility_check(_scalar_pair(),
-                            ContractionParameter.pointwise(
-                                lambda z: np.array([[z]], dtype=complex)))
-    with pytest.raises(ValueError):
-        admissibility_check(pair, ContractionParameter.const(np.zeros((1, 1))))
+        constant_admissibility(build_isometric_pair(_scalar_pair()),
+                               ContractionParameter.pointwise(
+                                   lambda z: np.array([[z]], dtype=complex)))
+    with pytest.raises(ValueError, match=r"does not match defect dimensions "
+                                         r"\(0, 0\)"):
+        constant_admissibility(iso, ContractionParameter.const(np.zeros((1, 1))))
 
 
-def test_constant_admissibility_direct_call():
-    n = np.eye(1, dtype=complex)
-    empty_dom = np.zeros((1, 0), dtype=complex)
-    assert constant_admissibility(np.array([[1.0 + 0j]]), n, n, empty_dom) is False
-    assert constant_admissibility(np.array([[0.5 + 0j]]), n, n, empty_dom) is True
+@pytest.mark.parametrize("setup", [None, (4, 1, 11), (6, 2, 13), (10, 2, 1)],
+                         ids=["e3", "e3_class-4-1-11", "e3_class-6-2-13",
+                              "e3_class-10-2-1"])
+def test_value_built_from_the_forbidden_operator_is_inadmissible(setup):
+    pair = e3().pair if setup is None else e3_class(*setup).pair
+    iso = build_isometric_pair(pair)
+    assert iso.operator_domain().shape[1] == pair.a1_domain.shape[1] > 0
+    psi_basis, x_matrix = forbidden_operator(iso)
+    assert psi_basis.shape[1] > 0
+    # F = X on dom X, read as a map N0 -> Ninf in the defect bases; it
+    # preserves the norm of every psi, so the criterion rejects it.
+    value = (iso.ninf_basis.conj().T @ x_matrix @ psi_basis.conj().T
+             @ iso.n0_basis)
+    assert np.max(np.abs(iso.ninf_basis @ value @ iso.n0_basis.conj().T
+                         @ psi_basis - x_matrix)) < 1e-9
+    phi = ContractionParameter.const(value)
+    assert constant_admissibility(iso, phi) is False
+    with pytest.raises(AdmissibilityFailedError):
+        pair_resolvent_symmetric(iso, phi, 0.3 + 1.7j, -0.4 + 0.9j)
+    # A strict contraction never preserves a norm.
+    assert constant_admissibility(
+        iso, ContractionParameter.const(0.5 * value)) is True
 
 
 def test_commutation_check_detects_defect_coupling():
@@ -264,7 +294,6 @@ def test_commutation_check_detects_defect_coupling():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     phi_bad = ContractionParameter.const(phi_good @ swap)
     assert not commutation_check(iso, phi_bad)
-    from moment2d import pair_resolvent_symmetric
     with pytest.raises(CommutationViolatedError):
         pair_resolvent_symmetric(iso, phi_bad, 1.0 + 0.8j, -0.3 + 1.1j)
 

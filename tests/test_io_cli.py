@@ -109,6 +109,34 @@ def test_complex_matrix_round_trip():
         io.complex_matrix_from_json([[[1.0]]], "m")
     with pytest.raises(SchemaError):
         io.complex_matrix_from_json(io.complex_matrix_to_json(m), "m", rows=3)
+    for cols, shape in ((None, (0, 0)), (3, (0, 3))):
+        none = io.complex_matrix_from_json([], "m", cols=cols)
+        assert none.shape == shape and none.dtype == complex
+    vec = io.complex_vector_from_json([[1.0, -2.0], [0, 3]], "v", length=2)
+    assert np.array_equal(vec, np.array([1 - 2j, 3j]))
+    assert io.complex_vector_from_json([], "v").shape == (0,)
+
+
+@pytest.mark.parametrize("parse, obj, message", [
+    (io.complex_matrix_from_json, [[[1.0]]], "m[0][0] must be [re, im]"),
+    (io.complex_matrix_from_json, [[5]], "m[0][0] must be a JSON array"),
+    (io.complex_matrix_from_json, [[["a", 0]]], "m[0][0][0] must be a number"),
+    (io.complex_matrix_from_json, [[[0, float("nan")]]],
+     "m[0][0][1] must be finite"),
+    (io.complex_matrix_from_json, [[[0, 0], [0, 0]], [[0, 0]]],
+     "m[1] has 1 entries, expected 2"),
+    (io.complex_matrix_from_json, [7], "m[0] must be a JSON array"),
+    (io.complex_matrix_from_json, {}, "m must be a JSON array"),
+    (io.complex_vector_from_json, [[1.0, 2.0, 3.0]], "m[0] must be [re, im]"),
+    (io.complex_vector_from_json, [None], "m[0] must be a JSON array"),
+    (io.complex_vector_from_json, [[True, 0]], "m[0][0] must be a number"),
+    (io.complex_vector_from_json, [[0, float("inf")]], "m[0][1] must be finite"),
+    (io.complex_vector_from_json, "x", "m must be a JSON array"),
+])
+def test_complex_json_schema_messages(parse, obj, message):
+    with pytest.raises(SchemaError) as exc:
+        parse(obj, "m")
+    assert str(exc.value) == message
 
 
 def test_report_json_has_exactly_the_contract_keys():
