@@ -17,6 +17,7 @@ conjugation (its matrix is the identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +54,14 @@ class GnsSpace:
     coords: np.ndarray
     rank_tol: float
 
+    @cached_property
+    def _column_of(self) -> dict:
+        return {mn: j for j, mn in enumerate(self.monomial_index)}
+
     def index_of(self, m: int, n: int) -> int:
         try:
-            return self.monomial_index.index((m, n))
-        except ValueError:
+            return self._column_of[(m, n)]
+        except KeyError:
             raise KeyError(f"monomial ({m}, {n}) outside rectangle "
                            f"({self.d_m}, {self.d_n})") from None
 

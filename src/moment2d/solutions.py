@@ -30,7 +30,8 @@ from .errors import (ClusterAmbiguityError, CommutationViolatedError,
 from .gns import SymmetricPair, _shift_step, build_gns, build_operators
 from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
                      is_unitary, require_unitary, subspace_residual)
-from .moments import AtomicMeasure, MomentTable, moments_of_measure
+from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
+                      moments_of_measure)
 from .resolvents import pair_resolvent_of_measure
 
 __all__ = [
@@ -252,14 +253,18 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> AtomicMeasure:
     """Joint spectral measure of two commuting Hermitian matrices.
 
-    Diagonalizes a random real combination ``c1 A1 + c2 A2``, clusters
-    its eigenvalues, and reads one atom ``(t1, t2)`` per cluster from
-    the compressed operators, which must be scalar on the cluster; a
-    non-scalar compression means the random combination collided two
-    distinct joint eigenvalues, and a fresh combination is drawn (at
-    most ``MAX_COMBINATIONS`` in all before ``ClusterAmbiguityError``).
-    Weights are ``||P h00||^2``; atoms below ``WEIGHT_DROP_TOL`` are
-    dropped and atoms within ``tolerances.atom_merge_tol`` are merged.
+    Diagonalizes a random real combination ``c1 A1 + c2 A2`` with
+    eigenvectors ``V``, chain-clusters its sorted eigenvalues, and reads
+    one atom ``(t1, t2)`` per cluster as the mean of the cluster's
+    diagonal entries of ``V^H A1 V`` and ``V^H A2 V``; the weight is the
+    cluster's sum of ``|V^H h00|^2``.  Each compression must be scalar
+    on its cluster (a 1 x 1 block is, up to rounding, so only larger
+    clusters are tested); a non-scalar compression means the
+    combination collided two distinct joint eigenvalues, and a fresh
+    combination is drawn (at most ``MAX_COMBINATIONS`` in all before
+    ``ClusterAmbiguityError``).  Atoms below ``WEIGHT_DROP_TOL`` are
+    dropped, and atoms within ``tolerances.atom_merge_tol`` of each
+    other (found by sorting) are merged.
     """
     structure_tol = tolerances.structure_tol
     cluster_tol = tolerances.cluster_tol
@@ -278,6 +283,7 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
         raise CommutationViolatedError(
             f"operators do not commute (residual {comm:.3e})")
     rng = np.random.default_rng(COMBINATION_SEED)
+    bound = merge_tol * op_scale
     for _ in range(MAX_COMBINATIONS):
         c = rng.normal(size=2)
         c = c / np.linalg.norm(c)
@@ -286,51 +292,54 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
         vals, vecs = np.linalg.eigh(m)
         val_scale = 1.0 + (float(np.max(np.abs(vals))) if vals.size else 0.0)
         # Chain clustering along the sorted eigenvalues.
-        clusters = []
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or vals[i] - vals[i - 1] > cluster_tol * val_scale:
-                clusters.append(np.arange(start, i))
-                start = i
-        atoms = []
-        ok = True
-        for idx in clusters:
-            s = vecs[:, idx]
-            q = len(idx)
-            m1 = s.conj().T @ a1 @ s
-            m2 = s.conj().T @ a2 @ s
-            t1 = float(np.trace(m1).real) / q
-            t2 = float(np.trace(m2).real) / q
-            res = max(float(np.linalg.norm(m1 - t1 * np.eye(q))),
-                      float(np.linalg.norm(m2 - t2 * np.eye(q))))
-            if res > merge_tol * op_scale:
-                ok = False
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf)
+                                > cluster_tol * val_scale)
+        sizes = np.diff(np.append(starts, n))
+        vh = vecs.conj().T
+        c1 = vh @ a1 @ vecs
+        c2 = vh @ a2 @ vecs
+        t1 = np.add.reduceat(np.diagonal(c1).real, starts) / sizes
+        t2 = np.add.reduceat(np.diagonal(c2).real, starts) / sizes
+        scalar = True
+        for j in np.flatnonzero(sizes > 1):
+            block = slice(starts[j], starts[j] + sizes[j])
+            eye = np.eye(sizes[j])
+            if max(float(np.linalg.norm(c1[block, block] - t1[j] * eye)),
+                   float(np.linalg.norm(c2[block, block] - t2[j] * eye))) > bound:
+                scalar = False
                 break
-            weight = float(np.linalg.norm(s.conj().T @ h) ** 2)
-            atoms.append((t1, t2, weight))
-        if not ok:
+        if not scalar:
             continue
-        kept = [(t1, t2, w) for (t1, t2, w) in atoms
-                if w >= WEIGHT_DROP_TOL]
-        merged: list[list[float]] = []
-        for t1, t2, w in kept:
-            for entry in merged:
-                if max(abs(entry[0] - t1), abs(entry[1] - t2)) <= merge_tol:
-                    total = entry[2] + w
-                    entry[0] = (entry[0] * entry[2] + t1 * w) / total
-                    entry[1] = (entry[1] * entry[2] + t2 * w) / total
-                    entry[2] = total
-                    break
-            else:
-                merged.append([t1, t2, w])
-        points = np.array([[e[0], e[1]] for e in merged], dtype=float)
-        weights = np.array([e[2] for e in merged], dtype=float)
-        if points.size == 0:
-            points = points.reshape(0, 2)
+        weights = np.add.reduceat(np.abs(vh @ h) ** 2, starts)
+        keep = weights >= WEIGHT_DROP_TOL
+        # ``+ 0.0`` turns a negative zero into a positive one.
+        points = np.stack([t1[keep], t2[keep]], axis=1) + 0.0
+        weights = weights[keep]
+        if _has_close_pair(points, merge_tol):
+            points, weights = _merge_atoms(points, weights, merge_tol)
         return AtomicMeasure(points, weights, merge_tol).sorted()
     raise ClusterAmbiguityError(
         f"joint eigenvalue clusters remained ambiguous after "
         f"{MAX_COMBINATIONS} random combinations")
+
+
+def _merge_atoms(points: np.ndarray, weights: np.ndarray,
+                 merge_tol: float) -> tuple:
+    """Greedy weighted merge of atoms, in order, into the first earlier
+    merged atom within ``merge_tol`` (max-coordinate distance)."""
+    merged: list[list[float]] = []
+    for (t1, t2), w in zip(points.tolist(), weights.tolist()):
+        for entry in merged:
+            if max(abs(entry[0] - t1), abs(entry[1] - t2)) <= merge_tol:
+                total = entry[2] + w
+                entry[0] = (entry[0] * entry[2] + t1 * w) / total
+                entry[1] = (entry[1] * entry[2] + t2 * w) / total
+                entry[2] = total
+                break
+        else:
+            merged.append([t1, t2, w])
+    out = np.array(merged, dtype=float)
+    return out[:, :2], out[:, 2]
 
 
 def verify_solution(measure: AtomicMeasure, table: MomentTable, *,
@@ -466,18 +475,31 @@ def refine_measure(measure: AtomicMeasure, table: MomentTable,
     return AtomicMeasure(points, w, measure.merge_tol).sorted()
 
 
-def _selfadjoint_pair_scalar(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray,
-                             lam1: complex, lam2: complex) -> complex:
+def _a2_resolvent_vectors(a2: np.ndarray, h00: np.ndarray,
+                          points) -> list:
+    """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2`` at
+    each ``(lam1, lam2)`` of ``points``, from one eigendecomposition."""
+    vals, vecs = np.linalg.eigh(a2)
+    coef = vecs.conj().T @ h00
+    return [vecs @ (coef * (1.0 + lam2 * vals) / (vals - lam2))
+            for _, lam2 in points]
+
+
+def _selfadjoint_pair_scalar(a1: np.ndarray, r2h: np.ndarray,
+                             h00: np.ndarray, lam1: complex) -> complex:
     """Scalar ``((E + lam1 A1)(A1 - lam1)^-1 (E + lam2 A2)(A2 - lam2)^-1
-    h00, h00)`` for commuting Hermitian matrices."""
+    h00, h00)`` for commuting Hermitian matrices, given ``r2h``, the
+    ``A2`` factor applied to ``h00`` (:func:`_a2_resolvent_vectors`).
+
+    The ``A1`` factor is one dense vector solve with ``A1 - lam1``, so
+    it does not use the eigenbasis the measure was read from.
+    """
     n = a1.shape[0]
-    eye = np.eye(n, dtype=complex)
-    r1 = np.linalg.solve(a1 - lam1 * eye, eye + lam1 * a1)
-    r2 = np.linalg.solve(a2 - lam2 * eye, eye + lam2 * a2)
-    return complex(np.vdot(h00, r1 @ r2 @ h00))
+    rhs = r2h + lam1 * (a1 @ r2h)
+    return complex(np.vdot(h00, np.linalg.solve(a1 - lam1 * np.eye(n), rhs)))
 
 
-def _cross_validation_points(count: int, seed: int) -> list:
+def _cross_validation_points(count: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
@@ -486,7 +508,11 @@ def _cross_validation_points(count: int, seed: int) -> list:
         re2 = float(rng.uniform(0.25, 2.0)) * (1.0 if rng.integers(2) else -1.0)
         im2 = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.integers(2) else -1.0)
         points.append((complex(re1, im1), complex(re2, im2)))
-    return points
+    return tuple(points)
+
+
+#: The ``(lam1, lam2)`` points of the resolvent cross-check.
+CROSS_VALIDATION_POINTS = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
 
 
 def _sampler_label(sampler: SamplerSpec, idx: int) -> str:
@@ -555,7 +581,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         stream = enumerate_commutant_unitaries(iso.w2, sampler,
                                                tolerances=tolerances)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
-    points = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
+    a2_vectors = _a2_resolvent_vectors(a2_full, pair.h00,
+                                       CROSS_VALIDATION_POINTS)
     for u2, label in zip(stream, labels):
         try:
             ext = canonical_extension(pair, iso, u2, tolerances=tolerances)
@@ -565,9 +592,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
             continue
         measure = joint_spectral_measure(ext.a1_tilde, a2_full, pair.h00,
                                          tolerances=tolerances)
-        for lam1, lam2 in points:
-            lhs = _selfadjoint_pair_scalar(ext.a1_tilde, a2_full, pair.h00,
-                                           lam1, lam2)
+        for (lam1, lam2), r2h in zip(CROSS_VALIDATION_POINTS, a2_vectors):
+            lhs = _selfadjoint_pair_scalar(ext.a1_tilde, r2h, pair.h00, lam1)
             rhs = pair_resolvent_of_measure(measure, lam1, lam2)
             if abs(lhs - rhs) > CROSS_TOL * (1.0 + abs(rhs)):
                 raise StructureViolationError(

@@ -148,3 +148,61 @@ def block_toeplitz_direct(c_full: np.ndarray, order_j: int,
                     m[j * nk + k, jp * nk + kp] = c_full[
                         order_j + j - jp, order_k + k - kp]
     return 0.5 * (m + m.conj().T)
+
+
+def joint_spectral_measure_per_cluster(a1: np.ndarray, a2: np.ndarray,
+                                       h00: np.ndarray, *, cluster_tol: float,
+                                       merge_tol: float, weight_drop: float,
+                                       seed: int, tries: int):
+    """Joint spectral measure read cluster by cluster.
+
+    The same seeded combinations ``c1 A1 + c2 A2`` and chain clustering
+    as the library; each cluster's atom is the normalized trace of the
+    compressions ``S^H A S``, checked to be scalar, and its weight is
+    ``||S^H h00||^2``.  Returns ``(points, weights)`` sorted
+    lexicographically, or None when every combination is ambiguous.
+    """
+    n = a1.shape[0]
+    op_scale = max(1.0, np.linalg.norm(a1), np.linalg.norm(a2))
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        c = rng.normal(size=2)
+        c = c / np.linalg.norm(c)
+        m = c[0] * a1 + c[1] * a2
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        val_scale = 1.0 + (np.max(np.abs(vals)) if n else 0.0)
+        clusters, start = [], 0
+        for i in range(1, n + 1):
+            if i == n or vals[i] - vals[i - 1] > cluster_tol * val_scale:
+                clusters.append(np.arange(start, i))
+                start = i
+        atoms = []
+        for idx in clusters:
+            s = vecs[:, idx]
+            q = len(idx)
+            m1 = s.conj().T @ a1 @ s
+            m2 = s.conj().T @ a2 @ s
+            t1 = np.trace(m1).real / q
+            t2 = np.trace(m2).real / q
+            if max(np.linalg.norm(m1 - t1 * np.eye(q)),
+                   np.linalg.norm(m2 - t2 * np.eye(q))) > merge_tol * op_scale:
+                break
+            atoms.append((t1, t2, np.linalg.norm(s.conj().T @ h00) ** 2))
+        else:
+            merged = []
+            for t1, t2, w in atoms:
+                if w < weight_drop:
+                    continue
+                for e in merged:
+                    if max(abs(e[0] - t1), abs(e[1] - t2)) <= merge_tol:
+                        total = e[2] + w
+                        e[0] = (e[0] * e[2] + t1 * w) / total
+                        e[1] = (e[1] * e[2] + t2 * w) / total
+                        e[2] = total
+                        break
+                else:
+                    merged.append([t1, t2, w])
+            merged.sort(key=lambda e: (e[0], e[1]))
+            out = np.array(merged, dtype=float).reshape(-1, 3)
+            return out[:, :2], out[:, 2]
+    return None

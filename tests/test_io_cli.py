@@ -208,6 +208,20 @@ def test_cli_solve_verify_round_trip(tmp_path: Path, capsys):
                  str(files["e2-table.json"])]) == 2
 
 
+def test_cli_solve_canonical_writes_no_negative_zero(tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    out = tmp_path / "solutions"
+    assert main(["solve-canonical", str(files["e3-pair.json"]),
+                 "--sampler", "exhaustive-phases", "--phases", "4",
+                 "--output-dir", str(out)]) == 0
+    # ``parse_int=float`` keeps the sign of a written ``-0``.
+    coords = [x for path in sorted(out.iterdir())
+              for atom in json.loads(path.read_text(), parse_int=float)["atoms"]
+              for x in atom[:2]]
+    assert any(x == 0.0 for x in coords)
+    assert not any(x == 0.0 and np.signbit(x) for x in coords)
+
+
 def test_cli_verify_accepts_solution_files_as_measures(tmp_path: Path):
     mu = AtomicMeasure(np.array([[0.25, -1.5]]), np.array([2.0]))
     table = moments_of_measure(mu, 4, 4)

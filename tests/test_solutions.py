@@ -5,6 +5,7 @@ import pytest
 
 from moment2d import (
     AtomicMeasure,
+    ClusterAmbiguityError,
     CommutationViolatedError,
     StructureViolationError,
     FixedPointError,
@@ -29,7 +30,9 @@ from moment2d import (
     solve_canonical,
     verify_solution,
 )
-from moment2d.linalg import is_unitary
+from moment2d.config import ATOM_MERGE_TOL, CLUSTER_TOL, WEIGHT_DROP_TOL
+from moment2d.linalg import haar_unitary, is_unitary
+from moment2d.solutions import COMBINATION_SEED, MAX_COMBINATIONS
 
 import oracles
 
@@ -118,6 +121,102 @@ def test_joint_spectral_measure_gates():
                                np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         joint_spectral_measure(flip, flip, np.array([1.0 + 0j]))
+
+
+def _pair_with_atoms(points, rng, mult=None):
+    """``A1 = Q diag(t1) Q^H``, ``A2 = Q diag(t2) Q^H`` with atom ``k``
+    repeated ``mult[k]`` times, a Haar unitary ``Q`` and a random unit
+    ``h00``."""
+    points = np.asarray(points, dtype=float)
+    mult = np.ones(len(points), dtype=int) if mult is None else mult
+    diag = np.repeat(points, mult, axis=0)
+    n = diag.shape[0]
+    q = haar_unitary(n, rng)
+    a1 = q @ np.diag(diag[:, 0]) @ q.conj().T
+    a2 = q @ np.diag(diag[:, 1]) @ q.conj().T
+    h = rng.normal(size=n) + 1j * rng.normal(size=n)
+    h = h / np.linalg.norm(h)
+    weights = np.add.reduceat(np.abs(q.conj().T @ h) ** 2,
+                              np.cumsum(mult) - mult)
+    return 0.5 * (a1 + a1.conj().T), 0.5 * (a2 + a2.conj().T), h, weights
+
+
+def _combinations():
+    """The unit directions ``joint_spectral_measure`` draws, in order."""
+    rng = np.random.default_rng(COMBINATION_SEED)
+    return [c / np.linalg.norm(c)
+            for c in (rng.normal(size=2) for _ in range(MAX_COMBINATIONS))]
+
+
+def _combination_gaps(a1, a2, c):
+    vals = np.linalg.eigvalsh(c[0] * a1 + c[1] * a2)
+    return np.diff(vals), CLUSTER_TOL * (1.0 + np.max(np.abs(vals)))
+
+
+def test_joint_spectral_measure_matches_per_cluster_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        k = int(rng.integers(3, 7))
+        points = rng.uniform(-2.0, 2.0, size=(k, 2))
+        mult = rng.integers(2, 5, size=k)
+        a1, a2, h, weights = _pair_with_atoms(points, rng, mult)
+        mu = joint_spectral_measure(a1, a2, h)
+        ref_points, ref_weights = oracles.joint_spectral_measure_per_cluster(
+            a1, a2, h, cluster_tol=CLUSTER_TOL, merge_tol=ATOM_MERGE_TOL,
+            weight_drop=WEIGHT_DROP_TOL, seed=COMBINATION_SEED,
+            tries=MAX_COMBINATIONS)
+        assert mu.n_atoms == k == ref_points.shape[0]
+        assert np.max(np.abs(mu.points - ref_points)) <= 1e-12
+        assert np.max(np.abs(mu.weights - ref_weights)) <= 1e-12
+        order = np.lexsort((points[:, 1], points[:, 0]))
+        assert np.max(np.abs(mu.points - points[order])) <= 1e-10
+        assert np.max(np.abs(mu.weights - weights[order])) <= 1e-10
+
+
+def test_joint_spectral_measure_redraws_a_colliding_combination():
+    rng = np.random.default_rng(5)
+    directions = _combinations()
+    c = directions[0]
+    # q - p is orthogonal to the first direction: both atoms share one
+    # eigenvalue of the first combination, whose compression is then
+    # not scalar.
+    points = np.array([[0.4, -0.3], [0.4 - 0.8 * c[1], -0.3 + 0.8 * c[0]],
+                       [-1.0, 0.7]])
+    a1, a2, h, weights = _pair_with_atoms(points, rng)
+    gaps, tol = _combination_gaps(a1, a2, c)
+    assert np.min(gaps) <= tol
+    mu = joint_spectral_measure(a1, a2, h)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    assert mu.n_atoms == 3
+    assert np.max(np.abs(mu.points - points[order])) <= 1e-10
+    assert np.max(np.abs(mu.weights - weights[order])) <= 1e-10
+    # One colliding pair per direction exhausts every draw.
+    base = np.array([0.3, 0.1])
+    points = [base] + [base + 0.5 * np.array([-d[1], d[0]]) * (i + 1)
+                       for i, d in enumerate(directions)]
+    a1, a2, h, _ = _pair_with_atoms(points, rng)
+    with pytest.raises(ClusterAmbiguityError):
+        joint_spectral_measure(a1, a2, h)
+
+
+def test_joint_spectral_measure_merges_close_atoms():
+    rng = np.random.default_rng(9)
+    c = _combinations()[0]
+    # 5e-8 apart along the first direction: separate clusters of the
+    # combination, but within the merge tolerance of each other.
+    p = np.array([0.5, 0.25])
+    points = np.array([p, p + 5e-8 * c, [-0.75, 0.5]])
+    a1, a2, h, weights = _pair_with_atoms(points, rng)
+    gaps, tol = _combination_gaps(a1, a2, c)
+    assert np.min(gaps) > tol
+    mu = joint_spectral_measure(a1, a2, h)
+    assert mu.n_atoms == 2
+    mean = (weights[0] * points[0] + weights[1] * points[1]) / (
+        weights[0] + weights[1])
+    assert np.max(np.abs(mu.points[1] - mean)) <= 1e-12
+    assert mu.weights[1] == pytest.approx(weights[0] + weights[1], abs=1e-12)
+    assert np.max(np.abs(mu.points[0] - points[2])) <= 1e-12
+    assert mu.weights[0] == pytest.approx(weights[2], abs=1e-12)
 
 
 def test_canonical_extension_invariants():
