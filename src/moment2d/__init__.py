@@ -32,10 +32,11 @@ from .moments import (VERDICT_CONVERGING, VERDICT_DIVERGING,
                       VERDICT_INCONCLUSIVE, AtomicMeasure, CarlemanReport,
                       MomentTable, carleman_diagnostic, check_psd,
                       moment_matrix, moments_of_measure, monomial_indices)
-from .resolvents import (ResolventSample, TrigMomentTable, cayley_point,
-                         chumakin_resolvent, correspondence_check,
-                         inverse_cayley_point, pair_resolvent_of_measure,
-                         pair_resolvent_symmetric, pair_resolvent_unitary,
+from .resolvents import (PreparedPair, ResolventSample, TrigMomentTable,
+                         cayley_point, chumakin_resolvent,
+                         correspondence_check, inverse_cayley_point,
+                         pair_resolvent_of_measure, pair_resolvent_symmetric,
+                         pair_resolvent_unitary, prepare_pair,
                          trig_moments_from_resolvent, unitary_moebius)
 from .scenarios import Scenario, e1, e2, e3, e3_class, random_atomic_measure
 from .solutions import (CanonicalExtension, SamplerSpec, SolutionReport,
@@ -63,9 +64,9 @@ __all__ = [
     "fixed_subspace", "strip_fixed_elements", "forbidden_operator",
     "constant_admissibility", "commutation_check", "minimal_subspace",
     # resolvents
-    "ResolventSample", "TrigMomentTable", "cayley_point",
+    "ResolventSample", "TrigMomentTable", "PreparedPair", "cayley_point",
     "inverse_cayley_point", "chumakin_resolvent", "unitary_moebius",
-    "pair_resolvent_unitary", "pair_resolvent_symmetric",
+    "pair_resolvent_unitary", "prepare_pair", "pair_resolvent_symmetric",
     "pair_resolvent_of_measure", "correspondence_check",
     "trig_moments_from_resolvent",
     # solutions

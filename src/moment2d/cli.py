@@ -26,9 +26,10 @@ from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
                      FixedPointError, Moment2dError, NotSelfAdjointA2Error,
                      SchemaError)
 from .moments import carleman_diagnostic, check_psd
-from .resolvents import pair_resolvent_symmetric
+from .resolvents import pair_resolvent_symmetric, prepare_pair
 from .scenarios import e1, e2, e3
-from .solutions import SamplerSpec, solve_canonical, verify_solution
+from .solutions import (SamplerSpec, canonical_extension, solve_canonical,
+                        verify_solution)
 
 __all__ = ["main"]
 
@@ -202,19 +203,20 @@ def cmd_eval_resolvent(args) -> int:
     else:
         phi_matrix = io.complex_matrix_from_json(
             io.read_json(args.phi), "phi", rows=d_ninf, cols=d_n0)
-    phi = ContractionParameter.const(phi_matrix)
     grid1 = _grid(args, config, "l1")
     grid2 = _grid(args, config, "l2")
     fmt = _resolve(args, config, "format", "csv")
     if fmt not in ("csv", "json"):
         raise SchemaError("format must be 'csv' or 'json'")
+    # The gates run here once, even when every grid point is excluded.
+    prepared = prepare_pair(iso, ContractionParameter.const(phi_matrix),
+                            tolerances=tolerances)
     rows = []
     excluded = 0
     for lam1 in grid1:
         for lam2 in grid2:
             try:
-                matrix = pair_resolvent_symmetric(iso, phi, lam1, lam2,
-                                                  tolerances=tolerances)
+                matrix = pair_resolvent_symmetric(prepared, lam1, lam2)
             except ExcludedPointError:
                 excluded += 1
                 continue
@@ -284,6 +286,14 @@ def cmd_demo(args) -> int:
             m_path = os.path.join(out_dir, f"{scen.name}-measure.json")
             io.write_json(io.measure_to_json(scen.measure), m_path)
             paths[f"{scen.name}-measure"] = m_path
+    # The parameter of e3's canonical extension at the identity commutant
+    # element, an admissible --phi for eval-resolvent on e3-pair.json.
+    iso = build_isometric_pair(s3.pair)
+    ext = canonical_extension(s3.pair, iso,
+                              np.eye(iso.defect_dim, dtype=complex))
+    paths["e3-phi"] = os.path.join(out_dir, "e3-phi.json")
+    io.write_json(io.complex_matrix_to_json(
+        iso.ninf_basis.conj().T @ ext.u24), paths["e3-phi"])
     for key in sorted(paths):
         sys.stdout.write(f"wrote {paths[key]}\n")
     # Determinate round trip on the two-atom scenario.

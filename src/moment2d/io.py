@@ -10,6 +10,7 @@ empty rows.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -110,7 +111,10 @@ def _expect_int(obj, what: str) -> int:
 def _expect_real(obj, what: str) -> float:
     _expect(isinstance(obj, (int, float)) and not isinstance(obj, bool),
             f"{what} must be a number")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:   # an integer beyond the double range
+        value = np.inf
     _expect(np.isfinite(value), f"{what} must be finite")
     return value
 
@@ -192,22 +196,47 @@ def _complex_cell(cell, what: str) -> complex:
                    _expect_real(cell[1], f"{what}[1]"))
 
 
+def _complex_cells(cells: list) -> np.ndarray | None:
+    """The ``[re, im]`` cells as a complex array in one conversion.
+
+    ``None`` unless every cell is a pair of finite plain ``int`` or
+    ``float`` numbers; the caller then walks the cells one at a time,
+    which decodes the values a subclass may hold or names the first bad
+    cell.  The ``.view`` keeps every bit, signed zeros included.
+    """
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        return None
+    try:
+        parts = np.array(cells, dtype=float).reshape(len(cells), 2)
+    except OverflowError:   # an integer beyond the double range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(complex).reshape(len(cells))
+
+
 def complex_matrix_from_json(obj, what: str, rows: int | None = None,
                              cols: int | None = None) -> np.ndarray:
     data = _expect_list(obj, what)
     if rows is not None:
         _expect(len(data) == rows, f"{what} must have {rows} rows")
-    out_rows = []
     width = cols
+    if width is None:
+        width = len(data[0]) if data and isinstance(data[0], list) else 0
+    if all(type(row) is list and len(row) == width for row in data):
+        values = _complex_cells(list(chain.from_iterable(data)))
+        if values is not None:
+            return values.reshape(len(data), width)
+    out_rows = []
     for i, row in enumerate(data):
         row = _expect_list(row, f"{what}[{i}]")
-        if width is None:
-            width = len(row)
         _expect(len(row) == width,
                 f"{what}[{i}] has {len(row)} entries, expected {width}")
         out_rows.append([_complex_cell(cell, f"{what}[{i}][{j}]")
                          for j, cell in enumerate(row)])
-    return np.array(out_rows, dtype=complex).reshape(len(out_rows), width or 0)
+    return np.array(out_rows, dtype=complex).reshape(len(out_rows), width)
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:
@@ -219,6 +248,9 @@ def complex_vector_from_json(obj, what: str, length: int | None = None) -> np.nd
     data = _expect_list(obj, what)
     if length is not None:
         _expect(len(data) == length, f"{what} must have {length} entries")
+    values = _complex_cells(data)
+    if values is not None:
+        return values
     return np.array([_complex_cell(cell, f"{what}[{i}]")
                      for i, cell in enumerate(data)], dtype=complex)
 

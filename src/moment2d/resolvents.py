@@ -24,6 +24,15 @@ that the one-atom measure at the origin gives the scalar value
 ``(E + lam B)(B - lam)^{-1}`` of the in-space self-adjoint extensions;
 the ``z``-type pair resolvent of :func:`pair_resolvent_unitary` is the
 negative of the ``lam``-type one at corresponding points.
+
+Prepared pairs
+--------------
+For a constant ``Phi`` the value depends on the parameter only through
+the full matrix of ``V (+) Phi``, and the admissibility and commutation
+gates do not depend on the point.  :func:`prepare_pair` runs both gates
+and builds that matrix once; the :class:`PreparedPair` it returns is
+the first argument of :func:`pair_resolvent_symmetric`, which then does
+only the per-point solves.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .linalg import as_complex_matrix
 from .moments import AtomicMeasure
 
 __all__ = [
+    "PreparedPair",
     "ResolventSample",
     "TrigMomentTable",
     "cayley_point",
@@ -52,6 +62,7 @@ __all__ = [
     "chumakin_resolvent",
     "unitary_moebius",
     "pair_resolvent_unitary",
+    "prepare_pair",
     "pair_resolvent_symmetric",
     "pair_resolvent_of_measure",
     "correspondence_check",
@@ -133,15 +144,14 @@ def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
     z = complex(z)
     if abs(z) >= 1.0:
         raise ExcludedPointError(f"z = {z} is not in the open unit disk")
-    return _extended_resolvent(iso, phi, z)
+    return _extended_resolvent(extend_isometry(iso, phi, z), z)
 
 
-def _extended_resolvent(iso: IsometricPair, phi: ContractionParameter,
-                        z: complex) -> np.ndarray:
+def _extended_resolvent(full: np.ndarray, z: complex) -> np.ndarray:
+    """``[E - z full]^{-1}`` for the full matrix of ``V (+) Phi_z``."""
     # No disk check: pair_resolvent_symmetric also solves at the z1 of a
     # huge lambda1, where |z1| rounds to 1 but the solve is still sound.
-    full = extend_isometry(iso, phi, z)
-    eye = np.eye(iso.dim, dtype=complex)
+    eye = np.eye(full.shape[0], dtype=complex)
     try:
         return np.linalg.solve(eye - z * full, eye)
     except np.linalg.LinAlgError as exc:
@@ -188,36 +198,60 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
     return h.conj().T @ m @ h
 
 
-def pair_resolvent_symmetric(iso: IsometricPair, phi: ContractionParameter,
-                             lambda1: complex, lambda2: complex, *,
-                             tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+@dataclass(frozen=True)
+class PreparedPair:
+    """An isometric pair with a parameter that passed both gates.
+
+    ``extended`` is the full matrix of ``V (+) Phi``; build it with
+    :func:`prepare_pair`, not directly, so that the gates run.
+    """
+
+    iso: IsometricPair
+    extended: np.ndarray
+
+
+def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
+                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> PreparedPair:
+    """Gate a parameter once and build ``V (+) Phi`` for
+    :func:`pair_resolvent_symmetric`.
+
+    Raises ``AdmissibilityFailedError`` when the parameter is forbidden
+    for ``A1`` and ``CommutationViolatedError`` when ``V (+) Phi`` does
+    not commute with ``U``.  The parameter is evaluated at ``z = 0``: a
+    constant one is its value everywhere, and a pointwise family is
+    accepted only when the defect is zero and its value is empty.
+    """
+    if not constant_admissibility(iso, phi, tolerances=tolerances):
+        raise AdmissibilityFailedError(
+            "parameter is forbidden for this operator (admissibility "
+            "criterion failed)")
+    if not commutation_check(iso, phi, tolerances=tolerances):
+        raise CommutationViolatedError(
+            "extended isometry does not commute with the second Cayley "
+            "transform")
+    return PreparedPair(iso, extend_isometry(iso, phi))
+
+
+def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
+                             lambda2: complex) -> np.ndarray:
     """Generalized resolvent of the symmetric/self-adjoint pair.
 
     Evaluates the product described in the module docstring at
     ``z_j = (lambda_j - i)/(lambda_j + i)``; for ``lambda1`` in the
     lower half-plane the value is the adjoint of the resolvent at the
-    conjugated points.  The parameter must pass the commutation and
-    admissibility gates.
+    conjugated points.  Excluded points raise ``ExcludedPointError``.
     """
     lam1 = validate_spectral_point(lambda1, "lambda1")
     lam2 = validate_spectral_point(lambda2, "lambda2")
     if lam1.imag < 0.0:
-        m = pair_resolvent_symmetric(iso, phi, lam1.conjugate(),
-                                     lam2.conjugate(), tolerances=tolerances)
+        m = pair_resolvent_symmetric(prepared, lam1.conjugate(),
+                                     lam2.conjugate())
         return m.conj().T
-    if not constant_admissibility(iso, phi, tolerances=tolerances):
-        raise AdmissibilityFailedError(
-            "parameter is forbidden for this operator (admissibility "
-            "criterion failed)")
     z1 = cayley_point(lam1)
     z2 = cayley_point(lam2)
-    if not commutation_check(iso, phi, z1, tolerances=tolerances):
-        raise CommutationViolatedError(
-            "extended isometry does not commute with the second Cayley "
-            "transform")
-    eye = np.eye(iso.dim, dtype=complex)
-    return ((eye - 2.0 * _extended_resolvent(iso, phi, z1))
-            @ unitary_moebius(iso.u_matrix, z2))
+    eye = np.eye(prepared.iso.dim, dtype=complex)
+    return ((eye - 2.0 * _extended_resolvent(prepared.extended, z1))
+            @ unitary_moebius(prepared.iso.u_matrix, z2))
 
 
 def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,

@@ -206,3 +206,44 @@ def joint_spectral_measure_per_cluster(a1: np.ndarray, a2: np.ndarray,
             out = np.array(merged, dtype=float).reshape(-1, 3)
             return out[:, :2], out[:, 2]
     return None
+
+
+def pair_resolvent_symmetric_gated(iso, phi, lam1: complex,
+                                   lam2: complex) -> np.ndarray:
+    """The symmetric pair resolvent with both parameter gates run at the
+    point itself.
+
+    Conjugates a lower half-plane ``lam1`` (the value is then the
+    adjoint), runs the admissibility gate and the commutation gate at
+    ``z1``, builds ``V (+) Phi_{z1}`` and makes the two dense solves
+    ``(E - z1 V~) R = E`` and ``(E - z2 U) M = E + z2 U``.  Points must
+    be valid spectral points.
+    """
+    from moment2d.cayley import (commutation_check, constant_admissibility,
+                                 extend_isometry)
+    from moment2d.errors import (AdmissibilityFailedError,
+                                 CommutationViolatedError)
+    lam1, lam2 = complex(lam1), complex(lam2)
+    if lam1.imag < 0.0:
+        return pair_resolvent_symmetric_gated(
+            iso, phi, lam1.conjugate(), lam2.conjugate()).conj().T
+    if not constant_admissibility(iso, phi):
+        raise AdmissibilityFailedError("parameter is forbidden")
+    z1 = (lam1 - 1j) / (lam1 + 1j)
+    z2 = (lam2 - 1j) / (lam2 + 1j)
+    if not commutation_check(iso, phi, z1):
+        raise CommutationViolatedError("parameter does not commute")
+    eye = np.eye(iso.dim, dtype=complex)
+    resolvent = np.linalg.solve(eye - z1 * extend_isometry(iso, phi, z1), eye)
+    u = iso.u_matrix
+    moebius = np.linalg.solve(eye - z2 * u, eye + z2 * u)
+    return (eye - 2.0 * resolvent) @ moebius
+
+
+def complex_matrix_per_cell(rows: list, width: int) -> np.ndarray:
+    """Nested ``[re, im]`` JSON cells decoded one number at a time."""
+    out = np.empty((len(rows), width), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, (re, im) in enumerate(row):
+            out[i, j] = complex(float(re), float(im))
+    return out

@@ -35,6 +35,7 @@ from moment2d import (
     pair_resolvent_of_measure,
     pair_resolvent_symmetric,
     pair_resolvent_unitary,
+    prepare_pair,
     solve_canonical,
     trig_moments_from_resolvent,
 )
@@ -132,9 +133,10 @@ def _extension_results() -> dict:
             gates = gates and commutation_check(iso, phi, 0.1 + 0.2j)
             count += 1
             v_tilde = extend_isometry(iso, phi, 0.0)
+            prepared = prepare_pair(iso, phi)
             for _ in range(20):
                 lam1, lam2 = oracles.random_point_pair(rng)
-                r_s = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+                r_s = pair_resolvent_symmetric(prepared, lam1, lam2)
                 direct = oracles.resolvent_product(ext.a1_tilde, b2,
                                                    lam1, lam2)
                 formula_err = max(formula_err,
@@ -182,7 +184,8 @@ def test_criterion_04_adjoint_and_reflection_symmetry(acceptance_log):
     sampler = SamplerSpec(kind="haar-random", count=1, seed=5)
     u2 = next(iter(enumerate_commutant_unitaries(iso.w2, sampler)))
     ext = canonical_extension(pair, iso, u2)
-    phi = ContractionParameter.const(iso.ninf_basis.conj().T @ ext.u24 @ u2)
+    prepared = prepare_pair(iso, ContractionParameter.const(
+        iso.ninf_basis.conj().T @ ext.u24 @ u2))
     b2 = pair.full_matrix(2)
     rng = np.random.default_rng(77)
     adj_err = refl_err = 0.0
@@ -190,13 +193,13 @@ def test_criterion_04_adjoint_and_reflection_symmetry(acceptance_log):
         lam1, lam2 = oracles.random_point_pair(rng)
         lam1 = complex(lam1.real, abs(lam1.imag))
         # Adjoint relation: the conjugate-point value is the adjoint.
-        r_s = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+        r_s = pair_resolvent_symmetric(prepared, lam1, lam2)
         direct = oracles.resolvent_product(ext.a1_tilde, b2,
                                            np.conj(lam1), np.conj(lam2))
         adj_err = max(adj_err, float(np.max(np.abs(r_s.conj().T - direct))))
         # Reflection: the formula evaluated below the real axis agrees
         # with the direct product computed there.
-        low = pair_resolvent_symmetric(iso, phi, np.conj(lam1),
+        low = pair_resolvent_symmetric(prepared, np.conj(lam1),
                                        np.conj(lam2))
         refl_err = max(refl_err, float(np.max(np.abs(low - direct))))
     ok = adj_err <= 1e-9 and refl_err <= 1e-9
@@ -232,11 +235,11 @@ def test_criterion_06_parameter_injectivity(acceptance_log):
             for b in (-0.8, -0.3, 0.2, 0.7, 1.2)]
     values = []
     for theta in (0.7, 1.5, 2.3, 3.1, 4.6):
-        phi = ContractionParameter.const(
-            np.array([[np.exp(1j * theta)]], dtype=complex))
+        prepared = prepare_pair(iso, ContractionParameter.const(
+            np.array([[np.exp(1j * theta)]], dtype=complex)))
         values.append(np.array(
             [complex(np.vdot(h00, pair_resolvent_symmetric(
-                iso, phi, lam1, lam2) @ h00)) for lam1, lam2 in grid]))
+                prepared, lam1, lam2) @ h00)) for lam1, lam2 in grid]))
     grid_sep = min(float(np.max(np.abs(values[i] - values[j])))
                    for i in range(5) for j in range(i + 1, 5))
     # Distinct commutant parameters must also produce distinct measures.
@@ -318,12 +321,13 @@ def test_criterion_09_carleman_trends(acceptance_log):
 
 def test_criterion_10_closed_form_spot_check(acceptance_log):
     iso = build_isometric_pair(e1().pair)
-    phi = ContractionParameter.const(np.zeros((0, 0), dtype=complex))
+    prepared = prepare_pair(
+        iso, ContractionParameter.const(np.zeros((0, 0), dtype=complex)))
     rng = np.random.default_rng(10)
     worst = 0.0
     for _ in range(10):
         lam1, lam2 = oracles.random_point_pair(rng)
-        got = pair_resolvent_symmetric(iso, phi, lam1, lam2)[0, 0]
+        got = pair_resolvent_symmetric(prepared, lam1, lam2)[0, 0]
         worst = max(worst, abs(got - 1.0 / (lam1 * lam2)))
     _conclude(acceptance_log, 10, worst <= 1e-12,
               f"origin-mass resolvent vs 1/(l1*l2) err {worst:.2e} at "

@@ -29,7 +29,7 @@ from moment2d import (
     godich_lutsenko,
     inverse_cayley,
     minimal_subspace,
-    pair_resolvent_symmetric,
+    prepare_pair,
     strip_fixed_elements,
 )
 from moment2d.linalg import is_unitary, subspace_residual
@@ -275,7 +275,7 @@ def test_value_built_from_the_forbidden_operator_is_inadmissible(setup):
     phi = ContractionParameter.const(value)
     assert constant_admissibility(iso, phi) is False
     with pytest.raises(AdmissibilityFailedError):
-        pair_resolvent_symmetric(iso, phi, 0.3 + 1.7j, -0.4 + 0.9j)
+        prepare_pair(iso, phi)
     # A strict contraction never preserves a norm.
     assert constant_admissibility(
         iso, ContractionParameter.const(0.5 * value)) is True
@@ -295,7 +295,7 @@ def test_commutation_check_detects_defect_coupling():
     phi_bad = ContractionParameter.const(phi_good @ swap)
     assert not commutation_check(iso, phi_bad)
     with pytest.raises(CommutationViolatedError):
-        pair_resolvent_symmetric(iso, phi_bad, 1.0 + 0.8j, -0.3 + 1.1j)
+        prepare_pair(iso, phi_bad)
 
 
 def test_minimal_subspace_growth():

@@ -9,19 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+
 from moment2d import (
     AtomicMeasure,
     MomentTable,
+    SamplerSpec,
     SchemaError,
     SymmetricPair,
     e1,
     e2,
     e3,
+    e3_class,
     moments_of_measure,
+    pair_resolvent_of_measure,
+    solve_canonical,
     verify_solution,
 )
 import moment2d
-from moment2d import cli, io
+from moment2d import cli, io, resolvents
 from moment2d.cli import main
 from moment2d.errors import Moment2dError
 
@@ -132,11 +138,83 @@ def test_complex_matrix_round_trip():
     (io.complex_vector_from_json, [[True, 0]], "m[0][0] must be a number"),
     (io.complex_vector_from_json, [[0, float("inf")]], "m[0][1] must be finite"),
     (io.complex_vector_from_json, "x", "m must be a JSON array"),
+    (io.complex_matrix_from_json, [[[10 ** 400, 0]]],
+     "m[0][0][0] must be finite"),
+    (io.complex_matrix_from_json, [[[0, 0]], [[0, -10 ** 400]]],
+     "m[1][0][1] must be finite"),
+    (io.complex_vector_from_json, [[0, 0], [0, 10 ** 400]],
+     "m[1][1] must be finite"),
 ])
 def test_complex_json_schema_messages(parse, obj, message):
     with pytest.raises(SchemaError) as exc:
         parse(obj, "m")
     assert str(exc.value) == message
+
+
+def test_decoders_refuse_integers_beyond_the_double_range():
+    huge = 10 ** 400
+    with pytest.raises(SchemaError, match=r"^entries\[1\]\[2\] must be finite$"):
+        io.moment_table_from_json({"max_m": 1, "max_n": 0,
+                                   "entries": [[0, 0, 1.0], [1, 0, -huge]]})
+    with pytest.raises(SchemaError, match=r"^atoms\[0\]\[2\] must be finite$"):
+        io.measure_from_json({"atoms": [[0.0, 0.0, huge]]})
+
+
+def _json_cells(pair_obj: dict):
+    """``(field, rows)`` of every complex array of a pair's JSON object;
+    the vector ``h00`` is one row."""
+    for field in ("a1_domain", "a1_action", "a2_domain", "a2_action",
+                  "j_matrix"):
+        yield field, pair_obj[field]
+    yield "h00", [pair_obj["h00"]]
+
+
+def test_whole_array_decoding_is_bit_identical_to_the_cell_walk():
+    obj = io.pair_to_json(e3_class(40, 2, 3).pair)
+    rng = np.random.default_rng(40)
+    specials = [-0.0, 5e-324, -5e-324, 2.5e-310, -1.0e-308]
+    for _, rows in _json_cells(obj):
+        for row in rows:
+            for cell in row:
+                # The imaginary parts are all zero: any tiny value or
+                # signed zero there leaves the pair valid.
+                assert cell[1] == 0.0
+                cell[1] = specials[int(rng.integers(len(specials)))]
+                if cell[0] == 0.0:
+                    cell[0] = -0.0
+    obj = json.loads(json.dumps(obj))
+    pair = io.pair_from_json(obj)
+    negative_zeros = 0
+    for field, rows in _json_cells(obj):
+        want = oracles.complex_matrix_per_cell(rows, len(rows[0]))
+        if field == "h00":
+            got = io.complex_vector_from_json(rows[0], field)
+            assert np.array_equal(pair.h00.view(np.uint64),
+                                  want[0].view(np.uint64))
+            want = want[0]
+        else:
+            got = io.complex_matrix_from_json(rows, field)
+            assert np.array_equal(getattr(pair, field).view(np.uint64),
+                                  want.view(np.uint64))
+        assert got.dtype == complex and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        negative_zeros += int(np.sum(np.signbit(got.imag) & (got.imag == 0)))
+    assert negative_zeros > 0
+
+
+def test_decoders_keep_the_accepted_number_types():
+    cells = [[np.float64(1.5), np.float64(-0.0)], [2, 0.25]]
+    got = io.complex_matrix_from_json([cells], "m")
+    want = np.array([[complex(1.5, -0.0), complex(2.0, 0.25)]])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(io.complex_vector_from_json(cells, "v"), want[0])
+    for bad in (np.int64(1), True):
+        with pytest.raises(SchemaError) as exc:
+            io.complex_matrix_from_json([[[0.0, 0.0], [bad, 0.0]]], "m")
+        assert str(exc.value) == "m[0][1][0] must be a number"
+        with pytest.raises(SchemaError) as exc:
+            io.complex_vector_from_json([[0.0, bad]], "v")
+        assert str(exc.value) == "v[0][1] must be a number"
 
 
 def test_report_json_has_exactly_the_contract_keys():
@@ -168,7 +246,7 @@ def test_cli_demo_writes_scenarios(tmp_path: Path, capsys):
     files = _write_demo(tmp_path)
     for name in ("e1-table.json", "e1-pair.json", "e1-measure.json",
                  "e2-table.json", "e2-pair.json", "e2-measure.json",
-                 "e3-table.json", "e3-pair.json"):
+                 "e3-table.json", "e3-pair.json", "e3-phi.json"):
         assert name in files
     assert "e3-measure.json" not in files
     captured = capsys.readouterr()
@@ -319,6 +397,64 @@ def test_cli_structure_gate_exit_code(tmp_path: Path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert "defect" in capsys.readouterr().err
+
+
+def test_cli_check_refuses_an_entry_beyond_the_double_range(tmp_path: Path,
+                                                             capsys):
+    table = tmp_path / "huge.json"
+    table.write_text('{"max_m": 0, "max_n": 0, "entries": [[0, 0, 1'
+                     + "0" * 400 + "]]}")
+    assert main(["check", str(table)]) == 1
+    assert capsys.readouterr().err == "error: entries[0][2] must be finite\n"
+
+
+def test_cli_eval_resolvent_gates_the_parameter_once(tmp_path: Path, capsys,
+                                                     monkeypatch):
+    files = _write_demo(tmp_path, capsys)
+    calls = {"constant_admissibility": 0, "commutation_check": 0}
+    for name in calls:
+        def counted(*args, _name=name, _gate=getattr(resolvents, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _gate(*args, **kwargs)
+        monkeypatch.setattr(resolvents, name, counted)
+    # The l1 line passes through i: its middle row of 6 points is excluded.
+    assert main(["eval-resolvent", str(files["e3-pair.json"]),
+                 "--phi", str(files["e3-phi.json"]),
+                 "--l1-start=-1+0.5j", "--l1-stop=1+1.5j", "--l1-count=7",
+                 "--l2-start=-0.5-1j", "--l2-stop=1+2j", "--l2-count=6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
+    assert calls == {"constant_admissibility": 1, "commutation_check": 1}
+
+
+def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    assert main(["eval-resolvent", str(files["e3-pair.json"]),
+                 "--phi", str(files["e3-phi.json"]),
+                 "--l1-start", "2j", "--l1-stop", "-1+3j", "--l1-count", "3",
+                 "--l2-start", "0.5-2j", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    report = next(iter(solve_canonical(
+        e3().pair, sampler=SamplerSpec(kind="exhaustive-phases", phases=4))))
+    assert report.u2_seed == "exhaustive-phases:4:0"
+    assert len(rows) == 3
+    for row in rows:
+        want = pair_resolvent_of_measure(report.measure, complex(*row[0:2]),
+                                         complex(*row[2:4]))
+        assert abs(complex(*row[4:6]) - want) < 1e-9
+
+
+def test_cli_parameter_gate_fails_even_when_every_point_is_excluded(
+        tmp_path: Path, capsys):
+    pair_path = tmp_path / "scalar-pair.json"
+    io.write_json(io.pair_to_json(_scalar_pair()), str(pair_path))
+    phi_path = tmp_path / "phi.json"
+    io.write_json(io.complex_matrix_to_json(np.array([[1.0 + 0j]])),
+                  str(phi_path))
+    assert main(["eval-resolvent", str(pair_path), "--phi", str(phi_path),
+                 "--l1-start", "1j", "--l2-start", "2j"]) == 4
+    assert capsys.readouterr().err.startswith("error: parameter is forbidden")
 
 
 def test_cli_input_error_exit_codes(tmp_path: Path):

@@ -8,6 +8,7 @@ from moment2d import (
     CommutationViolatedError,
     ContractionParameter,
     ExcludedPointError,
+    FixedPointError,
     IndexOutOfRangeError,
     NotSupportedError,
     PointMismatchError,
@@ -21,9 +22,11 @@ from moment2d import (
     e1,
     e2,
     e3,
+    e3_class,
     pair_resolvent_of_measure,
     pair_resolvent_symmetric,
     pair_resolvent_unitary,
+    prepare_pair,
     trig_moments_from_resolvent,
     unitary_moebius,
 )
@@ -99,25 +102,25 @@ def test_pair_resolvent_unitary_scalar_case():
 
 def test_origin_atom_resolvent_closed_form():
     iso = build_isometric_pair(e1().pair)
-    phi = _empty_phi(iso)
+    prepared = prepare_pair(iso, _empty_phi(iso))
     rng = np.random.default_rng(5)
     for _ in range(10):
         lam1, lam2 = oracles.random_point_pair(rng)
-        got = pair_resolvent_symmetric(iso, phi, lam1, lam2)[0, 0]
+        got = pair_resolvent_symmetric(prepared, lam1, lam2)[0, 0]
         assert abs(got - 1.0 / (lam1 * lam2)) < 1e-12
-    assert pair_resolvent_symmetric(iso, phi, 2j, 2j)[0, 0] == pytest.approx(
+    assert pair_resolvent_symmetric(prepared, 2j, 2j)[0, 0] == pytest.approx(
         -0.25, abs=1e-14)
 
 
 def test_two_point_resolvent_matches_measure_sum():
     scenario = e2()
     iso = build_isometric_pair(scenario.pair)
-    phi = _empty_phi(iso)
+    prepared = prepare_pair(iso, _empty_phi(iso))
     h00 = scenario.pair.h00
     rng = np.random.default_rng(6)
     for _ in range(10):
         lam1, lam2 = oracles.random_point_pair(rng)
-        mat = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+        mat = pair_resolvent_symmetric(prepared, lam1, lam2)
         got = complex(np.vdot(h00, mat @ h00))
         want = oracles.scalar_pair_resolvent(scenario.measure, lam1, lam2)
         assert abs(got - want) < 1e-11
@@ -128,13 +131,13 @@ def test_two_point_resolvent_matches_measure_sum():
 def test_dense_domain_resolvent_equals_product_of_resolvents():
     pair = e2().pair
     iso = build_isometric_pair(pair)
-    phi = _empty_phi(iso)
+    prepared = prepare_pair(iso, _empty_phi(iso))
     b1 = pair.full_matrix(1)
     b2 = pair.full_matrix(2)
     rng = np.random.default_rng(7)
     for _ in range(5):
         lam1, lam2 = oracles.random_point_pair(rng)
-        got = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+        got = pair_resolvent_symmetric(prepared, lam1, lam2)
         want = oracles.resolvent_product(b1, b2, lam1, lam2)
         assert np.max(np.abs(got - want)) < 1e-11
 
@@ -148,12 +151,12 @@ def test_truncated_operator_resolvent_matches_explicit_extension():
         u2 = np.array([[phase]], dtype=complex)
         ext = canonical_extension(pair, iso, u2)
         phi_mat = iso.ninf_basis.conj().T @ ext.u24 @ u2
-        phi = ContractionParameter.const(phi_mat)
+        prepared = prepare_pair(iso, ContractionParameter.const(phi_mat))
         b1 = ext.a1_tilde
         b2 = pair.full_matrix(2)
         for _ in range(5):
             lam1, lam2 = oracles.random_point_pair(rng)
-            got = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+            got = pair_resolvent_symmetric(prepared, lam1, lam2)
             want = oracles.resolvent_product(b1, b2, lam1, lam2)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -162,32 +165,64 @@ def test_adjoint_relation_between_conjugate_points():
     scenario = e3()
     iso = build_isometric_pair(scenario.pair)
     ext = canonical_extension(scenario.pair, iso, np.eye(1, dtype=complex))
-    phi = ContractionParameter.const(iso.ninf_basis.conj().T @ ext.u24)
+    prepared = prepare_pair(iso, ContractionParameter.const(
+        iso.ninf_basis.conj().T @ ext.u24))
     rng = np.random.default_rng(9)
     for _ in range(10):
         lam1, lam2 = oracles.random_point_pair(rng)
-        left = pair_resolvent_symmetric(iso, phi, lam1, lam2).conj().T
-        right = pair_resolvent_symmetric(iso, phi,
+        left = pair_resolvent_symmetric(prepared, lam1, lam2).conj().T
+        right = pair_resolvent_symmetric(prepared,
                                          np.conj(lam1), np.conj(lam2))
         assert np.max(np.abs(left - right)) < 1e-11
+
+
+def _identity_extension_pair(dim: int):
+    """First ``e3_class(dim, 2, seed)`` whose identity commutant element
+    gives a canonical extension, with that extension's parameter."""
+    for seed in range(100):
+        pair = e3_class(dim, 2, seed).pair
+        iso = build_isometric_pair(pair)
+        try:
+            ext = canonical_extension(pair, iso, np.eye(2, dtype=complex))
+        except FixedPointError:
+            continue
+        return iso, ContractionParameter.const(
+            iso.ninf_basis.conj().T @ ext.u24)
+    raise AssertionError(f"no admissible e3_class pair of dim {dim}")
+
+
+@pytest.mark.parametrize("dim", [5, 20, 40])
+def test_prepared_pair_is_bit_identical_to_gating_every_point(dim):
+    iso, phi = _identity_extension_pair(dim)
+    prepared = prepare_pair(iso, phi)
+    rng = np.random.default_rng(dim)
+    points = [oracles.random_point_pair(rng) for _ in range(8)]
+    points += [(np.conj(a), b) for a, b in points[:4]]
+    # |z1| rounds to 1 at these lambda1, in both half-planes.
+    points += [(1e9 + 1j, 0.5 + 2j), (1e9 - 1j, -0.5 - 1.5j)]
+    assert any(a.imag < 0 for a, _ in points)
+    for lam1, lam2 in points:
+        want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
+        assert np.array_equal(
+            pair_resolvent_symmetric(prepared, lam1, lam2), want)
 
 
 def test_resolvent_rejects_forbidden_parameter():
     iso = build_isometric_pair(_scalar_pair())
     bad = ContractionParameter.const(np.array([[1.0 + 0j]]))
     with pytest.raises(AdmissibilityFailedError):
-        pair_resolvent_symmetric(iso, bad, 1j + 0.5, 2j)
+        prepare_pair(iso, bad)
 
 
 def test_resolvent_excluded_points():
     iso = build_isometric_pair(e2().pair)
-    phi = _empty_phi(iso)
+    prepared = prepare_pair(iso, _empty_phi(iso))
     with pytest.raises(ExcludedPointError):
-        pair_resolvent_symmetric(iso, phi, 0.5, 2j)
+        pair_resolvent_symmetric(prepared, 0.5, 2j)
     with pytest.raises(ExcludedPointError):
-        pair_resolvent_symmetric(iso, phi, 1j, 2j)
+        pair_resolvent_symmetric(prepared, 1j, 2j)
     with pytest.raises(ExcludedPointError):
-        pair_resolvent_symmetric(iso, phi, 2j, -1j)
+        pair_resolvent_symmetric(prepared, 2j, -1j)
     with pytest.raises(ExcludedPointError):
         pair_resolvent_of_measure(e2().measure, 1.5, 2j)
 
@@ -215,7 +250,7 @@ def test_correspondence_between_the_two_formulas():
 def test_correspondence_on_random_dense_pairs():
     pair = e2().pair
     iso = build_isometric_pair(pair)
-    phi = _empty_phi(iso)
+    prepared = prepare_pair(iso, _empty_phi(iso))
     u1 = oracles.explicit_extension_matrix(iso, np.zeros((0, 0)))
     u2 = iso.u_matrix
     rng = np.random.default_rng(10)
@@ -224,7 +259,7 @@ def test_correspondence_on_random_dense_pairs():
         z1 = (lam1 - 1j) / (lam1 + 1j)
         z2 = (lam2 - 1j) / (lam2 + 1j)
         mat_u = pair_resolvent_unitary(u1, u2, np.eye(2), z1, z2)
-        mat_s = pair_resolvent_symmetric(iso, phi, lam1, lam2)
+        mat_s = pair_resolvent_symmetric(prepared, lam1, lam2)
         ok = correspondence_check(
             ResolventSample(kind="u", p1=z1, p2=z2, matrix=mat_u),
             ResolventSample(kind="s", p1=lam1, p2=lam2, matrix=mat_s))
