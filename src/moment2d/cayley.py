@@ -208,7 +208,7 @@ def cayley(pair: SymmetricPair, *,
     if q.shape[1] == 0:
         return CayleyIsometry(domain=empty_basis(n), action=empty_basis(n),
                               range=empty_basis(n))
-    if not is_hermitian(q.conj().T @ t, tolerances.structure_tol):
+    if not is_hermitian(q.conj().T @ t, STRUCTURE_TOL):
         raise StructureViolationError(
             "operator A1 is not symmetric on its domain")
     minus = t - 1j * q
@@ -223,12 +223,12 @@ def cayley(pair: SymmetricPair, *,
     return CayleyIsometry(domain=dom, action=action, range=rng)
 
 
-def inverse_cayley(u: np.ndarray, fixed_tol: float = FIXED_POINT_TOL,
+def inverse_cayley(u: np.ndarray,
                    structure_tol: float = STRUCTURE_TOL) -> np.ndarray:
     """Hermitian matrix ``A = i (U + E)(U - E)^{-1}`` of a unitary ``U``.
 
     Raises ``FixedPointError`` when ``U`` has an eigenvalue within
-    ``fixed_tol`` of 1 (the inverse transform does not exist there).
+    ``FIXED_POINT_TOL`` of 1 (the inverse transform does not exist there).
     """
     u = require_unitary(u, structure_tol, "inverse Cayley input")
     n = u.shape[0]
@@ -236,9 +236,9 @@ def inverse_cayley(u: np.ndarray, fixed_tol: float = FIXED_POINT_TOL,
         return np.zeros((0, 0), dtype=complex)
     shifted = u - np.eye(n)
     sigma_min = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if sigma_min <= fixed_tol:
+    if sigma_min <= FIXED_POINT_TOL:
         raise FixedPointError(
-            f"unitary has an eigenvalue within {fixed_tol} of 1 "
+            f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
             f"(sigma_min = {sigma_min:.3e})")
     a = 1j * np.linalg.solve(shifted.T, (u + np.eye(n)).T).T
     return 0.5 * (a + a.conj().T)
@@ -258,13 +258,12 @@ def build_isometric_pair(pair: SymmetricPair, *,
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
-    structure_tol = tolerances.structure_tol
     iso = cayley(pair, tolerances=tolerances)
     a2 = pair.full_matrix(2)
     n = pair.dim
     eye = np.eye(n)
     u = (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)
-    if not is_unitary(u, structure_tol):
+    if not is_unitary(u, STRUCTURE_TOL):
         raise StructureViolationError("Cayley transform of A2 not unitary")
     sigma_min = float(np.linalg.svd(u - eye, compute_uv=False)[-1])
     if sigma_min <= FIXED_POINT_TOL:
@@ -279,14 +278,14 @@ def build_isometric_pair(pair: SymmetricPair, *,
     for name, basis in (("D(V)", iso.domain), ("R(V)", iso.range)):
         if basis.shape[1]:
             res = subspace_residual(basis, u @ basis)
-            if res > structure_tol:
+            if res > STRUCTURE_TOL:
                 raise StructureViolationError(
                     f"U does not leave {name} invariant (residual {res:.3e})")
     if iso.domain.shape[1]:
         v_part = iso.action @ iso.domain.conj().T
         comm = (v_part @ u - u @ v_part) @ iso.domain
         scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v_part)))
-        if float(np.linalg.norm(comm)) > structure_tol * scale:
+        if float(np.linalg.norm(comm)) > STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "U and V do not commute on D(V)")
     return IsometricPair(dim=n, v_domain=iso.domain, v_action=iso.action,
@@ -309,8 +308,7 @@ def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
     return full
 
 
-def godich_lutsenko(w: np.ndarray,
-                    structure_tol: float = STRUCTURE_TOL) -> ConjugationFactorization:
+def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:
     """Factor a unitary ``W`` as a product of two conjugations.
 
     ``L`` is the conjugation whose fixed vectors include an orthonormal
@@ -319,7 +317,7 @@ def godich_lutsenko(w: np.ndarray,
     as ``x -> M conj(x)``; they satisfy ``K^2 = L^2 = identity`` and
     ``K o L = W``.
     """
-    w = require_unitary(w, structure_tol, "factorization input")
+    w = require_unitary(w, STRUCTURE_TOL, "factorization input")
     n = w.shape[0]
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
@@ -328,37 +326,35 @@ def godich_lutsenko(w: np.ndarray,
     # eigenvalue clustering.
     t, z_mat = scipy.linalg.schur(w, output="complex")
     off = t - np.diag(np.diagonal(t))
-    if float(np.linalg.norm(off)) > structure_tol * n:
+    if float(np.linalg.norm(off)) > STRUCTURE_TOL * n:
         raise StructureViolationError("input is not normal within tolerance")
     l_matrix = z_mat @ z_mat.T
     k_matrix = w @ l_matrix
     for name, mat in (("K", k_matrix), ("L", l_matrix)):
-        if not is_conjugation(mat, structure_tol):
+        if not is_conjugation(mat, STRUCTURE_TOL):
             raise NoDecompositionError(
                 f"factor {name} is not a conjugation within tolerance")
     return ConjugationFactorization(k_matrix=k_matrix, l_matrix=l_matrix)
 
 
-def fixed_subspace(w: np.ndarray, tol: float = FIXED_POINT_TOL) -> np.ndarray:
+def fixed_subspace(w: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the eigenvalue-1 subspace of a unitary.
 
     For unitary ``W`` the singular values of ``W - E`` equal the
     distances ``|lambda - 1|``, so the fixed subspace is the numerical
-    null space of ``W - E`` at absolute tolerance ``tol``.
+    null space of ``W - E`` at absolute tolerance ``FIXED_POINT_TOL``.
     """
     w = as_complex_matrix(w)
     n = w.shape[0]
     if n == 0:
         return empty_basis(0)
     _, s, vh = np.linalg.svd(w - np.eye(n))
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > FIXED_POINT_TOL))
     return vh.conj().T[:, rank:]
 
 
 def strip_fixed_elements(w1: np.ndarray, w2: np.ndarray,
-                         h_embed: np.ndarray,
-                         fixed_tol: float = FIXED_POINT_TOL,
-                         structure_tol: float = STRUCTURE_TOL) -> tuple:
+                         h_embed: np.ndarray) -> tuple:
     """Remove the fixed subspaces of two commuting unitaries in turn.
 
     First strips ``F1 = fix(W1)``, then the fixed subspace of the
@@ -367,33 +363,33 @@ def strip_fixed_elements(w1: np.ndarray, w2: np.ndarray,
     the restricted matrices act on ``basis``-coordinates.  Raises
     ``EmbeddingLostError`` when ``span(h_embed)`` does not survive.
     """
-    w1 = require_unitary(w1, structure_tol, "W1")
-    w2 = require_unitary(w2, structure_tol, "W2")
+    w1 = require_unitary(w1, STRUCTURE_TOL, "W1")
+    w2 = require_unitary(w2, STRUCTURE_TOL, "W2")
     comm = float(np.linalg.norm(w1 @ w2 - w2 @ w1))
-    if comm > structure_tol * max(1.0, float(np.linalg.norm(w1) * np.linalg.norm(w2))):
+    if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w1) * np.linalg.norm(w2))):
         raise StructureViolationError("W1 and W2 do not commute")
     basis = np.eye(w1.shape[0], dtype=complex)
     for step in (1, 2):
         w_active = w1 if step == 1 else w2
-        fixed = fixed_subspace(w_active, fixed_tol)
+        fixed = fixed_subspace(w_active)
         if fixed.shape[1]:
             other = w2 if step == 1 else w1
-            if subspace_residual(fixed, other @ fixed) > structure_tol:
+            if subspace_residual(fixed, other @ fixed) > STRUCTURE_TOL:
                 raise StructureViolationError(
                     "fixed subspace is not invariant under the other unitary")
-            keep = complement_basis(fixed, structure_tol)
+            keep = complement_basis(fixed, STRUCTURE_TOL)
             w1 = keep.conj().T @ w1 @ keep
             w2 = keep.conj().T @ w2 @ keep
             basis = basis @ keep
             for name, w_check in (("W1", w1), ("W2", w2)):
-                if not is_unitary(w_check, structure_tol * 10):
+                if not is_unitary(w_check, STRUCTURE_TOL * 10):
                     raise StructureViolationError(
                         f"restricted {name} lost unitarity; subspace did "
                         f"not reduce the pair")
     h_embed = as_complex_matrix(h_embed)
     if h_embed.shape[1]:
         res = subspace_residual(basis, h_embed)
-        if res > structure_tol:
+        if res > STRUCTURE_TOL:
             raise EmbeddingLostError(
                 f"embedded subspace leaves the reduced space "
                 f"(residual {res:.3e})")
@@ -411,7 +407,7 @@ def forbidden_operator(iso: IsometricPair, *,
     of each ``psi_basis`` column in space coordinates.  Raises
     ``NotDirectSumError`` when the sum is not direct and
     ``NoDecompositionError`` when a decomposition residual exceeds
-    ``tolerances.structure_tol``.
+    ``STRUCTURE_TOL``.
     """
     subspace_tol = tolerances.subspace_tol
     n_plus = iso.n0_basis
@@ -427,7 +423,7 @@ def forbidden_operator(iso: IsometricPair, *,
     stacked = np.hstack([n_minus, q])
     coeffs, _, _, _ = np.linalg.lstsq(stacked, psi_basis, rcond=None)
     residual = float(np.linalg.norm(stacked @ coeffs - psi_basis))
-    if residual > tolerances.structure_tol * max(
+    if residual > STRUCTURE_TOL * max(
             1.0, float(np.linalg.norm(psi_basis))):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
@@ -477,8 +473,7 @@ def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,
-                      z: complex = 0.0, *,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+                      z: complex = 0.0) -> bool:
     """Whether ``(V (+) Phi_z) U = U (V (+) Phi_z)`` within tolerance.
 
     Checked on full matrices; when ``U D(V) = D(V)`` holds (enforced at
@@ -489,21 +484,20 @@ def commutation_check(iso: IsometricPair, phi: ContractionParameter,
     u = iso.u_matrix
     comm = float(np.linalg.norm(m @ u - u @ m))
     scale = max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(u)))
-    return comm <= tolerances.structure_tol * scale
+    return comm <= STRUCTURE_TOL * scale
 
 
-def minimal_subspace(u: np.ndarray, h_embed: np.ndarray,
-                     subspace_tol: float = SUBSPACE_TOL) -> np.ndarray:
+def minimal_subspace(u: np.ndarray, h_embed: np.ndarray) -> np.ndarray:
     """Smallest ``U``-reducing subspace containing ``span(h_embed)``.
 
     Closes the span under ``U`` and ``U^H`` (Krylov iteration); in
     finite dimension the loop stabilizes after at most ``dim`` rounds.
     """
     u = as_complex_matrix(u)
-    basis = orth_columns(as_complex_matrix(h_embed), subspace_tol)
+    basis = orth_columns(as_complex_matrix(h_embed), SUBSPACE_TOL)
     for _ in range(u.shape[0] + 1):
         grown = orth_columns(
-            np.hstack([basis, u @ basis, u.conj().T @ basis]), subspace_tol)
+            np.hstack([basis, u @ basis, u.conj().T @ basis]), SUBSPACE_TOL)
         if grown.shape[1] == basis.shape[1]:
             return basis
         basis = grown

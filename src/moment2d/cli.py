@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .cayley import ContractionParameter, build_isometric_pair
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
                      FixedPointError, Moment2dError, NotSelfAdjointA2Error,
                      SchemaError)
@@ -35,9 +35,9 @@ __all__ = ["main"]
 
 EXIT_OK = 0
 
-#: ``Tolerances`` fields settable by flag (``--rank-tol``) or config key.
-TOLERANCE_FIELDS = ("rank_tol", "psd_tol", "subspace_tol", "cluster_tol",
-                    "atom_merge_tol", "verify_tol")
+#: ``Tolerances`` fields, each settable by flag (``--rank-tol``) or
+#: config key on every subcommand but ``demo``.
+TOLERANCE_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 #: Flags whose value is a complex number, which may begin with ``-``.
 COMPLEX_FLAGS = ("--l1-start", "--l1-stop", "--l2-start", "--l2-stop")
@@ -55,12 +55,20 @@ def _parse_complex(text: str, what: str) -> complex:
                           f"number (use Python syntax, e.g. 0.5+2j)") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
+def _load_config(args, keys: tuple = ()) -> dict:
+    """The ``--config`` object of a subcommand that resolves the
+    tolerance fields and ``keys``; any other key is a ``SchemaError``."""
+    if args.config is None:
         return {}
-    obj = io.read_json(path)
+    obj = io.read_json(args.config)
     if not isinstance(obj, dict):
         raise SchemaError("config file must hold a JSON object")
+    accepted = TOLERANCE_FIELDS + keys
+    for key in obj:
+        if key not in accepted:
+            raise SchemaError(
+                f"config key {key!r} is not read by {args.command}; "
+                f"accepted keys: {', '.join(accepted)}")
     return obj
 
 
@@ -127,7 +135,7 @@ def _load_source(path: str):
 
 
 def cmd_check(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args, ("carleman_variant",))
     table = io.moment_table_from_json(io.read_json(args.table))
     tolerances = _tolerances(args, config)
     variant = _resolve(args, config, "carleman_variant", "pair")
@@ -159,7 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve_canonical(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args, ("sampler", "count", "seed", "phases", "d_m",
+                                 "d_n", "max_n", "output_dir"))
     source = _load_source(args.input)
     sampler = _sampler(args, config)
     tolerances = _tolerances(args, config)
@@ -192,7 +201,8 @@ def cmd_solve_canonical(args) -> int:
 
 
 def cmd_eval_resolvent(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args, ("l1_start", "l1_stop", "l1_count", "l2_start",
+                                 "l2_stop", "l2_count", "format"))
     pair = io.pair_from_json(io.read_json(args.input))
     tolerances = _tolerances(args, config)
     iso = build_isometric_pair(pair, tolerances=tolerances)
@@ -261,7 +271,7 @@ def _grid(args, config: dict, which: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     measure = io.measure_from_json(io.read_json(args.measure))
     table = io.moment_table_from_json(io.read_json(args.table))
     report = verify_solution(measure, table,

@@ -1,19 +1,20 @@
 """Numerical tolerances of the pipeline.
 
 The tunable thresholds of the pipeline's gates (Gram rank cut, PSD
-test, subspace decisions, Cayley structure and commutation, clustering,
-atom merging, verification) are the seven fields of one
-:class:`Tolerances` value.  Pipeline functions take it as the keyword
-``tolerances`` (default :data:`DEFAULT_TOLERANCES`); override a field
-with ``Tolerances(rank_tol=1e-12)`` or ``dataclasses.replace(tol,
+test, subspace decisions, clustering, atom merging, verification) are
+the six fields of one :class:`Tolerances` value, each settable from the
+command line.  Pipeline functions that read one of them take it as the
+keyword ``tolerances`` (default :data:`DEFAULT_TOLERANCES`); override a
+field with ``Tolerances(rank_tol=1e-12)`` or ``dataclasses.replace(tol,
 rank_tol=1e-12)``.  The constants below hold the defaults.
-Matrix-level helpers (``linalg`` and the matrix functions of
-``cayley``) take a plain float, because callers pass them scaled
-values.  Thresholds with a single value in use are module constants:
-the ones defined below (shift residual gate, fixed-point distance,
-weight drop, excluded radius, contraction slack, Carleman heuristic)
-are read directly by the modules that apply them, the others sit in
-the one module that reads them.
+Thresholds with a single value in use are module constants: the ones
+defined below (structural residual, shift residual gate, fixed-point
+distance, weight drop, excluded radius, contraction slack, Carleman
+heuristic) are read directly by the modules that apply them, the others
+sit in the one module that reads them.  The matrix-level helpers that
+still take a plain float are ``inverse_cayley`` and those of ``linalg``,
+because their callers pass them varying values (1x and 10x
+``STRUCTURE_TOL``, or a ``Tolerances`` field).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class Tolerances:
     """Bundle of the numerical knobs read by the pipeline functions.
 
     Every field is read by some pipeline gate and can be set from the
-    command line (``cli.TOLERANCE_FIELDS``) except ``structure_tol``.
+    command line, as a flag (``--rank-tol``) or a config key
+    (``cli.TOLERANCE_FIELDS`` lists them in field order).
 
     ``psd_tol`` None means the scale-aware default
     ``PSD_TOL_BASE * (1 + max |s|)`` of :func:`moment2d.moments.check_psd`.
@@ -81,7 +83,6 @@ class Tolerances:
     subspace_tol: float = SUBSPACE_TOL
     cluster_tol: float = CLUSTER_TOL
     atom_merge_tol: float = ATOM_MERGE_TOL
-    structure_tol: float = STRUCTURE_TOL
     verify_tol: float = VERIFY_TOL
 
 

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, RESIDUAL_GATE, Tolerances
+from .config import (DEFAULT_TOLERANCES, RESIDUAL_GATE, STRUCTURE_TOL,
+                     Tolerances)
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
 from .linalg import is_hermitian, orth_columns
@@ -52,7 +53,6 @@ class GnsSpace:
     gram: np.ndarray
     rank: int
     coords: np.ndarray
-    rank_tol: float
 
     @cached_property
     def _column_of(self) -> dict:
@@ -155,8 +155,7 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
     vecs = vecs[:, order]
     coords = np.sqrt(lam)[:, None] * vecs.T
     return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=tuple(idx), gram=gram,
-                    rank=int(lam.size), coords=coords,
-                    rank_tol=tolerances.rank_tol)
+                    rank=int(lam.size), coords=coords)
 
 
 def _shift_operator(space: GnsSpace, which: int,
@@ -218,7 +217,7 @@ def build_operators(space: GnsSpace, *,
     a2_full = a2_domain.shape[1] == dim
     a2_selfadjoint = bool(
         a2_full and is_hermitian(a2_action @ a2_domain.conj().T,
-                                 tolerances.structure_tol))
+                                 STRUCTURE_TOL))
     return SymmetricPair(dim=dim,
                          a1_domain=a1_domain.astype(complex),
                          a1_action=a1_action.astype(complex),

@@ -137,7 +137,9 @@ def moment_table_from_json(obj) -> MomentTable:
     max_n = _expect_int(_get(obj, "max_n", "moment table"), "max_n")
     _expect(max_m >= 0 and max_n >= 0, "max_m and max_n must be >= 0")
     entries = _expect_list(_get(obj, "entries", "moment table"), "entries")
-    values = np.full((max_m + 1, max_n + 1), np.nan)
+    # Coverage is decided from the entries, so that a declared rectangle
+    # far larger than the entries is refused before anything is allocated.
+    given = {}
     for i, entry in enumerate(entries):
         row = _expect_list(entry, f"entries[{i}]")
         _expect(len(row) == 3, f"entries[{i}] must be [m, n, s]")
@@ -146,14 +148,17 @@ def moment_table_from_json(obj) -> MomentTable:
         s = _expect_real(row[2], f"entries[{i}][2]")
         _expect(0 <= m <= max_m and 0 <= n <= max_n,
                 f"entries[{i}] index ({m}, {n}) outside the rectangle")
-        _expect(np.isnan(values[m, n]),
+        _expect((m, n) not in given,
                 f"entries[{i}] duplicates index ({m}, {n})")
+        given[m, n] = s
+    if len(given) < (max_m + 1) * (max_n + 1):
+        # Row-major scan: at most len(given) + 1 steps to the first gap.
+        m, n = next((m, n) for m in range(max_m + 1)
+                    for n in range(max_n + 1) if (m, n) not in given)
+        raise SchemaError(f"moment table is missing entry ({m}, {n})")
+    values = np.empty((max_m + 1, max_n + 1))
+    for (m, n), s in given.items():
         values[m, n] = s
-    missing = np.argwhere(np.isnan(values))
-    _expect(missing.size == 0,
-            "moment table is missing entry "
-            f"({int(missing[0][0])}, {int(missing[0][1])})"
-            if missing.size else "")
     return MomentTable(max_m, max_n, values)
 
 

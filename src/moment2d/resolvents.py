@@ -45,7 +45,7 @@ from .cayley import (ContractionParameter, IsometricPair,
                      commutation_check, constant_admissibility,
                      extend_isometry)
 from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
-                     Tolerances)
+                     STRUCTURE_TOL, Tolerances)
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, PointMismatchError,
@@ -114,15 +114,13 @@ class ResolventSample:
 
     ``kind`` is ``"u"`` for ``z``-type points (disk/circle-exterior
     coordinates) and ``"s"`` for ``lam``-type points; ``matrix`` is the
-    value compressed to the state space and ``scalar`` optionally holds
-    the ``(. h00, h00)`` entry.
+    value compressed to the state space.
     """
 
     kind: str
     p1: complex
     p2: complex
     matrix: np.ndarray
-    scalar: complex | None = None
 
     def __post_init__(self):
         if self.kind not in ("u", "s"):
@@ -130,8 +128,6 @@ class ResolventSample:
         object.__setattr__(self, "p1", complex(self.p1))
         object.__setattr__(self, "p2", complex(self.p2))
         object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
-        if self.scalar is not None:
-            object.__setattr__(self, "scalar", complex(self.scalar))
 
 
 def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
@@ -179,8 +175,8 @@ def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
 
 
 def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
-                           h_embed: np.ndarray, z1: complex, z2: complex, *,
-                           tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                           h_embed: np.ndarray, z1: complex,
+                           z2: complex) -> np.ndarray:
     """Compression of ``U1(z1) U2(z2)`` to the embedded subspace.
 
     ``h_embed`` is an orthonormal basis of the subspace (identity for
@@ -191,7 +187,7 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
     h = as_complex_matrix(h_embed)
     comm = float(np.linalg.norm(u1 @ u2 - u2 @ u1))
     scale = max(1.0, float(np.linalg.norm(u1)) * float(np.linalg.norm(u2)))
-    if comm > tolerances.structure_tol * scale:
+    if comm > STRUCTURE_TOL * scale:
         raise CommutationViolatedError(
             f"extension unitaries do not commute (residual {comm:.3e})")
     m = unitary_moebius(u1, z1) @ unitary_moebius(u2, z2)
@@ -225,7 +221,7 @@ def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
         raise AdmissibilityFailedError(
             "parameter is forbidden for this operator (admissibility "
             "criterion failed)")
-    if not commutation_check(iso, phi, tolerances=tolerances):
+    if not commutation_check(iso, phi):
         raise CommutationViolatedError(
             "extended isometry does not commute with the second Cayley "
             "transform")
@@ -270,16 +266,15 @@ def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,
     return complex(np.sum(measure.weights * factors))
 
 
-def correspondence_check(sample_u: ResolventSample, sample_s: ResolventSample,
-                         *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def correspondence_check(sample_u: ResolventSample,
+                         sample_s: ResolventSample) -> bool:
     """Whether a ``z``-type and a ``lam``-type sample are negatives of
     each other at corresponding points.
 
     The points must satisfy ``z_j = (lam_j - i)/(lam_j + i)`` within
     ``MATCH_TOL`` and the ``lam`` points must be valid spectral points;
     violations raise ``PointMismatchError``.  Returns True iff
-    ``sample_u.matrix = -sample_s.matrix`` within
-    ``tolerances.structure_tol``.
+    ``sample_u.matrix = -sample_s.matrix`` within ``STRUCTURE_TOL``.
     """
     if sample_u.kind != "u" or sample_s.kind != "s":
         raise PointMismatchError(
@@ -300,7 +295,7 @@ def correspondence_check(sample_u: ResolventSample, sample_s: ResolventSample,
     if a.shape != b.shape:
         raise ValueError(f"sample shapes differ: {a.shape} vs {b.shape}")
     scale = max(1.0, float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a + b)) <= tolerances.structure_tol * scale
+    return float(np.linalg.norm(a + b)) <= STRUCTURE_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -365,14 +360,12 @@ class TrigMomentTable:
                         self.order_k + np.subtract.outer(k, k)]
         return 0.5 * (m + m.conj().T)
 
-    def psd_check(self, tol: float | None = None) -> tuple:
-        """``(is_psd, min_eigenvalue)`` of the block-Toeplitz matrix."""
+    def psd_check(self) -> tuple:
+        """``(is_psd, min_eigenvalue)`` of the block-Toeplitz matrix, at
+        tolerance ``PSD_TOL_BASE * (1 + mass)``."""
         m = self.block_toeplitz()
-        eigs = np.linalg.eigvalsh(m)
-        min_eig = float(eigs[0])
-        if tol is None:
-            tol = PSD_TOL_BASE * (1.0 + self.mass)
-        return (min_eig >= -tol), min_eig
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        return (min_eig >= -PSD_TOL_BASE * (1.0 + self.mass)), min_eig
 
 
 def trig_moments_from_resolvent(iso: IsometricPair, phi: ContractionParameter,

@@ -21,9 +21,9 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import (ConjugationFactorization, IsometricPair,
-                     build_isometric_pair, godich_lutsenko, inverse_cayley)
-from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, WEIGHT_DROP_TOL,
+from .cayley import (IsometricPair, build_isometric_pair, godich_lutsenko,
+                     inverse_cayley)
+from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
                      Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, StructureViolationError)
@@ -61,6 +61,9 @@ CROSS_POINTS = 5
 CROSS_SEED = 777
 CROSS_TOL = 1e-8
 
+#: Evaluation budget of the least-squares polish in :func:`refine_measure`.
+REFINE_MAX_NFEV = 200
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -95,15 +98,13 @@ class SamplerSpec:
 class CanonicalExtension:
     """One self-adjoint extension generating a canonical solution.
 
-    ``a1_tilde`` is the Hermitian extension of ``A1``; ``u2_used`` is
-    the commutant parameter; ``factorization`` factors ``W2`` into the
-    conjugations ``K, L``; ``u24`` is the linear isometry from ``H2``
-    coordinates onto ``H4`` given by the conjugation composition.
+    ``a1_tilde`` is the Hermitian extension of ``A1``; ``u24`` is the
+    linear isometry from ``H2`` coordinates onto ``H4`` given by the
+    conjugation composition (``godich_lutsenko(iso.w2)`` gives the
+    factorization it is built from).
     """
 
     a1_tilde: np.ndarray
-    u2_used: np.ndarray
-    factorization: ConjugationFactorization
     u24: np.ndarray
 
 
@@ -147,14 +148,13 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
     commutes with ``w2`` up to rounding.  Deterministic under a fixed
     sampler.  An empty ``w2`` yields an empty stream.
     """
-    structure_tol = tolerances.structure_tol
-    w2 = require_unitary(w2, structure_tol, "W2")
+    w2 = require_unitary(w2, STRUCTURE_TOL, "W2")
     d = w2.shape[0]
     if d == 0:
         return
     t, z_mat = scipy.linalg.schur(w2, output="complex")
     off = t - np.diag(np.diagonal(t))
-    if float(np.linalg.norm(off)) > structure_tol * d:
+    if float(np.linalg.norm(off)) > STRUCTURE_TOL * d:
         raise StructureViolationError("W2 is not normal within tolerance")
     eigvals = np.diagonal(t)
     blocks = _cluster_values(eigvals, tolerances.cluster_tol)
@@ -181,8 +181,7 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
 
 
 def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
-                        u2: np.ndarray, *,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> CanonicalExtension:
+                        u2: np.ndarray) -> CanonicalExtension:
     """Self-adjoint extension of ``A1`` from a commutant parameter.
 
     Computes ``W2 = U|_{H2}``, its conjugation factorization ``(K, L)``,
@@ -195,7 +194,6 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; canonical extensions unavailable")
-    structure_tol = tolerances.structure_tol
     n0 = iso.n0_basis
     ninf = iso.ninf_basis
     u = iso.u_matrix
@@ -203,50 +201,48 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     u2 = as_complex_matrix(u2)
     if u2.shape != (d2, d2):
         raise ValueError(f"U2 has shape {u2.shape}, expected ({d2}, {d2})")
-    u2 = require_unitary(u2, structure_tol, "U2")
+    u2 = require_unitary(u2, STRUCTURE_TOL, "U2")
     w2 = iso.w2
     if d2:
         red = float(np.linalg.norm(u @ n0 - n0 @ w2))
-        if red > structure_tol * max(1.0, float(np.linalg.norm(u))):
+        if red > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(u))):
             raise StructureViolationError(
                 f"second Cayley transform does not reduce the defect "
                 f"subspace (residual {red:.3e})")
         comm = float(np.linalg.norm(u2 @ w2 - w2 @ u2))
-        if comm > structure_tol * max(1.0, float(np.linalg.norm(w2))):
+        if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))):
             raise CommutationViolatedError(
                 f"U2 does not commute with W2 (residual {comm:.3e})")
-    factorization = godich_lutsenko(w2, structure_tol)
+    k_matrix = godich_lutsenko(w2).k_matrix
     # J o K is linear: x -> J(K x) = j_matrix conj(n0 K conj(x)).
-    u24 = pair.j_matrix @ np.conj(n0 @ factorization.k_matrix)
+    u24 = pair.j_matrix @ np.conj(n0 @ k_matrix)
     if d2:
         iso_res = float(np.linalg.norm(u24.conj().T @ u24 - np.eye(d2)))
-        if iso_res > structure_tol * d2:
+        if iso_res > STRUCTURE_TOL * d2:
             raise StructureViolationError(
                 f"U24 is not isometric (residual {iso_res:.3e})")
-        if subspace_residual(ninf, u24) > structure_tol:
+        if subspace_residual(ninf, u24) > STRUCTURE_TOL:
             raise StructureViolationError(
                 "U24 does not map the defect subspace into H4")
     v_tilde = iso.v_on_space()
     if d2:
         v_tilde = v_tilde + u24 @ u2 @ n0.conj().T
-    if not is_unitary(v_tilde, structure_tol * 10):
+    if not is_unitary(v_tilde, STRUCTURE_TOL * 10):
         raise StructureViolationError("extended isometry is not unitary")
-    a1_tilde = inverse_cayley(v_tilde, FIXED_POINT_TOL,
-                              structure_tol * 10)
+    a1_tilde = inverse_cayley(v_tilde, STRUCTURE_TOL * 10)
     ext_res = float(np.linalg.norm(a1_tilde @ pair.a1_domain - pair.a1_action))
     scale = max(1.0, float(np.linalg.norm(pair.a1_action)))
-    if ext_res > structure_tol * 100 * scale:
+    if ext_res > STRUCTURE_TOL * 100 * scale:
         raise StructureViolationError(
             f"extension does not restrict to A1 (residual {ext_res:.3e})")
     a2 = pair.full_matrix(2)
     comm = float(np.linalg.norm(a1_tilde @ a2 - a2 @ a1_tilde))
     comm_scale = max(1.0, float(np.linalg.norm(a1_tilde))
                      * float(np.linalg.norm(a2)))
-    if comm > structure_tol * 100 * comm_scale:
+    if comm > STRUCTURE_TOL * 100 * comm_scale:
         raise StructureViolationError(
             f"extension does not commute with A2 (residual {comm:.3e})")
-    return CanonicalExtension(a1_tilde=a1_tilde, u2_used=u2,
-                              factorization=factorization, u24=u24)
+    return CanonicalExtension(a1_tilde=a1_tilde, u24=u24)
 
 
 def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
@@ -266,7 +262,6 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     dropped, and atoms within ``tolerances.atom_merge_tol`` of each
     other (found by sorting) are merged.
     """
-    structure_tol = tolerances.structure_tol
     cluster_tol = tolerances.cluster_tol
     merge_tol = tolerances.atom_merge_tol
     a1 = as_complex_matrix(a1)
@@ -275,11 +270,12 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     n = a1.shape[0]
     if a1.shape != (n, n) or a2.shape != (n, n) or h.shape[0] != n:
         raise ValueError("dimension mismatch between operators and h00")
-    if not (is_hermitian(a1, structure_tol) and is_hermitian(a2, structure_tol)):
+    if not (is_hermitian(a1, STRUCTURE_TOL)
+            and is_hermitian(a2, STRUCTURE_TOL)):
         raise StructureViolationError("operators must be Hermitian")
     op_scale = max(1.0, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)))
     comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
-    if comm > structure_tol * op_scale * op_scale:
+    if comm > STRUCTURE_TOL * op_scale * op_scale:
         raise CommutationViolatedError(
             f"operators do not commute (residual {comm:.3e})")
     rng = np.random.default_rng(COMBINATION_SEED)
@@ -413,15 +409,15 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int, *,
         rows.append([complex(np.vdot(pair.h00, v)) for v in row])
     values = np.asarray(rows)
     worst = float(np.max(np.abs(values.imag)))
-    if worst > tolerances.structure_tol * (
+    if worst > STRUCTURE_TOL * (
             1.0 + float(np.max(np.abs(values)))):
         raise StructureViolationError(
             f"pair moments are not real (max imaginary part {worst:.3e})")
     return MomentTable(len(rows) - 1, max_n, values.real)
 
 
-def refine_measure(measure: AtomicMeasure, table: MomentTable,
-                   max_nfev: int = 200) -> AtomicMeasure:
+def refine_measure(measure: AtomicMeasure,
+                   table: MomentTable) -> AtomicMeasure:
     """Polish atoms and weights against the table by least squares.
 
     Gauss-Newton style refinement of the moment residuals with analytic
@@ -469,7 +465,7 @@ def refine_measure(measure: AtomicMeasure, table: MomentTable,
     upper = np.full(3 * k, np.inf)
     result = scipy.optimize.least_squares(
         residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
-        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
+        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=REFINE_MAX_NFEV)
     t1, t2, w = unpack(result.x)
     points = np.stack([t1, t2], axis=1)
     return AtomicMeasure(points, w, measure.merge_tol).sorted()
@@ -585,7 +581,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
                                        CROSS_VALIDATION_POINTS)
     for u2, label in zip(stream, labels):
         try:
-            ext = canonical_extension(pair, iso, u2, tolerances=tolerances)
+            ext = canonical_extension(pair, iso, u2)
         except FixedPointError as exc:
             if on_reject is not None:
                 on_reject(label, exc)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -17,6 +18,7 @@ from moment2d import (
     SamplerSpec,
     SchemaError,
     SymmetricPair,
+    Tolerances,
     e1,
     e2,
     e3,
@@ -538,3 +540,101 @@ def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None
     assert moment2d.__version__ == match.group(1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "e2-table.json"],
+    ["solve-canonical", "e3-pair.json"],
+    ["eval-resolvent", "e3-pair.json"],
+    ["verify", "e2-measure.json", "e2-table.json"],
+], ids=lambda argv: argv[0])
+def test_cli_every_tolerance_field_is_settable(argv, tmp_path: Path,
+                                               monkeypatch, capsys):
+    files = _write_demo(tmp_path, capsys)
+    argv = [argv[0]] + [str(files[name]) for name in argv[1:]]
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    values = {name: (i + 1) * 1e-3 for i, name in enumerate(names)}
+    seen = []
+
+    def spy(args, config):
+        seen.append(dataclasses.asdict(real(args, config)))
+        raise SchemaError("stop after the tolerances")
+
+    real = cli._tolerances
+    monkeypatch.setattr(cli, "_tolerances", spy)
+    flags = [f"--{name.replace('_', '-')}={value!r}"
+             for name, value in values.items()]
+    assert main(argv + flags) == 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    assert main(argv + ["--config", str(config)]) == 1
+    assert seen == [values, values]
+
+
+def test_cli_config_keys_the_subcommand_does_not_read_are_errors(
+        tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    measure = json.loads(files["e2-measure.json"].read_text())
+    measure["atoms"][0][2] += 1e-9
+    measure_path = tmp_path / "m.json"
+    measure_path.write_text(json.dumps(measure))
+    config = tmp_path / "c.json"
+
+    def verify(keys: dict) -> int:
+        config.write_text(json.dumps(keys))
+        return main(["verify", str(measure_path), str(files["e2-table.json"]),
+                     "--config", str(config)])
+
+    assert verify({"verify_tol": 1e-12}) == 2
+    capsys.readouterr()
+    for key in ("verify-tol", "verfy_tol"):
+        assert verify({key: 1e-12}) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config key {key!r} is not read by verify")
+    for key in ("phi", "refine", "output", "carleman_variant"):
+        config.write_text(json.dumps({key: "x"}))
+        assert main(["eval-resolvent", str(files["e3-pair.json"]),
+                     "--config", str(config)]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_valid_config_per_subcommand_gives_unchanged_output(
+        tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    table, pair = str(files["e2-table.json"]), str(files["e3-pair.json"])
+    grid = {"l1_start": "-1+2j", "l1_stop": "1+2j", "l1_count": 3,
+            "l2_start": "2j", "l2_stop": "3j", "l2_count": 2,
+            "format": "json"}
+    cases = [
+        (["check", table], ["--carleman-variant", "single"],
+         {"carleman_variant": "single", "rank_tol": 1e-9}),
+        (["verify", str(files["e2-measure.json"]), table],
+         ["--verify-tol", "1e-8"], {"verify_tol": 1e-8}),
+        (["eval-resolvent", pair],
+         [f"--{key.replace('_', '-')}={value}" for key, value in grid.items()],
+         grid),
+        (["solve-canonical", pair],
+         ["--sampler", "exhaustive-phases", "--phases", "2", "--max-n", "4",
+          "--output-dir", str(tmp_path / "out")],
+         {"sampler": "exhaustive-phases", "phases": 2, "max_n": 4,
+          "output_dir": str(tmp_path / "out")}),
+    ]
+    config = tmp_path / "c.json"
+    for argv, flags, keys in cases:
+        assert main(argv + flags) == 0
+        want = capsys.readouterr()
+        config.write_text(json.dumps(keys))
+        assert main(argv + ["--config", str(config)]) == 0
+        assert capsys.readouterr() == want
+
+
+def test_cli_check_refuses_a_huge_declared_rectangle(tmp_path: Path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"max_m": 10**12, "max_n": 0,
+                                "entries": [[0, 0, 1.0]]}))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: moment table is missing entry (1, 0)\n")
+    with pytest.raises(SchemaError, match=r"missing entry \(0, 1\)"):
+        io.moment_table_from_json({"max_m": 1, "max_n": 1,
+                                   "entries": [[1, 1, 1.0], [0, 0, 1.0]]})
