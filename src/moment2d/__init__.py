@@ -9,7 +9,7 @@ same pipelines on the command line.
 """
 
 from .cayley import (CayleyIsometry, ConjugationFactorization,
-                     ContractionParameter, IsometricPair,
+                     ContractionParameter, ExtensionData, IsometricPair,
                      build_isometric_pair, cayley, commutation_check,
                      constant_admissibility, extend_isometry, fixed_subspace,
                      forbidden_operator, godich_lutsenko, inverse_cayley,
@@ -58,9 +58,10 @@ __all__ = [
     "GnsSpace", "SymmetricPair", "build_gns", "build_operators",
     "quasianalytic_vector_check",
     # Cayley machinery
-    "CayleyIsometry", "IsometricPair", "ContractionParameter",
-    "ConjugationFactorization", "cayley", "inverse_cayley",
-    "build_isometric_pair", "extend_isometry", "godich_lutsenko",
+    "CayleyIsometry", "IsometricPair", "ExtensionData",
+    "ContractionParameter", "ConjugationFactorization", "cayley",
+    "inverse_cayley", "build_isometric_pair", "extend_isometry",
+    "godich_lutsenko",
     "fixed_subspace", "strip_fixed_elements", "forbidden_operator",
     "constant_admissibility", "commutation_check", "minimal_subspace",
     # resolvents

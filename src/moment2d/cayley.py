@@ -37,6 +37,7 @@ outside that shortcut are not supported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,7 @@ from .linalg import (as_complex_matrix, complement_basis, empty_basis,
 __all__ = [
     "CayleyIsometry",
     "IsometricPair",
+    "ExtensionData",
     "ContractionParameter",
     "ConjugationFactorization",
     "cayley",
@@ -91,6 +93,27 @@ class CayleyIsometry:
     range: np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class ExtensionData:
+    """The part of every canonical extension of ``A1`` that does not
+    depend on the commutant parameter ``U2``.
+
+    ``u24`` is the linear isometry ``U24 = J o K : H2 -> H4`` from
+    ``n0_basis`` coordinates to space coordinates, with ``K`` the first
+    factor of ``godich_lutsenko(W2)``; ``v_space`` is
+    :meth:`IsometricPair.v_on_space`.  Both arrays are read-only, since
+    every extension built from the pair shares them.
+    """
+
+    u24: np.ndarray
+    v_space: np.ndarray
+
+
 @dataclass(frozen=True)
 class IsometricPair:
     """Cayley transform of ``A1`` together with the unitary Cayley
@@ -98,7 +121,10 @@ class IsometricPair:
 
     The subspaces ``H1 = D(V)``, ``H2 = N0(V)``, ``H3 = R(V)``,
     ``H4 = Ninf(V)`` are all stored as orthonormal column bases; ``U``
-    leaves each of them invariant.
+    leaves each of them invariant.  ``j_matrix`` is the conjugation
+    ``J`` of the pair (``x -> j_matrix @ conj(x)``).  ``w2`` and
+    ``extension_data`` are computed on first use and kept on the
+    instance; they are read-only arrays.
     """
 
     dim: int
@@ -108,15 +134,52 @@ class IsometricPair:
     n0_basis: np.ndarray
     ninf_basis: np.ndarray
     u_matrix: np.ndarray
+    j_matrix: np.ndarray
 
     @property
     def defect_dim(self) -> int:
         return self.n0_basis.shape[1]
 
-    @property
+    @cached_property
     def w2(self) -> np.ndarray:
         """``W2 = U|_{N0}`` in ``n0_basis`` coordinates."""
-        return self.n0_basis.conj().T @ self.u_matrix @ self.n0_basis
+        return _read_only(self.n0_basis.conj().T @ self.u_matrix
+                          @ self.n0_basis)
+
+    @cached_property
+    def extension_data(self) -> ExtensionData:
+        """Parameter-independent data of the canonical extensions.
+
+        Gates, in order: ``U N0 = N0 W2`` (the second Cayley transform
+        reduces the defect subspace), the conjugation factorization
+        ``godich_lutsenko(W2)``, and ``U24`` isometric with range in
+        ``H4``.  A failing gate raises (``StructureViolationError``, or
+        the error of :func:`godich_lutsenko`) and nothing is kept, so
+        every later access raises it again.
+        """
+        n0 = self.n0_basis
+        u = self.u_matrix
+        w2 = self.w2
+        d2 = n0.shape[1]
+        if d2:
+            red = float(np.linalg.norm(u @ n0 - n0 @ w2))
+            if red > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(u))):
+                raise StructureViolationError(
+                    f"second Cayley transform does not reduce the defect "
+                    f"subspace (residual {red:.3e})")
+        k_matrix = godich_lutsenko(w2).k_matrix
+        # J o K is linear: x -> J(K x) = j_matrix conj(n0 K conj(x)).
+        u24 = self.j_matrix @ np.conj(n0 @ k_matrix)
+        if d2:
+            iso_res = float(np.linalg.norm(u24.conj().T @ u24 - np.eye(d2)))
+            if iso_res > STRUCTURE_TOL * d2:
+                raise StructureViolationError(
+                    f"U24 is not isometric (residual {iso_res:.3e})")
+            if subspace_residual(self.ninf_basis, u24) > STRUCTURE_TOL:
+                raise StructureViolationError(
+                    "U24 does not map the defect subspace into H4")
+        return ExtensionData(u24=_read_only(u24),
+                             v_space=_read_only(self.v_on_space()))
 
     def parameter_at(self, phi: "ContractionParameter",
                      z: complex = 0.0) -> np.ndarray:
@@ -253,7 +316,8 @@ def build_isometric_pair(pair: SymmetricPair, *,
     leaving ``R(V)`` invariant (hence both defect subspaces), and the
     commutation of ``U`` with ``V`` on ``D(V)``.  Violations raise
     ``StructureViolationError``; a non-self-adjoint ``A2`` raises
-    ``NotSelfAdjointA2Error`` with the defect indices attached.
+    ``NotSelfAdjointA2Error`` with the defect indices attached.  The
+    pair's conjugation ``J`` is kept as ``j_matrix``.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
@@ -290,7 +354,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
                 "U and V do not commute on D(V)")
     return IsometricPair(dim=n, v_domain=iso.domain, v_action=iso.action,
                          v_range=iso.range, n0_basis=n0, ninf_basis=ninf,
-                         u_matrix=u)
+                         u_matrix=u, j_matrix=pair.j_matrix)
 
 
 def extend_isometry(iso: IsometricPair, phi: ContractionParameter,

@@ -42,6 +42,22 @@ TOLERANCE_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 #: Flags whose value is a complex number, which may begin with ``-``.
 COMPLEX_FLAGS = ("--l1-start", "--l1-stop", "--l2-start", "--l2-stop")
 
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+_STRING = ((str,), "a string")
+
+#: The JSON type of every config key, the type of its flag's value (a
+#: JSON ``true`` or ``false`` is never a number).
+CONFIG_TYPES = {
+    **dict.fromkeys(TOLERANCE_FIELDS, _NUMBER),
+    **dict.fromkeys(("count", "seed", "phases", "d_m", "d_n", "max_n",
+                     "l1_count", "l2_count"), _INTEGER),
+    **dict.fromkeys(("sampler", "carleman_variant", "format", "output_dir"),
+                    _STRING),
+    **dict.fromkeys(("l1_start", "l1_stop", "l2_start", "l2_stop"),
+                    ((str, int, float), "a string or a number")),
+}
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -73,13 +89,22 @@ def _load_config(args, keys: tuple = ()) -> dict:
 
 
 def _resolve(args, config: dict, name: str, default):
-    """Flag value, else config-file value, else default."""
+    """Flag value, else config-file value, else default.
+
+    A config value whose JSON type is not ``CONFIG_TYPES[name]`` is a
+    ``SchemaError`` naming the key and the config file.
+    """
     value = getattr(args, name)
     if value is not None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    if name not in config:
+        return default
+    value = config[name]
+    types, what = CONFIG_TYPES[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SchemaError(f"config key {name!r} in {args.config} must be "
+                          f"{what}")
+    return value
 
 
 def _positive(value: float, name: str) -> float:
@@ -100,15 +125,13 @@ def _tolerances(args, config: dict):
 
 def _sampler(args, config: dict) -> SamplerSpec:
     kind = _resolve(args, config, "sampler", "identity-only")
-    count = int(_resolve(args, config, "count", 1))
+    count = _resolve(args, config, "count", 1)
     seed = _resolve(args, config, "seed", None)
-    phases = int(_resolve(args, config, "phases", 4))
+    phases = _resolve(args, config, "phases", 4)
     if kind == "haar-random" and seed is None:
         raise SchemaError("sampler haar-random requires --seed")
     try:
-        return SamplerSpec(kind=kind, count=count,
-                           seed=None if seed is None else int(seed),
-                           phases=phases)
+        return SamplerSpec(kind=kind, count=count, seed=seed, phases=phases)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -183,12 +206,8 @@ def cmd_solve_canonical(args) -> int:
 
     count = 0
     for report in solve_canonical(
-            source, sampler=sampler,
-            d_m=None if d_m is None else int(d_m),
-            d_n=None if d_n is None else int(d_n),
-            max_n=None if max_n is None else int(max_n),
-            tolerances=tolerances, refine=bool(args.refine),
-            on_reject=on_reject):
+            source, sampler=sampler, d_m=d_m, d_n=d_n, max_n=max_n,
+            tolerances=tolerances, refine=args.refine, on_reject=on_reject):
         path = os.path.join(out_dir, f"solution-{count:04d}.json")
         io.write_json(io.report_to_json(report), path)
         sys.stdout.write(
@@ -254,7 +273,7 @@ def _grid(args, config: dict, which: str) -> list:
     if start is None:
         raise SchemaError(f"missing --{which}-start")
     stop = _resolve(args, config, f"{which}_stop", None)
-    count = int(_resolve(args, config, f"{which}_count", 1))
+    count = _resolve(args, config, f"{which}_count", 1)
     if count < 1:
         raise SchemaError(f"--{which}-count must be >= 1")
     z0 = _parse_complex(str(start), f"--{which}-start")

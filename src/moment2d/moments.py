@@ -184,14 +184,20 @@ def moments_of_measure(measure: AtomicMeasure, max_m: int,
 
     This is the independent oracle the rest of the package is verified
     against: ``s_{m,n} = sum_i w_i t1_i^m t2_i^n`` with ``0^0 = 1``.
+    The terms ``w_i t1_i^m t2_i^n`` are one ``(k, max_m + 1, max_n + 1)``
+    array, added to a zero rectangle one atom's slab at a time, in atom
+    order, so every sum is rounded as in a plain per-atom loop.
+    ``np.add.reduce`` over the atom axis would not keep that order: on a
+    1 x 1 rectangle it sums the atoms pairwise.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
+    p1 = measure.points[:, :1] ** np.arange(max_m + 1)
+    p2 = measure.points[:, 1:] ** np.arange(max_n + 1)
+    terms = measure.weights[:, None, None] * (p1[:, :, None] * p2[:, None, :])
     values = np.zeros((max_m + 1, max_n + 1))
-    for t, w in zip(measure.points, measure.weights):
-        p1 = t[0] ** np.arange(max_m + 1)
-        p2 = t[1] ** np.arange(max_n + 1)
-        values += w * np.outer(p1, p2)
+    for term in terms:
+        values += term
     return MomentTable(max_m, max_n, values)
 
 

@@ -21,18 +21,16 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import (IsometricPair, build_isometric_pair, godich_lutsenko,
-                     inverse_cayley)
+from .cayley import IsometricPair, build_isometric_pair, inverse_cayley
 from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
                      Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, StructureViolationError)
 from .gns import SymmetricPair, _shift_step, build_gns, build_operators
 from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
-                     is_unitary, require_unitary, subspace_residual)
+                     is_unitary, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
                       moments_of_measure)
-from .resolvents import pair_resolvent_of_measure
 
 __all__ = [
     "SamplerSpec",
@@ -100,8 +98,8 @@ class CanonicalExtension:
 
     ``a1_tilde`` is the Hermitian extension of ``A1``; ``u24`` is the
     linear isometry from ``H2`` coordinates onto ``H4`` given by the
-    conjugation composition (``godich_lutsenko(iso.w2)`` gives the
-    factorization it is built from).
+    conjugation composition, the read-only array of
+    ``iso.extension_data`` shared by every extension of the pair.
     """
 
     a1_tilde: np.ndarray
@@ -184,49 +182,38 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
                         u2: np.ndarray) -> CanonicalExtension:
     """Self-adjoint extension of ``A1`` from a commutant parameter.
 
-    Computes ``W2 = U|_{H2}``, its conjugation factorization ``(K, L)``,
-    the linear isometry ``U24 = J o K : H2 -> H4``, and the unitary
-    ``V_tilde = V1 (+) (U24 U2)`` whose inverse Cayley transform is the
-    returned Hermitian extension.  A ``u2`` leading to a fixed point of
-    ``V_tilde`` raises ``FixedPointError`` (that parameter is rejected);
-    structural failures (reduction, range of ``U24``, extension or
-    commutation property) raise ``StructureViolationError``.
+    The unitary ``V_tilde = V1 (+) (U24 U2)`` is built from
+    ``iso.extension_data``: ``U24 = J o K : H2 -> H4`` with ``K`` from the
+    conjugation factorization of ``W2 = U|_{H2}``, and ``V`` on ``D(V)``.
+    That data, with its reduction, isometry and range gates, is computed
+    once per :class:`IsometricPair` and shared by every ``u2``.  The
+    inverse Cayley transform of ``V_tilde`` is the returned Hermitian
+    extension.  Per ``u2`` this checks its shape (``ValueError``), its
+    unitarity (``NotUnitaryError``) and its commutation with ``W2``
+    (``CommutationViolatedError``).  A ``u2`` leading to a fixed point
+    of ``V_tilde`` raises ``FixedPointError`` (that parameter is
+    rejected); structural failures (pair-level data, ``V_tilde``
+    unitary, restriction to ``A1``, commutation with ``A2``) raise
+    ``StructureViolationError``.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; canonical extensions unavailable")
     n0 = iso.n0_basis
-    ninf = iso.ninf_basis
-    u = iso.u_matrix
     d2 = n0.shape[1]
     u2 = as_complex_matrix(u2)
     if u2.shape != (d2, d2):
         raise ValueError(f"U2 has shape {u2.shape}, expected ({d2}, {d2})")
     u2 = require_unitary(u2, STRUCTURE_TOL, "U2")
+    data = iso.extension_data
     w2 = iso.w2
     if d2:
-        red = float(np.linalg.norm(u @ n0 - n0 @ w2))
-        if red > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(u))):
-            raise StructureViolationError(
-                f"second Cayley transform does not reduce the defect "
-                f"subspace (residual {red:.3e})")
         comm = float(np.linalg.norm(u2 @ w2 - w2 @ u2))
         if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))):
             raise CommutationViolatedError(
                 f"U2 does not commute with W2 (residual {comm:.3e})")
-    k_matrix = godich_lutsenko(w2).k_matrix
-    # J o K is linear: x -> J(K x) = j_matrix conj(n0 K conj(x)).
-    u24 = pair.j_matrix @ np.conj(n0 @ k_matrix)
+    v_tilde = data.v_space
     if d2:
-        iso_res = float(np.linalg.norm(u24.conj().T @ u24 - np.eye(d2)))
-        if iso_res > STRUCTURE_TOL * d2:
-            raise StructureViolationError(
-                f"U24 is not isometric (residual {iso_res:.3e})")
-        if subspace_residual(ninf, u24) > STRUCTURE_TOL:
-            raise StructureViolationError(
-                "U24 does not map the defect subspace into H4")
-    v_tilde = iso.v_on_space()
-    if d2:
-        v_tilde = v_tilde + u24 @ u2 @ n0.conj().T
+        v_tilde = v_tilde + data.u24 @ u2 @ n0.conj().T
     if not is_unitary(v_tilde, STRUCTURE_TOL * 10):
         raise StructureViolationError("extended isometry is not unitary")
     a1_tilde = inverse_cayley(v_tilde, STRUCTURE_TOL * 10)
@@ -242,7 +229,7 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     if comm > STRUCTURE_TOL * 100 * comm_scale:
         raise StructureViolationError(
             f"extension does not commute with A2 (residual {comm:.3e})")
-    return CanonicalExtension(a1_tilde=a1_tilde, u24=u24)
+    return CanonicalExtension(a1_tilde=a1_tilde, u24=data.u24)
 
 
 def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
@@ -471,30 +458,6 @@ def refine_measure(measure: AtomicMeasure,
     return AtomicMeasure(points, w, measure.merge_tol).sorted()
 
 
-def _a2_resolvent_vectors(a2: np.ndarray, h00: np.ndarray,
-                          points) -> list:
-    """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2`` at
-    each ``(lam1, lam2)`` of ``points``, from one eigendecomposition."""
-    vals, vecs = np.linalg.eigh(a2)
-    coef = vecs.conj().T @ h00
-    return [vecs @ (coef * (1.0 + lam2 * vals) / (vals - lam2))
-            for _, lam2 in points]
-
-
-def _selfadjoint_pair_scalar(a1: np.ndarray, r2h: np.ndarray,
-                             h00: np.ndarray, lam1: complex) -> complex:
-    """Scalar ``((E + lam1 A1)(A1 - lam1)^-1 (E + lam2 A2)(A2 - lam2)^-1
-    h00, h00)`` for commuting Hermitian matrices, given ``r2h``, the
-    ``A2`` factor applied to ``h00`` (:func:`_a2_resolvent_vectors`).
-
-    The ``A1`` factor is one dense vector solve with ``A1 - lam1``, so
-    it does not use the eigenbasis the measure was read from.
-    """
-    n = a1.shape[0]
-    rhs = r2h + lam1 * (a1 @ r2h)
-    return complex(np.vdot(h00, np.linalg.solve(a1 - lam1 * np.eye(n), rhs)))
-
-
 def _cross_validation_points(count: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     points = []
@@ -509,6 +472,51 @@ def _cross_validation_points(count: int, seed: int) -> tuple:
 
 #: The ``(lam1, lam2)`` points of the resolvent cross-check.
 CROSS_VALIDATION_POINTS = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
+_CROSS_LAM1, _CROSS_LAM2 = np.array(CROSS_VALIDATION_POINTS).T
+
+
+def _a2_resolvent_block(a2: np.ndarray, h00: np.ndarray) -> np.ndarray:
+    """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2``, one
+    column per ``lam2`` of :data:`CROSS_VALIDATION_POINTS`, from one
+    eigendecomposition."""
+    vals, vecs = np.linalg.eigh(a2)
+    coef = (vecs.conj().T @ h00)[:, None]
+    vals = vals[:, None]
+    return vecs @ (coef * (1.0 + _CROSS_LAM2 * vals) / (vals - _CROSS_LAM2))
+
+
+def _resolvent_cross_check(a1: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
+                           measure: AtomicMeasure):
+    """Check ``((E + lam1 A1)(A1 - lam1)^-1 (E + lam2 A2)(A2 - lam2)^-1
+    h00, h00)`` against the atomic-sum kernel of ``measure`` at every
+    point of :data:`CROSS_VALIDATION_POINTS`, within ``CROSS_TOL``
+    relative; the first failing point raises
+    ``StructureViolationError``.
+
+    ``r2h`` is the ``A2`` factor applied to ``h00``
+    (:func:`_a2_resolvent_block`).  The ``A1`` factor is one stacked
+    dense solve with ``A1 - lam1``, so it does not use the eigenbasis
+    the measure was read from; the kernel is one ``(points, atoms)``
+    array.
+    """
+    lam1 = _CROSS_LAM1[:, None]
+    rhs = (r2h + _CROSS_LAM1 * (a1 @ r2h)).T[..., None]
+    shifted = a1 - lam1[..., None] * np.eye(a1.shape[0])
+    lhs = np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+    t1 = measure.points[:, 0]
+    t2 = measure.points[:, 1]
+    lam2 = _CROSS_LAM2[:, None]
+    kernel = (((1.0 + lam1 * t1) / (t1 - lam1))
+              * ((1.0 + lam2 * t2) / (t2 - lam2)))
+    value = np.sum(measure.weights * kernel, axis=1)
+    failed = np.flatnonzero(np.abs(lhs - value)
+                            > CROSS_TOL * (1.0 + np.abs(value)))
+    if failed.size:
+        j = failed[0]
+        lam1_j, lam2_j = CROSS_VALIDATION_POINTS[j]
+        raise StructureViolationError(
+            f"resolvent cross-validation failed at ({lam1_j}, {lam2_j}): "
+            f"|{complex(lhs[j])} - {complex(value[j])}| > {CROSS_TOL}")
 
 
 def _sampler_label(sampler: SamplerSpec, idx: int) -> str:
@@ -531,19 +539,28 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     are built at rectangle ``(d_m, d_n)``, defaulting to the largest the
     table supports) or a :class:`SymmetricPair` (operator-driven path,
     verified against the pair moments reachable through the domains, up
-    to column degree ``max_n``).  Each commutant parameter ``U2`` from
-    the sampler yields one report; in the determinate case the stream
-    holds exactly one report regardless of the sampler.
+    to column degree ``max_n``).  ``d_m``, ``d_n`` and ``refine`` apply
+    to a table only and ``max_n`` to a pair only; passing one to the
+    other kind of input raises ``ValueError`` naming it.  Each commutant
+    parameter ``U2`` from the sampler yields one report; in the
+    determinate case the stream holds exactly one report regardless of
+    the sampler.  The pair-level extension data
+    (``IsometricPair.extension_data``) is built once for the whole
+    stream, by the first :func:`canonical_extension` call.
 
     Every emitted measure is cross-validated: the scalar pair resolvent
     of the extension equals the atomic-sum kernel of the measure at
     ``CROSS_POINTS`` seeded random points within ``CROSS_TOL`` (else
-    ``StructureViolationError``).  Parameters whose extended isometry
-    has a fixed point are skipped after calling ``on_reject(label,
-    error)`` when given.  With ``refine`` (table input only) atoms and
-    weights are polished against the table before verification.
+    ``StructureViolationError`` naming the first failing point).
+    Parameters whose extended isometry has a fixed point are skipped
+    after calling ``on_reject(label, error)`` when given.  With
+    ``refine`` atoms and weights are polished against the table before
+    verification.
     """
     if isinstance(source, MomentTable):
+        if max_n is not None:
+            raise ValueError("max_n applies to an operator pair, not to a "
+                             "moment table")
         table = source
         if d_m is None:
             d_m = table.max_m // 2
@@ -554,6 +571,11 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         ref_table = table
         from_table = True
     elif isinstance(source, SymmetricPair):
+        for name, given in (("d_m", d_m is not None),
+                            ("d_n", d_n is not None), ("refine", refine)):
+            if given:
+                raise ValueError(f"{name} applies to a moment table, not to "
+                                 f"an operator pair")
         pair = source
         from_table = False
     else:
@@ -577,8 +599,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         stream = enumerate_commutant_unitaries(iso.w2, sampler,
                                                tolerances=tolerances)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
-    a2_vectors = _a2_resolvent_vectors(a2_full, pair.h00,
-                                       CROSS_VALIDATION_POINTS)
+    a2_block = _a2_resolvent_block(a2_full, pair.h00)
     for u2, label in zip(stream, labels):
         try:
             ext = canonical_extension(pair, iso, u2)
@@ -588,14 +609,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
             continue
         measure = joint_spectral_measure(ext.a1_tilde, a2_full, pair.h00,
                                          tolerances=tolerances)
-        for (lam1, lam2), r2h in zip(CROSS_VALIDATION_POINTS, a2_vectors):
-            lhs = _selfadjoint_pair_scalar(ext.a1_tilde, r2h, pair.h00, lam1)
-            rhs = pair_resolvent_of_measure(measure, lam1, lam2)
-            if abs(lhs - rhs) > CROSS_TOL * (1.0 + abs(rhs)):
-                raise StructureViolationError(
-                    f"resolvent cross-validation failed at ({lam1}, {lam2}): "
-                    f"|{lhs} - {rhs}| > {CROSS_TOL}")
-        if refine and from_table:
+        _resolvent_cross_check(ext.a1_tilde, a2_block, pair.h00, measure)
+        if refine:
             measure = refine_measure(measure, ref_table)
         yield verify_solution(measure, ref_table, determinate=determinate,
                               u2_seed=label, tolerances=tolerances)

@@ -247,3 +247,41 @@ def complex_matrix_per_cell(rows: list, width: int) -> np.ndarray:
         for j, (re, im) in enumerate(row):
             out[i, j] = complex(float(re), float(im))
     return out
+
+
+def moments_of_measure_per_atom(measure, max_m: int,
+                                max_n: int) -> np.ndarray:
+    """Moment rectangle of an atomic measure, adding one atom's outer
+    product of powers at a time, in atom order, to a zero array."""
+    values = np.zeros((max_m + 1, max_n + 1))
+    for t, w in zip(measure.points, measure.weights):
+        p1 = t[0] ** np.arange(max_m + 1)
+        p2 = t[1] ** np.arange(max_n + 1)
+        values += w * np.outer(p1, p2)
+    return values
+
+
+def resolvent_cross_check_per_point(a1: np.ndarray, a2: np.ndarray,
+                                    h00: np.ndarray, measure, points,
+                                    tol: float):
+    """The resolvent cross-check of a solution, one point at a time.
+
+    At each ``(lam1, lam2)``: the ``A2`` factor applied to ``h00`` from
+    the eigendecomposition of ``A2``, one dense vector solve with
+    ``A1 - lam1``, and the atomic-sum kernel of ``measure``.  Returns
+    ``(lam1, lam2, lhs, rhs)`` at the first point where ``|lhs - rhs| >
+    tol (1 + |rhs|)``, or None when every point passes.
+    """
+    from moment2d.resolvents import pair_resolvent_of_measure
+    n = a1.shape[0]
+    vals, vecs = np.linalg.eigh(a2)
+    coef = vecs.conj().T @ h00
+    for lam1, lam2 in points:
+        r2h = vecs @ (coef * (1.0 + lam2 * vals) / (vals - lam2))
+        rhs_vec = r2h + lam1 * (a1 @ r2h)
+        lhs = complex(np.vdot(h00, np.linalg.solve(a1 - lam1 * np.eye(n),
+                                                   rhs_vec)))
+        rhs = pair_resolvent_of_measure(measure, lam1, lam2)
+        if abs(lhs - rhs) > tol * (1.0 + abs(rhs)):
+            return lam1, lam2, lhs, rhs
+    return None

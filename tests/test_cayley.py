@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,7 +227,8 @@ def test_forbidden_operator_requires_direct_sum():
     e2_col = np.eye(2, dtype=complex)[:, [1]]
     iso = IsometricPair(dim=2, v_domain=e1_col, v_action=-e1_col,
                         v_range=e1_col, n0_basis=e2_col, ninf_basis=e1_col,
-                        u_matrix=np.eye(2, dtype=complex))
+                        u_matrix=np.eye(2, dtype=complex),
+                        j_matrix=np.eye(2, dtype=complex))
     assert subspace_residual(iso.operator_domain(), e1_col) < 1e-12
     with pytest.raises(NotDirectSumError):
         forbidden_operator(iso)
@@ -314,3 +317,55 @@ def test_explicit_extension_matches_oracle():
     lib = extend_isometry(iso, ContractionParameter.const(phi_good))
     direct = oracles.explicit_extension_matrix(iso, phi_good)
     assert np.max(np.abs(lib - direct)) < 1e-12
+
+
+def test_per_parameter_gates_run_after_the_pair_data_is_cached():
+    pair = _two_block_pair()
+    iso = build_isometric_pair(pair)
+    canonical_extension(pair, iso, np.eye(2, dtype=complex))
+    assert "extension_data" in vars(iso)
+    # W2 has two distinct eigenvalues, so swapping the channels does not
+    # commute with it.
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(CommutationViolatedError,
+                       match=r"^U2 does not commute with W2 \(residual "):
+        canonical_extension(pair, iso, swap)
+    with pytest.raises(NotUnitaryError):
+        canonical_extension(pair, iso, 0.5 * np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+        canonical_extension(pair, iso, np.eye(1, dtype=complex))
+
+
+def test_a_failing_pair_level_gate_raises_on_every_parameter():
+    pair = _two_block_pair()
+    iso = dataclasses.replace(build_isometric_pair(pair),
+                              j_matrix=2.0 * np.eye(6, dtype=complex))
+    for phase in (1.0, -1.0):
+        with pytest.raises(StructureViolationError,
+                           match=r"^U24 is not isometric \(residual "):
+            canonical_extension(pair, iso, phase * np.eye(2, dtype=complex))
+    assert "extension_data" not in vars(iso)
+
+
+def test_isometric_pairs_never_share_cached_data():
+    pair = _two_block_pair()
+    first = build_isometric_pair(pair)
+    second = build_isometric_pair(pair)
+    other = build_isometric_pair(e3().pair)
+    data = [iso.extension_data for iso in (first, second, other)]
+    assert first.extension_data is data[0]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert data[a] is not data[b]
+        for name in ("u24", "v_space"):
+            assert not np.shares_memory(getattr(data[a], name),
+                                        getattr(data[b], name))
+    assert np.array_equal(data[0].u24, data[1].u24)
+    # A copy starts without the cache of the instance it was made from.
+    assert "extension_data" not in vars(dataclasses.replace(first))
+    # The shared arrays cannot be written through an extension.
+    ext = canonical_extension(pair, first, np.eye(2, dtype=complex))
+    assert ext.u24 is data[0].u24
+    with pytest.raises(ValueError, match="read-only"):
+        ext.u24[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.w2[0, 0] = 0.0

@@ -638,3 +638,73 @@ def test_cli_check_refuses_a_huge_declared_rectangle(tmp_path: Path, capsys):
     with pytest.raises(SchemaError, match=r"missing entry \(0, 1\)"):
         io.moment_table_from_json({"max_m": 1, "max_n": 1,
                                    "entries": [[1, 1, 1.0], [0, 0, 1.0]]})
+
+
+@pytest.mark.parametrize("command, key, value, what", [
+    ("check", "rank_tol", True, "a number"),
+    ("check", "psd_tol", None, "a number"),
+    ("verify", "verify_tol", "1e-3", "a number"),
+    ("check", "carleman_variant", 1, "a string"),
+    ("solve-canonical", "count", "x", "an integer"),
+    ("solve-canonical", "seed", True, "an integer"),
+    ("solve-canonical", "phases", 2.7, "an integer"),
+    ("solve-canonical", "d_m", 1.0, "an integer"),
+    ("solve-canonical", "max_n", None, "an integer"),
+    ("solve-canonical", "sampler", ["identity-only"], "a string"),
+    ("solve-canonical", "output_dir", 5, "a string"),
+    ("eval-resolvent", "l1_count", "3", "an integer"),
+    ("eval-resolvent", "format", False, "a string"),
+    ("eval-resolvent", "l1_start", [0, 2], "a string or a number"),
+    ("eval-resolvent", "l2_stop", True, "a string or a number"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_cli_config_values_must_have_the_flag_type(command, key, value, what,
+                                                   tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    inputs = {"check": ["e2-table.json"],
+              "verify": ["e2-measure.json", "e2-table.json"],
+              "solve-canonical": ["e2-table.json"],
+              "eval-resolvent": ["e3-pair.json"]}[command]
+    config = tmp_path / "c.json"
+    keys = {key: value}
+    if command == "eval-resolvent":
+        keys = {"l1_start": "2j", "l2_start": "2j", **keys}
+    config.write_text(json.dumps(keys))
+    argv = [command] + [str(files[name]) for name in inputs]
+    assert main(argv + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r} in {config} must be {what}\n")
+
+
+def test_cli_config_grid_ends_may_be_numbers(tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    pair = str(files["e3-pair.json"])
+    assert main(["eval-resolvent", pair, "--l1-start", "2j",
+                 "--l2-start", "0.5"]) == 0
+    want = capsys.readouterr()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"l1_start": "2j", "l2_start": 0.5}))
+    assert main(["eval-resolvent", pair, "--config", str(config)]) == 0
+    assert capsys.readouterr() == want
+
+
+def test_cli_solve_canonical_refuses_options_of_the_other_input(
+        tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    pair, table = str(files["e3-pair.json"]), str(files["e2-table.json"])
+    config = tmp_path / "c.json"
+    out = ["--output-dir", str(tmp_path / "out")]
+    config.write_text(json.dumps({"d_n": 1}))
+    for argv, name in (([pair, "--d-m", "7", "--refine"], "d_m"),
+                       ([pair, "--refine"], "refine"),
+                       ([pair, "--config", str(config)], "d_n")):
+        assert main(["solve-canonical"] + argv + out) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {name} applies to a moment table, not to an "
+                f"operator pair\n")
+    config.write_text(json.dumps({"max_n": 3}))
+    for argv in ([table, "--max-n", "3"], [table, "--config", str(config)]):
+        assert main(["solve-canonical"] + argv + out) == 1
+        assert capsys.readouterr() == (
+            "", "error: max_n applies to an operator pair, not to a moment "
+                "table\n")
+    assert not list((tmp_path / "out").iterdir())

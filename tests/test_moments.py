@@ -87,6 +87,23 @@ def test_moments_of_measure_matches_direct_summation():
         assert np.max(np.abs(table.values - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 40])
+def test_moments_of_measure_is_bit_identical_to_the_per_atom_loop(k):
+    rng = np.random.default_rng(100 + k)
+    pts = rng.uniform(-2.0, 2.0, size=(k, 2))
+    if k:
+        # Negative zeros in either coordinate.
+        pts[0, 0] = -0.0
+        pts[-1, 1] = -0.0
+    mu = AtomicMeasure(pts, rng.uniform(0.1, 1.0, size=k))
+    for max_m, max_n in ((0, 0), (0, 80), (20, 20)):
+        got = moments_of_measure(mu, max_m, max_n).values
+        want = oracles.moments_of_measure_per_atom(mu, max_m, max_n)
+        assert got.shape == want.shape == (max_m + 1, max_n + 1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_moment_matrix_of_two_point_measure():
     table = moments_of_measure(_two_point_measure(), 2, 2)
     gram = moment_matrix(table, 1, 1)

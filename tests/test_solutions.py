@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from moment2d import (
     e1,
     e2,
     e3,
+    e3_class,
     enumerate_commutant_unitaries,
     joint_spectral_measure,
     moments_from_pair,
@@ -32,7 +36,9 @@ from moment2d import (
 )
 from moment2d.config import ATOM_MERGE_TOL, CLUSTER_TOL, WEIGHT_DROP_TOL
 from moment2d.linalg import haar_unitary, is_unitary
-from moment2d.solutions import COMBINATION_SEED, MAX_COMBINATIONS
+from moment2d import solutions
+from moment2d.solutions import (COMBINATION_SEED, CROSS_TOL,
+                                CROSS_VALIDATION_POINTS, MAX_COMBINATIONS)
 
 import oracles
 
@@ -387,3 +393,115 @@ def test_verify_solution_reads_verify_tol():
     loose = Tolerances(verify_tol=1e-5)
     assert verify_solution(scenario.measure, table,
                            tolerances=loose).passed is True
+
+
+def _first_extension(pair):
+    """Cayley data and the first non-rejected canonical extension of a
+    pair over four phases."""
+    iso = build_isometric_pair(pair)
+    for u2 in enumerate_commutant_unitaries(
+            iso.w2, SamplerSpec("exhaustive-phases", phases=4)):
+        try:
+            return iso, canonical_extension(pair, iso, u2)
+        except FixedPointError:
+            continue
+    raise AssertionError("every parameter was rejected")
+
+
+def _cross_check_failure(a1, a2, h00, measure):
+    """``(lam1, lam2)`` named by the batched cross-check, or None."""
+    try:
+        solutions._resolvent_cross_check(
+            a1, solutions._a2_resolvent_block(a2, h00), h00, measure)
+    except StructureViolationError as exc:
+        found = re.match(r"resolvent cross-validation failed at "
+                         r"\((\S+), (\S+)\):", str(exc))
+        assert found is not None, str(exc)
+        return complex(found.group(1)), complex(found.group(2))
+    return None
+
+
+@pytest.mark.parametrize("setup", [None, (10, 1, 3), (20, 2, 5), (40, 3, 7)],
+                         ids=["e3", "e3_class-10-1-3", "e3_class-20-2-5",
+                              "e3_class-40-3-7"])
+def test_batched_cross_check_decides_as_the_per_point_oracle(setup):
+    pair = e3().pair if setup is None else e3_class(*setup).pair
+    iso, ext = _first_extension(pair)
+    a2 = pair.full_matrix(2)
+    measure = joint_spectral_measure(ext.a1_tilde, a2, pair.h00)
+    rng = np.random.default_rng(11)
+    decisions = set()
+    for scale in (0.0, 1e-12, 1e-9, 3e-8, 1e-7, 1e-6, 1e-3):
+        noise = rng.normal(size=measure.weights.shape)
+        for perturbed in (
+                AtomicMeasure(measure.points,
+                              measure.weights * (1.0 + scale * noise ** 2)),
+                AtomicMeasure(measure.points + scale * rng.normal(
+                    size=measure.points.shape), measure.weights)):
+            want = oracles.resolvent_cross_check_per_point(
+                ext.a1_tilde, a2, pair.h00, perturbed,
+                CROSS_VALIDATION_POINTS, CROSS_TOL)
+            got = _cross_check_failure(ext.a1_tilde, a2, pair.h00, perturbed)
+            assert got == (None if want is None else want[:2])
+            decisions.add(got)
+    # Both outcomes occur on every pair.
+    assert None in decisions and len(decisions) > 1
+
+
+def test_cross_check_names_the_first_failing_point(monkeypatch):
+    pair = e3().pair
+    real = solutions.joint_spectral_measure
+
+    def perturbed(a1, a2, h00, **kwargs):
+        measure = real(a1, a2, h00, **kwargs)
+        return AtomicMeasure(measure.points, measure.weights * (1.0 + 1e-6))
+
+    monkeypatch.setattr(solutions, "joint_spectral_measure", perturbed)
+    iso, ext = _first_extension(pair)
+    a2 = pair.full_matrix(2)
+    lam1, lam2, _, _ = oracles.resolvent_cross_check_per_point(
+        ext.a1_tilde, a2, pair.h00, perturbed(ext.a1_tilde, a2, pair.h00),
+        CROSS_VALIDATION_POINTS, CROSS_TOL)
+    with pytest.raises(StructureViolationError, match=re.escape(
+            f"resolvent cross-validation failed at ({lam1}, {lam2}): |")):
+        list(solve_canonical(pair, sampler=SamplerSpec("exhaustive-phases",
+                                                       phases=4)))
+
+
+def test_solve_canonical_builds_the_pair_data_once(monkeypatch):
+    calls = {"godich_lutsenko": 0, "canonical_extension": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # The package's ``cayley`` attribute is the function of that name.
+    counted(importlib.import_module("moment2d.cayley"), "godich_lutsenko")
+    counted(solutions, "canonical_extension")
+    pair = e3_class(20, 2, 4).pair
+    reports = list(solve_canonical(
+        pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    assert len(reports) >= 3
+    assert calls["canonical_extension"] >= 4
+    assert calls["godich_lutsenko"] == 1
+
+
+def test_solve_canonical_refuses_arguments_of_the_other_input():
+    pair, table = e3().pair, e2().table
+    for kwargs, name in (({"d_m": 0}, "d_m"), ({"d_n": 1}, "d_n"),
+                         ({"refine": True}, "refine"),
+                         ({"d_m": 2, "refine": True}, "d_m")):
+        with pytest.raises(ValueError, match=f"^{name} applies to a "
+                                             f"moment table, not to an "
+                                             f"operator pair"):
+            list(solve_canonical(pair, **kwargs))
+    with pytest.raises(ValueError, match="^max_n applies to an operator pair, "
+                                         "not to a moment table"):
+        list(solve_canonical(table, max_n=3))
+    # The arguments still apply to their own input.
+    assert len(list(solve_canonical(pair, max_n=4))) == 1
+    assert len(list(solve_canonical(table, d_m=1, d_n=1, refine=True))) == 1
