@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -199,7 +200,6 @@ def cmd_solve_canonical(args) -> int:
     d_n = _resolve(args, config, "d_n", None)
     max_n = _resolve(args, config, "max_n", None)
     out_dir = _resolve(args, config, "output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
 
     def on_reject(label: str, exc: FixedPointError):
         sys.stderr.write(f"rejected {label}: {exc}\n")
@@ -208,6 +208,8 @@ def cmd_solve_canonical(args) -> int:
     for report in solve_canonical(
             source, sampler=sampler, d_m=d_m, d_n=d_n, max_n=max_n,
             tolerances=tolerances, refine=args.refine, on_reject=on_reject):
+        if count == 0:
+            os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"solution-{count:04d}.json")
         io.write_json(io.report_to_json(report), path)
         sys.stdout.write(
@@ -215,6 +217,9 @@ def cmd_solve_canonical(args) -> int:
             f"error={_fmt(report.max_abs_moment_error)} "
             f"passed={report.passed} u2={report.u2_seed}\n")
         count += 1
+    # Made only once solve_canonical accepted the input, so a refused run
+    # leaves no directory; a run with no solution still leaves one.
+    os.makedirs(out_dir, exist_ok=True)
     sys.stdout.write(f"solutions written: {count}\n")
     return EXIT_OK
 
@@ -355,7 +360,9 @@ def _add_common(parser: argparse.ArgumentParser):
                             default=None, dest=field)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="moment2d",
         description="Two-dimensional moment problem toolkit: positivity "
@@ -368,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carleman-variant", choices=("pair", "single"),
                    default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve-canonical",
                        help="enumerate canonical solutions")
@@ -384,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true")
     p.add_argument("--output-dir", default=None, dest="output_dir")
     _add_common(p)
-    p.set_defaults(func=cmd_solve_canonical)
 
     p = sub.add_parser("eval-resolvent",
                        help="evaluate the pair resolvent scalar on a grid")
@@ -399,18 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2-count", type=int, default=None, dest="l2_count")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_eval_resolvent)
 
     p = sub.add_parser("verify", help="compare a measure against a table")
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("table", help="moment table JSON file")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="write bundled scenarios and run a "
                                     "small pipeline")
     p.add_argument("--output-dir", default=None, dest="output_dir")
-    p.set_defaults(func=cmd_demo)
     return parser
 
 
@@ -432,14 +434,15 @@ def _attach_complex_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_complex_values(argv))
+        args = build_parser().parse_args(_attach_complex_values(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    # Looked up by name at call time, not bound into the shared parser.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except Moment2dError as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, NotSelfAdjointA2Error) and (

@@ -38,7 +38,9 @@ __all__ = [
 
 
 def _format_float(x: float) -> str:
-    return "%.17g" % float(x)
+    text = "%.17g" % float(x)
+    # "-0" would read back as the integer 0 and lose the sign.
+    return "-0.0" if text == "-0" else text
 
 
 def dumps(obj, indent: int = 0) -> str:

@@ -32,12 +32,19 @@ the full matrix of ``V (+) Phi``, and the admissibility and commutation
 gates do not depend on the point.  :func:`prepare_pair` runs both gates
 and builds that matrix once; the :class:`PreparedPair` it returns is
 the first argument of :func:`pair_resolvent_symmetric`, which then does
-only the per-point solves.
+only the per-point solves.  The value is the product of a factor of
+``z1`` alone and a factor of ``z2`` alone, and the prepared pair keeps
+each factor it solves: on a grid every distinct ``z1`` and every
+distinct ``z2`` is solved once, with the same operations as a lone
+point, so values are bit for bit those of solving every point afresh.
+Each memo keeps its ``FACTOR_MEMO_ENTRIES`` newest points, at most
+``2 * FACTOR_MEMO_ENTRIES * 16 * n^2`` bytes for dimension ``n``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +82,9 @@ REAL_AXIS_TOL = 1e-12
 # Relative distance within which a z-type point matches the Moebius image
 # of its lam-type partner (correspondence_check).
 MATCH_TOL = 1e-10
+
+# Points kept in each factor memo of a PreparedPair; the oldest goes first.
+FACTOR_MEMO_ENTRIES = 64
 
 
 def cayley_point(lam: complex) -> complex:
@@ -199,11 +209,42 @@ class PreparedPair:
     """An isometric pair with a parameter that passed both gates.
 
     ``extended`` is the full matrix of ``V (+) Phi``; build it with
-    :func:`prepare_pair`, not directly, so that the gates run.
+    :func:`prepare_pair`, not directly, so that the gates run.  The two
+    resolvent factors are memoized per point, read-only, keyed by the
+    bits of ``z`` (``-0.0`` and ``0.0`` parts are distinct points).
     """
 
     iso: IsometricPair
     extended: np.ndarray
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    _cols: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def row(self, z1: complex) -> np.ndarray:
+        """``E - 2 [E - z1 (V (+) Phi)]^{-1}``, solved once per ``z1``."""
+        return _memoized(self._rows, z1, lambda: (
+            np.eye(self.iso.dim, dtype=complex)
+            - 2.0 * _extended_resolvent(self.extended, z1)))
+
+    def col(self, z2: complex) -> np.ndarray:
+        """``U(z2)`` of :func:`unitary_moebius`, solved once per ``z2``."""
+        return _memoized(self._cols, z2,
+                         lambda: unitary_moebius(self.iso.u_matrix, z2))
+
+
+def _memoized(memo: dict, z: complex, solve) -> np.ndarray:
+    """``memo``'s read-only value at the bits of ``z``, from ``solve()``
+    on a miss; a ``solve`` that raises stores nothing."""
+    key = struct.pack("<2d", z.real, z.imag)
+    value = memo.get(key)
+    if value is None:
+        value = solve()
+        value.flags.writeable = False
+        if len(memo) >= FACTOR_MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return value
 
 
 def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
@@ -236,6 +277,8 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
     ``z_j = (lambda_j - i)/(lambda_j + i)``; for ``lambda1`` in the
     lower half-plane the value is the adjoint of the resolvent at the
     conjugated points.  Excluded points raise ``ExcludedPointError``.
+    Each factor is taken from ``prepared``'s memo; the returned matrix
+    is a fresh product the caller may change.
     """
     lam1 = validate_spectral_point(lambda1, "lambda1")
     lam2 = validate_spectral_point(lambda2, "lambda2")
@@ -243,11 +286,7 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
         m = pair_resolvent_symmetric(prepared, lam1.conjugate(),
                                      lam2.conjugate())
         return m.conj().T
-    z1 = cayley_point(lam1)
-    z2 = cayley_point(lam2)
-    eye = np.eye(prepared.iso.dim, dtype=complex)
-    return ((eye - 2.0 * _extended_resolvent(prepared.extended, z1))
-            @ unitary_moebius(prepared.iso.u_matrix, z2))
+    return prepared.row(cayley_point(lam1)) @ prepared.col(cayley_point(lam2))
 
 
 def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -50,6 +51,22 @@ def test_dumps_prints_17_significant_digits():
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == 1.0 / 3.0
     assert io.dumps([True, 1, None]) == io.dumps([True, 1, None])
+
+
+def test_dumps_keeps_the_sign_of_zero():
+    assert io.dumps(-0.0) == "-0.0"
+    for x in (0.0, -1.5, 1.0 / 3.0, 1e-300, -5e-324, -1e300):
+        assert io.dumps(x) == "%.17g" % x
+    text = io.dumps(io.complex_matrix_to_json([[complex(-0.0, -0.0)]]))
+    assert text == "[[[-0.0, -0.0]]]"
+    back = io.complex_matrix_from_json(json.loads(text), "m")
+    assert back.view(np.uint64).tolist() == [[1 << 63, 1 << 63]]
+    measure = AtomicMeasure(np.array([[-0.0, 1.0], [0.5, -0.0]]),
+                            np.array([0.25, 0.75]))
+    back = io.measure_from_json(json.loads(io.dumps(
+        io.measure_to_json(measure))))
+    assert back.points.tobytes() == measure.points.tobytes()
+    assert back.weights.tobytes() == measure.weights.tobytes()
 
 
 def test_moment_table_round_trip():
@@ -302,6 +319,33 @@ def test_cli_solve_canonical_writes_no_negative_zero(tmp_path: Path, capsys):
     assert not any(x == 0.0 and np.signbit(x) for x in coords)
 
 
+def test_cli_solve_canonical_makes_the_output_dir_on_success(
+        tmp_path: Path, capsys, monkeypatch):
+    files = _write_demo(tmp_path, capsys)
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    outputs = []
+    for out in (tmp_path / "new" / "nested", existing):
+        assert main(["solve-canonical", str(files["e3-pair.json"]),
+                     "--sampler", "exhaustive-phases", "--phases", "4",
+                     "--output-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        names = sorted(p.name for p in out.iterdir())
+        outputs.append((stdout, {n: (out / n).read_bytes() for n in names}))
+        lines = stdout.splitlines()
+        assert lines[-1] == f"solutions written: {len(names)}"
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"OUT/{n}" for n in names]
+    assert outputs[0] == outputs[1]
+    # A stream with no solution still leaves the directory.
+    monkeypatch.setattr(cli, "solve_canonical", lambda *a, **k: iter(()))
+    empty = tmp_path / "empty"
+    assert main(["solve-canonical", str(files["e3-pair.json"]),
+                 "--output-dir", str(empty)]) == 0
+    assert capsys.readouterr().out == "solutions written: 0\n"
+    assert empty.is_dir() and not list(empty.iterdir())
+
+
 def test_cli_verify_accepts_solution_files_as_measures(tmp_path: Path):
     mu = AtomicMeasure(np.array([[0.25, -1.5]]), np.array([2.0]))
     table = moments_of_measure(mu, 4, 4)
@@ -399,6 +443,8 @@ def test_cli_structure_gate_exit_code(tmp_path: Path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert "defect" in capsys.readouterr().err
+    # Refused after the table was read: no output directory is left.
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_refuses_an_entry_beyond_the_double_range(tmp_path: Path,
@@ -428,6 +474,35 @@ def test_cli_eval_resolvent_gates_the_parameter_once(tmp_path: Path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
     assert calls == {"constant_admissibility": 1, "commutation_check": 1}
+
+
+def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,
+                                                   monkeypatch):
+    files = _write_demo(tmp_path, capsys)
+    calls = {"_extended_resolvent": 0, "unitary_moebius": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(resolvents, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(resolvents, name, counted)
+    points = []
+
+    def per_point(prepared, lam1, lam2, _real=cli.pair_resolvent_symmetric):
+        points.append((lam1, lam2))
+        return _real(prepared, lam1, lam2)
+
+    monkeypatch.setattr(cli, "pair_resolvent_symmetric", per_point)
+    # 7 x 6 grid whose middle l1 row is excluded: 6 distinct l1 and 6
+    # distinct l2 reach the solves.
+    argv = ["eval-resolvent", str(files["e3-pair.json"]),
+            "--phi", str(files["e3-phi.json"]),
+            "--l1-start=-1+0.5j", "--l1-stop=1+1.5j", "--l1-count=7",
+            "--l2-start=-0.5-1j", "--l2-stop=1+2j", "--l2-count=6"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
+    assert len(points) == 42 and len(set(points)) == 42
+    assert calls == {"_extended_resolvent": 6, "unitary_moebius": 6}
 
 
 def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):
@@ -503,6 +578,39 @@ def test_console_script_entry_point(tmp_path: Path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "wrote" in result.stdout
+
+
+def test_cli_shared_parser_matches_fresh_processes(tmp_path: Path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    # The package's own directory, since the fresh runs start in tmp_path.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(moment2d.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    runs = [
+        ["demo", "--output-dir", "d"],
+        ["check", "d/e2-table.json"],
+        ["eval-resolvent", "d/e3-pair.json", "--l1-count", "x"],
+        ["--help"],
+        ["eval-resolvent", "d/e3-pair.json", "--phi", "d/e3-phi.json",
+         "--l1-start", "2j", "--l1-stop", "-1+3j", "--l1-count", "2",
+         "--l2-start", "0.5-2j"],
+    ]
+    fresh = []
+    for argv in runs:
+        result = subprocess.run(
+            [sys.executable, "-m", "moment2d.cli"] + argv,
+            capture_output=True, text=True, env=env)
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
+    assert "invalid int value: 'x'" in fresh[2][2]
+    assert fresh[3][1].startswith("usage: moment2d")
+    for _ in range(2):
+        for argv, want in zip(runs, fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want
 
 
 # Exit code per error class, as documented in README's exit-code table.
@@ -707,4 +815,4 @@ def test_cli_solve_canonical_refuses_options_of_the_other_input(
         assert capsys.readouterr() == (
             "", "error: max_n applies to an operator pair, not to a moment "
                 "table\n")
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()

@@ -30,7 +30,7 @@ from moment2d import (
     trig_moments_from_resolvent,
     unitary_moebius,
 )
-from moment2d import SymmetricPair
+from moment2d import SymmetricPair, resolvents
 
 import oracles
 
@@ -205,6 +205,81 @@ def test_prepared_pair_is_bit_identical_to_gating_every_point(dim):
         want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
         assert np.array_equal(
             pair_resolvent_symmetric(prepared, lam1, lam2), want)
+
+
+def test_factor_memo_is_bit_identical_in_any_order_and_past_its_bound():
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi)
+    rng = np.random.default_rng(11)
+    pairs = [oracles.random_point_pair(rng) for _ in range(4)]
+    grid = [(a, b) for a, _ in pairs for _, b in pairs]
+    grid += [(np.conj(a), b) for a, b in grid[:6]]
+    assert any(a.imag < 0 for a, _ in grid)
+    assert any(a.imag > 0 for a, _ in grid)
+    order = [grid[i] for i in rng.permutation(len(grid))]
+    # More distinct points than a memo keeps, then the first ones again,
+    # which by then are evicted.
+    sweep = [oracles.random_point_pair(rng)
+             for _ in range(resolvents.FACTOR_MEMO_ENTRIES + 8)]
+    points = order + order[::-1] + sweep + sweep[:8] + order
+    for lam1, lam2 in points:
+        want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
+        assert np.array_equal(
+            pair_resolvent_symmetric(prepared, lam1, lam2), want)
+    assert len(prepared._rows) == resolvents.FACTOR_MEMO_ENTRIES
+    assert len(prepared._cols) == resolvents.FACTOR_MEMO_ENTRIES
+
+
+def test_memoized_factors_are_read_only_and_results_are_fresh():
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi)
+    for lam1, lam2 in ((2j, 0.5 + 2j), (-1 - 2j, 0.5 + 2j)):
+        want = pair_resolvent_symmetric(prepared, lam1, lam2)
+        got = pair_resolvent_symmetric(prepared, lam1, lam2)
+        assert got.flags.writeable
+        got[...] = 7.0
+        assert np.array_equal(pair_resolvent_symmetric(prepared, lam1, lam2),
+                              want)
+    row = prepared.row(resolvents.cayley_point(2j))
+    col = prepared.col(resolvents.cayley_point(0.5 + 2j))
+    for factor in (row, col):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
+    assert prepared.row(resolvents.cayley_point(2j)) is row
+
+
+def test_factor_memo_keys_keep_the_sign_of_zero(monkeypatch):
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi)
+    solves = []
+    real = resolvents._extended_resolvent
+
+    def counted(full, z):
+        solves.append(z)
+        return real(full, z)
+
+    monkeypatch.setattr(resolvents, "_extended_resolvent", counted)
+    for z in (complex(0.5, 0.0), complex(0.5, -0.0), complex(0.5, 0.0)):
+        prepared.row(z)
+    assert len(solves) == 2
+    assert "_rows" not in repr(prepared)
+
+
+def test_singular_factor_is_not_memoized(monkeypatch):
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi)
+    calls = []
+
+    def singular(full, z):
+        calls.append(z)
+        raise SingularMatrixError(f"resolvent singular at z = {z}")
+
+    monkeypatch.setattr(resolvents, "_extended_resolvent", singular)
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            pair_resolvent_symmetric(prepared, 2j, 0.5 + 2j)
+    assert len(calls) == 2 and not prepared._rows
 
 
 def test_resolvent_rejects_forbidden_parameter():
