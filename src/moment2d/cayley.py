@@ -52,8 +52,8 @@ from .errors import (ContractionViolatedError, EmbeddingLostError,
 from .gns import SymmetricPair
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
                      intersect_subspaces, is_conjugation, is_hermitian,
-                     is_unitary, orth_columns, require_unitary,
-                     subspace_residual)
+                     is_unitary, orth_columns, read_only,
+                     require_unitary, subspace_residual)
 
 __all__ = [
     "CayleyIsometry",
@@ -91,11 +91,6 @@ class CayleyIsometry:
     domain: np.ndarray
     action: np.ndarray
     range: np.ndarray
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ class IsometricPair:
     @cached_property
     def w2(self) -> np.ndarray:
         """``W2 = U|_{N0}`` in ``n0_basis`` coordinates."""
-        return _read_only(self.n0_basis.conj().T @ self.u_matrix
+        return read_only(self.n0_basis.conj().T @ self.u_matrix
                           @ self.n0_basis)
 
     @cached_property
@@ -178,8 +173,8 @@ class IsometricPair:
             if subspace_residual(self.ninf_basis, u24) > STRUCTURE_TOL:
                 raise StructureViolationError(
                     "U24 does not map the defect subspace into H4")
-        return ExtensionData(u24=_read_only(u24),
-                             v_space=_read_only(self.v_on_space()))
+        return ExtensionData(u24=read_only(u24),
+                             v_space=read_only(self.v_on_space()))
 
     def parameter_at(self, phi: "ContractionParameter",
                      z: complex = 0.0) -> np.ndarray:
@@ -323,7 +318,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
     iso = cayley(pair, tolerances=tolerances)
-    a2 = pair.full_matrix(2)
+    a2 = pair.a2_matrix
     n = pair.dim
     eye = np.eye(n)
     u = (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)

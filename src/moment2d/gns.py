@@ -25,7 +25,7 @@ from .config import (DEFAULT_TOLERANCES, RESIDUAL_GATE, STRUCTURE_TOL,
                      Tolerances)
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
-from .linalg import is_hermitian, orth_columns
+from .linalg import is_hermitian, orth_columns, read_only
 from .moments import (MomentTable, carleman_diagnostic, CarlemanReport,
                       moment_matrix, monomial_indices)
 
@@ -80,6 +80,7 @@ class SymmetricPair:
     matrix of the antilinear conjugation ``x -> j_matrix @ conj(x)``
     fixing the monomial classes.  ``a2_selfadjoint`` is True iff the
     domain of ``A2`` is the whole space and its action is Hermitian.
+    ``a2_matrix`` is computed on first use and kept on the instance.
     """
 
     dim: int
@@ -110,6 +111,13 @@ class SymmetricPair:
             raise DomainCollapseError(
                 f"operator A{which} is not everywhere defined")
         return self.action(which) @ dom.conj().T
+
+    @cached_property
+    def a2_matrix(self) -> np.ndarray:
+        """``full_matrix(2)`` as a read-only array, formed once per pair
+        for every layer that needs the whole ``A2``; a domain that is not
+        the whole space raises ``DomainCollapseError`` and keeps nothing."""
+        return read_only(self.full_matrix(2))
 
     def require_a2_selfadjoint(self, message: str):
         """Raise ``NotSelfAdjointA2Error`` with ``message`` and the defect

@@ -26,6 +26,7 @@ __all__ = [
     "haar_unitary",
     "is_conjugation",
     "empty_basis",
+    "read_only",
 ]
 
 
@@ -35,6 +36,13 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def empty_basis(n: int) -> np.ndarray:
     return np.zeros((n, 0), dtype=complex)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only, for an array that is computed once
+    and shared by every later caller."""
+    a.flags.writeable = False
+    return a
 
 
 def orth_columns(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:

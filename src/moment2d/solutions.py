@@ -25,8 +25,10 @@ from .cayley import IsometricPair, build_isometric_pair, inverse_cayley
 from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
                      Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
-                     FixedPointError, StructureViolationError)
-from .gns import SymmetricPair, _shift_step, build_gns, build_operators
+                     FixedPointError, IndexOutOfRangeError, NotPsdError,
+                     StructureViolationError)
+from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
+                  build_operators)
 from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
                      is_unitary, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
@@ -222,7 +224,7 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     if ext_res > STRUCTURE_TOL * 100 * scale:
         raise StructureViolationError(
             f"extension does not restrict to A1 (residual {ext_res:.3e})")
-    a2 = pair.full_matrix(2)
+    a2 = pair.a2_matrix
     comm = float(np.linalg.norm(a1_tilde @ a2 - a2 @ a1_tilde))
     comm_scale = max(1.0, float(np.linalg.norm(a1_tilde))
                      * float(np.linalg.norm(a2)))
@@ -527,6 +529,33 @@ def _sampler_label(sampler: SamplerSpec, idx: int) -> str:
     return f"identity-only:{idx}"
 
 
+def _default_gns(table: MomentTable, largest: tuple, *,
+                 tolerances: Tolerances) -> GnsSpace:
+    """GNS space of a table at its smallest flat rectangle.
+
+    Walks the squares ``(d, d)`` up to the largest the table supports,
+    building each space once, and returns the ``(d + 1, d + 1)`` space
+    for the first ``d`` with ``rank(d, d) == rank(d + 1, d + 1)``: the
+    flat-extension certificate of Curto and Fialkow.  Ranks of nested
+    Grams cannot fall, so the rank grows on neither side there.  The
+    shifts need the larger of the two squares, since ``A1`` on row
+    ``d`` reads row ``d + 1``.  When no square is flat, or a square's
+    Gram fails the PSD gate, the space is the one at ``largest``, as
+    with no search.
+    """
+    space = None
+    try:
+        for d in range(min(largest) + 1):
+            prev, space = space, build_gns(table, d, d, tolerances=tolerances)
+            if prev is not None and prev.rank == space.rank:
+                return space
+    except NotPsdError:
+        space = None
+    if space is not None and (space.d_m, space.d_n) == largest:
+        return space
+    return build_gns(table, *largest, tolerances=tolerances)
+
+
 def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
                     d_m: int | None = None, d_n: int | None = None,
                     max_n: int | None = None,
@@ -536,15 +565,29 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     """Stream of canonical solutions for a table or an operator pair.
 
     ``source`` is either a :class:`MomentTable` (the space and shifts
-    are built at rectangle ``(d_m, d_n)``, defaulting to the largest the
-    table supports) or a :class:`SymmetricPair` (operator-driven path,
-    verified against the pair moments reachable through the domains, up
-    to column degree ``max_n``).  ``d_m``, ``d_n`` and ``refine`` apply
-    to a table only and ``max_n`` to a pair only; passing one to the
-    other kind of input raises ``ValueError`` naming it.  Each commutant
-    parameter ``U2`` from the sampler yields one report; in the
-    determinate case the stream holds exactly one report regardless of
-    the sampler.  The pair-level extension data
+    are built at rectangle ``(d_m, d_n)``) or a :class:`SymmetricPair`
+    (operator-driven path, verified against the pair moments reachable
+    through the domains, up to column degree ``max_n``).  ``d_m``,
+    ``d_n`` and ``refine`` apply to a table only and ``max_n`` to a pair
+    only; passing one to the other kind of input raises ``ValueError``
+    naming it.
+
+    A side left out defaults to the largest the table supports, ``max_m
+    // 2`` or ``max_n // 2``; below 1 that raises
+    ``IndexOutOfRangeError``.  With both left out the space is built on
+    the smallest flat square instead: ``(d + 1, d + 1)`` for the first
+    ``d`` with ``rank(d, d) == rank(d + 1, d + 1)``, the Curto-Fialkow
+    flat-extension certificate, falling back to the largest rectangle
+    when no square below it is flat or one fails the PSD gate.  The
+    moments outside a smaller rectangle reach the gates only through
+    verification, so before a report that fails it is yielded, the
+    largest rectangle's space and shifts are built once and their gates
+    (``NotPsdError``, ``InconsistentShiftError``,
+    ``DomainCollapseError``) raise as without the search.
+
+    Each commutant parameter ``U2`` from the sampler yields one report;
+    in the determinate case the stream holds exactly one report
+    regardless of the sampler.  The pair-level extension data
     (``IsometricPair.extension_data``) is built once for the whole
     stream, by the first :func:`canonical_extension` call.
 
@@ -557,16 +600,28 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     ``refine`` atoms and weights are polished against the table before
     verification.
     """
+    gate_largest = False
     if isinstance(source, MomentTable):
         if max_n is not None:
             raise ValueError("max_n applies to an operator pair, not to a "
                              "moment table")
         table = source
-        if d_m is None:
-            d_m = table.max_m // 2
-        if d_n is None:
-            d_n = table.max_n // 2
-        space = build_gns(table, d_m, d_n, tolerances=tolerances)
+        largest = (table.max_m // 2, table.max_n // 2)
+        if ((d_m is None and largest[0] < 1)
+                or (d_n is None and largest[1] < 1)):
+            raise IndexOutOfRangeError(
+                f"table holds degrees ({table.max_m}, {table.max_n}); the "
+                f"default rectangle needs degrees of at least (2, 2)")
+        if d_m is None and d_n is None:
+            space = _default_gns(table, largest, tolerances=tolerances)
+            # A space below the largest rectangle leaves the table's
+            # higher moments to verification; a report that fails it
+            # runs the largest rectangle's gates first.
+            gate_largest = (space.d_m, space.d_n) != largest
+        else:
+            space = build_gns(table, largest[0] if d_m is None else d_m,
+                              largest[1] if d_n is None else d_n,
+                              tolerances=tolerances)
         pair = build_operators(space, tolerances=tolerances)
         ref_table = table
         from_table = True
@@ -591,7 +646,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
             max_n = 2 * pair.dim
         ref_table = moments_from_pair(pair, 2 * pair.dim, max_n,
                                       tolerances=tolerances)
-    a2_full = pair.full_matrix(2)
+    a2_full = pair.a2_matrix
     if determinate:
         stream = iter([np.zeros((0, 0), dtype=complex)])
         labels = iter(["determinate"])
@@ -612,5 +667,11 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         _resolvent_cross_check(ext.a1_tilde, a2_block, pair.h00, measure)
         if refine:
             measure = refine_measure(measure, ref_table)
-        yield verify_solution(measure, ref_table, determinate=determinate,
-                              u2_seed=label, tolerances=tolerances)
+        report = verify_solution(measure, ref_table, determinate=determinate,
+                                 u2_seed=label, tolerances=tolerances)
+        if gate_largest and not report.passed:
+            build_operators(build_gns(table, *largest,
+                                      tolerances=tolerances),
+                            tolerances=tolerances)
+            gate_largest = False
+        yield report

@@ -285,3 +285,21 @@ def resolvent_cross_check_per_point(a1: np.ndarray, a2: np.ndarray,
         if abs(lhs - rhs) > tol * (1.0 + abs(rhs)):
             return lam1, lam2, lhs, rhs
     return None
+
+
+def flat_point(values: np.ndarray, rank_tol: float):
+    """Smallest ``d`` with ``rank(d, d) == rank(d + 1, d + 1)`` over the
+    squares that fit in the table ``values``, or None when no square is
+    flat.  Ranks count the Gram eigenvalues above ``rank_tol`` times the
+    largest, with the Gram built entry by entry."""
+    top = min(values.shape[0] - 1, values.shape[1] - 1) // 2
+
+    def rank(d):
+        index = [(m, n) for m in range(d + 1) for n in range(d + 1)]
+        eigs = np.linalg.eigvalsh(moment_matrix_direct(values, index))
+        return int(np.sum(eigs > rank_tol * np.max(np.abs(eigs))))
+
+    for d in range(top):
+        if rank(d) == rank(d + 1):
+            return d
+    return None

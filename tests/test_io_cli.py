@@ -447,6 +447,21 @@ def test_cli_structure_gate_exit_code(tmp_path: Path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_table_too_small_for_the_default_rectangle(tmp_path: Path,
+                                                      capsys):
+    mu = AtomicMeasure(np.array([[0.5, -0.5]]), np.array([1.0]))
+    table_path = tmp_path / "small.json"
+    io.write_json(io.moment_table_to_json(moments_of_measure(mu, 1, 4)),
+                  str(table_path))
+    code = main(["solve-canonical", str(table_path),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: table holds degrees (1, 4); the default rectangle needs "
+        "degrees of at least (2, 2)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_check_refuses_an_entry_beyond_the_double_range(tmp_path: Path,
                                                              capsys):
     table = tmp_path / "huge.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import re
 
@@ -10,14 +11,18 @@ from moment2d import (
     AtomicMeasure,
     ClusterAmbiguityError,
     CommutationViolatedError,
+    DomainCollapseError,
     StructureViolationError,
     FixedPointError,
+    IndexOutOfRangeError,
     MomentTable,
+    NotPsdError,
     NotSelfAdjointA2Error,
     NotUnitaryError,
     SamplerSpec,
     SymmetricPair,
     Tolerances,
+    build_gns,
     build_isometric_pair,
     canonical_extension,
     determinacy,
@@ -30,11 +35,13 @@ from moment2d import (
     moments_from_pair,
     moments_of_measure,
     pair_resolvent_of_measure,
+    random_atomic_measure,
     refine_measure,
     solve_canonical,
     verify_solution,
 )
-from moment2d.config import ATOM_MERGE_TOL, CLUSTER_TOL, WEIGHT_DROP_TOL
+from moment2d.config import (ATOM_MERGE_TOL, CLUSTER_TOL, RANK_TOL,
+                             WEIGHT_DROP_TOL)
 from moment2d.linalg import haar_unitary, is_unitary
 from moment2d import solutions
 from moment2d.solutions import (COMBINATION_SEED, CROSS_TOL,
@@ -490,6 +497,35 @@ def test_solve_canonical_builds_the_pair_data_once(monkeypatch):
     assert calls["godich_lutsenko"] == 1
 
 
+def test_solve_canonical_forms_the_a2_matrix_once(monkeypatch):
+    calls = []
+    real = SymmetricPair.full_matrix
+
+    def counted(self, which):
+        calls.append(which)
+        return real(self, which)
+
+    pair = e3_class(20, 2, 4).pair
+    want = list(solve_canonical(
+        pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    monkeypatch.setattr(SymmetricPair, "full_matrix", counted)
+    pair = e3_class(20, 2, 4).pair
+    got = list(solve_canonical(
+        pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    assert calls == [2]
+    _same_reports(got, want)
+    assert np.array_equal(pair.a2_matrix, real(pair, 2))
+    assert not pair.a2_matrix.flags.writeable
+    # A pair whose A2 is not everywhere defined keeps nothing and
+    # raises on every access.
+    short = dataclasses.replace(
+        _scalar_pair(), a2_domain=np.zeros((1, 0), dtype=complex),
+        a2_action=np.zeros((1, 0), dtype=complex), a2_selfadjoint=False)
+    for _ in range(2):
+        with pytest.raises(DomainCollapseError):
+            short.a2_matrix
+
+
 def test_solve_canonical_refuses_arguments_of_the_other_input():
     pair, table = e3().pair, e2().table
     for kwargs, name in (({"d_m": 0}, "d_m"), ({"d_n": 1}, "d_n"),
@@ -505,3 +541,102 @@ def test_solve_canonical_refuses_arguments_of_the_other_input():
     # The arguments still apply to their own input.
     assert len(list(solve_canonical(pair, max_n=4))) == 1
     assert len(list(solve_canonical(table, d_m=1, d_n=1, refine=True))) == 1
+
+
+def _same_reports(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.measure.points, b.measure.points)
+        assert np.array_equal(a.measure.weights, b.measure.weights)
+        assert a.max_abs_moment_error == b.max_abs_moment_error
+        assert (a.degrees_checked, a.determinate, a.u2_seed, a.passed) == (
+            b.degrees_checked, b.determinate, b.u2_seed, b.passed)
+
+
+@pytest.mark.parametrize("degree", [24, 32, 40])
+def test_default_rectangle_recovers_high_degree_tables(degree):
+    """On ``[-2, 2]^2`` the largest rectangle's Gram is too ill-conditioned
+    for its rank cut at these degrees; the smallest flat one is not."""
+    rng = np.random.default_rng(degree)
+    for _ in range(10):
+        mu = random_atomic_measure(rng)
+        report, = solve_canonical(moments_of_measure(mu, degree, degree))
+        got, want = report.measure.sorted(), mu.sorted()
+        assert got.n_atoms == want.n_atoms
+        assert np.max(np.abs(got.points - want.points)) < 1e-6
+        assert np.max(np.abs(got.weights - want.weights)) < 1e-6
+
+
+def test_default_rectangle_is_the_smallest_flat_one():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for degree in (8, 12, 16, 20):
+        for _ in range(3):
+            table = moments_of_measure(random_atomic_measure(rng), degree,
+                                       degree)
+            d = oracles.flat_point(table.values, RANK_TOL)
+            assert d is not None and d + 1 < degree // 2
+            seen.add(d)
+            _same_reports(list(solve_canonical(table)),
+                          list(solve_canonical(table, d_m=d + 1,
+                                               d_n=d + 1)))
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("max_n", [4, 6])
+def test_never_flat_table_uses_the_largest_rectangle(max_n):
+    """Six atoms on the line ``t2 = 0``: the squares' ranks are 1, 2, 3,
+    so no square is flat, and ``A1`` keeps a defect."""
+    mu = AtomicMeasure(np.stack([np.linspace(-1.5, 1.5, 6), np.zeros(6)],
+                                axis=1), np.linspace(0.2, 0.7, 6))
+    table = moments_of_measure(mu, 4, max_n)
+    assert oracles.flat_point(table.values, RANK_TOL) is None
+    sampler = SamplerSpec("exhaustive-phases", phases=4)
+    got = list(solve_canonical(table, sampler=sampler))
+    assert len(got) >= 3 and got[0].determinate is False
+    _same_reports(got, list(solve_canonical(table, sampler=sampler, d_m=2,
+                                            d_n=max_n // 2)))
+
+
+def _not_psd_message(table, d_m, d_n):
+    with pytest.raises(NotPsdError) as info:
+        build_gns(table, d_m, d_n)
+    return str(info.value)
+
+
+def test_default_rectangle_keeps_the_table_wide_psd_gate():
+    mu = random_atomic_measure(np.random.default_rng(5), n_atoms=3,
+                               coord_low=-1.0, coord_high=1.0)
+    values = moments_of_measure(mu, 8, 8).values.copy()
+    assert oracles.flat_point(values, RANK_TOL) == 1
+    # The top corner enters only the largest Gram: the flat (2, 2) space
+    # is PSD, but its measure misses the lowered moment, so the report
+    # fails verification and the (4, 4) gates run before it is yielded.
+    values[8, 8] -= 0.5
+    table = MomentTable(8, 8, values)
+    report, = solve_canonical(table, d_m=2, d_n=2)
+    assert report.passed is False
+    with pytest.raises(NotPsdError, match=re.escape(
+            _not_psd_message(table, 4, 4))):
+        list(solve_canonical(table))
+    # A square of the search that fails the PSD gate leaves the largest
+    # rectangle to name the failure.
+    values = moments_of_measure(mu, 8, 8).values.copy()
+    values[2, 0] = -1.0
+    table = MomentTable(8, 8, values)
+    _not_psd_message(table, 1, 1)
+    with pytest.raises(NotPsdError, match=re.escape(
+            _not_psd_message(table, 4, 4))):
+        list(solve_canonical(table))
+
+
+@pytest.mark.parametrize("max_m, max_n, kwargs", [
+    (1, 4, {}), (4, 1, {}), (0, 0, {}), (1, 6, {"d_n": 2}),
+    (6, 1, {"d_m": 2})])
+def test_table_too_small_for_the_default_rectangle(max_m, max_n, kwargs):
+    mu = AtomicMeasure(np.array([[0.5, -0.5]]), np.array([1.0]))
+    table = moments_of_measure(mu, max_m, max_n)
+    with pytest.raises(IndexOutOfRangeError, match=re.escape(
+            f"table holds degrees ({max_m}, {max_n}); the default "
+            f"rectangle needs degrees of at least (2, 2)")):
+        list(solve_canonical(table, **kwargs))
