@@ -29,35 +29,70 @@ from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
 from .moments import carleman_diagnostic, check_psd
 from .resolvents import pair_resolvent_symmetric, prepare_pair
 from .scenarios import e1, e2, e3
-from .solutions import (SamplerSpec, canonical_extension, solve_canonical,
-                        verify_solution)
+from .solutions import (SAMPLER_KINDS, SamplerSpec, canonical_extension,
+                        solve_canonical, verify_solution)
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 
-#: ``Tolerances`` fields, each settable by flag (``--rank-tol``) or
-#: config key on every subcommand but ``demo``.
-TOLERANCE_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
-
-#: Flags whose value is a complex number, which may begin with ``-``.
-COMPLEX_FLAGS = ("--l1-start", "--l1-stop", "--l2-start", "--l2-stop")
-
+#: The JSON type of a config key, the type of its flag's value: the
+#: Python types ``json`` decodes it to and their name (a JSON ``true`` or
+#: ``false`` is never a number).
 _NUMBER = ((int, float), "a number")
 _INTEGER = ((int,), "an integer")
 _STRING = ((str,), "a string")
+_COMPLEX = ((str, int, float), "a string or a number")
 
-#: The JSON type of every config key, the type of its flag's value (a
-#: JSON ``true`` or ``false`` is never a number).
-CONFIG_TYPES = {
-    **dict.fromkeys(TOLERANCE_FIELDS, _NUMBER),
-    **dict.fromkeys(("count", "seed", "phases", "d_m", "d_n", "max_n",
-                     "l1_count", "l2_count"), _INTEGER),
-    **dict.fromkeys(("sampler", "carleman_variant", "format", "output_dir"),
-                    _STRING),
-    **dict.fromkeys(("l1_start", "l1_stop", "l2_start", "l2_stop"),
-                    ((str, int, float), "a string or a number")),
+_CARLEMAN_VARIANTS = ("pair", "single")
+_FORMATS = ("csv", "json")
+
+#: The options of every subcommand but ``demo``, as rows of ``OPTIONS``.
+COMMON_OPTIONS = (
+    ("--config", None, None, {"help": "JSON file with flag overrides"}),
+    ("--output", None, None, {"help": "output file (default stdout)"}),
+    *((f"--{field.name.replace('_', '-')}", _NUMBER, None, {"type": float})
+      for field in dataclasses.fields(Tolerances)),
+)
+
+#: The options of each subcommand that reads ``--config``, in ``--help``
+#: order, before ``COMMON_OPTIONS``. A row is ``(flag, JSON type,
+#: default, extra add_argument keywords)``. The option's dest, and its
+#: config key, is the flag without ``--`` and with ``_`` for ``-``; a JSON
+#: type of None marks a flag with no config key.
+OPTIONS = {
+    "check": (
+        ("--carleman-variant", _STRING, "pair",
+         {"choices": _CARLEMAN_VARIANTS}),
+    ),
+    "solve-canonical": (
+        ("--sampler", _STRING, "identity-only", {"choices": SAMPLER_KINDS}),
+        ("--count", _INTEGER, 1, {"type": int}),
+        ("--seed", _INTEGER, None, {"type": int}),
+        ("--phases", _INTEGER, 4, {"type": int}),
+        ("--d-m", _INTEGER, None, {"type": int}),
+        ("--d-n", _INTEGER, None, {"type": int}),
+        ("--max-n", _INTEGER, None, {"type": int}),
+        ("--refine", None, False, {"action": "store_true"}),
+        ("--output-dir", _STRING, ".", {}),
+    ),
+    "eval-resolvent": (
+        ("--phi", None, None, {"help": "constant parameter matrix JSON "
+                                       "file (default zero)"}),
+        ("--l1-start", _COMPLEX, None, {}),
+        ("--l1-stop", _COMPLEX, None, {}),
+        ("--l1-count", _INTEGER, 1, {"type": int}),
+        ("--l2-start", _COMPLEX, None, {}),
+        ("--l2-stop", _COMPLEX, None, {}),
+        ("--l2-count", _INTEGER, 1, {"type": int}),
+        ("--format", _STRING, "csv", {"choices": _FORMATS}),
+    ),
+    "verify": (),
 }
+
+#: Flags whose value is a complex number, which may begin with ``-``.
+COMPLEX_FLAGS = tuple(flag for rows in OPTIONS.values()
+                      for flag, kind, _, _ in rows if kind is _COMPLEX)
 
 
 def _fmt(x: float) -> str:
@@ -72,40 +107,34 @@ def _parse_complex(text: str, what: str) -> complex:
                           f"number (use Python syntax, e.g. 0.5+2j)") from exc
 
 
-def _load_config(args, keys: tuple = ()) -> dict:
-    """The ``--config`` object of a subcommand that resolves the
-    tolerance fields and ``keys``; any other key is a ``SchemaError``."""
-    if args.config is None:
-        return {}
-    obj = io.read_json(args.config)
-    if not isinstance(obj, dict):
-        raise SchemaError("config file must hold a JSON object")
-    accepted = TOLERANCE_FIELDS + keys
-    for key in obj:
-        if key not in accepted:
+def _apply_config(args, options: tuple) -> None:
+    """Set each of ``options`` not given as a flag from the ``--config``
+    object, else from its default.
+
+    A config key that is not the dest of one of ``options`` with a JSON
+    type, or a config value of another JSON type, is a ``SchemaError``.
+    """
+    config = {}
+    if args.config is not None:
+        config = io.read_json(args.config)
+        if not isinstance(config, dict):
+            raise SchemaError("config file must hold a JSON object")
+    keyed = {flag[2:].replace("-", "_"): (kind, default)
+             for flag, kind, default, _ in options if kind is not None}
+    for key in config:
+        if key not in keyed:
             raise SchemaError(
                 f"config key {key!r} is not read by {args.command}; "
-                f"accepted keys: {', '.join(accepted)}")
-    return obj
-
-
-def _resolve(args, config: dict, name: str, default):
-    """Flag value, else config-file value, else default.
-
-    A config value whose JSON type is not ``CONFIG_TYPES[name]`` is a
-    ``SchemaError`` naming the key and the config file.
-    """
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name not in config:
-        return default
-    value = config[name]
-    types, what = CONFIG_TYPES[name]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise SchemaError(f"config key {name!r} in {args.config} must be "
-                          f"{what}")
-    return value
+                f"accepted keys: {', '.join(keyed)}")
+    for name, ((types, what), default) in keyed.items():
+        if getattr(args, name) is not None:
+            continue
+        value = config.get(name, default)
+        if name in config and (isinstance(value, bool)
+                               or not isinstance(value, types)):
+            raise SchemaError(f"config key {name!r} in {args.config} must be "
+                              f"{what}")
+        setattr(args, name, value)
 
 
 def _positive(value: float, name: str) -> float:
@@ -115,24 +144,21 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
-def _tolerances(args, config: dict):
+def _tolerances(args):
     updates = {}
-    for field in TOLERANCE_FIELDS:
-        value = _resolve(args, config, field, None)
+    for field in dataclasses.fields(Tolerances):
+        value = getattr(args, field.name)
         if value is not None:
-            updates[field] = _positive(value, field)
+            updates[field.name] = _positive(value, field.name)
     return dataclasses.replace(DEFAULT_TOLERANCES, **updates)
 
 
-def _sampler(args, config: dict) -> SamplerSpec:
-    kind = _resolve(args, config, "sampler", "identity-only")
-    count = _resolve(args, config, "count", 1)
-    seed = _resolve(args, config, "seed", None)
-    phases = _resolve(args, config, "phases", 4)
-    if kind == "haar-random" and seed is None:
+def _sampler(args) -> SamplerSpec:
+    if args.sampler == "haar-random" and args.seed is None:
         raise SchemaError("sampler haar-random requires --seed")
     try:
-        return SamplerSpec(kind=kind, count=count, seed=seed, phases=phases)
+        return SamplerSpec(kind=args.sampler, count=args.count,
+                           seed=args.seed, phases=args.phases)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -159,10 +185,12 @@ def _load_source(path: str):
 
 
 def cmd_check(args) -> int:
-    config = _load_config(args, ("carleman_variant",))
     table = io.moment_table_from_json(io.read_json(args.table))
-    tolerances = _tolerances(args, config)
-    variant = _resolve(args, config, "carleman_variant", "pair")
+    tolerances = _tolerances(args)
+    variant = args.carleman_variant
+    # Checked here, since a table too small for a Carleman row reads none.
+    if variant not in _CARLEMAN_VARIANTS:
+        raise SchemaError("variant must be 'pair' or 'single'")
     psd_rows = []
     all_ok = True
     for d_m in range(table.max_m // 2 + 1):
@@ -191,26 +219,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve_canonical(args) -> int:
-    config = _load_config(args, ("sampler", "count", "seed", "phases", "d_m",
-                                 "d_n", "max_n", "output_dir"))
     source = _load_source(args.input)
-    sampler = _sampler(args, config)
-    tolerances = _tolerances(args, config)
-    d_m = _resolve(args, config, "d_m", None)
-    d_n = _resolve(args, config, "d_n", None)
-    max_n = _resolve(args, config, "max_n", None)
-    out_dir = _resolve(args, config, "output_dir", ".")
+    sampler = _sampler(args)
+    tolerances = _tolerances(args)
 
     def on_reject(label: str, exc: FixedPointError):
         sys.stderr.write(f"rejected {label}: {exc}\n")
 
     count = 0
     for report in solve_canonical(
-            source, sampler=sampler, d_m=d_m, d_n=d_n, max_n=max_n,
-            tolerances=tolerances, refine=args.refine, on_reject=on_reject):
+            source, sampler=sampler, d_m=args.d_m, d_n=args.d_n,
+            max_n=args.max_n, tolerances=tolerances, refine=args.refine,
+            on_reject=on_reject):
         if count == 0:
-            os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"solution-{count:04d}.json")
+            os.makedirs(args.output_dir, exist_ok=True)
+        path = os.path.join(args.output_dir, f"solution-{count:04d}.json")
         io.write_json(io.report_to_json(report), path)
         sys.stdout.write(
             f"{path}: atoms={report.measure.n_atoms} "
@@ -219,16 +242,14 @@ def cmd_solve_canonical(args) -> int:
         count += 1
     # Made only once solve_canonical accepted the input, so a refused run
     # leaves no directory; a run with no solution still leaves one.
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.output_dir, exist_ok=True)
     sys.stdout.write(f"solutions written: {count}\n")
     return EXIT_OK
 
 
 def cmd_eval_resolvent(args) -> int:
-    config = _load_config(args, ("l1_start", "l1_stop", "l1_count", "l2_start",
-                                 "l2_stop", "l2_count", "format"))
     pair = io.pair_from_json(io.read_json(args.input))
-    tolerances = _tolerances(args, config)
+    tolerances = _tolerances(args)
     iso = build_isometric_pair(pair, tolerances=tolerances)
     d_n0 = iso.n0_basis.shape[1]
     d_ninf = iso.ninf_basis.shape[1]
@@ -237,10 +258,9 @@ def cmd_eval_resolvent(args) -> int:
     else:
         phi_matrix = io.complex_matrix_from_json(
             io.read_json(args.phi), "phi", rows=d_ninf, cols=d_n0)
-    grid1 = _grid(args, config, "l1")
-    grid2 = _grid(args, config, "l2")
-    fmt = _resolve(args, config, "format", "csv")
-    if fmt not in ("csv", "json"):
+    grid1 = _grid(args, "l1")
+    grid2 = _grid(args, "l2")
+    if args.format not in _FORMATS:
         raise SchemaError("format must be 'csv' or 'json'")
     # The gates run here once, even when every grid point is excluded.
     prepared = prepare_pair(iso, ContractionParameter.const(phi_matrix),
@@ -256,7 +276,7 @@ def cmd_eval_resolvent(args) -> int:
                 continue
             value = complex(np.vdot(pair.h00, matrix @ pair.h00))
             rows.append((lam1, lam2, value))
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["l1_re,l1_im,l2_re,l2_im,value_re,value_im"]
         for lam1, lam2, value in rows:
             lines.append(",".join(_fmt(v) for v in (
@@ -273,12 +293,12 @@ def cmd_eval_resolvent(args) -> int:
     return EXIT_OK
 
 
-def _grid(args, config: dict, which: str) -> list:
-    start = _resolve(args, config, f"{which}_start", None)
+def _grid(args, which: str) -> list:
+    start = getattr(args, f"{which}_start")
     if start is None:
         raise SchemaError(f"missing --{which}-start")
-    stop = _resolve(args, config, f"{which}_stop", None)
-    count = _resolve(args, config, f"{which}_count", 1)
+    stop = getattr(args, f"{which}_stop")
+    count = getattr(args, f"{which}_count")
     if count < 1:
         raise SchemaError(f"--{which}-count must be >= 1")
     z0 = _parse_complex(str(start), f"--{which}-start")
@@ -295,11 +315,9 @@ def _grid(args, config: dict, which: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
     measure = io.measure_from_json(io.read_json(args.measure))
     table = io.moment_table_from_json(io.read_json(args.table))
-    report = verify_solution(measure, table,
-                             tolerances=_tolerances(args, config))
+    report = verify_solution(measure, table, tolerances=_tolerances(args))
     _write_or_print(io.dumps(io.report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -352,14 +370,6 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON file with flag overrides")
-    parser.add_argument("--output", help="output file (default stdout)")
-    for field in TOLERANCE_FIELDS:
-        parser.add_argument("--" + field.replace("_", "-"), type=float,
-                            default=None, dest=field)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built on first use and then shared."""
@@ -372,47 +382,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="PSD and Carleman diagnostics "
                                      "for a moment table")
     p.add_argument("table", help="moment table JSON file")
-    p.add_argument("--carleman-variant", choices=("pair", "single"),
-                   default=None)
-    _add_common(p)
 
     p = sub.add_parser("solve-canonical",
                        help="enumerate canonical solutions")
     p.add_argument("input", help="moment table or operator pair JSON file")
-    p.add_argument("--sampler", choices=("identity-only", "haar-random",
-                                         "exhaustive-phases"), default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--phases", type=int, default=None)
-    p.add_argument("--d-m", type=int, default=None, dest="d_m")
-    p.add_argument("--d-n", type=int, default=None, dest="d_n")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--refine", action="store_true")
-    p.add_argument("--output-dir", default=None, dest="output_dir")
-    _add_common(p)
 
     p = sub.add_parser("eval-resolvent",
                        help="evaluate the pair resolvent scalar on a grid")
     p.add_argument("input", help="operator pair JSON file")
-    p.add_argument("--phi", help="constant parameter matrix JSON file "
-                                 "(default zero)")
-    p.add_argument("--l1-start", dest="l1_start")
-    p.add_argument("--l1-stop", dest="l1_stop")
-    p.add_argument("--l1-count", type=int, default=None, dest="l1_count")
-    p.add_argument("--l2-start", dest="l2_start")
-    p.add_argument("--l2-stop", dest="l2_stop")
-    p.add_argument("--l2-count", type=int, default=None, dest="l2_count")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    _add_common(p)
 
     p = sub.add_parser("verify", help="compare a measure against a table")
     p.add_argument("measure", help="measure JSON file")
     p.add_argument("table", help="moment table JSON file")
-    _add_common(p)
 
     p = sub.add_parser("demo", help="write bundled scenarios and run a "
                                     "small pipeline")
     p.add_argument("--output-dir", default=None, dest="output_dir")
+    # An option with a config key keeps the parser default None, so that
+    # ``_apply_config`` can tell a flag left out from one given.
+    for name, rows in OPTIONS.items():
+        for flag, _, _, keywords in rows + COMMON_OPTIONS:
+            sub.choices[name].add_argument(flag, **keywords)
     return parser
 
 
@@ -442,6 +432,8 @@ def main(argv=None) -> int:
     # Looked up by name at call time, not bound into the shared parser.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if args.command in OPTIONS:
+            _apply_config(args, COMMON_OPTIONS + OPTIONS[args.command])
         return command(args)
     except Moment2dError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -450,7 +442,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"defect indices: A1={exc.defect_a1} "
                              f"A2={exc.defect_a2}\n")
         return exc.exit_code
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -72,7 +72,7 @@ class Tolerances:
 
     Every field is read by some pipeline gate and can be set from the
     command line, as a flag (``--rank-tol``) or a config key
-    (``cli.TOLERANCE_FIELDS`` lists them in field order).
+    (``cli.COMMON_OPTIONS`` lists them in field order).
 
     ``psd_tol`` None means the scale-aware default
     ``PSD_TOL_BASE * (1 + max |s|)`` of :func:`moment2d.moments.check_psd`.

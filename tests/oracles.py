@@ -6,6 +6,8 @@ deliberately avoiding the code paths under test.
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 
 
@@ -303,3 +305,67 @@ def flat_point(values: np.ndarray, rank_tol: float):
         if rank(d) == rank(d + 1):
             return d
     return None
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser spelled out call by call, to compare
+    ``--help`` texts against."""
+    def add_common(parser):
+        parser.add_argument("--config", help="JSON file with flag overrides")
+        parser.add_argument("--output", help="output file (default stdout)")
+        for field in ("rank_tol", "psd_tol", "subspace_tol", "cluster_tol",
+                      "atom_merge_tol", "verify_tol"):
+            parser.add_argument("--" + field.replace("_", "-"), type=float,
+                                default=None, dest=field)
+
+    parser = argparse.ArgumentParser(
+        prog="moment2d",
+        description="Two-dimensional moment problem toolkit: positivity "
+                    "checks, canonical solutions, resolvent grids.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="PSD and Carleman diagnostics "
+                                     "for a moment table")
+    p.add_argument("table", help="moment table JSON file")
+    p.add_argument("--carleman-variant", choices=("pair", "single"),
+                   default=None)
+    add_common(p)
+
+    p = sub.add_parser("solve-canonical",
+                       help="enumerate canonical solutions")
+    p.add_argument("input", help="moment table or operator pair JSON file")
+    p.add_argument("--sampler", choices=("identity-only", "haar-random",
+                                         "exhaustive-phases"), default=None)
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--phases", type=int, default=None)
+    p.add_argument("--d-m", type=int, default=None, dest="d_m")
+    p.add_argument("--d-n", type=int, default=None, dest="d_n")
+    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--refine", action="store_true")
+    p.add_argument("--output-dir", default=None, dest="output_dir")
+    add_common(p)
+
+    p = sub.add_parser("eval-resolvent",
+                       help="evaluate the pair resolvent scalar on a grid")
+    p.add_argument("input", help="operator pair JSON file")
+    p.add_argument("--phi", help="constant parameter matrix JSON file "
+                                 "(default zero)")
+    p.add_argument("--l1-start", dest="l1_start")
+    p.add_argument("--l1-stop", dest="l1_stop")
+    p.add_argument("--l1-count", type=int, default=None, dest="l1_count")
+    p.add_argument("--l2-start", dest="l2_start")
+    p.add_argument("--l2-stop", dest="l2_stop")
+    p.add_argument("--l2-count", type=int, default=None, dest="l2_count")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
+    add_common(p)
+
+    p = sub.add_parser("verify", help="compare a measure against a table")
+    p.add_argument("measure", help="measure JSON file")
+    p.add_argument("table", help="moment table JSON file")
+    add_common(p)
+
+    p = sub.add_parser("demo", help="write bundled scenarios and run a "
+                                    "small pipeline")
+    p.add_argument("--output-dir", default=None, dest="output_dir")
+    return parser

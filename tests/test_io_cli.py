@@ -679,8 +679,8 @@ def test_cli_every_tolerance_field_is_settable(argv, tmp_path: Path,
     values = {name: (i + 1) * 1e-3 for i, name in enumerate(names)}
     seen = []
 
-    def spy(args, config):
-        seen.append(dataclasses.asdict(real(args, config)))
+    def spy(args):
+        seen.append(dataclasses.asdict(real(args)))
         raise SchemaError("stop after the tolerances")
 
     real = cli._tolerances
@@ -830,4 +830,139 @@ def test_cli_solve_canonical_refuses_options_of_the_other_input(
         assert capsys.readouterr() == (
             "", "error: max_n applies to an operator pair, not to a moment "
                 "table\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["solve-canonical", "--help"],
+    ["eval-resolvent", "--help"], ["verify", "--help"], ["demo", "--help"],
+], ids=lambda argv: argv[0])
+def test_cli_help_matches_the_reference_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        oracles.reference_parser().parse_args(argv)
+    want = capsys.readouterr().out
+    assert want.startswith("usage: moment2d")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+_GRID = {"l1_start": "2j", "l2_start": "2j"}
+_TOLERANCE_KEYS = ("rank_tol, psd_tol, subspace_tol, cluster_tol, "
+                   "atom_merge_tol, verify_tol")
+
+
+# One fault per run; a value that a flag or a config key can set is tried
+# both ways.
+@pytest.mark.parametrize("command, flags, config, message", [
+    pytest.param("solve-canonical", ["--sampler", "haar-random"], None,
+                 "sampler haar-random requires --seed", id="seed-flag"),
+    pytest.param("solve-canonical", [], {"sampler": "haar-random"},
+                 "sampler haar-random requires --seed", id="seed-config"),
+    pytest.param("solve-canonical", [], {"sampler": "bogus"},
+                 "unknown sampler kind 'bogus'; expected one of "
+                 "('identity-only', 'haar-random', 'exhaustive-phases')",
+                 id="sampler-config"),
+    pytest.param("solve-canonical", ["--sampler", "haar-random", "--seed",
+                                     "1", "--count", "0"], None,
+                 "haar-random sampler requires count >= 1", id="count-flag"),
+    pytest.param("solve-canonical", [],
+                 {"sampler": "haar-random", "seed": 1, "count": 0},
+                 "haar-random sampler requires count >= 1", id="count-config"),
+    pytest.param("solve-canonical", ["--sampler", "exhaustive-phases",
+                                     "--phases", "0"], None,
+                 "exhaustive-phases sampler requires phases >= 1",
+                 id="phases-flag"),
+    pytest.param("solve-canonical", [],
+                 {"sampler": "exhaustive-phases", "phases": 0},
+                 "exhaustive-phases sampler requires phases >= 1",
+                 id="phases-config"),
+    pytest.param("eval-resolvent", [], {**_GRID, "format": "xml"},
+                 "format must be 'csv' or 'json'", id="format-config"),
+    pytest.param("eval-resolvent", ["--l2-start", "2j"], None,
+                 "missing --l1-start", id="start-flag"),
+    pytest.param("eval-resolvent", [], {"l2_start": "2j"},
+                 "missing --l1-start", id="start-config"),
+    pytest.param("eval-resolvent", ["--l1-start", "2j", "--l2-start", "2j",
+                                    "--l2-count", "3"], None,
+                 "--l2-stop is required when --l2-count > 1", id="stop-flag"),
+    pytest.param("eval-resolvent", [], {**_GRID, "l2_count": 3},
+                 "--l2-stop is required when --l2-count > 1",
+                 id="stop-config"),
+    pytest.param("eval-resolvent", ["--l1-start", "2j", "--l2-start", "2j",
+                                    "--l1-count", "0"], None,
+                 "--l1-count must be >= 1", id="grid-count-flag"),
+    pytest.param("eval-resolvent", [], {**_GRID, "l1_count": 0},
+                 "--l1-count must be >= 1", id="grid-count-config"),
+    pytest.param("check", ["--rank-tol", "0"], None,
+                 "rank_tol must be strictly positive", id="tolerance-flag"),
+    pytest.param("check", [], {"rank_tol": 0},
+                 "rank_tol must be strictly positive", id="tolerance-config"),
+    pytest.param("verify", [], [{"verify_tol": 1e-3}],
+                 "config file must hold a JSON object", id="config-object"),
+    pytest.param("check", [], {"bogus": 1},
+                 "config key 'bogus' is not read by check; accepted keys: "
+                 f"{_TOLERANCE_KEYS}, carleman_variant", id="keys-check"),
+    pytest.param("solve-canonical", [], {"bogus": 1},
+                 "config key 'bogus' is not read by solve-canonical; "
+                 f"accepted keys: {_TOLERANCE_KEYS}, sampler, count, seed, "
+                 "phases, d_m, d_n, max_n, output_dir", id="keys-solve"),
+    pytest.param("eval-resolvent", [], {"bogus": 1},
+                 "config key 'bogus' is not read by eval-resolvent; "
+                 f"accepted keys: {_TOLERANCE_KEYS}, l1_start, l1_stop, "
+                 "l1_count, l2_start, l2_stop, l2_count, format",
+                 id="keys-eval"),
+    pytest.param("verify", [], {"bogus": 1},
+                 "config key 'bogus' is not read by verify; accepted keys: "
+                 f"{_TOLERANCE_KEYS}", id="keys-verify"),
+])
+def test_cli_option_errors(command, flags, config, message, tmp_path: Path,
+                           capsys):
+    files = _write_demo(tmp_path, capsys)
+    inputs = {"check": ["e2-table.json"],
+              "verify": ["e2-measure.json", "e2-table.json"],
+              "solve-canonical": ["e3-pair.json"],
+              "eval-resolvent": ["e3-pair.json"]}[command]
+    argv = [command] + [str(files[name]) for name in inputs] + flags
+    if command == "solve-canonical":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_refuses_a_bad_carleman_variant_on_any_table(
+        tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"max_m": 1, "max_n": 1, "entries": [
+        [0, 0, 1.0], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.25]]}))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"carleman_variant": "bogus"}))
+    for table in (small, files["e2-table.json"]):
+        assert main(["check", str(table), "--config", str(config)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: variant must be 'pair' or 'single'\n")
+    assert main(["check", str(small)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-resolvent", "--l1-start", "2j", "--l1-stop", "3j",
+     "--l1-count", str(10**15), "--l2-start", "2j"],
+    ["solve-canonical", "--sampler", "exhaustive-phases",
+     "--phases", str(10**15), "--output-dir", "out"],
+], ids=lambda argv: argv[0])
+def test_cli_counts_too_large_to_allocate_are_input_errors(
+        argv, tmp_path: Path, monkeypatch, capsys):
+    # 10**15 numbers take 7.11 PiB, more than any user address space.
+    files = _write_demo(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(files["e3-pair.json"])] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
