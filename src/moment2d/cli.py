@@ -101,10 +101,13 @@ def _fmt(x: float) -> str:
 
 def _parse_complex(text: str, what: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise SchemaError(f"{what}: cannot parse {text!r} as a complex "
                           f"number (use Python syntax, e.g. 0.5+2j)") from exc
+    if not np.isfinite(z):
+        raise SchemaError(f"{what} must be finite")
+    return z
 
 
 def _apply_config(args, options: tuple) -> None:
@@ -156,11 +159,8 @@ def _tolerances(args):
 def _sampler(args) -> SamplerSpec:
     if args.sampler == "haar-random" and args.seed is None:
         raise SchemaError("sampler haar-random requires --seed")
-    try:
-        return SamplerSpec(kind=args.sampler, count=args.count,
-                           seed=args.seed, phases=args.phases)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return SamplerSpec(kind=args.sampler, count=args.count, seed=args.seed,
+                       phases=args.phases)
 
 
 def _write_or_print(text: str, path: str | None):
@@ -311,7 +311,10 @@ def _grid(args, which: str) -> list:
     if count == 1:
         return [z0]
     ts = np.linspace(0.0, 1.0, count)
-    return [complex(z0 + (z1 - z0) * t) for t in ts]
+    points = [complex(z0 + (z1 - z0) * t) for t in ts]
+    if not np.isfinite(points).all():
+        raise SchemaError(f"--{which}-start to --{which}-stop overflows")
+    return points
 
 
 def cmd_verify(args) -> int:

@@ -164,3 +164,8 @@ class StructureViolationError(Moment2dError):
     direct-sum bookkeeping) failed numerically."""
 
     exit_code = EXIT_STRUCTURE
+
+
+#: The exception classes in definition order, not the ``EXIT_*`` codes.
+__all__ = [name for name, obj in list(globals().items())
+           if isinstance(obj, type) and issubclass(obj, Moment2dError)]

@@ -14,6 +14,7 @@ from itertools import chain
 
 import numpy as np
 
+from .config import STRUCTURE_TOL
 from .errors import SchemaError
 from .gns import SymmetricPair
 from .moments import AtomicMeasure, MomentTable
@@ -279,25 +280,29 @@ def pair_from_json(obj) -> SymmetricPair:
     obj = _expect_dict(obj, "operator pair")
     dim = _expect_int(_get(obj, "dim", "operator pair"), "dim")
     _expect(dim >= 1, "dim must be >= 1")
-    a1_domain = complex_matrix_from_json(_get(obj, "a1_domain", "operator pair"),
-                                         "a1_domain", rows=dim)
-    a1_action = complex_matrix_from_json(_get(obj, "a1_action", "operator pair"),
-                                         "a1_action", rows=dim,
-                                         cols=a1_domain.shape[1])
-    a2_domain = complex_matrix_from_json(_get(obj, "a2_domain", "operator pair"),
-                                         "a2_domain", rows=dim)
-    a2_action = complex_matrix_from_json(_get(obj, "a2_action", "operator pair"),
-                                         "a2_action", rows=dim,
-                                         cols=a2_domain.shape[1])
+    ops = {}
+    for op in ("a1", "a2"):
+        domain = complex_matrix_from_json(
+            _get(obj, f"{op}_domain", "operator pair"), f"{op}_domain",
+            rows=dim)
+        # The operator's full matrix, action @ domain^H, needs this.
+        k = domain.shape[1]
+        residual = float(np.linalg.norm(domain.conj().T @ domain - np.eye(k)))
+        _expect(residual <= STRUCTURE_TOL * max(k, 1),
+                f"{op}_domain columns must be orthonormal (residual "
+                f"||Q^H Q - I||_F = {residual:.3e})")
+        ops[f"{op}_domain"] = domain
+        ops[f"{op}_action"] = complex_matrix_from_json(
+            _get(obj, f"{op}_action", "operator pair"), f"{op}_action",
+            rows=dim, cols=k)
     h00 = complex_vector_from_json(_get(obj, "h00", "operator pair"),
                                    "h00", length=dim)
     j_matrix = complex_matrix_from_json(_get(obj, "j_matrix", "operator pair"),
                                         "j_matrix", rows=dim, cols=dim)
     flag = _get(obj, "a2_selfadjoint", "operator pair")
     _expect(isinstance(flag, bool), "a2_selfadjoint must be a boolean")
-    return SymmetricPair(dim=dim, a1_domain=a1_domain, a1_action=a1_action,
-                         a2_domain=a2_domain, a2_action=a2_action,
-                         h00=h00, j_matrix=j_matrix, a2_selfadjoint=flag)
+    return SymmetricPair(dim=dim, **ops, h00=h00, j_matrix=j_matrix,
+                         a2_selfadjoint=flag)
 
 
 def report_to_json(report: SolutionReport) -> dict:

@@ -10,7 +10,8 @@ Two coordinate systems are used and converted with the Moebius map
 * ``lam``-type points: the complex plane without the real axis.  Disks
   of radius ``EXCLUDED_RADIUS`` around ``+-i`` are excluded
   as well; the boundary values there are defined only as weak limits,
-  and callers who need them must take the limits themselves.
+  and callers who need them must take the limits themselves.  Only
+  :func:`validate_spectral_point` checks them; a point it accepts evaluates.
 
 Sign convention
 ---------------
@@ -172,12 +173,17 @@ def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
     """
     u = as_complex_matrix(u)
     z = complex(z)
-    n = u.shape[0]
-    if n == 0:
+    if u.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     if abs(abs(z) - 1.0) <= 1e-12:
         raise SingularMatrixError(f"z = {z} lies on the unit circle")
-    eye = np.eye(n, dtype=complex)
+    return _moebius_solve(u, z)
+
+
+def _moebius_solve(u: np.ndarray, z: complex) -> np.ndarray:
+    """``(E + z U)(E - z U)^{-1}`` with no check on ``z``: at a huge
+    ``lambda2`` ``|z2|`` rounds to 1, but ``U`` has no eigenvalue 1."""
+    eye = np.eye(u.shape[0], dtype=complex)
     try:
         return np.linalg.solve(eye - z * u, eye + z * u)
     except np.linalg.LinAlgError as exc:
@@ -230,7 +236,7 @@ class PreparedPair:
     def col(self, z2: complex) -> np.ndarray:
         """``U(z2)`` of :func:`unitary_moebius`, solved once per ``z2``."""
         return _memoized(self._cols, z2,
-                         lambda: unitary_moebius(self.iso.u_matrix, z2))
+                         lambda: _moebius_solve(self.iso.u_matrix, z2))
 
 
 def _memoized(memo: dict, z: complex, solve) -> np.ndarray:

@@ -159,9 +159,10 @@ def random_atomic_measure(rng: np.random.Generator,
     """Random atomic measure with well-separated atoms.
 
     Coordinates are uniform on the square, weights uniform on the given
-    interval; candidate atoms closer than ``min_separation`` in either
-    coordinate direction to an accepted atom are resampled so that
-    recovery at moderate degrees stays well-conditioned.
+    interval; a candidate atom within ``min_separation`` of an accepted
+    atom in both coordinates (max-norm distance) is resampled so that
+    recovery at moderate degrees stays well-conditioned.  Two atoms may
+    still share nearly the same ``t1`` or the same ``t2``.
     """
     if n_atoms is None:
         n_atoms = int(rng.integers(2, 7))

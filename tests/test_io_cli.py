@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -120,6 +121,28 @@ def test_pair_round_trip():
     bad["a2_selfadjoint"] = "yes"
     with pytest.raises(SchemaError):
         io.pair_from_json(bad)
+
+
+@pytest.mark.parametrize("field", ["a1_domain", "a2_domain"])
+def test_pair_from_json_refuses_a_domain_basis_that_is_not_orthonormal(
+        field, tmp_path: Path, capsys):
+    # Twice the basis and twice the action span the same operator on
+    # paper, but the full matrix action @ domain^H is 4 times too large.
+    obj = io.pair_to_json(e3().pair)
+    action = field.replace("domain", "action")
+    for key in (field, action):
+        obj[key] = [[[2.0 * x for x in cell] for cell in row]
+                    for row in obj[key]]
+    k = len(obj[field][0])
+    message = (f"{field} columns must be orthonormal (residual "
+               f"||Q^H Q - I||_F = {3.0 * np.sqrt(k):.3e})")
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        io.pair_from_json(obj)
+    path = tmp_path / "pair.json"
+    io.write_json(obj, str(path))
+    assert main(["eval-resolvent", str(path), "--l1-start", "2j",
+                 "--l2-start", "2j"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_complex_matrix_round_trip():
@@ -494,7 +517,7 @@ def test_cli_eval_resolvent_gates_the_parameter_once(tmp_path: Path, capsys,
 def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,
                                                    monkeypatch):
     files = _write_demo(tmp_path, capsys)
-    calls = {"_extended_resolvent": 0, "unitary_moebius": 0}
+    calls = {"_extended_resolvent": 0, "_moebius_solve": 0}
     for name in calls:
         def counted(*args, _name=name, _solve=getattr(resolvents, name)):
             calls[_name] += 1
@@ -517,7 +540,7 @@ def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
     assert len(points) == 42 and len(set(points)) == 42
-    assert calls == {"_extended_resolvent": 6, "unitary_moebius": 6}
+    assert calls == {"_extended_resolvent": 6, "_moebius_solve": 6}
 
 
 def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):
@@ -535,6 +558,26 @@ def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):
         want = pair_resolvent_of_measure(report.measure, complex(*row[0:2]),
                                          complex(*row[2:4]))
         assert abs(complex(*row[4:6]) - want) < 1e-9
+
+
+def test_cli_eval_resolvent_far_lambda2_points_evaluate(tmp_path: Path,
+                                                        capsys):
+    # Their z2 lies within 1e-12 of the unit circle, or on it.
+    files = _write_demo(tmp_path, capsys)
+    report = next(iter(solve_canonical(
+        e3().pair, sampler=SamplerSpec(kind="exhaustive-phases", phases=4))))
+    assert report.u2_seed == "exhaustive-phases:4:0"
+    for lam1 in ("2j", "0.5-2j"):
+        for lam2 in ("1e13j", "30+1e-10j", "1e6+0.4j", "1e300j"):
+            assert main(["eval-resolvent", str(files["e3-pair.json"]),
+                         "--phi", str(files["e3-phi.json"]),
+                         "--l1-start", lam1, "--l2-start", lam2,
+                         "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert len(rows) == 1
+            want = pair_resolvent_of_measure(report.measure, complex(lam1),
+                                             complex(lam2))
+            assert abs(complex(*rows[0][4:6]) - want) < 1e-14
 
 
 def test_cli_parameter_gate_fails_even_when_every_point_is_excluded(
@@ -663,6 +706,31 @@ def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None
     assert moment2d.__version__ == match.group(1)
+
+
+def _error_classes(cls=Moment2dError) -> set:
+    return {cls}.union(*map(_error_classes, cls.__subclasses__()))
+
+
+def test_package_exports_the_module_lists():
+    modules = [importlib.import_module(f"moment2d.{name}") for name in (
+        "moments", "gns", "cayley", "resolvents", "solutions", "scenarios",
+        "errors")]
+    names = ["__version__", "Tolerances", "DEFAULT_TOLERANCES"]
+    names += [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(moment2d.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(moment2d, name) is getattr(module, name), name
+    defaults = importlib.import_module("moment2d.config")
+    assert moment2d.Tolerances is defaults.Tolerances
+    assert moment2d.DEFAULT_TOLERANCES is defaults.DEFAULT_TOLERANCES
+    assert moment2d.cayley is modules[2].cayley
+    exported = {getattr(moment2d, name) for name in moment2d.__all__
+                if isinstance(getattr(moment2d, name), type)}
+    assert {cls for cls in _error_classes()
+            if cls.__module__.startswith("moment2d")} <= exported
 
 
 @pytest.mark.parametrize("argv", [
@@ -966,3 +1034,35 @@ def test_cli_counts_too_large_to_allocate_are_input_errors(
     assert err.startswith("error: Unable to allocate ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
+
+
+# Each text is written as is: ``1e999`` decodes to infinity.
+@pytest.mark.parametrize("flags, config, message", [
+    (["--l1-start", "nan"], None, "--l1-start must be finite"),
+    ([], '{"l1_start": "nan", "l2_start": "2j"}', "--l1-start must be finite"),
+    ([], '{"l1_start": 1e999, "l2_start": "2j"}', "--l1-start must be finite"),
+    (["--l1-start", "2j", "--l1-stop", "inf", "--l1-count", "3"], None,
+     "--l1-stop must be finite"),
+    ([], '{"l1_start": "2j", "l1_stop": 1e999, "l1_count": 3, '
+         '"l2_start": "2j"}', "--l1-stop must be finite"),
+    (["--l1-start", "2j", "--l1-stop", "1e999j"], None,
+     "--l1-stop must be finite"),
+    (["--l1-start=-1e308", "--l1-stop", "1e308", "--l1-count", "3"], None,
+     "--l1-start to --l1-stop overflows"),
+    ([], '{"l1_start": -1e308, "l1_stop": 1e308, "l1_count": 3, '
+         '"l2_start": "2j"}',
+     "--l1-start to --l1-stop overflows"),
+], ids=["start-flag", "start-config", "start-config-1e999", "stop-flag",
+        "stop-config-1e999", "stop-count-1", "overflow-flag",
+        "overflow-config"])
+def test_cli_eval_resolvent_refuses_grid_bounds_that_are_not_finite(
+        flags, config, message, tmp_path: Path, capsys):
+    files = _write_demo(tmp_path, capsys)
+    argv = ["eval-resolvent", str(files["e3-pair.json"])] + flags
+    if config is None:
+        argv += ["--l2-start", "2j"]
+    else:
+        (tmp_path / "c.json").write_text(config)
+        argv += ["--config", str(tmp_path / "c.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
