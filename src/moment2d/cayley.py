@@ -58,7 +58,6 @@ from .linalg import (as_complex_matrix, complement_basis, empty_basis,
 __all__ = [
     "CayleyIsometry",
     "IsometricPair",
-    "ExtensionData",
     "ContractionParameter",
     "ConjugationFactorization",
     "cayley",
@@ -94,38 +93,21 @@ class CayleyIsometry:
 
 
 @dataclass(frozen=True)
-class ExtensionData:
-    """The part of every canonical extension of ``A1`` that does not
-    depend on the commutant parameter ``U2``.
-
-    ``u24`` is the linear isometry ``U24 = J o K : H2 -> H4`` from
-    ``n0_basis`` coordinates to space coordinates, with ``K`` the first
-    factor of ``godich_lutsenko(W2)``; ``v_space`` is
-    :meth:`IsometricPair.v_on_space`.  Both arrays are read-only, since
-    every extension built from the pair shares them.
-    """
-
-    u24: np.ndarray
-    v_space: np.ndarray
-
-
-@dataclass(frozen=True)
 class IsometricPair:
     """Cayley transform of ``A1`` together with the unitary Cayley
     transform ``U`` of the self-adjoint ``A2``.
 
-    The subspaces ``H1 = D(V)``, ``H2 = N0(V)``, ``H3 = R(V)``,
-    ``H4 = Ninf(V)`` are all stored as orthonormal column bases; ``U``
-    leaves each of them invariant.  ``j_matrix`` is the conjugation
-    ``J`` of the pair (``x -> j_matrix @ conj(x)``).  ``w2`` and
-    ``extension_data`` are computed on first use and kept on the
-    instance; they are read-only arrays.
+    The subspaces ``H1 = D(V)``, ``H2 = N0(V)`` and ``H4 = Ninf(V)`` are
+    stored as orthonormal column bases; ``U`` leaves each of them
+    invariant.  ``j_matrix`` is the conjugation ``J`` of the pair
+    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2`` and ``u24`` are
+    computed on first use and kept on the instance; they are read-only
+    arrays, since every extension built from the pair shares them.
     """
 
     dim: int
     v_domain: np.ndarray
     v_action: np.ndarray
-    v_range: np.ndarray
     n0_basis: np.ndarray
     ninf_basis: np.ndarray
     u_matrix: np.ndarray
@@ -136,14 +118,23 @@ class IsometricPair:
         return self.n0_basis.shape[1]
 
     @cached_property
+    def v_matrix(self) -> np.ndarray:
+        """Matrix acting as ``V`` on ``D(V)`` and as 0 on ``N0``."""
+        return read_only(self.v_action @ self.v_domain.conj().T)
+
+    @cached_property
     def w2(self) -> np.ndarray:
         """``W2 = U|_{N0}`` in ``n0_basis`` coordinates."""
         return read_only(self.n0_basis.conj().T @ self.u_matrix
                           @ self.n0_basis)
 
     @cached_property
-    def extension_data(self) -> ExtensionData:
-        """Parameter-independent data of the canonical extensions.
+    def u24(self) -> np.ndarray:
+        """The linear isometry ``U24 = J o K : H2 -> H4`` from
+        ``n0_basis`` coordinates to space coordinates, with ``K`` the
+        first factor of ``godich_lutsenko(W2)``: the part of every
+        canonical extension that does not depend on the commutant
+        parameter ``U2``.
 
         Gates, in order: ``U N0 = N0 W2`` (the second Cayley transform
         reduces the defect subspace), the conjugation factorization
@@ -173,8 +164,14 @@ class IsometricPair:
             if subspace_residual(self.ninf_basis, u24) > STRUCTURE_TOL:
                 raise StructureViolationError(
                     "U24 does not map the defect subspace into H4")
-        return ExtensionData(u24=read_only(u24),
-                             v_space=read_only(self.v_on_space()))
+        return read_only(u24)
+
+    def extend(self, defect_map: np.ndarray) -> np.ndarray:
+        """New matrix of ``V (+) D``: ``V`` on ``D(V)`` and ``defect_map``,
+        from ``n0_basis`` coordinates to space coordinates, on ``N0``."""
+        if not self.defect_dim:
+            return self.v_matrix.copy()
+        return self.v_matrix + defect_map @ self.n0_basis.conj().T
 
     def parameter_at(self, phi: "ContractionParameter",
                      z: complex = 0.0) -> np.ndarray:
@@ -190,10 +187,6 @@ class IsometricPair:
                 f"parameter shape {value.shape} does not match defect "
                 f"dimensions {expected}")
         return value
-
-    def v_on_space(self) -> np.ndarray:
-        """Matrix acting as ``V`` on ``D(V)`` and as 0 on ``N0``."""
-        return self.v_action @ self.v_domain.conj().T
 
     def operator_domain(self, *,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -215,18 +208,20 @@ class ContractionParameter:
     bound: largest singular value at most ``1 + CONTRACTION_SLACK``.
     """
 
-    constant: bool
     matrix: np.ndarray | None = None
     evaluator: Callable[[complex], np.ndarray] | None = None
 
+    @property
+    def constant(self) -> bool:
+        return self.evaluator is None
+
     @staticmethod
     def const(matrix) -> "ContractionParameter":
-        return ContractionParameter(constant=True,
-                                    matrix=as_complex_matrix(matrix))
+        return ContractionParameter(matrix=as_complex_matrix(matrix))
 
     @staticmethod
     def pointwise(evaluator: Callable[[complex], np.ndarray]) -> "ContractionParameter":
-        return ContractionParameter(constant=False, evaluator=evaluator)
+        return ContractionParameter(evaluator=evaluator)
 
     def at(self, z: complex) -> np.ndarray:
         if self.constant:
@@ -317,7 +312,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
-    iso = cayley(pair, tolerances=tolerances)
+    cay = cayley(pair, tolerances=tolerances)
     a2 = pair.a2_matrix
     n = pair.dim
     eye = np.eye(n)
@@ -329,27 +324,28 @@ def build_isometric_pair(pair: SymmetricPair, *,
         raise StructureViolationError(
             "Cayley transform of A2 has an eigenvalue at 1; A2 is outside "
             "the numerically supported range")
-    n0 = complement_basis(iso.domain, subspace_tol)
-    ninf = complement_basis(iso.range, subspace_tol)
+    n0 = complement_basis(cay.domain, subspace_tol)
+    ninf = complement_basis(cay.range, subspace_tol)
     if n0.shape[1] != ninf.shape[1]:
         raise StructureViolationError(
             f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]}")
-    for name, basis in (("D(V)", iso.domain), ("R(V)", iso.range)):
+    for name, basis in (("D(V)", cay.domain), ("R(V)", cay.range)):
         if basis.shape[1]:
             res = subspace_residual(basis, u @ basis)
             if res > STRUCTURE_TOL:
                 raise StructureViolationError(
                     f"U does not leave {name} invariant (residual {res:.3e})")
-    if iso.domain.shape[1]:
-        v_part = iso.action @ iso.domain.conj().T
-        comm = (v_part @ u - u @ v_part) @ iso.domain
-        scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v_part)))
+    iso = IsometricPair(dim=n, v_domain=cay.domain, v_action=cay.action,
+                        n0_basis=n0, ninf_basis=ninf, u_matrix=u,
+                        j_matrix=pair.j_matrix)
+    if cay.domain.shape[1]:
+        v = iso.v_matrix
+        comm = (v @ u - u @ v) @ cay.domain
+        scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
         if float(np.linalg.norm(comm)) > STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "U and V do not commute on D(V)")
-    return IsometricPair(dim=n, v_domain=iso.domain, v_action=iso.action,
-                         v_range=iso.range, n0_basis=n0, ninf_basis=ninf,
-                         u_matrix=u, j_matrix=pair.j_matrix)
+    return iso
 
 
 def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
@@ -360,11 +356,7 @@ def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
     Unitary precisely when ``Phi_z`` is unitary (square with all
     singular values 1).
     """
-    value = iso.parameter_at(phi, z)
-    full = iso.v_on_space()
-    if iso.defect_dim:
-        full = full + iso.ninf_basis @ value @ iso.n0_basis.conj().T
-    return full
+    return iso.extend(iso.ninf_basis @ iso.parameter_at(phi, z))
 
 
 def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:

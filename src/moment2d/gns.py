@@ -78,9 +78,9 @@ class SymmetricPair:
     together with an action matrix sending domain coordinates to space
     coordinates: ``A (domain @ c) = action @ c``.  ``j_matrix`` is the
     matrix of the antilinear conjugation ``x -> j_matrix @ conj(x)``
-    fixing the monomial classes.  ``a2_selfadjoint`` is True iff the
-    domain of ``A2`` is the whole space and its action is Hermitian.
-    ``a2_matrix`` is computed on first use and kept on the instance.
+    fixing the monomial classes.  The pair holds only these matrices;
+    ``a2_matrix`` and ``a2_selfadjoint`` are derived from them on first
+    use and kept on the instance.
     """
 
     dim: int
@@ -90,7 +90,6 @@ class SymmetricPair:
     a2_action: np.ndarray
     h00: np.ndarray
     j_matrix: np.ndarray
-    a2_selfadjoint: bool
 
     def domain(self, which: int) -> np.ndarray:
         self._check_which(which)
@@ -118,6 +117,13 @@ class SymmetricPair:
         for every layer that needs the whole ``A2``; a domain that is not
         the whole space raises ``DomainCollapseError`` and keeps nothing."""
         return read_only(self.full_matrix(2))
+
+    @cached_property
+    def a2_selfadjoint(self) -> bool:
+        """True iff the domain of ``A2`` is the whole space and
+        ``a2_matrix`` is Hermitian within ``STRUCTURE_TOL``."""
+        return (self.defect_index(2) == 0
+                and is_hermitian(self.a2_matrix, STRUCTURE_TOL))
 
     def require_a2_selfadjoint(self, message: str):
         """Raise ``NotSelfAdjointA2Error`` with ``message`` and the defect
@@ -222,18 +228,13 @@ def build_operators(space: GnsSpace, *,
     # Real Gram, real eigendecomposition: the conjugation fixing all
     # classes is entrywise conjugation.
     j_matrix = np.eye(dim, dtype=complex)
-    a2_full = a2_domain.shape[1] == dim
-    a2_selfadjoint = bool(
-        a2_full and is_hermitian(a2_action @ a2_domain.conj().T,
-                                 STRUCTURE_TOL))
     return SymmetricPair(dim=dim,
                          a1_domain=a1_domain.astype(complex),
                          a1_action=a1_action.astype(complex),
                          a2_domain=a2_domain.astype(complex),
                          a2_action=a2_action.astype(complex),
                          h00=h00.astype(complex),
-                         j_matrix=j_matrix,
-                         a2_selfadjoint=a2_selfadjoint)
+                         j_matrix=j_matrix)
 
 
 def _shift_step(domain: np.ndarray, action: np.ndarray, x: np.ndarray,

@@ -17,6 +17,7 @@ import numpy as np
 from .config import STRUCTURE_TOL
 from .errors import SchemaError
 from .gns import SymmetricPair
+from .linalg import is_conjugation
 from .moments import AtomicMeasure, MomentTable
 from .solutions import SolutionReport
 
@@ -272,7 +273,7 @@ def pair_to_json(pair: SymmetricPair) -> dict:
         "a2_action": complex_matrix_to_json(pair.a2_action),
         "h00": complex_vector_to_json(pair.h00),
         "j_matrix": complex_matrix_to_json(pair.j_matrix),
-        "a2_selfadjoint": bool(pair.a2_selfadjoint),
+        "a2_selfadjoint": pair.a2_selfadjoint,
     }
 
 
@@ -299,10 +300,15 @@ def pair_from_json(obj) -> SymmetricPair:
                                    "h00", length=dim)
     j_matrix = complex_matrix_from_json(_get(obj, "j_matrix", "operator pair"),
                                         "j_matrix", rows=dim, cols=dim)
+    _expect(is_conjugation(j_matrix, STRUCTURE_TOL),
+            "j_matrix must be a conjugation: unitary with J conj(J) = I")
     flag = _get(obj, "a2_selfadjoint", "operator pair")
     _expect(isinstance(flag, bool), "a2_selfadjoint must be a boolean")
-    return SymmetricPair(dim=dim, **ops, h00=h00, j_matrix=j_matrix,
-                         a2_selfadjoint=flag)
+    pair = SymmetricPair(dim=dim, **ops, h00=h00, j_matrix=j_matrix)
+    _expect(flag == pair.a2_selfadjoint,
+            f"a2_selfadjoint is {dumps(flag)}, but A2 is "
+            f"{'' if pair.a2_selfadjoint else 'not '}self-adjoint")
+    return pair
 
 
 def report_to_json(report: SolutionReport) -> dict:

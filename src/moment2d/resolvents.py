@@ -66,7 +66,6 @@ __all__ = [
     "ResolventSample",
     "TrigMomentTable",
     "cayley_point",
-    "inverse_cayley_point",
     "chumakin_resolvent",
     "unitary_moebius",
     "pair_resolvent_unitary",
@@ -92,12 +91,6 @@ def cayley_point(lam: complex) -> complex:
     """Moebius image ``z = (lam - i)/(lam + i)`` of a spectral point."""
     lam = complex(lam)
     return (lam - 1j) / (lam + 1j)
-
-
-def inverse_cayley_point(z: complex) -> complex:
-    """Inverse map ``lam = i (1 + z)/(1 - z)``."""
-    z = complex(z)
-    return 1j * (1.0 + z) / (1.0 - z)
 
 
 def validate_spectral_point(lam: complex, name: str = "lambda") -> complex:

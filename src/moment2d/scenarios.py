@@ -53,8 +53,7 @@ def e1() -> Scenario:
     zero = np.zeros((1, 1), dtype=complex)
     pair = SymmetricPair(dim=1, a1_domain=eye, a1_action=zero,
                          a2_domain=eye, a2_action=zero,
-                         h00=np.array([1.0 + 0.0j]), j_matrix=eye,
-                         a2_selfadjoint=True)
+                         h00=np.array([1.0 + 0.0j]), j_matrix=eye)
     return Scenario(name="e1", pair=pair, table=table, measure=measure,
                     description="unit mass at the origin (determinate)")
 
@@ -72,8 +71,7 @@ def e2() -> Scenario:
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     pair = SymmetricPair(dim=2, a1_domain=eye, a1_action=flip,
                          a2_domain=eye, a2_action=flip,
-                         h00=np.array([1.0 + 0.0j, 0.0j]), j_matrix=eye,
-                         a2_selfadjoint=True)
+                         h00=np.array([1.0 + 0.0j, 0.0j]), j_matrix=eye)
     return Scenario(name="e2", pair=pair, table=table, measure=measure,
                     description="two symmetric atoms at +-(1, 1) "
                                 "(determinate)")
@@ -97,7 +95,7 @@ def e3() -> Scenario:
     pair = SymmetricPair(dim=3, a1_domain=eye[:, :2], a1_action=jac[:, :2],
                          a2_domain=eye, a2_action=np.zeros((3, 3), dtype=complex),
                          h00=np.array([1.0 + 0.0j, 0.0j, 0.0j]),
-                         j_matrix=eye, a2_selfadjoint=True)
+                         j_matrix=eye)
     table = moments_from_pair(pair, 2, 2)
     return Scenario(name="e3", pair=pair, table=table, measure=None,
                     description="truncated Jacobi block with zero second "
@@ -142,8 +140,7 @@ def e3_class(dim: int = 5, defect: int = 1, seed: int = 0) -> Scenario:
                          a1_action=(a1_full @ domain).astype(complex),
                          a2_domain=np.eye(dim, dtype=complex),
                          a2_action=a2_full.astype(complex),
-                         h00=h00, j_matrix=np.eye(dim, dtype=complex),
-                         a2_selfadjoint=True)
+                         h00=h00, j_matrix=np.eye(dim, dtype=complex))
     table = moments_from_pair(pair, 0, 2)
     return Scenario(name=f"e3-class-{dim}-{defect}-{seed}", pair=pair,
                     table=table, measure=None,

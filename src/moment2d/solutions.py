@@ -100,8 +100,8 @@ class CanonicalExtension:
 
     ``a1_tilde`` is the Hermitian extension of ``A1``; ``u24`` is the
     linear isometry from ``H2`` coordinates onto ``H4`` given by the
-    conjugation composition, the read-only array of
-    ``iso.extension_data`` shared by every extension of the pair.
+    conjugation composition, the read-only array ``iso.u24`` shared by
+    every extension of the pair.
     """
 
     a1_tilde: np.ndarray
@@ -184,38 +184,35 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
                         u2: np.ndarray) -> CanonicalExtension:
     """Self-adjoint extension of ``A1`` from a commutant parameter.
 
-    The unitary ``V_tilde = V1 (+) (U24 U2)`` is built from
-    ``iso.extension_data``: ``U24 = J o K : H2 -> H4`` with ``K`` from the
-    conjugation factorization of ``W2 = U|_{H2}``, and ``V`` on ``D(V)``.
-    That data, with its reduction, isometry and range gates, is computed
-    once per :class:`IsometricPair` and shared by every ``u2``.  The
-    inverse Cayley transform of ``V_tilde`` is the returned Hermitian
-    extension.  Per ``u2`` this checks its shape (``ValueError``), its
-    unitarity (``NotUnitaryError``) and its commutation with ``W2``
-    (``CommutationViolatedError``).  A ``u2`` leading to a fixed point
-    of ``V_tilde`` raises ``FixedPointError`` (that parameter is
-    rejected); structural failures (pair-level data, ``V_tilde``
-    unitary, restriction to ``A1``, commutation with ``A2``) raise
-    ``StructureViolationError``.
+    The unitary ``V_tilde = V1 (+) (U24 U2)`` is built from ``iso.u24``
+    (``U24 = J o K : H2 -> H4`` with ``K`` from the conjugation
+    factorization of ``W2 = U|_{H2}``) and ``iso.v_matrix`` (``V`` on
+    ``D(V)``).  Both, with the reduction, isometry and range gates of
+    ``U24``, are computed once per :class:`IsometricPair` and shared by
+    every ``u2``.  The inverse Cayley transform of ``V_tilde`` is the
+    returned Hermitian extension.  Per ``u2`` this checks its shape
+    (``ValueError``), its unitarity (``NotUnitaryError``) and its
+    commutation with ``W2`` (``CommutationViolatedError``).  A ``u2``
+    leading to a fixed point of ``V_tilde`` raises ``FixedPointError``
+    (that parameter is rejected); structural failures (pair-level data,
+    ``V_tilde`` unitary, restriction to ``A1``, commutation with ``A2``)
+    raise ``StructureViolationError``.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; canonical extensions unavailable")
-    n0 = iso.n0_basis
-    d2 = n0.shape[1]
+    d2 = iso.defect_dim
     u2 = as_complex_matrix(u2)
     if u2.shape != (d2, d2):
         raise ValueError(f"U2 has shape {u2.shape}, expected ({d2}, {d2})")
     u2 = require_unitary(u2, STRUCTURE_TOL, "U2")
-    data = iso.extension_data
+    u24 = iso.u24
     w2 = iso.w2
     if d2:
         comm = float(np.linalg.norm(u2 @ w2 - w2 @ u2))
         if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))):
             raise CommutationViolatedError(
                 f"U2 does not commute with W2 (residual {comm:.3e})")
-    v_tilde = data.v_space
-    if d2:
-        v_tilde = v_tilde + data.u24 @ u2 @ n0.conj().T
+    v_tilde = iso.extend(u24 @ u2)
     if not is_unitary(v_tilde, STRUCTURE_TOL * 10):
         raise StructureViolationError("extended isometry is not unitary")
     a1_tilde = inverse_cayley(v_tilde, STRUCTURE_TOL * 10)
@@ -231,7 +228,7 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     if comm > STRUCTURE_TOL * 100 * comm_scale:
         raise StructureViolationError(
             f"extension does not commute with A2 (residual {comm:.3e})")
-    return CanonicalExtension(a1_tilde=a1_tilde, u24=data.u24)
+    return CanonicalExtension(a1_tilde=a1_tilde, u24=u24)
 
 
 def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
@@ -588,8 +585,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     Each commutant parameter ``U2`` from the sampler yields one report;
     in the determinate case the stream holds exactly one report
     regardless of the sampler.  The pair-level extension data
-    (``IsometricPair.extension_data``) is built once for the whole
-    stream, by the first :func:`canonical_extension` call.
+    (``IsometricPair.v_matrix`` and ``IsometricPair.u24``) is built once
+    for the whole stream.
 
     Every emitted measure is cross-validated: the scalar pair resolvent
     of the extension equals the atomic-sum kernel of the measure at

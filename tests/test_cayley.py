@@ -13,6 +13,7 @@ from moment2d import (
     EmbeddingLostError,
     FixedPointError,
     NotDirectSumError,
+    NotSelfAdjointA2Error,
     NotSupportedError,
     NotUnitaryError,
     StructureViolationError,
@@ -23,6 +24,7 @@ from moment2d import (
     cayley,
     commutation_check,
     constant_admissibility,
+    e2,
     e3,
     e3_class,
     extend_isometry,
@@ -50,8 +52,7 @@ def _full_pair(a1: np.ndarray, a2: np.ndarray, h00=None) -> SymmetricPair:
                          a2_domain=np.eye(dim, dtype=complex),
                          a2_action=np.asarray(a2, dtype=complex),
                          h00=np.asarray(h00, dtype=complex),
-                         j_matrix=np.eye(dim, dtype=complex),
-                         a2_selfadjoint=True)
+                         j_matrix=np.eye(dim, dtype=complex))
 
 
 def _scalar_pair() -> SymmetricPair:
@@ -62,8 +63,7 @@ def _scalar_pair() -> SymmetricPair:
                          a2_domain=np.eye(1, dtype=complex),
                          a2_action=np.zeros((1, 1), dtype=complex),
                          h00=np.array([1.0 + 0j]),
-                         j_matrix=np.eye(1, dtype=complex),
-                         a2_selfadjoint=True)
+                         j_matrix=np.eye(1, dtype=complex))
 
 
 def _jacobi(b0: float, b1: float) -> np.ndarray:
@@ -81,8 +81,7 @@ def _two_block_pair() -> SymmetricPair:
     h00 = np.array([0.8, 0, 0, 0.6, 0, 0], dtype=complex)
     return SymmetricPair(dim=6, a1_domain=dom, a1_action=b1[:, keep],
                          a2_domain=np.eye(6, dtype=complex), a2_action=b2,
-                         h00=h00, j_matrix=np.eye(6, dtype=complex),
-                         a2_selfadjoint=True)
+                         h00=h00, j_matrix=np.eye(6, dtype=complex))
 
 
 def test_cayley_of_diagonal_operator():
@@ -145,6 +144,29 @@ def test_extend_isometry_shapes_and_unitarity():
     assert is_unitary(phase, 1e-12)
     with pytest.raises(ValueError):
         extend_isometry(iso, ContractionParameter.const(np.zeros((2, 1))))
+
+
+def test_extend_isometry_returns_a_new_array_at_defect_zero():
+    iso = build_isometric_pair(e2().pair)
+    assert iso.defect_dim == 0
+    full = extend_isometry(iso, ContractionParameter.const(np.zeros((0, 0))))
+    assert np.array_equal(full, iso.v_matrix)
+    assert full.flags.writeable
+    assert not np.shares_memory(full, iso.v_matrix)
+
+
+def test_build_isometric_pair_derives_a2_selfadjoint_from_the_matrices():
+    pair = e3().pair
+    skew = pair.a2_action.copy()
+    skew[0, 1] = 0.5
+    not_hermitian = dataclasses.replace(pair, a2_action=skew)
+    partial = dataclasses.replace(pair, a2_domain=pair.a2_domain[:, :2],
+                                  a2_action=pair.a2_action[:, :2])
+    for bad, defect_a2 in ((not_hermitian, 0), (partial, 1)):
+        assert bad.a2_selfadjoint is False
+        with pytest.raises(NotSelfAdjointA2Error) as info:
+            build_isometric_pair(bad)
+        assert (info.value.defect_a1, info.value.defect_a2) == (1, defect_a2)
 
 
 def test_contraction_parameter_enforces_norm_bound():
@@ -226,7 +248,7 @@ def test_forbidden_operator_requires_direct_sum():
     e1_col = np.eye(2, dtype=complex)[:, [0]]
     e2_col = np.eye(2, dtype=complex)[:, [1]]
     iso = IsometricPair(dim=2, v_domain=e1_col, v_action=-e1_col,
-                        v_range=e1_col, n0_basis=e2_col, ninf_basis=e1_col,
+                        n0_basis=e2_col, ninf_basis=e1_col,
                         u_matrix=np.eye(2, dtype=complex),
                         j_matrix=np.eye(2, dtype=complex))
     assert subspace_residual(iso.operator_domain(), e1_col) < 1e-12
@@ -323,7 +345,7 @@ def test_per_parameter_gates_run_after_the_pair_data_is_cached():
     pair = _two_block_pair()
     iso = build_isometric_pair(pair)
     canonical_extension(pair, iso, np.eye(2, dtype=complex))
-    assert "extension_data" in vars(iso)
+    assert "u24" in vars(iso) and "v_matrix" in vars(iso)
     # W2 has two distinct eigenvalues, so swapping the channels does not
     # commute with it.
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -344,7 +366,7 @@ def test_a_failing_pair_level_gate_raises_on_every_parameter():
         with pytest.raises(StructureViolationError,
                            match=r"^U24 is not isometric \(residual "):
             canonical_extension(pair, iso, phase * np.eye(2, dtype=complex))
-    assert "extension_data" not in vars(iso)
+    assert "u24" not in vars(iso)
 
 
 def test_isometric_pairs_never_share_cached_data():
@@ -352,19 +374,21 @@ def test_isometric_pairs_never_share_cached_data():
     first = build_isometric_pair(pair)
     second = build_isometric_pair(pair)
     other = build_isometric_pair(e3().pair)
-    data = [iso.extension_data for iso in (first, second, other)]
-    assert first.extension_data is data[0]
+    names = ("u24", "v_matrix")
+    data = [{name: getattr(iso, name) for name in names}
+            for iso in (first, second, other)]
+    for name in names:
+        assert getattr(first, name) is data[0][name]
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        assert data[a] is not data[b]
-        for name in ("u24", "v_space"):
-            assert not np.shares_memory(getattr(data[a], name),
-                                        getattr(data[b], name))
-    assert np.array_equal(data[0].u24, data[1].u24)
+        for name in names:
+            assert data[a][name] is not data[b][name]
+            assert not np.shares_memory(data[a][name], data[b][name])
+    assert np.array_equal(data[0]["u24"], data[1]["u24"])
     # A copy starts without the cache of the instance it was made from.
-    assert "extension_data" not in vars(dataclasses.replace(first))
+    assert not set(names) & vars(dataclasses.replace(first)).keys()
     # The shared arrays cannot be written through an extension.
     ext = canonical_extension(pair, first, np.eye(2, dtype=complex))
-    assert ext.u24 is data[0].u24
+    assert ext.u24 is data[0]["u24"]
     with pytest.raises(ValueError, match="read-only"):
         ext.u24[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):

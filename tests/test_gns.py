@@ -184,8 +184,7 @@ def _basis_pair(a1_cols, a1_images, a2_cols, a2_images):
     a2_domain, a2_action = op(a2_cols, a2_images)
     return SymmetricPair(dim=3, a1_domain=a1_domain, a1_action=a1_action,
                          a2_domain=a2_domain, a2_action=a2_action,
-                         h00=_unit(0), j_matrix=np.eye(3, dtype=complex),
-                         a2_selfadjoint=False)
+                         h00=_unit(0), j_matrix=np.eye(3, dtype=complex))
 
 
 def _counting_a1_tests(monkeypatch, pair):

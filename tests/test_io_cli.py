@@ -21,6 +21,8 @@ from moment2d import (
     SchemaError,
     SymmetricPair,
     Tolerances,
+    build_gns,
+    build_operators,
     e1,
     e2,
     e3,
@@ -43,8 +45,7 @@ def _scalar_pair() -> SymmetricPair:
                          a2_domain=np.eye(1, dtype=complex),
                          a2_action=np.zeros((1, 1), dtype=complex),
                          h00=np.array([1.0 + 0j]),
-                         j_matrix=np.eye(1, dtype=complex),
-                         a2_selfadjoint=True)
+                         j_matrix=np.eye(1, dtype=complex))
 
 
 def test_dumps_prints_17_significant_digits():
@@ -143,6 +144,71 @@ def test_pair_from_json_refuses_a_domain_basis_that_is_not_orthonormal(
     assert main(["eval-resolvent", str(path), "--l1-start", "2j",
                  "--l2-start", "2j"]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _flag_false(obj):
+    obj["a2_selfadjoint"] = False
+
+
+def _a2_not_hermitian(obj):
+    obj["a2_action"][0][1] = [0.5, 0.0]
+
+
+def _a2_partial(obj):
+    for key in ("a2_domain", "a2_action"):
+        obj[key] = [row[:2] for row in obj[key]]
+
+
+def _j_doubled(obj):
+    obj["j_matrix"] = [[[2.0 * x for x in cell] for cell in row]
+                       for row in obj["j_matrix"]]
+
+
+def _j_cyclic(obj):
+    # Unitary but not symmetric, so J conj(J) = J^2 is not the identity.
+    obj["j_matrix"] = io.complex_matrix_to_json(np.roll(np.eye(3), 1, axis=0))
+
+
+_J_MESSAGE = "j_matrix must be a conjugation: unitary with J conj(J) = I"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_flag_false, "a2_selfadjoint is false, but A2 is self-adjoint"),
+    (_a2_not_hermitian, "a2_selfadjoint is true, but A2 is not self-adjoint"),
+    (_a2_partial, "a2_selfadjoint is true, but A2 is not self-adjoint"),
+    (_j_doubled, _J_MESSAGE),
+    (_j_cyclic, _J_MESSAGE),
+])
+def test_pair_from_json_refuses_a_pair_that_contradicts_itself(
+        edit, message, tmp_path: Path, capsys):
+    obj = io.pair_to_json(e3().pair)
+    edit(obj)
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        io.pair_from_json(obj)
+    path = tmp_path / "pair.json"
+    io.write_json(obj, str(path))
+    out = tmp_path / "out"
+    for argv in (["solve-canonical", str(path), "--output-dir", str(out)],
+                 ["eval-resolvent", str(path), "--l1-start", "2j",
+                  "--l2-start", "1+1j"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_pair_to_json_writes_the_flag_derived_from_a2():
+    rng = np.random.default_rng(0)
+    mu = AtomicMeasure(rng.uniform(-2, 2, size=(3, 2)),
+                       rng.uniform(0.1, 1, size=3))
+    truncated = build_operators(build_gns(moments_of_measure(mu, 2, 2), 1, 1))
+    pairs = [e1().pair, e2().pair, e3().pair, e3_class(6, 2, 3).pair,
+             build_operators(build_gns(e2().table, 2, 2)), _scalar_pair(),
+             truncated]
+    assert [pair.a2_selfadjoint for pair in pairs] == [True] * 6 + [False]
+    for pair in pairs:
+        obj = io.pair_to_json(pair)
+        assert obj["a2_selfadjoint"] == pair.a2_selfadjoint
+        assert io.pair_from_json(obj).a2_selfadjoint == pair.a2_selfadjoint
 
 
 def test_complex_matrix_round_trip():

@@ -42,8 +42,7 @@ def _scalar_pair() -> SymmetricPair:
                          a2_domain=np.eye(1, dtype=complex),
                          a2_action=np.zeros((1, 1), dtype=complex),
                          h00=np.array([1.0 + 0j]),
-                         j_matrix=np.eye(1, dtype=complex),
-                         a2_selfadjoint=True)
+                         j_matrix=np.eye(1, dtype=complex))
 
 
 def _empty_phi(iso) -> ContractionParameter:

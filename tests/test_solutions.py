@@ -57,8 +57,7 @@ def _scalar_pair() -> SymmetricPair:
                          a2_domain=np.eye(1, dtype=complex),
                          a2_action=np.zeros((1, 1), dtype=complex),
                          h00=np.array([1.0 + 0j]),
-                         j_matrix=np.eye(1, dtype=complex),
-                         a2_selfadjoint=True)
+                         j_matrix=np.eye(1, dtype=complex))
 
 
 def test_sampler_spec_validation():
@@ -257,8 +256,7 @@ def test_canonical_extension_gates():
                         a2_domain=np.zeros((1, 0), dtype=complex),
                         a2_action=np.zeros((1, 0), dtype=complex),
                         h00=np.array([1.0 + 0j]),
-                        j_matrix=np.eye(1, dtype=complex),
-                        a2_selfadjoint=False)
+                        j_matrix=np.eye(1, dtype=complex))
     with pytest.raises(NotSelfAdjointA2Error):
         build_isometric_pair(bad)
     with pytest.raises(NotSelfAdjointA2Error):
@@ -520,7 +518,7 @@ def test_solve_canonical_forms_the_a2_matrix_once(monkeypatch):
     # raises on every access.
     short = dataclasses.replace(
         _scalar_pair(), a2_domain=np.zeros((1, 0), dtype=complex),
-        a2_action=np.zeros((1, 0), dtype=complex), a2_selfadjoint=False)
+        a2_action=np.zeros((1, 0), dtype=complex))
     for _ in range(2):
         with pytest.raises(DomainCollapseError):
             short.a2_matrix
