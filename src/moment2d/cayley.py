@@ -23,15 +23,22 @@ collapses to a finite computation:
     F admissible  <=>  { psi in dom X : F psi = X psi and
                          ||F psi|| = ||psi|| } = {0}.
 
-:func:`constant_admissibility` is the one implementation of this
-criterion, a kernel-plus-isometric-subspace computation: first the null
-space of ``F - X`` on ``dom X``, then the subspace of that null space on
-which the contraction ``F`` preserves norms (singular value 1).  It reads
-``N0``, ``Ninf`` and ``D(A)`` from the :class:`IsometricPair`, the only
-holder of the Cayley data of ``A1``.  When the domain of the operator is
-the whole space both defect subspaces vanish and every contraction is
-trivially admissible; genuinely point-dependent parameter families
-outside that shortcut are not supported here.
+In finite dimension two facts reduce this to one ``d x d`` matrix.  Let
+``y`` be in ``D(V)`` and ``phi`` in ``Ninf``:
+
+* ``dom X = N0``.  If ``(E - V) y`` is orthogonal to ``R(V)``, then
+  ``<y, Vy> = ||Vy||^2 = ||y||^2`` forces ``Vy = y``, so ``y = 0`` (the
+  Cayley transform of a symmetric ``A`` fixes no vector).  So ``Ninf &
+  D(A) = {0}``, and the dimensions ``d + (n - d)`` add up to ``n``.
+* ``X`` is isometric.  For ``psi = phi + (E - V) y`` in ``N0``, expand
+  ``||psi||^2`` with ``psi`` orthogonal to ``y``, ``phi`` orthogonal to
+  ``Vy`` and ``||Vy|| = ||y||``: what remains is ``||phi||^2``.
+
+So ``C = Ninf^H X N0`` is unitary, and ``F`` is admissible iff ``F - C``
+is injective.  :func:`constant_admissibility` is the one implementation,
+on the Cayley data held by :class:`IsometricPair`.  At defect 0 every
+contraction is admissible; point-dependent parameter families are not
+supported otherwise.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ from .errors import (ContractionViolatedError, EmbeddingLostError,
                      StructureViolationError)
 from .gns import SymmetricPair
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
-                     intersect_subspaces, is_conjugation, is_hermitian,
-                     is_unitary, orth_columns, read_only,
-                     require_unitary, subspace_residual)
+                     is_conjugation, is_hermitian, is_unitary,
+                     orth_columns, read_only, require_unitary,
+                     subspace_residual)
 
 __all__ = [
     "CayleyIsometry",
@@ -72,10 +79,6 @@ __all__ = [
     "commutation_check",
     "minimal_subspace",
 ]
-
-#: A parameter direction counts as norm-preserving when its squared norm
-#: gain reaches ``1 - NORM_TOL`` (admissibility criterion).
-NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -451,47 +454,41 @@ def forbidden_operator(iso: IsometricPair, *,
                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """Domain basis and matrix of the forbidden operator ``X`` of ``A1``.
 
-    ``dom X = N0 & (Ninf (+) D(A))`` with the defect subspaces
-    ``N0 = N_i`` and ``Ninf = N_-i`` and ``D(A)`` all read from ``iso``;
-    ``X psi = phi`` for the unique decomposition ``psi = phi + d``.
-    Returns ``(psi_basis, x_matrix)`` with ``x_matrix`` holding the image
-    of each ``psi_basis`` column in space coordinates.  Raises
-    ``NotDirectSumError`` when the sum is not direct and
-    ``NoDecompositionError`` when a decomposition residual exceeds
-    ``STRUCTURE_TOL``.
+    ``X (phi + d) = phi`` for ``phi`` in ``Ninf`` and ``d`` in ``D(A)``
+    on ``dom X = N0`` (module docstring).  Returns ``(iso.n0_basis,
+    x_matrix)`` with the images in space coordinates, from one square
+    solve.  Raises ``StructureViolationError`` when ``D(A)`` lost a
+    dimension, ``NotDirectSumError`` when ``[Ninf, D(A)]`` is singular
+    and ``NoDecompositionError`` when the residual exceeds the gate.
     """
-    subspace_tol = tolerances.subspace_tol
-    n_plus = iso.n0_basis
-    n_minus = iso.ninf_basis
+    n0 = iso.n0_basis
     q = iso.operator_domain(tolerances=tolerances)
-    if intersect_subspaces(n_minus, q, subspace_tol).shape[1]:
+    if q.shape[1] < iso.v_domain.shape[1]:
+        raise StructureViolationError(
+            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+            "outside the numerically supported range")
+    stacked = np.hstack([iso.ninf_basis, q])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
         raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
-    ambient = orth_columns(np.hstack([n_minus, q]), subspace_tol)
-    psi_basis = intersect_subspaces(n_plus, ambient, subspace_tol)
-    p = psi_basis.shape[1]
-    if p == 0:
-        return psi_basis, empty_basis(iso.dim)[:, :0]
-    stacked = np.hstack([n_minus, q])
-    coeffs, _, _, _ = np.linalg.lstsq(stacked, psi_basis, rcond=None)
-    residual = float(np.linalg.norm(stacked @ coeffs - psi_basis))
-    if residual > STRUCTURE_TOL * max(
-            1.0, float(np.linalg.norm(psi_basis))):
+    coeffs = np.linalg.solve(stacked, n0)
+    residual = float(np.linalg.norm(stacked @ coeffs - n0))
+    if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
-    x_matrix = n_minus @ coeffs[: n_minus.shape[1], :]
-    return psi_basis, x_matrix
+    return n0, iso.ninf_basis @ coeffs[: iso.defect_dim]
 
 
 def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Admissibility of an extension parameter for ``A1``.
 
-    Constant parameters use the criterion derived in the module
-    docstring: inadmissible iff some nonzero ``psi`` in the
-    forbidden-operator domain has ``F psi = X psi`` with ``||F psi|| =
-    ||psi||``.  Non-constant parameters are accepted only through the
-    dense-domain shortcut (zero defect); otherwise ``NotSupportedError``.
-    A constant value of the wrong shape raises ``ValueError``.
+    A constant value ``F`` is admissible iff the smallest singular value
+    of ``F - Ninf^H X N0`` exceeds ``subspace_tol * max(1, largest)``
+    (module docstring).  Non-constant parameters are accepted only at
+    defect 0; otherwise ``NotSupportedError``.  A constant value of the
+    wrong shape raises ``ValueError``, one that is no contraction
+    ``ContractionViolatedError``.
     """
     if not phi.constant:
         if iso.defect_dim == 0:
@@ -502,25 +499,10 @@ def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
     value = iso.parameter_at(phi)
     if iso.defect_dim == 0:
         return True
-    psi_basis, x_matrix = forbidden_operator(iso, tolerances=tolerances)
-    if psi_basis.shape[1] == 0:
-        return True
-    # F acting on dom X in space coordinates.
-    f_matrix = iso.ninf_basis @ value @ (iso.n0_basis.conj().T @ psi_basis)
-    diff = f_matrix - x_matrix
-    _, s, vh = np.linalg.svd(diff, full_matrices=True)
-    top = float(s[0]) if s.size else 0.0
-    null_dim = diff.shape[1] - int(
-        np.sum(s > tolerances.subspace_tol * max(top, 1.0)))
-    if null_dim == 0:
-        return True
-    kernel = vh.conj().T[:, diff.shape[1] - null_dim:]
-    # Norm-preserving directions of F within the kernel: eigenvalue-1
-    # subspace of (F B)^H (F B).
-    fb = f_matrix @ kernel
-    gram = fb.conj().T @ fb
-    top_eig = float(np.max(np.linalg.eigvalsh(gram))) if gram.size else 0.0
-    return top_eig < (1.0 - NORM_TOL)
+    _, x_matrix = forbidden_operator(iso, tolerances=tolerances)
+    s = np.linalg.svd(value - iso.ninf_basis.conj().T @ x_matrix,
+                      compute_uv=False)
+    return bool(s[-1] > tolerances.subspace_tol * max(s[0], 1.0))
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,

@@ -18,7 +18,6 @@ __all__ = [
     "as_complex_matrix",
     "orth_columns",
     "complement_basis",
-    "intersect_subspaces",
     "subspace_residual",
     "is_hermitian",
     "is_unitary",
@@ -73,27 +72,6 @@ def complement_basis(basis: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray
     u, s, _ = np.linalg.svd(basis, full_matrices=True)
     rank = int(np.sum(s > tol * max(s[0], 1.0)))
     return u[:, rank:]
-
-
-def intersect_subspaces(b1: np.ndarray, b2: np.ndarray,
-                        tol: float = SUBSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis of ``span(b1) & span(b2)``.
-
-    A vector in the intersection is ``b1 @ a = b2 @ c``; the pairs
-    ``(a, c)`` form the null space of ``[b1, -b2]``.
-    """
-    b1 = as_complex_matrix(b1)
-    b2 = as_complex_matrix(b2)
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return empty_basis(b1.shape[0])
-    stacked = np.hstack([b1, -b2])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    null_dim = stacked.shape[1] - int(np.sum(s > tol * max(s[0], 1.0)))
-    if null_dim == 0:
-        return empty_basis(b1.shape[0])
-    null_vecs = vh.conj().T[:, stacked.shape[1] - null_dim:]
-    vectors = b1 @ null_vecs[: b1.shape[1], :]
-    return orth_columns(vectors, tol)
 
 
 def subspace_residual(basis: np.ndarray, x: np.ndarray) -> float:

@@ -50,6 +50,40 @@ def explicit_extension_matrix(iso, phi_matrix: np.ndarray) -> np.ndarray:
     return v_full + iso.ninf_basis @ phi_matrix @ iso.n0_basis.conj().T
 
 
+def forbidden_admissibility(iso, value: np.ndarray,
+                            tol: float = 1e-9) -> tuple:
+    """The forbidden operator ``X`` of ``A1`` and the admissibility of a
+    constant value ``F : N0 -> Ninf``, from the general definition.
+
+    ``D(A)`` is the column space of ``v_domain - v_action``.  The null
+    space of ``[N0, -Ninf, -D(A)]`` holds the coordinates ``(a, b, c)``
+    of the vectors ``N0 a = Ninf b + D(A) c`` of ``dom X``, and ``X``
+    sends ``N0 a`` to ``Ninf b``.  ``F`` is inadmissible when some unit
+    vector of ``dom X`` in the kernel of ``F - X`` has ``||F psi||^2 >=
+    1 - 1e-8``.  Returns ``(x_operator, admissible)``; ``x_operator`` is
+    the ``n x n`` matrix of ``X`` on ``dom X``, zero on its complement.
+    Rank cuts are at ``tol`` times ``max(1, largest singular value)``.
+    """
+    n0, ninf = iso.n0_basis, iso.ninf_basis
+    d0, dinf = n0.shape[1], ninf.shape[1]
+    u, s, _ = np.linalg.svd(iso.v_domain - iso.v_action)
+    q = u[:, :int(np.sum(s > tol * max(s[0], 1.0)))] if s.size else u[:, :0]
+    stacked = np.hstack([n0, -ninf, -q])
+    _, s, vh = np.linalg.svd(stacked)
+    null = vh.conj().T[:, int(np.sum(s > tol * max(s[0], 1.0))):]
+    x_operator = (ninf @ null[d0:d0 + dinf]) @ np.linalg.pinv(n0 @ null[:d0])
+    u, s, _ = np.linalg.svd(n0 @ null[:d0], full_matrices=False)
+    psi = u[:, :int(np.sum(s > tol * max(s[0], 1.0)))] if s.size else u
+    f_psi = ninf @ value @ n0.conj().T @ psi
+    _, s, vh = np.linalg.svd(f_psi - x_operator @ psi)
+    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+    kernel = vh.conj().T[:, rank:]
+    if kernel.shape[1] == 0:
+        return x_operator, True
+    gram = (f_psi @ kernel).conj().T @ (f_psi @ kernel)
+    return x_operator, bool(np.max(np.linalg.eigvalsh(gram)) < 1.0 - 1e-8)
+
+
 def hermitian_from_unitary(u: np.ndarray) -> np.ndarray:
     """i (U + E)(U - E)^-1 computed directly."""
     n = u.shape[0]

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from moment2d import (
     AdmissibilityFailedError,
@@ -36,7 +37,7 @@ from moment2d import (
     prepare_pair,
     strip_fixed_elements,
 )
-from moment2d.linalg import is_unitary, subspace_residual
+from moment2d.linalg import haar_unitary, is_unitary, subspace_residual
 
 import oracles
 
@@ -304,6 +305,65 @@ def test_value_built_from_the_forbidden_operator_is_inadmissible(setup):
     # A strict contraction never preserves a norm.
     assert constant_admissibility(
         iso, ContractionParameter.const(0.5 * value)) is True
+
+
+def test_a_fixed_vector_of_v_is_refused_before_the_admissibility_test():
+    # V e1 = e1 is not the Cayley transform of a symmetric operator:
+    # (E - V) D(V) = {0} loses the dimension of D(V).
+    e1_col = np.eye(2, dtype=complex)[:, [0]]
+    e2_col = np.eye(2, dtype=complex)[:, [1]]
+    iso = IsometricPair(dim=2, v_domain=e1_col, v_action=e1_col,
+                        n0_basis=e2_col, ninf_basis=e2_col,
+                        u_matrix=np.eye(2, dtype=complex),
+                        j_matrix=np.eye(2, dtype=complex))
+    assert iso.operator_domain().shape == (2, 0)
+    message = r"Cayley transform of A1 has a fixed vector on D\(V\)"
+    with pytest.raises(StructureViolationError, match=message):
+        forbidden_operator(iso)
+    with pytest.raises(StructureViolationError, match=message):
+        constant_admissibility(iso, ContractionParameter.const([[0.5]]))
+
+
+#: (dim, defect) of the seeded e3_class pairs checked against the general
+#: definition of the forbidden operator.
+ORACLE_PAIRS = [(3, 1), (3, 2), (4, 3), (5, 1), (6, 2), (9, 3), (12, 1),
+                (20, 2), (40, 3), (80, 1), (80, 3)]
+
+
+def test_admissibility_matches_the_general_definition():
+    rng = np.random.default_rng(7)
+    verdicts = {True: 0, False: 0}
+    for seed, (dim, defect) in enumerate(ORACLE_PAIRS, start=1):
+        iso = build_isometric_pair(e3_class(dim, defect, seed).pair)
+        # The two facts the d x d test rests on: Ninf (+) D(A) is the
+        # whole space, and X is a unitary C from N0 onto Ninf.
+        assert iso.operator_domain().shape[1] == dim - defect
+        psi_basis, x_matrix = forbidden_operator(iso)
+        assert psi_basis is iso.n0_basis
+        c = (iso.ninf_basis.conj().T @ x_matrix @ psi_basis.conj().T
+             @ iso.n0_basis)
+        assert np.linalg.norm(c.conj().T @ c - np.eye(defect)) <= 1e-12
+        x_operator, _ = oracles.forbidden_admissibility(iso, c)
+        assert np.max(np.abs(x_matrix @ psi_basis.conj().T
+                             - x_operator)) < 1e-10
+        haar = haar_unitary(defect, rng)
+        u = rng.normal(size=defect) + 1j * rng.normal(size=defect)
+        u /= np.linalg.norm(u)
+        # Unitary perturbations C exp(i eps H), ||H|| <= 2, cross the
+        # rank cut of the test (1e-9) for eps near 1e-9.
+        w = haar_unitary(defect, rng)
+        h = w @ np.diag(rng.uniform(0.5, 2.0, size=defect)) @ w.conj().T
+        values = [c, 0.5 * c, haar, c @ haar, c @ np.outer(u, u.conj())]
+        values += [c @ scipy.linalg.expm(1j * eps * h)
+                   for eps in (1e-11, 3e-10, 9e-10, 1.5e-9, 3e-9, 1e-8,
+                               1e-7)]
+        for value in values:
+            admissible = constant_admissibility(
+                iso, ContractionParameter.const(value))
+            assert admissible is oracles.forbidden_admissibility(iso,
+                                                                 value)[1]
+            verdicts[admissible] += 1
+    assert min(verdicts.values()) > 0
 
 
 def test_commutation_check_detects_defect_coupling():

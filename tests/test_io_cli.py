@@ -196,6 +196,25 @@ def test_pair_from_json_refuses_a_pair_that_contradicts_itself(
     assert not out.exists()
 
 
+def test_cli_eval_resolvent_refuses_a_cayley_transform_with_a_fixed_vector(
+        tmp_path: Path, capsys):
+    # A1 e1 = 1e10 e1: its Cayley transform moves e1 by 2e-10, below the
+    # subspace tolerance, so D(A) = (E - V) D(V) loses a dimension.
+    e = np.eye(3, dtype=complex)
+    pair = SymmetricPair(dim=3, a1_domain=e[:, :2],
+                         a1_action=np.column_stack([1e10 * e[:, 0],
+                                                    0.5 * e[:, 1] + e[:, 2]]),
+                         a2_domain=e, a2_action=np.zeros((3, 3)),
+                         h00=e[:, 1], j_matrix=e)
+    path = tmp_path / "pair.json"
+    io.write_json(io.pair_to_json(pair), str(path))
+    assert main(["eval-resolvent", str(path), "--l1-start", "2j",
+                 "--l2-start", "1+1j"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: Cayley transform of A1 has a fixed vector on D(V); A1 "
+            "is outside the numerically supported range\n")
+
+
 def test_pair_to_json_writes_the_flag_derived_from_a2():
     rng = np.random.default_rng(0)
     mu = AtomicMeasure(rng.uniform(-2, 2, size=(3, 2)),
