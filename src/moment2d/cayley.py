@@ -35,10 +35,12 @@ In finite dimension two facts reduce this to one ``d x d`` matrix.  Let
   ``Vy`` and ``||Vy|| = ||y||``: what remains is ``||phi||^2``.
 
 So ``C = Ninf^H X N0`` is unitary, and ``F`` is admissible iff ``F - C``
-is injective.  :func:`constant_admissibility` is the one implementation,
-on the Cayley data held by :class:`IsometricPair`.  At defect 0 every
-contraction is admissible; point-dependent parameter families are not
-supported otherwise.
+is injective.  The numerical kernel (cut at ``subspace_tol``) keeps the
+norm test ``||F k||^2 >= 1 - NORM_TOL``, which a larger cut needs to
+admit strict contractions.  :func:`constant_admissibility` is the one
+implementation, on the Cayley data held by :class:`IsometricPair`.  At
+defect 0 every contraction is admissible; point-dependent parameter
+families are not supported otherwise.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ __all__ = [
     "commutation_check",
     "minimal_subspace",
 ]
+
+#: A kernel direction of ``F - C`` is forbidden when its squared norm
+#: gain reaches ``1 - NORM_TOL`` (admissibility criterion).
+NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -457,17 +463,23 @@ def forbidden_operator(iso: IsometricPair, *,
     ``X (phi + d) = phi`` for ``phi`` in ``Ninf`` and ``d`` in ``D(A)``
     on ``dom X = N0`` (module docstring).  Returns ``(iso.n0_basis,
     x_matrix)`` with the images in space coordinates, from one square
-    solve.  Raises ``StructureViolationError`` when ``D(A)`` lost a
-    dimension, ``NotDirectSumError`` when ``[Ninf, D(A)]`` is singular
-    and ``NoDecompositionError`` when the residual exceeds the gate.
+    solve.  Raises ``StructureViolationError`` when the defect dimensions
+    differ or ``D(A)`` lost a dimension, ``NotDirectSumError`` when
+    ``[Ninf, D(A)]`` is singular and ``NoDecompositionError`` when the
+    residual exceeds the gate.
     """
-    n0 = iso.n0_basis
+    n0, ninf = iso.n0_basis, iso.ninf_basis
+    if ninf.shape[1] + iso.v_domain.shape[1] != iso.dim or (
+            n0.shape[1] != ninf.shape[1]):
+        raise StructureViolationError(
+            f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
+            f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
     q = iso.operator_domain(tolerances=tolerances)
     if q.shape[1] < iso.v_domain.shape[1]:
         raise StructureViolationError(
             "Cayley transform of A1 has a fixed vector on D(V); A1 is "
             "outside the numerically supported range")
-    stacked = np.hstack([iso.ninf_basis, q])
+    stacked = np.hstack([ninf, q])
     s = np.linalg.svd(stacked, compute_uv=False)
     if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
         raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
@@ -476,15 +488,16 @@ def forbidden_operator(iso: IsometricPair, *,
     if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
-    return n0, iso.ninf_basis @ coeffs[: iso.defect_dim]
+    return n0, ninf @ coeffs[: iso.defect_dim]
 
 
 def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Admissibility of an extension parameter for ``A1``.
 
-    A constant value ``F`` is admissible iff the smallest singular value
-    of ``F - Ninf^H X N0`` exceeds ``subspace_tol * max(1, largest)``
+    A constant value ``F`` is inadmissible iff ``F - Ninf^H X N0`` has a
+    kernel, cut at ``subspace_tol * max(1, largest singular value)``, on
+    which ``||F k||^2`` reaches ``1 - NORM_TOL`` for some unit ``k``
     (module docstring).  Non-constant parameters are accepted only at
     defect 0; otherwise ``NotSupportedError``.  A constant value of the
     wrong shape raises ``ValueError``, one that is no contraction
@@ -500,9 +513,10 @@ def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
     if iso.defect_dim == 0:
         return True
     _, x_matrix = forbidden_operator(iso, tolerances=tolerances)
-    s = np.linalg.svd(value - iso.ninf_basis.conj().T @ x_matrix,
-                      compute_uv=False)
-    return bool(s[-1] > tolerances.subspace_tol * max(s[0], 1.0))
+    _, s, vh = np.linalg.svd(value - iso.ninf_basis.conj().T @ x_matrix)
+    rank = int(np.sum(s > tolerances.subspace_tol * max(s[0], 1.0)))
+    return rank == s.size or bool(np.linalg.norm(
+        value @ vh[rank:].conj().T, 2) ** 2 < 1.0 - NORM_TOL)
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,

@@ -18,6 +18,7 @@ from moment2d import (
     NotSupportedError,
     NotUnitaryError,
     StructureViolationError,
+    Tolerances,
     IsometricPair,
     SymmetricPair,
     build_isometric_pair,
@@ -268,6 +269,27 @@ def test_constant_admissibility_on_the_scalar_pair():
         assert constant_admissibility(iso, phi) is expected
 
 
+def test_a_larger_subspace_tol_keeps_strict_contractions_admissible():
+    # At subspace_tol 1e-6 the value 1 - 1e-7 falls in the numerical
+    # kernel of F - X, but F shrinks it, so it is no forbidden direction.
+    iso = build_isometric_pair(_scalar_pair())
+    wide = Tolerances(subspace_tol=1e-6)
+    for value, expected in ((1.0 - 1e-7, True), (1.0 - 1e-9, False),
+                            (1.0, False)):
+        phi = ContractionParameter.const(np.array([[value]], dtype=complex))
+        assert constant_admissibility(iso, phi, tolerances=wide) is expected
+
+
+def test_forbidden_operator_refuses_defect_bases_of_different_sizes():
+    e = np.eye(3, dtype=complex)
+    iso = IsometricPair(dim=3, v_domain=e[:, [0]], v_action=1j * e[:, [0]],
+                        n0_basis=e[:, 1:], ninf_basis=e[:, [1]],
+                        u_matrix=e, j_matrix=e)
+    with pytest.raises(StructureViolationError,
+                       match=r"defect dimensions differ: 2 != 1"):
+        forbidden_operator(iso)
+
+
 def test_admissibility_dense_domain_shortcuts():
     iso = build_isometric_pair(_full_pair(np.zeros((1, 1)), np.zeros((1, 1))))
     empty = ContractionParameter.const(np.zeros((0, 0)))
@@ -330,39 +352,46 @@ ORACLE_PAIRS = [(3, 1), (3, 2), (4, 3), (5, 1), (6, 2), (9, 3), (12, 1),
                 (20, 2), (40, 3), (80, 1), (80, 3)]
 
 
-def test_admissibility_matches_the_general_definition():
+@pytest.mark.parametrize("subspace_tol", [1e-9, 1e-6])
+def test_admissibility_matches_the_general_definition(subspace_tol):
+    tolerances = Tolerances(subspace_tol=subspace_tol)
     rng = np.random.default_rng(7)
     verdicts = {True: 0, False: 0}
     for seed, (dim, defect) in enumerate(ORACLE_PAIRS, start=1):
         iso = build_isometric_pair(e3_class(dim, defect, seed).pair)
         # The two facts the d x d test rests on: Ninf (+) D(A) is the
         # whole space, and X is a unitary C from N0 onto Ninf.
-        assert iso.operator_domain().shape[1] == dim - defect
-        psi_basis, x_matrix = forbidden_operator(iso)
+        assert iso.operator_domain(
+            tolerances=tolerances).shape[1] == dim - defect
+        psi_basis, x_matrix = forbidden_operator(iso, tolerances=tolerances)
         assert psi_basis is iso.n0_basis
         c = (iso.ninf_basis.conj().T @ x_matrix @ psi_basis.conj().T
              @ iso.n0_basis)
         assert np.linalg.norm(c.conj().T @ c - np.eye(defect)) <= 1e-12
-        x_operator, _ = oracles.forbidden_admissibility(iso, c)
+        x_operator, _ = oracles.forbidden_admissibility(iso, c, subspace_tol)
         assert np.max(np.abs(x_matrix @ psi_basis.conj().T
                              - x_operator)) < 1e-10
         haar = haar_unitary(defect, rng)
         u = rng.normal(size=defect) + 1j * rng.normal(size=defect)
         u /= np.linalg.norm(u)
         # Unitary perturbations C exp(i eps H), ||H|| <= 2, cross the
-        # rank cut of the test (1e-9) for eps near 1e-9.
+        # rank cut of the test (1e-9) for eps near 1e-9; the shrunk
+        # (1 - eps) C cross the norm test (1 - 1e-8) for eps near 5e-9.
         w = haar_unitary(defect, rng)
         h = w @ np.diag(rng.uniform(0.5, 2.0, size=defect)) @ w.conj().T
         values = [c, 0.5 * c, haar, c @ haar, c @ np.outer(u, u.conj())]
-        values += [c @ scipy.linalg.expm(1j * eps * h)
-                   for eps in (1e-11, 3e-10, 9e-10, 1.5e-9, 3e-9, 1e-8,
-                               1e-7)]
+        for eps in (1e-11, 3e-10, 9e-10, 1.5e-9, 3e-9, 1e-8, 1e-7):
+            values += [c @ scipy.linalg.expm(1j * eps * h), (1 - eps) * c]
         for value in values:
             admissible = constant_admissibility(
-                iso, ContractionParameter.const(value))
-            assert admissible is oracles.forbidden_admissibility(iso,
-                                                                 value)[1]
+                iso, ContractionParameter.const(value), tolerances=tolerances)
+            assert admissible is oracles.forbidden_admissibility(
+                iso, value, subspace_tol)[1]
             verdicts[admissible] += 1
+        # In the numerical kernel at subspace_tol 1e-6, but shrunk.
+        assert constant_admissibility(
+            iso, ContractionParameter.const((1 - 1e-7) * c),
+            tolerances=tolerances) is True
     assert min(verdicts.values()) > 0
 
 
