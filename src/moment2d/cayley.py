@@ -28,8 +28,10 @@ In finite dimension two facts reduce this to one ``d x d`` matrix.  Let
 
 * ``dom X = N0``.  If ``(E - V) y`` is orthogonal to ``R(V)``, then
   ``<y, Vy> = ||Vy||^2 = ||y||^2`` forces ``Vy = y``, so ``y = 0`` (the
-  Cayley transform of a symmetric ``A`` fixes no vector).  So ``Ninf &
-  D(A) = {0}``, and the dimensions ``d + (n - d)`` add up to ``n``.
+  Cayley transform of a symmetric ``A`` fixes no vector;
+  :func:`build_isometric_pair` refuses a pair with a defect whose ``V``
+  fixes one numerically).  So ``Ninf & D(A) = {0}``, and the dimensions
+  ``d + (n - d)`` add up to ``n``.
 * ``X`` is isometric.  For ``psi = phi + (E - V) y`` in ``N0``, expand
   ``||psi||^2`` with ``psi`` orthogonal to ``y``, ``phi`` orthogonal to
   ``Vy`` and ``||Vy|| = ||y||``: what remains is ``||phi||^2``.
@@ -53,11 +55,10 @@ import numpy as np
 import scipy.linalg
 
 from .config import (CONTRACTION_SLACK, DEFAULT_TOLERANCES, FIXED_POINT_TOL,
-                     STRUCTURE_TOL, SUBSPACE_TOL, Tolerances)
-from .errors import (ContractionViolatedError, EmbeddingLostError,
-                     FixedPointError, NoDecompositionError,
-                     NotDirectSumError, NotSupportedError,
-                     StructureViolationError)
+                     STRUCTURE_TOL, Tolerances)
+from .errors import (ContractionViolatedError, FixedPointError,
+                     NoDecompositionError, NotDirectSumError,
+                     NotSupportedError, StructureViolationError)
 from .gns import SymmetricPair
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
                      is_conjugation, is_hermitian, is_unitary,
@@ -74,12 +75,9 @@ __all__ = [
     "build_isometric_pair",
     "extend_isometry",
     "godich_lutsenko",
-    "fixed_subspace",
-    "strip_fixed_elements",
     "forbidden_operator",
     "constant_admissibility",
     "commutation_check",
-    "minimal_subspace",
 ]
 
 #: A kernel direction of ``F - C`` is forbidden when its squared norm
@@ -202,7 +200,9 @@ class IsometricPair:
         """Orthonormal basis of ``D(A) = (E - V) D(V)``.
 
         ``V`` has no fixed vectors when it comes from a symmetric ``A``,
-        so the map is injective and the basis has ``dim D(V)`` columns.
+        so the map is injective and the basis has ``dim D(V)`` columns;
+        :func:`build_isometric_pair` refuses a pair with a nonzero defect
+        on which the basis, cut at ``subspace_tol``, has fewer.
         """
         return orth_columns(self.v_domain - self.v_action,
                             tolerances.subspace_tol)
@@ -312,8 +312,10 @@ def build_isometric_pair(pair: SymmetricPair, *,
     ``A2`` and verify the structural invariants.
 
     Checks: ``U`` unitary with no eigenvalue 1, ``U D(V) = D(V)``, ``U``
-    leaving ``R(V)`` invariant (hence both defect subspaces), and the
-    commutation of ``U`` with ``V`` on ``D(V)``.  Violations raise
+    leaving ``R(V)`` invariant (hence both defect subspaces), the
+    commutation of ``U`` with ``V`` on ``D(V)``, and, at a nonzero
+    defect, ``V`` fixing no vector: ``(E - V) D(V)``, cut at
+    ``subspace_tol``, keeps the dimension of ``D(V)``.  Violations raise
     ``StructureViolationError``; a non-self-adjoint ``A2`` raises
     ``NotSelfAdjointA2Error`` with the defect indices attached.  The
     pair's conjugation ``J`` is kept as ``j_matrix``.
@@ -354,7 +356,23 @@ def build_isometric_pair(pair: SymmetricPair, *,
         if float(np.linalg.norm(comm)) > STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "U and V do not commute on D(V)")
+    if n0.shape[1]:
+        # At defect 0 no forbidden operator is needed, and the resolvent
+        # of a unitary V with a numerically fixed vector still evaluates.
+        _full_operator_domain(iso, tolerances)
     return iso
+
+
+def _full_operator_domain(iso: IsometricPair,
+                          tolerances: Tolerances) -> np.ndarray:
+    """``iso.operator_domain()``; raises ``StructureViolationError`` when
+    it has fewer columns than ``D(V)``, i.e. ``V`` fixes a vector."""
+    q = iso.operator_domain(tolerances=tolerances)
+    if q.shape[1] < iso.v_domain.shape[1]:
+        raise StructureViolationError(
+            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+            "outside the numerically supported range")
+    return q
 
 
 def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
@@ -397,63 +415,6 @@ def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:
     return ConjugationFactorization(k_matrix=k_matrix, l_matrix=l_matrix)
 
 
-def fixed_subspace(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the eigenvalue-1 subspace of a unitary.
-
-    For unitary ``W`` the singular values of ``W - E`` equal the
-    distances ``|lambda - 1|``, so the fixed subspace is the numerical
-    null space of ``W - E`` at absolute tolerance ``FIXED_POINT_TOL``.
-    """
-    w = as_complex_matrix(w)
-    n = w.shape[0]
-    if n == 0:
-        return empty_basis(0)
-    _, s, vh = np.linalg.svd(w - np.eye(n))
-    rank = int(np.sum(s > FIXED_POINT_TOL))
-    return vh.conj().T[:, rank:]
-
-
-def strip_fixed_elements(w1: np.ndarray, w2: np.ndarray,
-                         h_embed: np.ndarray) -> tuple:
-    """Remove the fixed subspaces of two commuting unitaries in turn.
-
-    First strips ``F1 = fix(W1)``, then the fixed subspace of the
-    restricted ``W2``.  Returns ``(w1_res, w2_res, basis)`` where
-    ``basis`` holds original-space coordinates of the reduced space and
-    the restricted matrices act on ``basis``-coordinates.  Raises
-    ``EmbeddingLostError`` when ``span(h_embed)`` does not survive.
-    """
-    w1 = require_unitary(w1, STRUCTURE_TOL, "W1")
-    w2 = require_unitary(w2, STRUCTURE_TOL, "W2")
-    comm = float(np.linalg.norm(w1 @ w2 - w2 @ w1))
-    if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w1) * np.linalg.norm(w2))):
-        raise StructureViolationError("W1 and W2 do not commute")
-    basis = np.eye(w1.shape[0], dtype=complex)
-    for step in (1, 2):
-        w_active = w1 if step == 1 else w2
-        fixed = fixed_subspace(w_active)
-        if fixed.shape[1]:
-            other = w2 if step == 1 else w1
-            if subspace_residual(fixed, other @ fixed) > STRUCTURE_TOL:
-                raise StructureViolationError(
-                    "fixed subspace is not invariant under the other unitary")
-            keep = complement_basis(fixed, STRUCTURE_TOL)
-            w1 = keep.conj().T @ w1 @ keep
-            w2 = keep.conj().T @ w2 @ keep
-            basis = basis @ keep
-            for name, w_check in (("W1", w1), ("W2", w2)):
-                if not is_unitary(w_check, STRUCTURE_TOL * 10):
-                    raise StructureViolationError(
-                        f"restricted {name} lost unitarity; subspace did "
-                        f"not reduce the pair")
-    h_embed = as_complex_matrix(h_embed)
-    if h_embed.shape[1]:
-        res = subspace_residual(basis, h_embed)
-        if res > STRUCTURE_TOL:
-            raise EmbeddingLostError(
-                f"embedded subspace leaves the reduced space "
-                f"(residual {res:.3e})")
-    return w1, w2, basis
 
 
 def forbidden_operator(iso: IsometricPair, *,
@@ -474,11 +435,7 @@ def forbidden_operator(iso: IsometricPair, *,
         raise StructureViolationError(
             f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
             f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
-    q = iso.operator_domain(tolerances=tolerances)
-    if q.shape[1] < iso.v_domain.shape[1]:
-        raise StructureViolationError(
-            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
-            "outside the numerically supported range")
+    q = _full_operator_domain(iso, tolerances)
     stacked = np.hstack([ninf, q])
     s = np.linalg.svd(stacked, compute_uv=False)
     if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
@@ -532,20 +489,3 @@ def commutation_check(iso: IsometricPair, phi: ContractionParameter,
     comm = float(np.linalg.norm(m @ u - u @ m))
     scale = max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(u)))
     return comm <= STRUCTURE_TOL * scale
-
-
-def minimal_subspace(u: np.ndarray, h_embed: np.ndarray) -> np.ndarray:
-    """Smallest ``U``-reducing subspace containing ``span(h_embed)``.
-
-    Closes the span under ``U`` and ``U^H`` (Krylov iteration); in
-    finite dimension the loop stabilizes after at most ``dim`` rounds.
-    """
-    u = as_complex_matrix(u)
-    basis = orth_columns(as_complex_matrix(h_embed), SUBSPACE_TOL)
-    for _ in range(u.shape[0] + 1):
-        grown = orth_columns(
-            np.hstack([basis, u @ basis, u.conj().T @ basis]), SUBSPACE_TOL)
-        if grown.shape[1] == basis.shape[1]:
-            return basis
-        basis = grown
-    return basis

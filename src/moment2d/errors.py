@@ -84,12 +84,6 @@ class NotUnitaryError(Moment2dError):
     exit_code = EXIT_PARAMETER
 
 
-class EmbeddingLostError(Moment2dError):
-    """The embedded subspace fell outside a reduced space."""
-
-    exit_code = EXIT_STRUCTURE
-
-
 class NotDirectSumError(Moment2dError):
     """A sum of subspaces expected to be direct has nontrivial overlap."""
 
@@ -123,13 +117,6 @@ class ExcludedPointError(Moment2dError):
 
 class AdmissibilityFailedError(Moment2dError):
     """An extension parameter fails the admissibility criterion."""
-
-    exit_code = EXIT_PARAMETER
-
-
-class PointMismatchError(Moment2dError):
-    """Evaluation points of two samples do not correspond under the
-    Moebius map, or lie in excluded neighborhoods."""
 
     exit_code = EXIT_PARAMETER
 

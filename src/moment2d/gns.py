@@ -26,15 +26,9 @@ from .config import (DEFAULT_TOLERANCES, RESIDUAL_GATE, STRUCTURE_TOL,
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
 from .linalg import is_hermitian, orth_columns, read_only
-from .moments import (MomentTable, carleman_diagnostic, CarlemanReport,
-                      moment_matrix, monomial_indices)
+from .moments import MomentTable, moment_matrix, monomial_indices
 
-__all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators",
-           "quasianalytic_vector_check"]
-
-#: Relative tolerance of the norm identity checked by
-#: :func:`quasianalytic_vector_check`.
-NORM_IDENTITY_TOL = 1e-8
+__all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
 
 
 @dataclass(frozen=True)
@@ -246,52 +240,3 @@ def _shift_step(domain: np.ndarray, action: np.ndarray, x: np.ndarray,
     if np.linalg.norm(x - domain @ c) > tol * max(1.0, np.linalg.norm(x)):
         return None
     return action @ c
-
-
-def _class_vector_via_pair(pair: SymmetricPair, m: int, k: int,
-                           tol: float) -> np.ndarray | None:
-    """``A1^m A2^k h00`` through the stored actions, or None when the
-    chain leaves a domain."""
-    x = pair.h00.copy()
-    for domain, action in ([(pair.a2_domain, pair.a2_action)] * k
-                           + [(pair.a1_domain, pair.a1_action)] * m):
-        x = _shift_step(domain, action, x, tol)
-        if x is None:
-            return None
-    return x
-
-
-def quasianalytic_vector_check(pair: SymmetricPair, table: MomentTable,
-                               m: int, big_k: int,
-                               variant: str = "pair", *,
-                               tolerances: Tolerances = DEFAULT_TOLERANCES) -> CarlemanReport:
-    """Carleman-type diagnostic re-expressed through operator norms.
-
-    The diagnostic terms are ``||h_{m+1,k} - i h_{m,k}||^(-1/k)`` style
-    quantities, and the norm identity
-
-        ||h_{m+1,k} - i h_{m,k}||^2 = s_{2m,2k} + s_{2m+2,2k}
-
-    ties them to the table.  This function evaluates the table-side
-    diagnostic and, for every ``k`` reachable through the stored
-    operator actions, cross-checks the identity against the coordinates
-    built from the pair; a failure raises ``InconsistentShiftError``
-    since it signals a quotient inconsistency.
-    """
-    report = carleman_diagnostic(table, m, big_k, variant=variant)
-    for k in range(0, big_k + 1):
-        if 2 * k > table.max_n or 2 * m + 2 > table.max_m:
-            break
-        va = _class_vector_via_pair(pair, m + 1, k, tolerances.subspace_tol)
-        vb = _class_vector_via_pair(pair, m, k, tolerances.subspace_tol)
-        if va is None or vb is None:
-            continue
-        lhs = float(np.linalg.norm(va - 1j * vb) ** 2)
-        rhs = table.values[2 * m, 2 * k] + table.values[2 * m + 2, 2 * k]
-        scale = max(1.0, abs(rhs))
-        if abs(lhs - rhs) > NORM_IDENTITY_TOL * scale:
-            raise InconsistentShiftError(
-                f"norm identity failed at (m={m}, k={k}): "
-                f"|{lhs:.12e} - {rhs:.12e}| > "
-                f"{NORM_IDENTITY_TOL} * {scale:.3e}")
-    return report

@@ -56,14 +56,12 @@ from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
                      STRUCTURE_TOL, Tolerances)
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
-                     NotSupportedError, PointMismatchError,
-                     SingularMatrixError)
+                     NotSupportedError, SingularMatrixError)
 from .linalg import as_complex_matrix
 from .moments import AtomicMeasure
 
 __all__ = [
     "PreparedPair",
-    "ResolventSample",
     "TrigMomentTable",
     "cayley_point",
     "chumakin_resolvent",
@@ -72,16 +70,11 @@ __all__ = [
     "prepare_pair",
     "pair_resolvent_symmetric",
     "pair_resolvent_of_measure",
-    "correspondence_check",
     "trig_moments_from_resolvent",
 ]
 
 # Points this close to the real axis (relative to 1 + |lam|) count as real.
 REAL_AXIS_TOL = 1e-12
-
-# Relative distance within which a z-type point matches the Moebius image
-# of its lam-type partner (correspondence_check).
-MATCH_TOL = 1e-10
 
 # Points kept in each factor memo of a PreparedPair; the oldest goes first.
 FACTOR_MEMO_ENTRIES = 64
@@ -111,27 +104,6 @@ def validate_spectral_point(lam: complex, name: str = "lambda") -> complex:
                 f"{name} = {lam} lies in the excluded neighborhood of {label}")
     return lam
 
-
-@dataclass(frozen=True)
-class ResolventSample:
-    """One evaluated resolvent point.
-
-    ``kind`` is ``"u"`` for ``z``-type points (disk/circle-exterior
-    coordinates) and ``"s"`` for ``lam``-type points; ``matrix`` is the
-    value compressed to the state space.
-    """
-
-    kind: str
-    p1: complex
-    p2: complex
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("u", "s"):
-            raise ValueError(f"sample kind must be 'u' or 's', got {self.kind!r}")
-        object.__setattr__(self, "p1", complex(self.p1))
-        object.__setattr__(self, "p2", complex(self.p2))
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
 
 
 def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
@@ -303,37 +275,6 @@ def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,
     factors = ((1.0 + lam1 * t1) / (t1 - lam1)) * ((1.0 + lam2 * t2) / (t2 - lam2))
     return complex(np.sum(measure.weights * factors))
 
-
-def correspondence_check(sample_u: ResolventSample,
-                         sample_s: ResolventSample) -> bool:
-    """Whether a ``z``-type and a ``lam``-type sample are negatives of
-    each other at corresponding points.
-
-    The points must satisfy ``z_j = (lam_j - i)/(lam_j + i)`` within
-    ``MATCH_TOL`` and the ``lam`` points must be valid spectral points;
-    violations raise ``PointMismatchError``.  Returns True iff
-    ``sample_u.matrix = -sample_s.matrix`` within ``STRUCTURE_TOL``.
-    """
-    if sample_u.kind != "u" or sample_s.kind != "s":
-        raise PointMismatchError(
-            f"expected kinds ('u', 's'), got ({sample_u.kind!r}, "
-            f"{sample_s.kind!r})")
-    try:
-        lam1 = validate_spectral_point(sample_s.p1, "lambda1")
-        lam2 = validate_spectral_point(sample_s.p2, "lambda2")
-    except ExcludedPointError as exc:
-        raise PointMismatchError(str(exc)) from exc
-    for z, lam, name in ((sample_u.p1, lam1, "z1"), (sample_u.p2, lam2, "z2")):
-        expected = cayley_point(lam)
-        if abs(complex(z) - expected) > MATCH_TOL * (1.0 + abs(expected)):
-            raise PointMismatchError(
-                f"{name} = {z} does not match the Moebius image {expected}")
-    a = sample_u.matrix
-    b = sample_s.matrix
-    if a.shape != b.shape:
-        raise ValueError(f"sample shapes differ: {a.shape} vs {b.shape}")
-    scale = max(1.0, float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a + b)) <= STRUCTURE_TOL * scale
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from moment2d import (
     CommutationViolatedError,
     ContractionParameter,
     ContractionViolatedError,
-    EmbeddingLostError,
     FixedPointError,
     NotDirectSumError,
     NotSelfAdjointA2Error,
@@ -30,14 +29,14 @@ from moment2d import (
     e3,
     e3_class,
     extend_isometry,
-    fixed_subspace,
     forbidden_operator,
     godich_lutsenko,
     inverse_cayley,
-    minimal_subspace,
+    pair_resolvent_symmetric,
     prepare_pair,
-    strip_fixed_elements,
+    solve_canonical,
 )
+from moment2d.config import FIXED_POINT_TOL
 from moment2d.linalg import haar_unitary, is_unitary, subspace_residual
 
 import oracles
@@ -120,7 +119,8 @@ def test_isometric_pair_invariants():
     assert np.max(np.abs(iso.v_action.conj().T @ iso.v_action
                          - np.eye(2))) < 1e-10
     assert is_unitary(iso.u_matrix, 1e-10)
-    assert fixed_subspace(iso.u_matrix).shape[1] == 0
+    assert np.linalg.svd(iso.u_matrix - np.eye(3),
+                         compute_uv=False)[-1] > FIXED_POINT_TOL
     # U leaves both defect subspaces invariant.
     assert subspace_residual(iso.n0_basis,
                              iso.u_matrix @ iso.n0_basis) < 1e-9
@@ -205,35 +205,6 @@ def test_conjugation_factorization_invariants_hold_on_random_unitaries():
         assert np.max(np.abs(f.k_matrix @ np.conj(f.k_matrix) - eye)) < 1e-10
         assert np.max(np.abs(f.l_matrix @ np.conj(f.l_matrix) - eye)) < 1e-10
         assert np.max(np.abs(f.k_matrix @ np.conj(f.l_matrix) - w)) < 1e-10
-
-
-def test_fixed_subspace_of_diagonal_unitary():
-    basis = fixed_subspace(np.diag([1.0 + 0j, np.exp(1j * np.pi / 3)]))
-    assert basis.shape == (2, 1)
-    assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
-    assert abs(basis[1, 0]) < 1e-12
-
-
-def test_strip_fixed_elements_removes_both_fixed_parts():
-    th1, th2 = np.exp(0.7j), np.exp(1.9j)
-    w1 = np.diag([1.0 + 0j, th1, th2])
-    w2 = np.diag([th1, 1.0 + 0j, th2])
-    r1, r2, basis = strip_fixed_elements(w1, w2, np.eye(3, dtype=complex)[:, [2]])
-    assert r1.shape == (1, 1) and r2.shape == (1, 1)
-    assert r1[0, 0] == pytest.approx(th2)
-    assert r2[0, 0] == pytest.approx(th2)
-    assert abs(abs(basis[2, 0]) - 1.0) < 1e-12
-
-
-def test_strip_fixed_elements_gates():
-    th1, th2 = np.exp(0.7j), np.exp(1.9j)
-    w1 = np.diag([1.0 + 0j, th1, th2])
-    w2 = np.diag([th1, 1.0 + 0j, th2])
-    with pytest.raises(EmbeddingLostError):
-        strip_fixed_elements(w1, w2, np.eye(3, dtype=complex)[:, [0]])
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(StructureViolationError):
-        strip_fixed_elements(np.diag([1j, -1j]), flip, np.zeros((2, 0)))
 
 
 def test_forbidden_operator_of_scalar_pair():
@@ -346,6 +317,46 @@ def test_a_fixed_vector_of_v_is_refused_before_the_admissibility_test():
         constant_admissibility(iso, ContractionParameter.const([[0.5]]))
 
 
+def test_a_cayley_transform_with_a_fixed_vector_is_refused_when_built():
+    # A1 e1 = 1e10 e1: its Cayley transform moves e1 by 2e-10, below the
+    # subspace tolerance, so D(A) = (E - V) D(V) loses a dimension.
+    e = np.eye(3, dtype=complex)
+    pair = SymmetricPair(dim=3, a1_domain=e[:, :2],
+                         a1_action=np.column_stack([1e10 * e[:, 0],
+                                                    0.5 * e[:, 1] + e[:, 2]]),
+                         a2_domain=e, a2_action=np.zeros((3, 3), dtype=complex),
+                         h00=e[:, 1], j_matrix=e)
+    message = (r"^Cayley transform of A1 has a fixed vector on D\(V\); A1 is "
+               r"outside the numerically supported range$")
+    with pytest.raises(StructureViolationError, match=message):
+        build_isometric_pair(pair)
+    # solve_canonical refuses the pair instead of rejecting every
+    # parameter and yielding no report.
+    rejected = []
+    reports = solve_canonical(
+        pair, on_reject=lambda label, exc: rejected.append(label))
+    with pytest.raises(StructureViolationError, match=message):
+        next(reports)
+    assert rejected == []
+
+
+def test_a_fixed_vector_at_defect_zero_is_not_refused():
+    # A1 = diag(1e10, 0.5, -1) is self-adjoint: no forbidden operator is
+    # needed, and the pair resolvent still matches the atomic sum.
+    points = np.array([[1e10, 0.3], [0.5, -0.7], [-1.0, 1.1]])
+    pair = _full_pair(np.diag(points[:, 0]), np.diag(points[:, 1]),
+                      np.ones(3) / np.sqrt(3.0))
+    iso = build_isometric_pair(pair)
+    assert iso.defect_dim == 0
+    assert iso.operator_domain().shape == (3, 2)
+    prepared = prepare_pair(iso, ContractionParameter.const(np.zeros((0, 0))))
+    value = np.vdot(pair.h00,
+                    pair_resolvent_symmetric(prepared, 2j, 1 + 1j) @ pair.h00)
+    expected = oracles.herglotz_kernel_sum(points, np.full(3, 1 / 3), 2j,
+                                           1 + 1j)
+    assert abs(value - expected) < 1e-12 * abs(expected)
+
+
 #: (dim, defect) of the seeded e3_class pairs checked against the general
 #: definition of the forbidden operator.
 ORACLE_PAIRS = [(3, 1), (3, 2), (4, 3), (5, 1), (6, 2), (9, 3), (12, 1),
@@ -410,14 +421,6 @@ def test_commutation_check_detects_defect_coupling():
     assert not commutation_check(iso, phi_bad)
     with pytest.raises(CommutationViolatedError):
         prepare_pair(iso, phi_bad)
-
-
-def test_minimal_subspace_growth():
-    u = np.diag([1.0 + 0j, -1.0 + 0j])
-    seed = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
-    assert minimal_subspace(u, seed).shape == (2, 2)
-    e1_col = np.eye(2, dtype=complex)[:, [0]]
-    assert minimal_subspace(u, e1_col).shape == (2, 1)
 
 
 def test_explicit_extension_matches_oracle():

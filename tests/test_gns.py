@@ -20,7 +20,6 @@ from moment2d import (
     e3_class,
     moments_from_pair,
     moments_of_measure,
-    quasianalytic_vector_check,
     random_atomic_measure,
 )
 from moment2d import solutions
@@ -226,25 +225,6 @@ def test_moments_from_pair_row_stops_at_first_vector_outside_a1(monkeypatch):
     seen = _counting_a1_tests(monkeypatch, pair)
     assert moments_from_pair(pair, 5, 1).max_m == 0
     assert seen == [True, False]
-
-
-def test_quasianalytic_check_matches_table_diagnostic():
-    report = quasianalytic_vector_check(e2().pair, e2().table, 0, 2)
-    assert report.verdict == "diverging-trend"
-    table = moments_of_measure(e1().measure, 2, 4)
-    report1 = quasianalytic_vector_check(e1().pair, table, 0, 2)
-    assert report1.verdict == "diverging-trend"
-
-
-def test_quasianalytic_check_flags_mismatched_table():
-    # The two-point pair has ||A1 h00 - i h00||^2 = 2 while the table
-    # below claims s00 + s20 = 1.
-    vals = np.array([[1.0, 0.0, 1.0],
-                     [0.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0]])
-    small = MomentTable(2, 2, vals)
-    with pytest.raises(InconsistentShiftError):
-        quasianalytic_vector_check(e2().pair, small, 0, 1)
 
 
 def test_rank_tolerance_controls_kernel_cut():

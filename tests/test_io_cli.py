@@ -215,6 +215,24 @@ def test_cli_eval_resolvent_refuses_a_cayley_transform_with_a_fixed_vector(
             "is outside the numerically supported range\n")
 
 
+def test_cli_solve_canonical_refuses_a_cayley_transform_with_a_fixed_vector(
+        tmp_path: Path, capsys):
+    e = np.eye(3, dtype=complex)
+    pair = SymmetricPair(dim=3, a1_domain=e[:, :2],
+                         a1_action=np.column_stack([1e10 * e[:, 0],
+                                                    0.5 * e[:, 1] + e[:, 2]]),
+                         a2_domain=e, a2_action=np.zeros((3, 3)),
+                         h00=e[:, 1], j_matrix=e)
+    path = tmp_path / "pair.json"
+    io.write_json(io.pair_to_json(pair), str(path))
+    out = tmp_path / "out"
+    assert main(["solve-canonical", str(path), "--output-dir", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: Cayley transform of A1 has a fixed vector on D(V); A1 "
+            "is outside the numerically supported range\n")
+    assert not out.exists()
+
+
 def test_pair_to_json_writes_the_flag_derived_from_a2():
     rng = np.random.default_rng(0)
     mu = AtomicMeasure(rng.uniform(-2, 2, size=(3, 2)),
@@ -762,14 +780,13 @@ README_EXIT_CODES = {
     "NegativeDenominatorError": 1, "NotSupportedError": 1,
     "NotPsdError": 2,
     "InconsistentShiftError": 3, "DomainCollapseError": 3,
-    "SingularShiftError": 3, "EmbeddingLostError": 3,
+    "SingularShiftError": 3,
     "NotDirectSumError": 3, "NoDecompositionError": 3,
     "SingularMatrixError": 3, "ClusterAmbiguityError": 3,
     "NotSelfAdjointA2Error": 3, "StructureViolationError": 3,
     "FixedPointError": 4, "ContractionViolatedError": 4,
     "NotUnitaryError": 4, "CommutationViolatedError": 4,
     "ExcludedPointError": 4, "AdmissibilityFailedError": 4,
-    "PointMismatchError": 4,
 }
 
 

@@ -11,14 +11,11 @@ from moment2d import (
     FixedPointError,
     IndexOutOfRangeError,
     NotSupportedError,
-    PointMismatchError,
-    ResolventSample,
     SingularMatrixError,
     TrigMomentTable,
     build_isometric_pair,
     canonical_extension,
     chumakin_resolvent,
-    correspondence_check,
     e1,
     e2,
     e3,
@@ -299,45 +296,6 @@ def test_resolvent_excluded_points():
         pair_resolvent_symmetric(prepared, 2j, -1j)
     with pytest.raises(ExcludedPointError):
         pair_resolvent_of_measure(e2().measure, 1.5, 2j)
-
-
-def test_correspondence_between_the_two_formulas():
-    sample_u = ResolventSample(kind="u", p1=1 / 3, p2=1 / 3,
-                               matrix=np.array([[0.25 + 0j]]))
-    sample_s = ResolventSample(kind="s", p1=2j, p2=2j,
-                               matrix=np.array([[-0.25 + 0j]]))
-    assert correspondence_check(sample_u, sample_s)
-    shifted = ResolventSample(kind="u", p1=0.0, p2=1 / 3,
-                              matrix=np.array([[0.25 + 0j]]))
-    with pytest.raises(PointMismatchError):
-        correspondence_check(shifted, sample_s)
-    excluded = ResolventSample(kind="s", p1=1j, p2=2j,
-                               matrix=np.array([[-0.25 + 0j]]))
-    with pytest.raises(PointMismatchError):
-        correspondence_check(sample_u, excluded)
-    with pytest.raises(PointMismatchError):
-        correspondence_check(sample_s, sample_s)
-    with pytest.raises(ValueError):
-        ResolventSample(kind="x", p1=0, p2=0, matrix=np.eye(1))
-
-
-def test_correspondence_on_random_dense_pairs():
-    pair = e2().pair
-    iso = build_isometric_pair(pair)
-    prepared = prepare_pair(iso, _empty_phi(iso))
-    u1 = oracles.explicit_extension_matrix(iso, np.zeros((0, 0)))
-    u2 = iso.u_matrix
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        lam1, lam2 = oracles.random_point_pair(rng)
-        z1 = (lam1 - 1j) / (lam1 + 1j)
-        z2 = (lam2 - 1j) / (lam2 + 1j)
-        mat_u = pair_resolvent_unitary(u1, u2, np.eye(2), z1, z2)
-        mat_s = pair_resolvent_symmetric(prepared, lam1, lam2)
-        ok = correspondence_check(
-            ResolventSample(kind="u", p1=z1, p2=z2, matrix=mat_u),
-            ResolventSample(kind="s", p1=lam1, p2=lam2, matrix=mat_s))
-        assert ok
 
 
 def test_trig_moments_of_origin_atom():
