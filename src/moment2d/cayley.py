@@ -47,7 +47,7 @@ families are not supported otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -84,6 +84,10 @@ __all__ = [
 #: gain reaches ``1 - NORM_TOL`` (admissibility criterion).
 NORM_TOL = 1e-8
 
+#: Refusal of an ``A2`` whose Cayley transform ``U`` leaves ``U - E`` singular.
+A2_OUT_OF_RANGE = ("Cayley transform of A2 has an eigenvalue at 1; A2 is "
+                   "outside the numerically supported range")
+
 
 @dataclass(frozen=True)
 class CayleyIsometry:
@@ -107,9 +111,9 @@ class IsometricPair:
     The subspaces ``H1 = D(V)``, ``H2 = N0(V)`` and ``H4 = Ninf(V)`` are
     stored as orthonormal column bases; ``U`` leaves each of them
     invariant.  ``j_matrix`` is the conjugation ``J`` of the pair
-    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2`` and ``u24`` are
-    computed on first use and kept on the instance; they are read-only
-    arrays, since every extension built from the pair shares them.
+    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``u24`` and the
+    gated ``operator_domain`` (``_full_domains``, by ``subspace_tol``) are
+    kept on the instance after first use, as read-only shared arrays.
     """
 
     dim: int
@@ -119,6 +123,8 @@ class IsometricPair:
     ninf_basis: np.ndarray
     u_matrix: np.ndarray
     j_matrix: np.ndarray
+    _full_domains: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def defect_dim(self) -> int:
@@ -332,9 +338,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
         raise StructureViolationError("Cayley transform of A2 not unitary")
     sigma_min = float(np.linalg.svd(u - eye, compute_uv=False)[-1])
     if sigma_min <= FIXED_POINT_TOL:
-        raise StructureViolationError(
-            "Cayley transform of A2 has an eigenvalue at 1; A2 is outside "
-            "the numerically supported range")
+        raise StructureViolationError(A2_OUT_OF_RANGE)
     n0 = complement_basis(cay.domain, subspace_tol)
     ninf = complement_basis(cay.range, subspace_tol)
     if n0.shape[1] != ninf.shape[1]:
@@ -365,14 +369,18 @@ def build_isometric_pair(pair: SymmetricPair, *,
 
 def _full_operator_domain(iso: IsometricPair,
                           tolerances: Tolerances) -> np.ndarray:
-    """``iso.operator_domain()``; raises ``StructureViolationError`` when
-    it has fewer columns than ``D(V)``, i.e. ``V`` fixes a vector."""
-    q = iso.operator_domain(tolerances=tolerances)
-    if q.shape[1] < iso.v_domain.shape[1]:
-        raise StructureViolationError(
-            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
-            "outside the numerically supported range")
-    return q
+    """``iso.operator_domain()``, kept on ``iso`` per ``subspace_tol``;
+    raises ``StructureViolationError`` (and keeps nothing) when it has
+    fewer columns than ``D(V)``, i.e. ``V`` fixes a vector."""
+    tol = tolerances.subspace_tol
+    if tol not in iso._full_domains:
+        q = iso.operator_domain(tolerances=tolerances)
+        if q.shape[1] < iso.v_domain.shape[1]:
+            raise StructureViolationError(
+                "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+                "outside the numerically supported range")
+        iso._full_domains[tol] = read_only(q)
+    return iso._full_domains[tol]
 
 
 def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
@@ -413,8 +421,6 @@ def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:
             raise NoDecompositionError(
                 f"factor {name} is not a conjugation within tolerance")
     return ConjugationFactorization(k_matrix=k_matrix, l_matrix=l_matrix)
-
-
 
 
 def forbidden_operator(iso: IsometricPair, *,

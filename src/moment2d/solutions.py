@@ -3,12 +3,12 @@
 A canonical solution lives inside the state space itself: it is the
 joint spectral measure (with respect to the cyclic vector) of a pair of
 commuting self-adjoint matrices ``(A1_tilde, A2)`` where ``A1_tilde``
-extends the partially defined shift ``A1``.  The extensions are built
-from a unitary parameter ``U2`` ranging over the commutant of
-``W2 = V2|_{H2}`` via the conjugation factorization of ``W2``; the
-inverse Cayley transform turns the extended isometry back into a
-Hermitian matrix.  Distinct parameters give distinct solutions, one per
-``U2``, and the determinate case (zero defect) yields exactly one.
+extends the partially defined shift ``A1``.  At defect 0 (determinate)
+``A1`` is self-adjoint and ``(A1, A2)`` gives the only solution.  At a
+nonzero defect the extensions come from the Cayley data and a unitary
+parameter ``U2`` in the commutant of ``W2 = V2|_{H2}``, via the
+conjugation factorization of ``W2``; the inverse Cayley transform turns
+the extended isometry back into a Hermitian matrix, one per ``U2``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import IsometricPair, build_isometric_pair, inverse_cayley
-from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
-                     Tolerances)
+from .cayley import (A2_OUT_OF_RANGE, IsometricPair, build_isometric_pair,
+                     inverse_cayley)
+from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, STRUCTURE_TOL,
+                     WEIGHT_DROP_TOL, Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, IndexOutOfRangeError, NotPsdError,
                      StructureViolationError)
@@ -221,14 +222,17 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     if ext_res > STRUCTURE_TOL * 100 * scale:
         raise StructureViolationError(
             f"extension does not restrict to A1 (residual {ext_res:.3e})")
-    a2 = pair.a2_matrix
-    comm = float(np.linalg.norm(a1_tilde @ a2 - a2 @ a1_tilde))
-    comm_scale = max(1.0, float(np.linalg.norm(a1_tilde))
-                     * float(np.linalg.norm(a2)))
-    if comm > STRUCTURE_TOL * 100 * comm_scale:
-        raise StructureViolationError(
-            f"extension does not commute with A2 (residual {comm:.3e})")
+    _require_commutes_with_a2("extension", a1_tilde, pair.a2_matrix)
     return CanonicalExtension(a1_tilde=a1_tilde, u24=u24)
+
+
+def _require_commutes_with_a2(name: str, a1: np.ndarray, a2: np.ndarray):
+    """Refuse an ``a1`` that does not commute with ``a2``, relatively."""
+    comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
+    scale = max(1.0, float(np.linalg.norm(a1)) * float(np.linalg.norm(a2)))
+    if comm > STRUCTURE_TOL * 100 * scale:
+        raise StructureViolationError(
+            f"{name} does not commute with A2 (residual {comm:.3e})")
 
 
 def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
@@ -477,8 +481,11 @@ _CROSS_LAM1, _CROSS_LAM2 = np.array(CROSS_VALIDATION_POINTS).T
 def _a2_resolvent_block(a2: np.ndarray, h00: np.ndarray) -> np.ndarray:
     """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2``, one
     column per ``lam2`` of :data:`CROSS_VALIDATION_POINTS`, from one
-    eigendecomposition."""
+    eigendecomposition; its largest ``|lam|`` runs the range gate of
+    ``build_isometric_pair``, as ``sigma_min(U - E) = 2 / sqrt(1 + lam^2)``."""
     vals, vecs = np.linalg.eigh(a2)
+    if 2.0 / np.hypot(1.0, np.max(np.abs(vals))) <= FIXED_POINT_TOL:
+        raise StructureViolationError(A2_OUT_OF_RANGE)
     coef = (vecs.conj().T @ h00)[:, None]
     vals = vals[:, None]
     return vecs @ (coef * (1.0 + _CROSS_LAM2 * vals) / (vals - _CROSS_LAM2))
@@ -582,14 +589,14 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     (``NotPsdError``, ``InconsistentShiftError``,
     ``DomainCollapseError``) raise as without the search.
 
-    Each commutant parameter ``U2`` from the sampler yields one report;
-    in the determinate case the stream holds exactly one report
-    regardless of the sampler.  The pair-level extension data
-    (``IsometricPair.v_matrix`` and ``IsometricPair.u24``) is built once
-    for the whole stream.
+    At a nonzero defect each commutant parameter ``U2`` from the sampler
+    yields one report, from Cayley data built once for the stream.  At
+    defect 0 the one report, whatever the sampler, is measured from
+    ``(A1, A2)`` after three gates: ``A1`` Hermitian and commuting with
+    ``A2``, and the range gate on ``A2`` (``StructureViolationError``).
 
     Every emitted measure is cross-validated: the scalar pair resolvent
-    of the extension equals the atomic-sum kernel of the measure at
+    of ``(A1_tilde, A2)`` equals the atomic-sum kernel of the measure at
     ``CROSS_POINTS`` seeded random points within ``CROSS_TOL`` (else
     ``StructureViolationError`` naming the first failing point).
     Parameters whose extended isometry has a fixed point are skipped
@@ -637,31 +644,38 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         "are unavailable (operator-driven input with a self-adjoint "
         "A2 is the supported route)")
     determinate = determinacy(pair)
-    iso = build_isometric_pair(pair, tolerances=tolerances)
+    a2_full = pair.a2_matrix
+    if determinate:
+        # A1 is its own, and only, self-adjoint extension.
+        a1_tilde = pair.full_matrix(1)
+        if not is_hermitian(a1_tilde, STRUCTURE_TOL):
+            raise StructureViolationError(
+                "operator A1 is not symmetric on its domain")
+        a1_tilde = 0.5 * (a1_tilde + a1_tilde.conj().T)
+        _require_commutes_with_a2("A1", a1_tilde, a2_full)
+        stream, labels = [None], ["determinate"]
+    else:
+        iso = build_isometric_pair(pair, tolerances=tolerances)
+        stream = enumerate_commutant_unitaries(iso.w2, sampler,
+                                               tolerances=tolerances)
+        labels = (_sampler_label(sampler, i) for i in itertools.count())
+    a2_block = _a2_resolvent_block(a2_full, pair.h00)
     if not from_table:
         if max_n is None:
             max_n = 2 * pair.dim
         ref_table = moments_from_pair(pair, 2 * pair.dim, max_n,
                                       tolerances=tolerances)
-    a2_full = pair.a2_matrix
-    if determinate:
-        stream = iter([np.zeros((0, 0), dtype=complex)])
-        labels = iter(["determinate"])
-    else:
-        stream = enumerate_commutant_unitaries(iso.w2, sampler,
-                                               tolerances=tolerances)
-        labels = (_sampler_label(sampler, i) for i in itertools.count())
-    a2_block = _a2_resolvent_block(a2_full, pair.h00)
     for u2, label in zip(stream, labels):
         try:
-            ext = canonical_extension(pair, iso, u2)
+            if not determinate:
+                a1_tilde = canonical_extension(pair, iso, u2).a1_tilde
         except FixedPointError as exc:
             if on_reject is not None:
                 on_reject(label, exc)
             continue
-        measure = joint_spectral_measure(ext.a1_tilde, a2_full, pair.h00,
+        measure = joint_spectral_measure(a1_tilde, a2_full, pair.h00,
                                          tolerances=tolerances)
-        _resolvent_cross_check(ext.a1_tilde, a2_block, pair.h00, measure)
+        _resolvent_cross_check(a1_tilde, a2_block, pair.h00, measure)
         if refine:
             measure = refine_measure(measure, ref_table)
         report = verify_solution(measure, ref_table, determinate=determinate,

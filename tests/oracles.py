@@ -276,6 +276,19 @@ def pair_resolvent_symmetric_gated(iso, phi, lam1: complex,
     return (eye - 2.0 * resolvent) @ moebius
 
 
+def cayley_route_measure(pair):
+    """Joint spectral measure of a determinate pair through the Cayley
+    round trip: the canonical extension of ``A1`` with the empty
+    commutant parameter, built from the full Cayley data of the pair
+    and read back by the inverse Cayley transform."""
+    from moment2d import (build_isometric_pair, canonical_extension,
+                          joint_spectral_measure)
+    ext = canonical_extension(pair, build_isometric_pair(pair),
+                              np.zeros((0, 0)))
+    return joint_spectral_measure(ext.a1_tilde, pair.full_matrix(2),
+                                  pair.h00)
+
+
 def complex_matrix_per_cell(rows: list, width: int) -> np.ndarray:
     """Nested ``[re, im]`` JSON cells decoded one number at a time."""
     out = np.empty((len(rows), width), dtype=complex)

@@ -36,7 +36,7 @@ from moment2d import (
     prepare_pair,
     solve_canonical,
 )
-from moment2d.config import FIXED_POINT_TOL
+from moment2d.config import DEFAULT_TOLERANCES, FIXED_POINT_TOL
 from moment2d.linalg import haar_unitary, is_unitary, subspace_residual
 
 import oracles
@@ -315,6 +315,32 @@ def test_a_fixed_vector_of_v_is_refused_before_the_admissibility_test():
         forbidden_operator(iso)
     with pytest.raises(StructureViolationError, match=message):
         constant_admissibility(iso, ContractionParameter.const([[0.5]]))
+
+
+def test_the_operator_domain_is_computed_once_per_pair_and_tolerance(
+        monkeypatch):
+    calls = []
+    real = IsometricPair.operator_domain
+
+    def counted(self, **kwargs):
+        calls.append(kwargs["tolerances"].subspace_tol)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(IsometricPair, "operator_domain", counted)
+    iso = build_isometric_pair(e3().pair)
+    phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
+    first = forbidden_operator(iso)
+    assert constant_admissibility(iso, phi) is True
+    assert calls == [DEFAULT_TOLERANCES.subspace_tol]
+    wide = Tolerances(subspace_tol=1e-7)
+    constant_admissibility(iso, phi, tolerances=wide)
+    constant_admissibility(iso, phi, tolerances=wide)
+    assert calls == [DEFAULT_TOLERANCES.subspace_tol, 1e-7]
+    # A copy starts without the kept bases; the values are the same.
+    second = forbidden_operator(dataclasses.replace(iso))
+    assert len(calls) == 3
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_a_cayley_transform_with_a_fixed_vector_is_refused_when_built():

@@ -16,6 +16,7 @@ import oracles
 
 from moment2d import (
     AtomicMeasure,
+    IsometricPair,
     MomentTable,
     SamplerSpec,
     SchemaError,
@@ -615,6 +616,25 @@ def test_cli_eval_resolvent_gates_the_parameter_once(tmp_path: Path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
     assert calls == {"constant_admissibility": 1, "commutation_check": 1}
+
+
+def test_cli_eval_resolvent_computes_the_operator_domain_once(
+        tmp_path: Path, capsys, monkeypatch):
+    files = _write_demo(tmp_path, capsys)
+    calls = []
+    real = IsometricPair.operator_domain
+
+    def counted(self, **kwargs):
+        calls.append(self)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(IsometricPair, "operator_domain", counted)
+    # build_isometric_pair's fixed-vector gate and the forbidden operator
+    # of the admissibility gate share one basis.
+    assert main(["eval-resolvent", str(files["e3-pair.json"]),
+                 "--phi", str(files["e3-phi.json"]),
+                 "--l1-start", "2j", "--l2-start", "1+1j"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,

@@ -43,7 +43,8 @@ from moment2d import (
 from moment2d.config import (ATOM_MERGE_TOL, CLUSTER_TOL, RANK_TOL,
                              WEIGHT_DROP_TOL)
 from moment2d.linalg import haar_unitary, is_unitary
-from moment2d import solutions
+from moment2d import io, solutions
+from moment2d.cli import main
 from moment2d.solutions import (COMBINATION_SEED, CROSS_TOL,
                                 CROSS_VALIDATION_POINTS, MAX_COMBINATIONS)
 
@@ -638,3 +639,137 @@ def test_table_too_small_for_the_default_rectangle(max_m, max_n, kwargs):
             f"table holds degrees ({max_m}, {max_n}); the default "
             f"rectangle needs degrees of at least (2, 2)")):
         list(solve_canonical(table, **kwargs))
+
+
+def _determinate_pair(a1, a2, h00) -> SymmetricPair:
+    dim = len(h00)
+    eye = np.eye(dim, dtype=complex)
+    return SymmetricPair(dim=dim, a1_domain=eye,
+                         a1_action=np.asarray(a1, dtype=complex),
+                         a2_domain=eye,
+                         a2_action=np.asarray(a2, dtype=complex),
+                         h00=np.asarray(h00, dtype=complex), j_matrix=eye)
+
+
+def _cli_solve(pair: SymmetricPair, tmp_path, capsys) -> tuple:
+    """Exit code and stderr of ``solve-canonical`` on ``pair``; the
+    output directory must not exist afterwards."""
+    path = tmp_path / "pair.json"
+    io.write_json(io.pair_to_json(pair), str(path))
+    out = tmp_path / "out"
+    code = main(["solve-canonical", str(path), "--output-dir", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def _seeded_determinate_tables() -> list:
+    """48 seeded tables: degrees 8, 12, 16 and 20 on ``[-1, 1]^2`` and
+    ``[-2, 2]^2``, plus the e2 table."""
+    rng = np.random.default_rng(2024)
+    tables = []
+    for i in range(48):
+        box = (1.0, 2.0)[i % 2]
+        degree = (8, 12, 16, 20)[(i // 2) % 4]
+        mu = random_atomic_measure(rng, coord_low=-box, coord_high=box)
+        tables.append(moments_of_measure(mu, degree, degree))
+    return tables + [e2().table]
+
+
+def test_determinate_solution_matches_the_cayley_route():
+    verify_tol = Tolerances().verify_tol
+    compared = 0
+    tables = _seeded_determinate_tables()
+    for table in tables:
+        report, = solve_canonical(table)
+        assert (report.determinate, report.u2_seed) == (True, "determinate")
+        largest = (table.max_m // 2, table.max_n // 2)
+        pair = solutions.build_operators(solutions._default_gns(
+            table, largest, tolerances=Tolerances()))
+        ref = oracles.cayley_route_measure(pair)
+        got = report.measure
+        assert got.n_atoms == ref.n_atoms
+        assert np.max(np.abs(got.points - ref.points)) <= 1e-12
+        assert np.max(np.abs(got.weights - ref.weights)) <= 1e-9
+        # The absolute verify test reads rounding when an error lies
+        # within a factor 10 of verify_tol (table entries reach 1e12):
+        # there either route may land on either side.
+        errors = (report.max_abs_moment_error,
+                  verify_solution(ref, table).max_abs_moment_error)
+        if all(abs(np.log10(e / verify_tol)) > 1 for e in errors):
+            assert report.passed == (errors[1] <= verify_tol)
+            compared += 1
+    assert compared >= 0.75 * len(tables)
+
+
+def test_determinate_input_skips_the_cayley_data(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cayley data built at defect 0")
+
+    monkeypatch.setattr(solutions, "build_isometric_pair", refuse)
+    monkeypatch.setattr(solutions, "canonical_extension", refuse)
+    rejected = []
+    sources = [e2().table, _determinate_pair(
+        np.diag([0.5, -1.0]), np.diag([0.3, 1.1]), [0.6, 0.8])]
+    for source in sources:
+        for sampler in (SamplerSpec(),
+                        SamplerSpec(kind="exhaustive-phases", phases=3)):
+            reports = list(solve_canonical(
+                source, sampler=sampler,
+                on_reject=lambda label, exc: rejected.append(label)))
+            assert len(reports) == 1 and reports[0].passed is True
+            assert reports[0].u2_seed == "determinate"
+    assert rejected == []
+
+
+def test_determinate_pair_with_non_commuting_operators_is_refused(
+        tmp_path, capsys):
+    pair = _determinate_pair([[0.5, 0.25], [0.25, -1.0]],
+                             np.diag([0.3, -0.7]), [0.6, 0.8])
+    message = r"^A1 does not commute with A2 \(residual "
+    with pytest.raises(StructureViolationError, match=message):
+        list(solve_canonical(pair))
+    code, err = _cli_solve(pair, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error: A1 does not commute with A2 (residual ")
+
+
+def test_determinate_pair_with_a_non_hermitian_first_operator_is_refused():
+    pair = _determinate_pair([[0.5, 0.25], [0.0, -1.0]],
+                             np.diag([0.3, -0.7]), [0.6, 0.8])
+    assert determinacy(pair) is True
+    with pytest.raises(StructureViolationError,
+                       match="^operator A1 is not symmetric on its domain$"):
+        list(solve_canonical(pair))
+
+
+def test_determinate_pair_keeps_the_range_gate_of_a2(tmp_path, capsys):
+    # ||A2|| = 1e10: sigma_min(U - E) = 2e-10 for the Cayley transform U
+    # of A2, as build_isometric_pair measures it.
+    pair = _determinate_pair(np.diag([0.3, -0.7, 1.1]),
+                             np.diag([1e10, 0.5, -1.0]), [0.6, 0.64, 0.48])
+    message = ("Cayley transform of A2 has an eigenvalue at 1; A2 is "
+               "outside the numerically supported range")
+    for build in (build_isometric_pair, lambda p: list(solve_canonical(p))):
+        with pytest.raises(StructureViolationError,
+                           match=f"^{re.escape(message)}$"):
+            build(pair)
+    assert _cli_solve(pair, tmp_path, capsys) == (3, f"error: {message}\n")
+
+
+def test_determinate_pair_with_a_fixed_cayley_vector_of_a1(tmp_path, capsys):
+    # A1 = diag(1e10, 0.5, -1) is self-adjoint, so no parameter is
+    # involved and on_reject is never called.  The joint spectral
+    # measure clusters eigenvalues at cluster_tol * (1 + max |eigenvalue|),
+    # here 100, so the two order-1 atoms merge and the resolvent
+    # cross-check refuses the result.
+    pair = _determinate_pair(np.diag([1e10, 0.5, -1.0]),
+                             np.diag([0.3, -0.7, 1.1]), [0.6, 0.64, 0.48])
+    rejected = []
+    with pytest.raises(StructureViolationError,
+                       match="^resolvent cross-validation failed at "):
+        list(solve_canonical(
+            pair, on_reject=lambda label, exc: rejected.append(label)))
+    assert rejected == []
+    code, err = _cli_solve(pair, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error: resolvent cross-validation failed at ")
