@@ -181,9 +181,8 @@ class IsometricPair:
 
     def extend(self, defect_map: np.ndarray) -> np.ndarray:
         """New matrix of ``V (+) D``: ``V`` on ``D(V)`` and ``defect_map``,
-        from ``n0_basis`` coordinates to space coordinates, on ``N0``."""
-        if not self.defect_dim:
-            return self.v_matrix.copy()
+        from ``n0_basis`` coordinates to space coordinates, on ``N0`` (a
+        stack of maps gives the stack of matrices)."""
         return self.v_matrix + defect_map @ self.n0_basis.conj().T
 
     def parameter_at(self, phi: "ContractionParameter",
@@ -299,17 +298,26 @@ def inverse_cayley(u: np.ndarray,
     ``FIXED_POINT_TOL`` of 1 (the inverse transform does not exist there).
     """
     u = require_unitary(u, structure_tol, "inverse Cayley input")
-    n = u.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    shifted = u - np.eye(n)
-    sigma_min = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if sigma_min <= FIXED_POINT_TOL:
-        raise FixedPointError(
+    a, fixed = _inverse_cayley_stack(u[None])
+    if fixed[0]:
+        raise fixed[0]
+    return a[0]
+
+
+def _inverse_cayley_stack(us: np.ndarray) -> tuple:
+    """:func:`inverse_cayley` of a stack, by one SVD and one solve: the
+    slices without a fixed point, and per slice its error or None."""
+    eye = np.eye(us.shape[-1])
+    shifted = us - eye
+    sigma_min = np.linalg.svd(shifted, compute_uv=False).min(
+        axis=1, initial=np.inf)
+    ok = sigma_min > FIXED_POINT_TOL
+    a = 1j * np.swapaxes(np.linalg.solve(
+        np.swapaxes(shifted[ok], 1, 2), np.swapaxes(us[ok] + eye, 1, 2)), 1, 2)
+    return 0.5 * (a + np.swapaxes(a.conj(), 1, 2)), [
+        None if passed else FixedPointError(
             f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
-            f"(sigma_min = {sigma_min:.3e})")
-    a = 1j * np.linalg.solve(shifted.T, (u + np.eye(n)).T).T
-    return 0.5 * (a + a.conj().T)
+            f"(sigma_min = {s:.3e})") for passed, s in zip(ok, sigma_min)]
 
 
 def build_isometric_pair(pair: SymmetricPair, *,

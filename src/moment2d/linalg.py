@@ -87,22 +87,27 @@ def subspace_residual(basis: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(out)) / denom
 
 
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each slice of a stack."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     a = as_complex_matrix(a)
     scale = 1.0 + float(np.linalg.norm(a))
     return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
 
 
-def is_unitary(u: np.ndarray, tol: float) -> bool:
+def is_unitary(u: np.ndarray, tol: float):
+    """A bool for a matrix, one per slice for a stack of matrices."""
     u = as_complex_matrix(u)
-    if u.shape[0] != u.shape[1]:
+    n = u.shape[-1]
+    if u.shape[-2] != n:
         return False
-    n = u.shape[0]
-    if n == 0:
-        return True
-    eye = np.eye(n)
-    return (float(np.linalg.norm(u.conj().T @ u - eye)) <= tol * n
-            and float(np.linalg.norm(u @ u.conj().T - eye)) <= tol * n)
+    uh, eye = np.swapaxes(u.conj(), -1, -2), np.eye(n)
+    ok = ((frobenius(uh @ u - eye) <= tol * n)
+          & (frobenius(u @ uh - eye) <= tol * n))
+    return ok if ok.ndim else bool(ok)
 
 
 def require_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:

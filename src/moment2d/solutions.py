@@ -9,6 +9,10 @@ nonzero defect the extensions come from the Cayley data and a unitary
 parameter ``U2`` in the commutant of ``W2 = V2|_{H2}``, via the
 conjugation factorization of ``W2``; the inverse Cayley transform turns
 the extended isometry back into a Hermitian matrix, one per ``U2``.
+:func:`solve_canonical` evaluates the parameters in chunks, one stacked
+LAPACK call per step for the chunk, so a consumer that stops after the
+first report has still paid for the first chunk; order and errors are
+those of one parameter at a time.
 """
 
 from __future__ import annotations
@@ -21,17 +25,17 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import (A2_OUT_OF_RANGE, IsometricPair, build_isometric_pair,
-                     inverse_cayley)
+from .cayley import (A2_OUT_OF_RANGE, IsometricPair, _inverse_cayley_stack,
+                     build_isometric_pair)
 from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, STRUCTURE_TOL,
                      WEIGHT_DROP_TOL, Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
-                     FixedPointError, IndexOutOfRangeError, NotPsdError,
-                     StructureViolationError)
+                     FixedPointError, IndexOutOfRangeError, Moment2dError,
+                     NotPsdError, NotUnitaryError, StructureViolationError)
 from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
                   build_operators)
-from .linalg import (as_complex_matrix, haar_unitary, is_hermitian,
-                     is_unitary, require_unitary)
+from .linalg import (as_complex_matrix, frobenius, haar_unitary,
+                     is_hermitian, is_unitary, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
                       moments_of_measure)
 
@@ -61,6 +65,9 @@ COMBINATION_SEED = 1234
 CROSS_POINTS = 5
 CROSS_SEED = 777
 CROSS_TOL = 1e-8
+
+#: Parameters per stack, fewer where its cross-check would pass 8 MB.
+_CHUNK, _CHUNK_CELLS = 16, 1 << 19
 
 #: Evaluation budget of the least-squares polish in :func:`refine_measure`.
 REFINE_MAX_NFEV = 200
@@ -123,20 +130,15 @@ class SolutionReport:
 
 def _cluster_values(values: np.ndarray, tol: float) -> list:
     """Greedy clustering of scalars by distance to cluster centroids."""
-    clusters: list[dict] = []
+    clusters: list[list[int]] = []
     for i, v in enumerate(values):
-        target = None
-        for c in clusters:
-            if abs(v - c["centroid"]) <= tol:
-                target = c
+        for members in clusters:
+            if abs(v - sum(values[j] for j in members) / len(members)) <= tol:
+                members.append(i)
                 break
-        if target is None:
-            clusters.append({"idx": [i], "centroid": v})
         else:
-            target["idx"].append(i)
-            members = target["idx"]
-            target["centroid"] = sum(values[j] for j in members) / len(members)
-    return [np.asarray(c["idx"], dtype=int) for c in clusters]
+            clusters.append([i])
+    return [np.asarray(members, dtype=int) for members in clusters]
 
 
 def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
@@ -157,8 +159,7 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
     off = t - np.diag(np.diagonal(t))
     if float(np.linalg.norm(off)) > STRUCTURE_TOL * d:
         raise StructureViolationError("W2 is not normal within tolerance")
-    eigvals = np.diagonal(t)
-    blocks = _cluster_values(eigvals, tolerances.cluster_tol)
+    blocks = _cluster_values(np.diagonal(t), tolerances.cluster_tol)
 
     def assemble(block_mats: list) -> np.ndarray:
         m = np.zeros((d, d), dtype=complex)
@@ -185,19 +186,15 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
                         u2: np.ndarray) -> CanonicalExtension:
     """Self-adjoint extension of ``A1`` from a commutant parameter.
 
-    The unitary ``V_tilde = V1 (+) (U24 U2)`` is built from ``iso.u24``
-    (``U24 = J o K : H2 -> H4`` with ``K`` from the conjugation
-    factorization of ``W2 = U|_{H2}``) and ``iso.v_matrix`` (``V`` on
-    ``D(V)``).  Both, with the reduction, isometry and range gates of
-    ``U24``, are computed once per :class:`IsometricPair` and shared by
-    every ``u2``.  The inverse Cayley transform of ``V_tilde`` is the
-    returned Hermitian extension.  Per ``u2`` this checks its shape
-    (``ValueError``), its unitarity (``NotUnitaryError``) and its
-    commutation with ``W2`` (``CommutationViolatedError``).  A ``u2``
-    leading to a fixed point of ``V_tilde`` raises ``FixedPointError``
-    (that parameter is rejected); structural failures (pair-level data,
-    ``V_tilde`` unitary, restriction to ``A1``, commutation with ``A2``)
-    raise ``StructureViolationError``.
+    The inverse Cayley transform of ``V_tilde = V1 (+) (U24 U2)``, from
+    ``iso.v_matrix`` (``V`` on ``D(V)``) and ``iso.u24`` (``U24 = J o K``,
+    ``K`` from the conjugation factorization of ``W2 = U|_{H2}``), built
+    with their gates once per pair.  Errors: ``ValueError`` (shape of
+    ``u2``), ``NotUnitaryError``, ``CommutationViolatedError`` (with
+    ``W2``), ``FixedPointError`` (``V_tilde`` has eigenvalue 1: the
+    parameter is rejected) and ``StructureViolationError`` (``V_tilde``
+    unitary, restriction to ``A1``, commutation with ``A2``).  One slice
+    of the stacked kernels :func:`solve_canonical` runs on a chunk.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; canonical extensions unavailable")
@@ -205,34 +202,48 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
     u2 = as_complex_matrix(u2)
     if u2.shape != (d2, d2):
         raise ValueError(f"U2 has shape {u2.shape}, expected ({d2}, {d2})")
-    u2 = require_unitary(u2, STRUCTURE_TOL, "U2")
-    u24 = iso.u24
-    w2 = iso.w2
-    if d2:
-        comm = float(np.linalg.norm(u2 @ w2 - w2 @ u2))
-        if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))):
-            raise CommutationViolatedError(
-                f"U2 does not commute with W2 (residual {comm:.3e})")
-    v_tilde = iso.extend(u24 @ u2)
-    if not is_unitary(v_tilde, STRUCTURE_TOL * 10):
-        raise StructureViolationError("extended isometry is not unitary")
-    a1_tilde = inverse_cayley(v_tilde, STRUCTURE_TOL * 10)
-    ext_res = float(np.linalg.norm(a1_tilde @ pair.a1_domain - pair.a1_action))
+    a1s, fixed = _extension_stack(pair, iso, u2[None])
+    if fixed[0]:
+        raise fixed[0]
+    _commute_gate("extension", a1s, pair.a2_matrix)
+    return CanonicalExtension(a1_tilde=a1s[0], u24=iso.u24)
+
+
+def _gate(failed: np.ndarray, error: type, message: str, *values):
+    """Raise ``error(message % (v[j], ...))`` at the first failed ``j``."""
+    for j in failed.nonzero()[0][:1]:
+        raise error(message % tuple(v[j] for v in values))
+
+
+def _extension_stack(pair: SymmetricPair, iso: IsometricPair, u2s: np.ndarray):
+    """:func:`canonical_extension` of a stack up to its last gate: the
+    extensions without a fixed point, and per slice its error or None."""
+    _gate(~is_unitary(u2s, STRUCTURE_TOL), NotUnitaryError,
+          f"U2 is not unitary within tolerance {STRUCTURE_TOL}")
+    u24, w2 = iso.u24, iso.w2
+    comm = frobenius(u2s @ w2 - w2 @ u2s)
+    _gate(comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))),
+          CommutationViolatedError,
+          "U2 does not commute with W2 (residual %.3e)", comm)
+    v_tilde = iso.extend(u24 @ u2s)
+    _gate(~is_unitary(v_tilde, STRUCTURE_TOL * 10), StructureViolationError,
+          "extended isometry is not unitary")
+    a1s, fixed = _inverse_cayley_stack(v_tilde)
+    ext_res = frobenius(a1s @ pair.a1_domain - pair.a1_action)
     scale = max(1.0, float(np.linalg.norm(pair.a1_action)))
-    if ext_res > STRUCTURE_TOL * 100 * scale:
-        raise StructureViolationError(
-            f"extension does not restrict to A1 (residual {ext_res:.3e})")
-    _require_commutes_with_a2("extension", a1_tilde, pair.a2_matrix)
-    return CanonicalExtension(a1_tilde=a1_tilde, u24=u24)
+    _gate(ext_res > STRUCTURE_TOL * 100 * scale, StructureViolationError,
+          "extension does not restrict to A1 (residual %.3e)", ext_res)
+    return a1s, fixed
 
 
-def _require_commutes_with_a2(name: str, a1: np.ndarray, a2: np.ndarray):
-    """Refuse an ``a1`` that does not commute with ``a2``, relatively."""
-    comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
-    scale = max(1.0, float(np.linalg.norm(a1)) * float(np.linalg.norm(a2)))
-    if comm > STRUCTURE_TOL * 100 * scale:
-        raise StructureViolationError(
-            f"{name} does not commute with A2 (residual {comm:.3e})")
+def _commute_gate(name: str | None, a1s: np.ndarray, a2: np.ndarray):
+    """``||A1 A2 - A2 A1||`` per slice, gated relatively when ``name``d."""
+    comm = frobenius(a1s @ a2 - a2 @ a1s)
+    if name:
+        scale = np.maximum(1.0, frobenius(a1s) * float(np.linalg.norm(a2)))
+        _gate(comm > STRUCTURE_TOL * 100 * scale, StructureViolationError,
+              f"{name} does not commute with A2 (residual %.3e)", comm)
+    return comm
 
 
 def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
@@ -250,12 +261,10 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     combination is drawn (at most ``MAX_COMBINATIONS`` in all before
     ``ClusterAmbiguityError``).  Atoms below ``WEIGHT_DROP_TOL`` are
     dropped, and atoms within ``tolerances.atom_merge_tol`` of each
-    other (found by sorting) are merged.
+    other are merged, pass after pass, until no two are that close.
+    This is one slice of the stacked kernel of :func:`solve_canonical`.
     """
-    cluster_tol = tolerances.cluster_tol
-    merge_tol = tolerances.atom_merge_tol
-    a1 = as_complex_matrix(a1)
-    a2 = as_complex_matrix(a2)
+    a1, a2 = as_complex_matrix(a1), as_complex_matrix(a2)
     h = np.asarray(h00, dtype=complex).reshape(-1)
     n = a1.shape[0]
     if a1.shape != (n, n) or a2.shape != (n, n) or h.shape[0] != n:
@@ -263,47 +272,60 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     if not (is_hermitian(a1, STRUCTURE_TOL)
             and is_hermitian(a2, STRUCTURE_TOL)):
         raise StructureViolationError("operators must be Hermitian")
-    op_scale = max(1.0, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)))
-    comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
-    if comm > STRUCTURE_TOL * op_scale * op_scale:
-        raise CommutationViolatedError(
-            f"operators do not commute (residual {comm:.3e})")
+    return _measure_stack(a1[None], a2, h, None, tolerances=tolerances)[0]
+
+
+def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
+                   name: str | None, *, tolerances: Tolerances) -> list:
+    """:func:`joint_spectral_measure` of each (Hermitian) slice of ``a1s``,
+    after the gate of ``name`` (:func:`_commute_gate`) on its residuals."""
+    merge_tol = tolerances.atom_merge_tol
+    comm = _commute_gate(name, a1s, a2)
+    op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)),
+                          float(np.linalg.norm(a2)))
+    _gate(comm > STRUCTURE_TOL * op_scale * op_scale, CommutationViolatedError,
+          "operators do not commute (residual %.3e)", comm)
+    n = a2.shape[0]
+    measures, pending = [None] * len(a1s), np.arange(len(a1s))
     rng = np.random.default_rng(COMBINATION_SEED)
-    bound = merge_tol * op_scale
     for _ in range(MAX_COMBINATIONS):
         c = rng.normal(size=2)
         c = c / np.linalg.norm(c)
-        m = c[0] * a1 + c[1] * a2
-        m = 0.5 * (m + m.conj().T)
-        vals, vecs = np.linalg.eigh(m)
-        val_scale = 1.0 + (float(np.max(np.abs(vals))) if vals.size else 0.0)
-        # Chain clustering along the sorted eigenvalues.
-        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf)
-                                > cluster_tol * val_scale)
-        sizes = np.diff(np.append(starts, n))
-        vh = vecs.conj().T
-        c1 = vh @ a1 @ vecs
-        c2 = vh @ a2 @ vecs
-        t1 = np.add.reduceat(np.diagonal(c1).real, starts) / sizes
-        t2 = np.add.reduceat(np.diagonal(c2).real, starts) / sizes
-        scalar = True
-        for j in np.flatnonzero(sizes > 1):
-            block = slice(starts[j], starts[j] + sizes[j])
-            eye = np.eye(sizes[j])
-            if max(float(np.linalg.norm(c1[block, block] - t1[j] * eye)),
-                   float(np.linalg.norm(c2[block, block] - t2[j] * eye))) > bound:
-                scalar = False
-                break
-        if not scalar:
-            continue
-        weights = np.add.reduceat(np.abs(vh @ h) ** 2, starts)
-        keep = weights >= WEIGHT_DROP_TOL
+        b1 = a1s if pending.size == len(a1s) else a1s[pending]
+        m = c[0] * b1 + c[1] * a2
+        vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
+        vh = np.swapaxes(vecs.conj(), 1, 2)
+        c1, c2 = vh @ b1 @ vecs, vh @ a2 @ vecs
+        # Chain clustering along each slice's sorted eigenvalues.
+        val_scale = 1.0 + np.abs(vals).max(axis=1, initial=0.0)
+        heads = (np.diff(vals, prepend=-np.inf)
+                 > tolerances.cluster_tol * val_scale[:, None])
+        starts = np.flatnonzero(heads)
+        sizes = np.diff(np.append(starts, heads.size))
+        diagonals = np.concatenate([c.reshape(-1, n * n)[:, ::n + 1, None].real
+                                    for c in (c1, c2)], axis=-1).reshape(-1, 2)
         # ``+ 0.0`` turns a negative zero into a positive one.
-        points = np.stack([t1[keep], t2[keep]], axis=1) + 0.0
-        weights = weights[keep]
-        if _has_close_pair(points, merge_tol):
-            points, weights = _merge_atoms(points, weights, merge_tol)
-        return AtomicMeasure(points, weights, merge_tol).sorted()
+        points = np.add.reduceat(diagonals, starts) / sizes[:, None] + 0.0
+        weights = np.add.reduceat(np.abs(vh @ h).ravel() ** 2, starts)
+        scalar = np.ones(len(pending), dtype=bool)
+        for g in np.flatnonzero(sizes > 1):
+            i, s = divmod(starts[g], n)
+            block, eye = slice(s, s + sizes[g]), np.eye(sizes[g])
+            scalar[i] &= max(np.linalg.norm(c[i, block, block] - t * eye)
+                             for c, t in zip((c1, c2), points[g])
+                             ) <= merge_tol * op_scale[pending[i]]
+        first = np.searchsorted(starts, np.arange(len(pending) + 1) * n)
+        for i in np.flatnonzero(scalar):
+            atoms = slice(first[i], first[i + 1])
+            keep = weights[atoms] >= WEIGHT_DROP_TOL
+            p, w = points[atoms][keep], weights[atoms][keep]
+            while _has_close_pair(p, merge_tol):
+                p, w = _merge_atoms(p, w, merge_tol)
+            order = np.lexsort((p[:, 1], p[:, 0]))
+            measures[pending[i]] = AtomicMeasure(p[order], w[order], merge_tol)
+        pending = pending[~scalar]
+        if not pending.size:
+            return measures
     raise ClusterAmbiguityError(
         f"joint eigenvalue clusters remained ambiguous after "
         f"{MAX_COMBINATIONS} random combinations")
@@ -436,18 +458,12 @@ def refine_measure(measure: AtomicMeasure,
         t1, t2, w = unpack(x)
         p1 = t1[None, :] ** ms[:, None]
         p2 = t2[None, :] ** ns[:, None]
-        d1 = ms[:, None] * np.where(ms[:, None] >= 1,
-                                    t1[None, :] ** np.maximum(ms[:, None] - 1, 0),
-                                    0.0)
-        d2 = ns[:, None] * np.where(ns[:, None] >= 1,
-                                    t2[None, :] ** np.maximum(ns[:, None] - 1, 0),
-                                    0.0)
+        d1 = ms[:, None] * t1[None, :] ** np.maximum(ms[:, None] - 1, 0)
+        d2 = ns[:, None] * t2[None, :] ** np.maximum(ns[:, None] - 1, 0)
         jt1 = np.einsum("mk,nk,k->mnk", d1, p2, w)
         jt2 = np.einsum("mk,nk,k->mnk", p1, d2, w)
         jw = np.einsum("mk,nk->mnk", p1, p2)
-        size = (table.max_m + 1) * (table.max_n + 1)
-        return np.concatenate([jt1.reshape(size, k), jt2.reshape(size, k),
-                               jw.reshape(size, k)], axis=1)
+        return np.concatenate([jt1, jt2, jw], axis=2).reshape(-1, 3 * k)
 
     x0 = np.concatenate([measure.points[:, 0], measure.points[:, 1],
                          measure.weights])
@@ -493,36 +509,31 @@ def _a2_resolvent_block(a2: np.ndarray, h00: np.ndarray) -> np.ndarray:
 
 def _resolvent_cross_check(a1: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
                            measure: AtomicMeasure):
-    """Check ``((E + lam1 A1)(A1 - lam1)^-1 (E + lam2 A2)(A2 - lam2)^-1
-    h00, h00)`` against the atomic-sum kernel of ``measure`` at every
-    point of :data:`CROSS_VALIDATION_POINTS`, within ``CROSS_TOL``
-    relative; the first failing point raises
-    ``StructureViolationError``.
+    """One slice of :func:`_cross_check_stack`."""
+    _cross_check_stack(a1[None], r2h, h00, [measure])
 
-    ``r2h`` is the ``A2`` factor applied to ``h00``
-    (:func:`_a2_resolvent_block`).  The ``A1`` factor is one stacked
-    dense solve with ``A1 - lam1``, so it does not use the eigenbasis
-    the measure was read from; the kernel is one ``(points, atoms)``
-    array.
-    """
-    lam1 = _CROSS_LAM1[:, None]
-    rhs = (r2h + _CROSS_LAM1 * (a1 @ r2h)).T[..., None]
-    shifted = a1 - lam1[..., None] * np.eye(a1.shape[0])
+
+def _cross_check_stack(a1s: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
+                       measures: list):
+    """Check ``((E + lam1 A1)(A1 - lam1)^-1 r2h, h00)``, ``r2h`` the ``A2``
+    factor (:func:`_a2_resolvent_block`), against the atomic-sum kernel of
+    each slice's measure at :data:`CROSS_VALIDATION_POINTS` within
+    ``CROSS_TOL`` relative, by one stacked solve that does not use the
+    eigenbases the measures were read from; the first failing point of the
+    first failing slice raises ``StructureViolationError``."""
+    lam1, lam2 = _CROSS_LAM1[:, None], _CROSS_LAM2[:, None]
+    rhs = np.swapaxes(r2h + _CROSS_LAM1 * (a1s @ r2h), 1, 2)[..., None]
+    shifted = a1s[:, None] - lam1[..., None] * np.eye(r2h.shape[0])
     lhs = np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
-    t1 = measure.points[:, 0]
-    t2 = measure.points[:, 1]
-    lam2 = _CROSS_LAM2[:, None]
-    kernel = (((1.0 + lam1 * t1) / (t1 - lam1))
-              * ((1.0 + lam2 * t2) / (t2 - lam2)))
-    value = np.sum(measure.weights * kernel, axis=1)
-    failed = np.flatnonzero(np.abs(lhs - value)
-                            > CROSS_TOL * (1.0 + np.abs(value)))
-    if failed.size:
-        j = failed[0]
-        lam1_j, lam2_j = CROSS_VALIDATION_POINTS[j]
-        raise StructureViolationError(
-            f"resolvent cross-validation failed at ({lam1_j}, {lam2_j}): "
-            f"|{complex(lhs[j])} - {complex(value[j])}| > {CROSS_TOL}")
+    for measure, row in zip(measures, lhs):
+        t1, t2 = measure.points.T
+        kernel = (((1.0 + lam1 * t1) / (t1 - lam1))
+                  * ((1.0 + lam2 * t2) / (t2 - lam2)))
+        value = np.sum(measure.weights * kernel, axis=1)
+        _gate(np.abs(row - value) > CROSS_TOL * (1.0 + np.abs(value)),
+              StructureViolationError, "resolvent cross-validation failed "
+              f"at (%s, %s): |%s - %s| > {CROSS_TOL}", _CROSS_LAM1,
+              _CROSS_LAM2, row, value)
 
 
 def _sampler_label(sampler: SamplerSpec, idx: int) -> str:
@@ -602,7 +613,10 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     Parameters whose extended isometry has a fixed point are skipped
     after calling ``on_reject(label, error)`` when given.  With
     ``refine`` atoms and weights are polished against the table before
-    verification.
+    verification.  The parameters are evaluated in chunks of up to
+    ``_CHUNK``, so a consumer that stops after the first report has
+    still paid for the first chunk; reports, ``on_reject`` calls and
+    errors come out in the same order, class and message as one by one.
     """
     gate_largest = False
     if isinstance(source, MomentTable):
@@ -618,9 +632,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
                 f"default rectangle needs degrees of at least (2, 2)")
         if d_m is None and d_n is None:
             space = _default_gns(table, largest, tolerances=tolerances)
-            # A space below the largest rectangle leaves the table's
-            # higher moments to verification; a report that fails it
-            # runs the largest rectangle's gates first.
+            # A failing report runs the largest rectangle's gates first.
             gate_largest = (space.d_m, space.d_n) != largest
         else:
             space = build_gns(table, largest[0] if d_m is None else d_m,
@@ -628,15 +640,13 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
                               tolerances=tolerances)
         pair = build_operators(space, tolerances=tolerances)
         ref_table = table
-        from_table = True
     elif isinstance(source, SymmetricPair):
         for name, given in (("d_m", d_m is not None),
                             ("d_n", d_n is not None), ("refine", refine)):
             if given:
                 raise ValueError(f"{name} applies to a moment table, not to "
                                  f"an operator pair")
-        pair = source
-        from_table = False
+        pair, ref_table = source, None
     else:
         raise TypeError("source must be a MomentTable or a SymmetricPair")
     pair.require_a2_selfadjoint(
@@ -651,38 +661,55 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         if not is_hermitian(a1_tilde, STRUCTURE_TOL):
             raise StructureViolationError(
                 "operator A1 is not symmetric on its domain")
-        a1_tilde = 0.5 * (a1_tilde + a1_tilde.conj().T)
-        _require_commutes_with_a2("A1", a1_tilde, a2_full)
-        stream, labels = [None], ["determinate"]
+        a1_tilde = 0.5 * (a1_tilde + a1_tilde.conj().T)[None]
+        _commute_gate("A1", a1_tilde, a2_full)
+        stream, labels = iter([None]), ["determinate"]
     else:
         iso = build_isometric_pair(pair, tolerances=tolerances)
         stream = enumerate_commutant_unitaries(iso.w2, sampler,
                                                tolerances=tolerances)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
     a2_block = _a2_resolvent_block(a2_full, pair.h00)
-    if not from_table:
+    if ref_table is None:
         if max_n is None:
             max_n = 2 * pair.dim
         ref_table = moments_from_pair(pair, 2 * pair.dim, max_n,
                                       tolerances=tolerances)
-    for u2, label in zip(stream, labels):
+
+    def evaluate(chunk: list) -> list:
+        """Per parameter its measure or error, or one error for them all."""
         try:
-            if not determinate:
-                a1_tilde = canonical_extension(pair, iso, u2).a1_tilde
-        except FixedPointError as exc:
-            if on_reject is not None:
-                on_reject(label, exc)
-            continue
-        measure = joint_spectral_measure(a1_tilde, a2_full, pair.h00,
-                                         tolerances=tolerances)
-        _resolvent_cross_check(a1_tilde, a2_block, pair.h00, measure)
-        if refine:
-            measure = refine_measure(measure, ref_table)
-        report = verify_solution(measure, ref_table, determinate=determinate,
-                                 u2_seed=label, tolerances=tolerances)
-        if gate_largest and not report.passed:
-            build_operators(build_gns(table, *largest,
-                                      tolerances=tolerances),
-                            tolerances=tolerances)
-            gate_largest = False
-        yield report
+            a1s, fixed = ((a1_tilde, [None]) if determinate else
+                          _extension_stack(pair, iso, np.array(chunk)))
+            measures = _measure_stack(a1s, a2_full, pair.h00,
+                                      None if determinate else "extension",
+                                      tolerances=tolerances)
+            _cross_check_stack(a1s, a2_block, pair.h00, measures)
+        except (Moment2dError, ValueError) as exc:   # LinAlgError too
+            return [exc]
+        found = iter(measures)
+        return [error or next(found) for error in fixed]
+
+    size = max(1, min(_CHUNK, _CHUNK_CELLS // (CROSS_POINTS * pair.dim ** 2)))
+    while chunk := list(itertools.islice(stream, size)):
+        outcomes = evaluate(chunk)
+        if len(outcomes) < len(chunk):   # each error at its own place
+            outcomes = [o for u2 in chunk for o in evaluate([u2])]
+        # Outcomes first: zip stops on them without drawing a label.
+        for outcome, label in zip(outcomes, labels):
+            if isinstance(outcome, FixedPointError):
+                if on_reject is not None:
+                    on_reject(label, outcome)
+                continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            measure = refine_measure(outcome, ref_table) if refine else outcome
+            report = verify_solution(measure, ref_table,
+                                     determinate=determinate, u2_seed=label,
+                                     tolerances=tolerances)
+            if gate_largest and not report.passed:
+                build_operators(build_gns(table, *largest,
+                                          tolerances=tolerances),
+                                tolerances=tolerances)
+                gate_largest = False
+            yield report

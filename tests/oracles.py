@@ -416,3 +416,191 @@ def reference_parser() -> argparse.ArgumentParser:
                                     "small pipeline")
     p.add_argument("--output-dir", default=None, dest="output_dir")
     return parser
+
+
+def _is_unitary_one(u: np.ndarray, tol: float) -> bool:
+    n = u.shape[0]
+    eye = np.eye(n)
+    return (float(np.linalg.norm(u.conj().T @ u - eye)) <= tol * n
+            and float(np.linalg.norm(u @ u.conj().T - eye)) <= tol * n)
+
+
+def _require_commutes_one(name: str, a1: np.ndarray, a2: np.ndarray):
+    from moment2d.config import STRUCTURE_TOL
+    from moment2d.errors import StructureViolationError
+    comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
+    scale = max(1.0, float(np.linalg.norm(a1)) * float(np.linalg.norm(a2)))
+    if comm > STRUCTURE_TOL * 100 * scale:
+        raise StructureViolationError(
+            f"{name} does not commute with A2 (residual {comm:.3e})")
+
+
+def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:
+    """Hermitian extension of ``A1`` for one commutant parameter ``u2``
+    of a pair with a nonzero defect, gate by gate: ``U2`` unitary and
+    commuting with ``W2``, ``V (+) U24 U2`` unitary, its inverse Cayley
+    transform (``FixedPointError`` at an eigenvalue near 1), the
+    restriction to ``A1`` and the commutation with ``A2``."""
+    from moment2d.config import FIXED_POINT_TOL, STRUCTURE_TOL
+    from moment2d.errors import (CommutationViolatedError, FixedPointError,
+                                 NotUnitaryError, StructureViolationError)
+    u2 = np.asarray(u2, dtype=complex)
+    if not _is_unitary_one(u2, STRUCTURE_TOL):
+        raise NotUnitaryError(
+            f"U2 is not unitary within tolerance {STRUCTURE_TOL}")
+    u24, w2 = iso.u24, iso.w2
+    comm = float(np.linalg.norm(u2 @ w2 - w2 @ u2))
+    if comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))):
+        raise CommutationViolatedError(
+            f"U2 does not commute with W2 (residual {comm:.3e})")
+    v = iso.v_matrix + (u24 @ u2) @ iso.n0_basis.conj().T
+    if not _is_unitary_one(v, STRUCTURE_TOL * 10):
+        raise StructureViolationError("extended isometry is not unitary")
+    eye = np.eye(v.shape[0])
+    shifted = v - eye
+    sigma_min = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+    if sigma_min <= FIXED_POINT_TOL:
+        raise FixedPointError(
+            f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
+            f"(sigma_min = {sigma_min:.3e})")
+    a = 1j * np.linalg.solve(shifted.T, (v + eye).T).T
+    a1 = 0.5 * (a + a.conj().T)
+    res = float(np.linalg.norm(a1 @ pair.a1_domain - pair.a1_action))
+    if res > STRUCTURE_TOL * 100 * max(
+            1.0, float(np.linalg.norm(pair.a1_action))):
+        raise StructureViolationError(
+            f"extension does not restrict to A1 (residual {res:.3e})")
+    _require_commutes_one("extension", a1, pair.a2_matrix)
+    return a1
+
+
+def joint_spectral_measure_one(a1: np.ndarray, a2: np.ndarray,
+                               h00: np.ndarray):
+    """Joint spectral measure of one commuting Hermitian pair: the seeded
+    combinations, chain clustering, scalar-block test and atom merge of
+    the library, written for one matrix and one combination at a time."""
+    from moment2d import AtomicMeasure
+    from moment2d.config import (ATOM_MERGE_TOL, CLUSTER_TOL, STRUCTURE_TOL,
+                                 WEIGHT_DROP_TOL)
+    from moment2d.errors import (ClusterAmbiguityError,
+                                 CommutationViolatedError,
+                                 StructureViolationError)
+    from moment2d.moments import _has_close_pair
+    from moment2d.solutions import (COMBINATION_SEED, MAX_COMBINATIONS,
+                                    _merge_atoms)
+    n = a1.shape[0]
+    for a in (a1, a2):
+        if float(np.linalg.norm(a - a.conj().T)) > STRUCTURE_TOL * (
+                1.0 + float(np.linalg.norm(a))):
+            raise StructureViolationError("operators must be Hermitian")
+    op_scale = max(1.0, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)))
+    comm = float(np.linalg.norm(a1 @ a2 - a2 @ a1))
+    if comm > STRUCTURE_TOL * op_scale * op_scale:
+        raise CommutationViolatedError(
+            f"operators do not commute (residual {comm:.3e})")
+    rng = np.random.default_rng(COMBINATION_SEED)
+    for _ in range(MAX_COMBINATIONS):
+        c = rng.normal(size=2)
+        c = c / np.linalg.norm(c)
+        m = c[0] * a1 + c[1] * a2
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        val_scale = 1.0 + (float(np.max(np.abs(vals))) if n else 0.0)
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf)
+                                > CLUSTER_TOL * val_scale)
+        sizes = np.diff(np.append(starts, n))
+        vh = vecs.conj().T
+        c1 = vh @ a1 @ vecs
+        c2 = vh @ a2 @ vecs
+        t1 = np.add.reduceat(np.diagonal(c1).real, starts) / sizes
+        t2 = np.add.reduceat(np.diagonal(c2).real, starts) / sizes
+        scalar = True
+        for j in np.flatnonzero(sizes > 1):
+            block = slice(starts[j], starts[j] + sizes[j])
+            eye = np.eye(sizes[j])
+            if max(float(np.linalg.norm(c1[block, block] - t1[j] * eye)),
+                   float(np.linalg.norm(c2[block, block] - t2[j] * eye))
+                   ) > ATOM_MERGE_TOL * op_scale:
+                scalar = False
+                break
+        if not scalar:
+            continue
+        weights = np.add.reduceat(np.abs(vh @ h00) ** 2, starts)
+        keep = weights >= WEIGHT_DROP_TOL
+        points = np.stack([t1[keep], t2[keep]], axis=1) + 0.0
+        weights = weights[keep]
+        while _has_close_pair(points, ATOM_MERGE_TOL):
+            points, weights = _merge_atoms(points, weights, ATOM_MERGE_TOL)
+        return AtomicMeasure(points, weights, ATOM_MERGE_TOL).sorted()
+    raise ClusterAmbiguityError(
+        f"joint eigenvalue clusters remained ambiguous after "
+        f"{MAX_COMBINATIONS} random combinations")
+
+
+def resolvent_cross_check_one(a1: np.ndarray, r2h: np.ndarray,
+                              h00: np.ndarray, measure):
+    """The resolvent cross-check of one extension: a ``(points, n, n)``
+    solve and the atomic-sum kernel; the first failing point raises."""
+    from moment2d.errors import StructureViolationError
+    from moment2d.solutions import CROSS_TOL, CROSS_VALIDATION_POINTS
+    lam1, lam2 = np.array(CROSS_VALIDATION_POINTS).T
+    rhs = (r2h + lam1 * (a1 @ r2h)).T[..., None]
+    shifted = a1 - lam1[:, None, None] * np.eye(a1.shape[0])
+    lhs = np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+    t1 = measure.points[:, 0]
+    t2 = measure.points[:, 1]
+    kernel = (((1.0 + lam1[:, None] * t1) / (t1 - lam1[:, None]))
+              * ((1.0 + lam2[:, None] * t2) / (t2 - lam2[:, None])))
+    value = np.sum(measure.weights * kernel, axis=1)
+    failed = np.flatnonzero(np.abs(lhs - value)
+                            > CROSS_TOL * (1.0 + np.abs(value)))
+    if failed.size:
+        j = failed[0]
+        lam1_j, lam2_j = CROSS_VALIDATION_POINTS[j]
+        raise StructureViolationError(
+            f"resolvent cross-validation failed at ({lam1_j}, {lam2_j}): "
+            f"|{complex(lhs[j])} - {complex(value[j])}| > {CROSS_TOL}")
+
+
+def solve_canonical_per_parameter(pair, sampler, on_reject=None):
+    """``solve_canonical`` on an operator pair with default tolerances,
+    one commutant parameter at a time: each parameter's extension,
+    measure and cross-check run before the next parameter is drawn, so
+    reports, ``on_reject`` calls and the first error come out in stream
+    order.  The sampler stream is ``solutions.enumerate_commutant_unitaries``,
+    looked up at call time."""
+    import itertools
+
+    from moment2d import solutions
+    from moment2d.config import STRUCTURE_TOL
+    from moment2d.errors import FixedPointError, StructureViolationError
+    a2 = pair.a2_matrix
+    determinate = solutions.determinacy(pair)
+    if determinate:
+        a1 = pair.full_matrix(1)
+        if float(np.linalg.norm(a1 - a1.conj().T)) > STRUCTURE_TOL * (
+                1.0 + float(np.linalg.norm(a1))):
+            raise StructureViolationError(
+                "operator A1 is not symmetric on its domain")
+        a1 = 0.5 * (a1 + a1.conj().T)
+        _require_commutes_one("A1", a1, a2)
+        stream, labels = [None], ["determinate"]
+    else:
+        iso = solutions.build_isometric_pair(pair)
+        stream = solutions.enumerate_commutant_unitaries(iso.w2, sampler)
+        labels = (solutions._sampler_label(sampler, i)
+                  for i in itertools.count())
+    r2h = solutions._a2_resolvent_block(a2, pair.h00)
+    ref = solutions.moments_from_pair(pair, 2 * pair.dim, 2 * pair.dim)
+    for u2, label in zip(stream, labels):
+        try:
+            if not determinate:
+                a1 = canonical_extension_one(pair, iso, u2)
+        except FixedPointError as exc:
+            if on_reject is not None:
+                on_reject(label, exc)
+            continue
+        measure = joint_spectral_measure_one(a1, a2, pair.h00)
+        resolvent_cross_check_one(a1, r2h, pair.h00, measure)
+        yield solutions.verify_solution(measure, ref,
+                                        determinate=determinate,
+                                        u2_seed=label)

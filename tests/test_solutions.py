@@ -41,7 +41,7 @@ from moment2d import (
     verify_solution,
 )
 from moment2d.config import (ATOM_MERGE_TOL, CLUSTER_TOL, RANK_TOL,
-                             WEIGHT_DROP_TOL)
+                             STRUCTURE_TOL, WEIGHT_DROP_TOL)
 from moment2d.linalg import haar_unitary, is_unitary
 from moment2d import io, solutions
 from moment2d.cli import main
@@ -454,20 +454,24 @@ def test_batched_cross_check_decides_as_the_per_point_oracle(setup):
     assert None in decisions and len(decisions) > 1
 
 
+def _perturbed(measure):
+    return AtomicMeasure(measure.points, measure.weights * (1.0 + 1e-6))
+
+
 def test_cross_check_names_the_first_failing_point(monkeypatch):
     pair = e3().pair
-    real = solutions.joint_spectral_measure
+    real = solutions._measure_stack
 
-    def perturbed(a1, a2, h00, **kwargs):
-        measure = real(a1, a2, h00, **kwargs)
-        return AtomicMeasure(measure.points, measure.weights * (1.0 + 1e-6))
+    def perturbed(*args, **kwargs):
+        return [_perturbed(m) for m in real(*args, **kwargs)]
 
-    monkeypatch.setattr(solutions, "joint_spectral_measure", perturbed)
     iso, ext = _first_extension(pair)
     a2 = pair.full_matrix(2)
     lam1, lam2, _, _ = oracles.resolvent_cross_check_per_point(
-        ext.a1_tilde, a2, pair.h00, perturbed(ext.a1_tilde, a2, pair.h00),
+        ext.a1_tilde, a2, pair.h00,
+        _perturbed(joint_spectral_measure(ext.a1_tilde, a2, pair.h00)),
         CROSS_VALIDATION_POINTS, CROSS_TOL)
+    monkeypatch.setattr(solutions, "_measure_stack", perturbed)
     with pytest.raises(StructureViolationError, match=re.escape(
             f"resolvent cross-validation failed at ({lam1}, {lam2}): |")):
         list(solve_canonical(pair, sampler=SamplerSpec("exhaustive-phases",
@@ -475,24 +479,25 @@ def test_cross_check_names_the_first_failing_point(monkeypatch):
 
 
 def test_solve_canonical_builds_the_pair_data_once(monkeypatch):
-    calls = {"godich_lutsenko": 0, "canonical_extension": 0}
+    calls = {"godich_lutsenko": 0, "_extension_stack": 0}
 
-    def counted(owner, name):
+    def counted(owner, name, weight=lambda *args: 1):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += weight(*args)
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
     # The package's ``cayley`` attribute is the function of that name.
     counted(importlib.import_module("moment2d.cayley"), "godich_lutsenko")
-    counted(solutions, "canonical_extension")
+    # Parameters evaluated: the slices of every stack of them.
+    counted(solutions, "_extension_stack", lambda pair, iso, u2s: len(u2s))
     pair = e3_class(20, 2, 4).pair
     reports = list(solve_canonical(
         pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
     assert len(reports) >= 3
-    assert calls["canonical_extension"] >= 4
+    assert calls["_extension_stack"] >= 4
     assert calls["godich_lutsenko"] == 1
 
 
@@ -773,3 +778,145 @@ def test_determinate_pair_with_a_fixed_cayley_vector_of_a1(tmp_path, capsys):
     code, err = _cli_solve(pair, tmp_path, capsys)
     assert code == 3
     assert err.startswith("error: resolvent cross-validation failed at ")
+
+
+def _outcome(solve, pair, sampler):
+    """Reports (every field bit for bit), ``on_reject`` calls and the
+    error raised, by class and message, of a stream on a pair."""
+    reports, rejected = [], []
+
+    def on_reject(label, exc):
+        rejected.append((label, type(exc), str(exc)))
+
+    try:
+        for r in solve(pair, sampler=sampler, on_reject=on_reject):
+            reports.append((r.measure.points.tobytes(),
+                            r.measure.weights.tobytes(),
+                            r.max_abs_moment_error, r.u2_seed, r.passed,
+                            r.determinate, r.degrees_checked))
+    except (ClusterAmbiguityError, CommutationViolatedError, FixedPointError,
+            NotUnitaryError, StructureViolationError) as exc:
+        return reports, rejected, (type(exc), str(exc))
+    return reports, rejected, None
+
+
+ORACLE_SAMPLERS = [SamplerSpec(),
+                   SamplerSpec("exhaustive-phases", phases=4),
+                   *(SamplerSpec("haar-random", count=count, seed=7)
+                     for count in (1, 16, 17, 40))]
+
+
+@pytest.mark.parametrize("setup", [None, (3, 1, 0), (5, 2, 1), (10, 3, 2),
+                                   (20, 1, 3), (40, 2, 4), (40, 3, 5)],
+                         ids=lambda s: "e3" if s is None
+                         else "e3_class-%d-%d-%d" % s)
+def test_stacked_solve_canonical_matches_the_per_parameter_oracle(setup):
+    # Chunks hold 16 parameters: counts 1, 16, 17 and 40 end the stream
+    # inside, at and past a chunk boundary.
+    pair = e3().pair if setup is None else e3_class(*setup).pair
+    for sampler in ORACLE_SAMPLERS:
+        want = _outcome(oracles.solve_canonical_per_parameter, pair, sampler)
+        assert want[2] is None and want[0]
+        assert _outcome(solve_canonical, pair, sampler) == want
+
+
+def _fixed_point_phase(pair) -> np.ndarray:
+    """The 1 x 1 parameter of a defect-1 pair whose extension ``V (+)
+    U24 U2`` has the eigenvalue 1: ``det(V0 - E + u2 U24 N0^H) = 0``."""
+    iso = build_isometric_pair(pair)
+    shifted = iso.v_matrix - np.eye(iso.dim)
+    z = -1.0 / (iso.n0_basis.conj().T @ np.linalg.solve(shifted, iso.u24))
+    return z / np.abs(z)
+
+
+def _stream(monkeypatch, u2s):
+    """Let ``solve_canonical`` and the oracle draw ``u2s`` as the
+    commutant parameters of whatever sampler they are given."""
+    monkeypatch.setattr(solutions, "enumerate_commutant_unitaries",
+                        lambda w2, sampler, **kwargs: iter(u2s))
+
+
+def test_fixed_point_inside_a_chunk_is_rejected_and_the_rest_yield(
+        monkeypatch):
+    pair = e3().pair
+    u2s = [np.array([[p]]) for p in np.exp(2j * np.pi * np.arange(20) / 20)]
+    for k in (5, 17):
+        u2s[k] = _fixed_point_phase(pair)
+    _stream(monkeypatch, u2s)
+    sampler = SamplerSpec("haar-random", count=20, seed=1)
+    got = _outcome(solve_canonical, pair, sampler)
+    assert got == _outcome(oracles.solve_canonical_per_parameter, pair,
+                           sampler)
+    reports, rejected, error = got
+    assert [label for label, _, _ in rejected] == [
+        "haar-random:seed=1:5", "haar-random:seed=1:17"]
+    assert all(cls is FixedPointError for _, cls, _ in rejected)
+    assert len(reports) == 18 and error is None
+
+
+@pytest.mark.parametrize("k", [0, 3, 15, 16, 18])
+def test_structural_error_inside_a_chunk_comes_after_the_earlier_reports(
+        monkeypatch, k):
+    pair = e3().pair
+    u2s = [np.array([[p]]) for p in np.exp(2j * np.pi * np.arange(20) / 20)]
+    if k:
+        u2s[k - 1] = _fixed_point_phase(pair)
+    u2s[k] = 0.5 * u2s[k]
+    u2s[-1] = 0.25 * u2s[-1]
+    _stream(monkeypatch, u2s)
+    sampler = SamplerSpec("exhaustive-phases", phases=20)
+    got = _outcome(solve_canonical, pair, sampler)
+    assert got == _outcome(oracles.solve_canonical_per_parameter, pair,
+                           sampler)
+    reports, rejected, error = got
+    assert len(reports) == max(k - 1, 0) and len(rejected) == min(k, 1)
+    assert error == (NotUnitaryError,
+                     f"U2 is not unitary within tolerance {STRUCTURE_TOL}")
+
+
+def test_colliding_slice_retries_next_to_slices_that_do_not():
+    rng = np.random.default_rng(5)
+    c = _combinations()[0]
+    # The redraw fixture of test_joint_spectral_measure_redraws_a_
+    # colliding_combination, and two operators commuting with the same
+    # A2 whose first combination separates every atom.
+    points = np.array([[0.4, -0.3], [0.4 - 0.8 * c[1], -0.3 + 0.8 * c[0]],
+                       [-1.0, 0.7]])
+    q = haar_unitary(3, rng)
+    h = rng.normal(size=3) + 1j * rng.normal(size=3)
+    h = h / np.linalg.norm(h)
+    a2 = q @ np.diag(points[:, 1]) @ q.conj().T
+    a2 = 0.5 * (a2 + a2.conj().T)
+    a1s = []
+    for t1 in (points[:, 0] + [0.5, -0.25, 0.0], points[:, 0],
+               points[:, 0] * 2.0):
+        a1 = q @ np.diag(t1) @ q.conj().T
+        a1s.append(0.5 * (a1 + a1.conj().T))
+    collides = [np.min(_combination_gaps(a1, a2, c)[0])
+                <= _combination_gaps(a1, a2, c)[1] for a1 in a1s]
+    assert collides == [False, True, False]
+    got = solutions._measure_stack(np.array(a1s), a2, h, None,
+                                   tolerances=Tolerances())
+    for a1, measure in zip(a1s, got):
+        want = oracles.joint_spectral_measure_one(a1, a2, h)
+        assert measure.n_atoms == 3
+        assert np.array_equal(measure.points, want.points)
+        assert np.array_equal(measure.weights, want.weights)
+
+
+def test_merge_repeats_until_no_two_atoms_are_close():
+    # Three atoms within 1.6 merge tolerances of one point: one greedy
+    # pass can leave two merged atoms within the tolerance, which the
+    # measure refused as coinciding.  Draws 80, 338, 426, 489 and 636 of
+    # this generator did so.
+    rng = np.random.default_rng(0)
+    for _ in range(700):
+        points = np.array([0.3, -0.2]) + rng.uniform(
+            -1.6 * ATOM_MERGE_TOL, 1.6 * ATOM_MERGE_TOL, size=(3, 2))
+        weights = rng.uniform(size=3) ** 3
+        weights = weights / weights.sum()
+        mu = joint_spectral_measure(np.diag(points[:, 0]),
+                                    np.diag(points[:, 1]), np.sqrt(weights))
+        gaps = np.abs(mu.points[:, None] - mu.points[None]).max(axis=2)
+        assert np.all(gaps[np.triu_indices(mu.n_atoms, 1)] > ATOM_MERGE_TOL)
+        assert mu.total_mass == pytest.approx(1.0, abs=1e-14)
