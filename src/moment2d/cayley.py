@@ -491,14 +491,16 @@ def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,
 
 
 def commutation_check(iso: IsometricPair, phi: ContractionParameter,
-                      z: complex = 0.0) -> bool:
+                      z: complex = 0.0, *,
+                      extended: np.ndarray | None = None) -> bool:
     """Whether ``(V (+) Phi_z) U = U (V (+) Phi_z)`` within tolerance.
 
-    Checked on full matrices; when ``U D(V) = D(V)`` holds (enforced at
-    pair construction) this is equivalent to the commutation of the
-    parameter with ``U`` on the defect subspace alone.
+    Checked on full matrices, ``extended`` if the caller has built it;
+    when ``U D(V) = D(V)`` holds (enforced at pair construction) this is
+    equivalent to the commutation of the parameter with ``U`` on the
+    defect subspace alone.
     """
-    m = extend_isometry(iso, phi, z)
+    m = extend_isometry(iso, phi, z) if extended is None else extended
     u = iso.u_matrix
     comm = float(np.linalg.norm(m @ u - u @ m))
     scale = max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(u)))

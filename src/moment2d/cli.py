@@ -264,7 +264,7 @@ def cmd_eval_resolvent(args) -> int:
         raise SchemaError("format must be 'csv' or 'json'")
     # The gates run here once, even when every grid point is excluded.
     prepared = prepare_pair(iso, ContractionParameter.const(phi_matrix),
-                            tolerances=tolerances)
+                            tolerances=tolerances, h_embed=pair.h00[:, None])
     rows = []
     excluded = 0
     for lam1 in grid1:
@@ -274,8 +274,7 @@ def cmd_eval_resolvent(args) -> int:
             except ExcludedPointError:
                 excluded += 1
                 continue
-            value = complex(np.vdot(pair.h00, matrix @ pair.h00))
-            rows.append((lam1, lam2, value))
+            rows.append((lam1, lam2, complex(matrix[0, 0])))
     if args.format == "csv":
         lines = ["l1_re,l1_im,l2_re,l2_im,value_re,value_im"]
         for lam1, lam2, value in rows:

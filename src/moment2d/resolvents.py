@@ -38,8 +38,10 @@ only the per-point solves.  The value is the product of a factor of
 each factor it solves: on a grid every distinct ``z1`` and every
 distinct ``z2`` is solved once, with the same operations as a lone
 point, so values are bit for bit those of solving every point afresh.
+With an ``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R
+h_embed``, and each factor is solved against ``h_embed``, not ``E``.
 Each memo keeps its ``FACTOR_MEMO_ENTRIES`` newest points, at most
-``2 * FACTOR_MEMO_ENTRIES * 16 * n^2`` bytes for dimension ``n``.
+``2 * FACTOR_MEMO_ENTRIES * 16 * n * k`` bytes (``k = n`` without one).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, SingularMatrixError)
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, read_only
 from .moments import AtomicMeasure
 
 __all__ = [
@@ -119,13 +121,14 @@ def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
     return _extended_resolvent(extend_isometry(iso, phi, z), z)
 
 
-def _extended_resolvent(full: np.ndarray, z: complex) -> np.ndarray:
-    """``[E - z full]^{-1}`` for the full matrix of ``V (+) Phi_z``."""
+def _extended_resolvent(full: np.ndarray, z: complex, rhs=None) -> np.ndarray:
+    """``[E - z full]^{-1} rhs`` (``rhs = E`` if omitted) for the full
+    matrix ``full`` of ``V (+) Phi_z``."""
     # No disk check: pair_resolvent_symmetric also solves at the z1 of a
     # huge lambda1, where |z1| rounds to 1 but the solve is still sound.
     eye = np.eye(full.shape[0], dtype=complex)
     try:
-        return np.linalg.solve(eye - z * full, eye)
+        return np.linalg.solve(eye - z * full, eye if rhs is None else rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
 
@@ -145,12 +148,13 @@ def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
     return _moebius_solve(u, z)
 
 
-def _moebius_solve(u: np.ndarray, z: complex) -> np.ndarray:
-    """``(E + z U)(E - z U)^{-1}`` with no check on ``z``: at a huge
-    ``lambda2`` ``|z2|`` rounds to 1, but ``U`` has no eigenvalue 1."""
+def _moebius_solve(u: np.ndarray, z: complex, rhs=None) -> np.ndarray:
+    """``(E + z U)(E - z U)^{-1} rhs`` (``rhs = E`` if omitted), ``z`` unchecked:
+    at a huge ``lambda2`` ``|z2|`` rounds to 1, but ``U`` has no eigenvalue 1."""
     eye = np.eye(u.shape[0], dtype=complex)
     try:
-        return np.linalg.solve(eye - z * u, eye + z * u)
+        return np.linalg.solve(eye - z * u, eye + z * u if rhs is None
+                               else rhs + z * (u @ rhs))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"E - z U singular at z = {z}") from exc
 
@@ -179,29 +183,35 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
 class PreparedPair:
     """An isometric pair with a parameter that passed both gates.
 
-    ``extended`` is the full matrix of ``V (+) Phi``; build it with
-    :func:`prepare_pair`, not directly, so that the gates run.  The two
-    resolvent factors are memoized per point, read-only, keyed by the
-    bits of ``z`` (``-0.0`` and ``0.0`` parts are distinct points).
+    ``extended`` is the full matrix of ``V (+) Phi`` and ``h_embed`` an
+    ``(n, k)`` embedding or ``None``; build it with :func:`prepare_pair`, not
+    directly, so that the gates run.  The two resolvent factors are
+    memoized per point, read-only, keyed by the bits of ``z`` (``-0.0``
+    and ``0.0`` parts are distinct points).
     """
 
     iso: IsometricPair
     extended: np.ndarray
+    h_embed: np.ndarray | None = None
     _rows: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     _cols: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def row(self, z1: complex) -> np.ndarray:
-        """``E - 2 [E - z1 (V (+) Phi)]^{-1}``, solved once per ``z1``."""
+        """``E - 2 [E - z1 T]^{-1}`` with ``T = V (+) Phi``, times
+        ``h_embed^H`` on the left if set, solved once per ``z1``."""
+        h, t = self.h_embed, self.extended
+        # h^H (E - z1 T)^{-1} is the transpose of (E - z1 T^T)^{-1} conj(h).
         return _memoized(self._rows, z1, lambda: (
             np.eye(self.iso.dim, dtype=complex)
-            - 2.0 * _extended_resolvent(self.extended, z1)))
+            - 2.0 * _extended_resolvent(t, z1) if h is None
+            else h.conj().T - 2.0 * _extended_resolvent(t.T, z1, h.conj()).T))
 
     def col(self, z2: complex) -> np.ndarray:
-        """``U(z2)`` of :func:`unitary_moebius`, solved once per ``z2``."""
-        return _memoized(self._cols, z2,
-                         lambda: _moebius_solve(self.iso.u_matrix, z2))
+        """``U(z2)`` of :func:`unitary_moebius`, or ``U(z2) h_embed``, per ``z2``."""
+        return _memoized(self._cols, z2, lambda: _moebius_solve(
+            self.iso.u_matrix, z2, self.h_embed))
 
 
 def _memoized(memo: dict, z: complex, solve) -> np.ndarray:
@@ -210,8 +220,7 @@ def _memoized(memo: dict, z: complex, solve) -> np.ndarray:
     key = struct.pack("<2d", z.real, z.imag)
     value = memo.get(key)
     if value is None:
-        value = solve()
-        value.flags.writeable = False
+        value = read_only(solve())
         if len(memo) >= FACTOR_MEMO_ENTRIES:
             del memo[next(iter(memo))]
         memo[key] = value
@@ -219,25 +228,28 @@ def _memoized(memo: dict, z: complex, solve) -> np.ndarray:
 
 
 def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> PreparedPair:
+                 tolerances: Tolerances = DEFAULT_TOLERANCES,
+                 h_embed: np.ndarray | None = None) -> PreparedPair:
     """Gate a parameter once and build ``V (+) Phi`` for
-    :func:`pair_resolvent_symmetric`.
+    :func:`pair_resolvent_symmetric`, compressing to ``h_embed`` if given.
 
     Raises ``AdmissibilityFailedError`` when the parameter is forbidden
     for ``A1`` and ``CommutationViolatedError`` when ``V (+) Phi`` does
-    not commute with ``U``.  The parameter is evaluated at ``z = 0``: a
-    constant one is its value everywhere, and a pointwise family is
-    accepted only when the defect is zero and its value is empty.
+    not commute with ``U``.  The parameter is evaluated once, at ``z =
+    0``: a constant one is its value everywhere, and a pointwise family
+    is accepted only when the defect is zero and its value is empty.
     """
     if not constant_admissibility(iso, phi, tolerances=tolerances):
         raise AdmissibilityFailedError(
             "parameter is forbidden for this operator (admissibility "
             "criterion failed)")
-    if not commutation_check(iso, phi):
+    value = phi.matrix if phi.constant else iso.parameter_at(phi)
+    extended = iso.extend(iso.ninf_basis @ value)
+    if not commutation_check(iso, phi, extended=extended):
         raise CommutationViolatedError(
             "extended isometry does not commute with the second Cayley "
             "transform")
-    return PreparedPair(iso, extend_isometry(iso, phi))
+    return PreparedPair(iso, extended, h_embed)
 
 
 def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
@@ -249,7 +261,7 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
     lower half-plane the value is the adjoint of the resolvent at the
     conjugated points.  Excluded points raise ``ExcludedPointError``.
     Each factor is taken from ``prepared``'s memo; the returned matrix
-    is a fresh product the caller may change.
+    (``k x k`` with an embedding) is a fresh product the caller may change.
     """
     lam1 = validate_spectral_point(lambda1, "lambda1")
     lam2 = validate_spectral_point(lambda2, "lambda2")

@@ -276,11 +276,11 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
 
 
 def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
-                   name: str | None, *, tolerances: Tolerances) -> list:
-    """:func:`joint_spectral_measure` of each (Hermitian) slice of ``a1s``,
-    after the gate of ``name`` (:func:`_commute_gate`) on its residuals."""
+                   comm: np.ndarray | None, *, tolerances: Tolerances) -> list:
+    """:func:`joint_spectral_measure` of each (Hermitian) slice of ``a1s``;
+    ``comm`` is their :func:`_commute_gate` residuals, computed if None."""
     merge_tol = tolerances.atom_merge_tol
-    comm = _commute_gate(name, a1s, a2)
+    comm = _commute_gate(None, a1s, a2) if comm is None else comm
     op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)),
                           float(np.linalg.norm(a2)))
     _gate(comm > STRUCTURE_TOL * op_scale * op_scale, CommutationViolatedError,
@@ -662,7 +662,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
             raise StructureViolationError(
                 "operator A1 is not symmetric on its domain")
         a1_tilde = 0.5 * (a1_tilde + a1_tilde.conj().T)[None]
-        _commute_gate("A1", a1_tilde, a2_full)
+        a1_comm = _commute_gate("A1", a1_tilde, a2_full)
         stream, labels = iter([None]), ["determinate"]
     else:
         iso = build_isometric_pair(pair, tolerances=tolerances)
@@ -681,8 +681,9 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         try:
             a1s, fixed = ((a1_tilde, [None]) if determinate else
                           _extension_stack(pair, iso, np.array(chunk)))
-            measures = _measure_stack(a1s, a2_full, pair.h00,
-                                      None if determinate else "extension",
+            comm = (a1_comm if determinate else
+                    _commute_gate("extension", a1s, a2_full))
+            measures = _measure_stack(a1s, a2_full, pair.h00, comm,
                                       tolerances=tolerances)
             _cross_check_stack(a1s, a2_block, pair.h00, measures)
         except (Moment2dError, ValueError) as exc:   # LinAlgError too

@@ -363,6 +363,34 @@ def test_decoders_keep_the_accepted_number_types():
         assert str(exc.value) == "v[0][1] must be a number"
 
 
+def test_flat_decoding_keeps_every_bit_and_names_the_bad_cell():
+    # Integers that round, integers past 2^64, signed zeros and floats.
+    parts = [0, -3, 2 ** 53 + 1, 2 ** 63 + 123, 2 ** 64 + 1, -(10 ** 308),
+             -0.0, 0.0, 1.5, -2.5e-310]
+    cells = [[parts[i], parts[-1 - i]] for i in range(len(parts))]
+    rows = [cells[:5], cells[5:]]
+    want = oracles.complex_matrix_per_cell(rows, 5)
+    for got in (io.complex_matrix_from_json(rows, "m"),
+                io.complex_vector_from_json(cells, "v").reshape(2, 5)):
+        assert got.dtype == complex
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for bad, message in (
+            ([True, 0.0], "[0] must be a number"),
+            ([0.0, "1.0"], "[1] must be a number"),
+            ([1.0], " must be [re, im]"),
+            ([1.0, 2.0, 3.0], " must be [re, im]"),
+            ([float("nan"), 0.0], "[0] must be finite"),
+            ([0.0, float("-inf")], "[1] must be finite"),
+            ([-(10 ** 400), 0.0], "[0] must be finite")):
+        with pytest.raises(SchemaError) as exc:
+            io.complex_matrix_from_json([cells[:5], cells[5:8] + [bad]
+                                         + cells[9:]], "m")
+        assert str(exc.value) == "m[1][3]" + message
+        with pytest.raises(SchemaError) as exc:
+            io.complex_vector_from_json(cells[:8] + [bad] + cells[9:], "v")
+        assert str(exc.value) == "v[8]" + message
+
+
 def test_report_json_has_exactly_the_contract_keys():
     report = verify_solution(e2().measure, e2().table, determinate=True,
                              u2_seed="determinate")

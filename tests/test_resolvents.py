@@ -172,14 +172,14 @@ def test_adjoint_relation_between_conjugate_points():
         assert np.max(np.abs(left - right)) < 1e-11
 
 
-def _identity_extension_pair(dim: int):
-    """First ``e3_class(dim, 2, seed)`` whose identity commutant element
-    gives a canonical extension, with that extension's parameter."""
+def _identity_extension_pair(dim: int, defect: int = 2):
+    """First ``e3_class(dim, defect, seed)`` whose identity commutant
+    element gives a canonical extension, with that extension's parameter."""
     for seed in range(100):
-        pair = e3_class(dim, 2, seed).pair
+        pair = e3_class(dim, defect, seed).pair
         iso = build_isometric_pair(pair)
         try:
-            ext = canonical_extension(pair, iso, np.eye(2, dtype=complex))
+            ext = canonical_extension(pair, iso, np.eye(defect, dtype=complex))
         except FixedPointError:
             continue
         return iso, ContractionParameter.const(
@@ -276,6 +276,57 @@ def test_singular_factor_is_not_memoized(monkeypatch):
         with pytest.raises(SingularMatrixError):
             pair_resolvent_symmetric(prepared, 2j, 0.5 + 2j)
     assert len(calls) == 2 and not prepared._rows
+
+
+def _compression_cases():
+    scenario = e3()
+    iso = build_isometric_pair(scenario.pair)
+    ext = canonical_extension(scenario.pair, iso, np.eye(1, dtype=complex))
+    yield "e3", iso, ContractionParameter.const(
+        iso.ninf_basis.conj().T @ ext.u24), scenario.pair.h00
+    for dim in (5, 20, 40):
+        for defect in (1, 2, 3):
+            iso, phi = _identity_extension_pair(dim, defect)
+            yield f"e3_class({dim}, {defect})", iso, phi, None
+
+
+@pytest.mark.parametrize("case", list(_compression_cases()),
+                         ids=lambda case: case[0])
+def test_compressed_pair_resolvent_matches_the_gated_oracle(case):
+    _, iso, phi, h00 = case
+    rng = np.random.default_rng(iso.dim)
+    if h00 is None:
+        h00 = rng.normal(size=iso.dim) + 1j * rng.normal(size=iso.dim)
+    wide = rng.normal(size=(iso.dim, 3)) + 1j * rng.normal(size=(iso.dim, 3))
+    points = [oracles.random_point_pair(rng) for _ in range(6)]
+    points += [(np.conj(a), b) for a, b in points[:3]]
+    points += [(1e13j, 1e13j), (-1e13j, 1e13j), (2 - 1j, 1e13j)]
+    assert {a.imag > 0 for a, _ in points} == {True, False}
+    excluded = [(0.5, 2j), (2j, -3.0), (1j, 2j), (2j, -1j + 1e-9)]
+    plain = prepare_pair(iso, phi)
+    for h in (h00[:, None], wide):
+        prepared = prepare_pair(iso, phi, h_embed=h)
+        for lam1, lam2 in points:
+            want = h.conj().T @ oracles.pair_resolvent_symmetric_gated(
+                iso, phi, lam1, lam2) @ h
+            got = pair_resolvent_symmetric(prepared, lam1, lam2)
+            assert got.shape == want.shape
+            # Relative to the size of the terms: at lambda2 = 1e13j,
+            # 1 - z2 = 2e-13 holds 3 digits, so E + z2 U cancels where U
+            # has the eigenvalue -1 (e3: A2 has the eigenvalue 0).
+            z1, z2 = (resolvents.cayley_point(lam) for lam in (
+                (lam1, lam2) if lam1.imag > 0 else np.conj((lam1, lam2))))
+            scale = (np.linalg.norm(h) ** 2 * np.linalg.norm(plain.row(z1))
+                     * 2.0 * np.linalg.norm(np.linalg.inv(
+                         np.eye(iso.dim) - z2 * iso.u_matrix)))
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+        for lam1, lam2 in excluded:
+            with pytest.raises(ExcludedPointError):
+                pair_resolvent_symmetric(prepared, lam1, lam2)
+        k = h.shape[1]
+        assert prepared._rows and prepared._cols
+        assert {r.shape for r in prepared._rows.values()} == {(k, iso.dim)}
+        assert {c.shape for c in prepared._cols.values()} == {(iso.dim, k)}
 
 
 def test_resolvent_rejects_forbidden_parameter():

@@ -726,6 +726,28 @@ def test_determinate_input_skips_the_cayley_data(monkeypatch):
     assert rejected == []
 
 
+def test_determinate_input_forms_the_commutator_once(monkeypatch):
+    calls = []
+    real = solutions._commute_gate
+
+    def counted(name, a1s, a2):
+        calls.append(name)
+        return real(name, a1s, a2)
+
+    monkeypatch.setattr(solutions, "_commute_gate", counted)
+    for source in (e2().table, _determinate_pair(
+            np.diag([0.5, -1.0]), np.diag([0.3, 1.1]), [0.6, 0.8])):
+        calls.clear()
+        assert [r.passed for r in solve_canonical(source)] == [True]
+        assert calls == ["A1"]
+    # The A1 gate still runs ahead of the range gate on A2.
+    pair = _determinate_pair([[0.5, 0.25], [0.25, -1.0]],
+                             np.diag([1e10, 0.5]), [0.6, 0.8])
+    with pytest.raises(StructureViolationError,
+                       match=r"^A1 does not commute with A2 \(residual "):
+        list(solve_canonical(pair))
+
+
 def test_determinate_pair_with_non_commuting_operators_is_refused(
         tmp_path, capsys):
     pair = _determinate_pair([[0.5, 0.25], [0.25, -1.0]],
