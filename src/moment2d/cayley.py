@@ -89,6 +89,12 @@ A2_OUT_OF_RANGE = ("Cayley transform of A2 has an eigenvalue at 1; A2 is "
                    "outside the numerically supported range")
 
 
+def _require_a2_in_range(a2_eigenvalues: np.ndarray):
+    """``A2`` range gate: ``sigma_min(U - E) = 2 / hypot(1, max |lambda|)``."""
+    if 2.0 / np.hypot(1.0, np.max(np.abs(a2_eigenvalues))) <= FIXED_POINT_TOL:
+        raise StructureViolationError(A2_OUT_OF_RANGE)
+
+
 @dataclass(frozen=True)
 class CayleyIsometry:
     """Isometry data ``(domain, action, range)``.
@@ -111,9 +117,9 @@ class IsometricPair:
     The subspaces ``H1 = D(V)``, ``H2 = N0(V)`` and ``H4 = Ninf(V)`` are
     stored as orthonormal column bases; ``U`` leaves each of them
     invariant.  ``j_matrix`` is the conjugation ``J`` of the pair
-    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``u24`` and the
-    gated ``operator_domain`` (``_full_domains``, by ``subspace_tol``) are
-    kept on the instance after first use, as read-only shared arrays.
+    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``w2_schur``, ``u24``
+    and the gated ``operator_domain`` (``_full_domains``, by ``subspace_tol``)
+    are kept on the instance after first use, as read-only shared arrays.
     """
 
     dim: int
@@ -142,6 +148,12 @@ class IsometricPair:
                           @ self.n0_basis)
 
     @cached_property
+    def w2_schur(self) -> tuple:
+        """Complex Schur form ``(T, Z)`` of ``w2``, gated by each user."""
+        t, z_mat = scipy.linalg.schur(self.w2, output="complex")
+        return read_only(t), read_only(z_mat)
+
+    @cached_property
     def u24(self) -> np.ndarray:
         """The linear isometry ``U24 = J o K : H2 -> H4`` from
         ``n0_basis`` coordinates to space coordinates, with ``K`` the
@@ -166,7 +178,7 @@ class IsometricPair:
                 raise StructureViolationError(
                     f"second Cayley transform does not reduce the defect "
                     f"subspace (residual {red:.3e})")
-        k_matrix = godich_lutsenko(w2).k_matrix
+        k_matrix = godich_lutsenko(w2, schur=self.w2_schur).k_matrix
         # J o K is linear: x -> J(K x) = j_matrix conj(n0 K conj(x)).
         u24 = self.j_matrix @ np.conj(n0 @ k_matrix)
         if d2:
@@ -344,9 +356,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
     u = (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)
     if not is_unitary(u, STRUCTURE_TOL):
         raise StructureViolationError("Cayley transform of A2 not unitary")
-    sigma_min = float(np.linalg.svd(u - eye, compute_uv=False)[-1])
-    if sigma_min <= FIXED_POINT_TOL:
-        raise StructureViolationError(A2_OUT_OF_RANGE)
+    _require_a2_in_range(np.linalg.eigvalsh(a2))
     n0 = complement_basis(cay.domain, subspace_tol)
     ninf = complement_basis(cay.range, subspace_tol)
     if n0.shape[1] != ninf.shape[1]:
@@ -402,14 +412,15 @@ def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
     return iso.extend(iso.ninf_basis @ iso.parameter_at(phi, z))
 
 
-def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:
+def godich_lutsenko(w: np.ndarray, *,
+                    schur: tuple | None = None) -> ConjugationFactorization:
     """Factor a unitary ``W`` as a product of two conjugations.
 
     ``L`` is the conjugation whose fixed vectors include an orthonormal
     eigenbasis of ``W`` (entrywise conjugation in that basis) and
     ``K = W o L``.  Both are returned as antilinear matrices ``M`` acting
     as ``x -> M conj(x)``; they satisfy ``K^2 = L^2 = identity`` and
-    ``K o L = W``.
+    ``K o L = W``.  ``schur``, if given, is the Schur form ``(T, Z)`` of ``w``.
     """
     w = require_unitary(w, STRUCTURE_TOL, "factorization input")
     n = w.shape[0]
@@ -418,7 +429,7 @@ def godich_lutsenko(w: np.ndarray) -> ConjugationFactorization:
         return ConjugationFactorization(k_matrix=empty, l_matrix=empty)
     # Schur of a normal matrix: unitary Z with diagonal T, robust under
     # eigenvalue clustering.
-    t, z_mat = scipy.linalg.schur(w, output="complex")
+    t, z_mat = schur or scipy.linalg.schur(w, output="complex")
     off = t - np.diag(np.diagonal(t))
     if float(np.linalg.norm(off)) > STRUCTURE_TOL * n:
         raise StructureViolationError("input is not normal within tolerance")

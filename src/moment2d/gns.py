@@ -26,7 +26,7 @@ from .config import (DEFAULT_TOLERANCES, RESIDUAL_GATE, STRUCTURE_TOL,
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
 from .linalg import is_hermitian, orth_columns, read_only
-from .moments import MomentTable, moment_matrix, monomial_indices
+from .moments import MomentTable, _monomials, _per_rectangle, moment_matrix
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
 
@@ -145,7 +145,6 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
     arithmetic.
     """
     gram = moment_matrix(table, d_m, d_n)
-    idx = monomial_indices(d_m, d_n)
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
     thresh = tolerances.rank_tol * scale
@@ -162,22 +161,24 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
     lam = lam[order]
     vecs = vecs[:, order]
     coords = np.sqrt(lam)[:, None] * vecs.T
-    return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=tuple(idx), gram=gram,
-                    rank=int(lam.size), coords=coords)
+    return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=_monomials(d_m, d_n),
+                    gram=gram, rank=int(lam.size), coords=coords)
 
 
-def _shift_operator(space: GnsSpace, which: int,
-                    tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Domain basis and action matrix of one shift operator."""
-    d_m, d_n = space.d_m, space.d_n
-    if which == 1:
-        kept = [(m, n) for (m, n) in space.monomial_index if m <= d_m - 1]
-        shifted = [(m + 1, n) for (m, n) in kept]
-    else:
-        kept = [(m, n) for (m, n) in space.monomial_index if n <= d_n - 1]
-        shifted = [(m, n + 1) for (m, n) in kept]
-    cols = [space.index_of(m, n) for (m, n) in kept]
-    cols_shifted = [space.index_of(m, n) for (m, n) in shifted]
+@_per_rectangle
+def _shift_columns(d_m: int, d_n: int, which: int) -> np.ndarray:
+    """Read-only columns of the domain of shift ``which`` and its images."""
+    column = {mn: j for j, mn in enumerate(_monomials(d_m, d_n))}
+    dm, dn = (1, 0) if which == 1 else (0, 1)
+    cols = [(j, column[m + dm, n + dn]) for (m, n), j in column.items()
+            if (m + dm, n + dn) in column]
+    return read_only(np.array(cols, dtype=np.intp).T)
+
+
+def _shift_operator(space: GnsSpace, which: int, tolerances: Tolerances,
+                    gate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Domain basis and action of one shift; residual bound ``gate``."""
+    cols, cols_shifted = _shift_columns(space.d_m, space.d_n, which)
     dom_vectors = space.coords[:, cols]
     img_vectors = space.coords[:, cols_shifted]
     basis = orth_columns(dom_vectors, tolerances.subspace_tol)
@@ -194,8 +195,6 @@ def _shift_operator(space: GnsSpace, which: int,
         raise SingularShiftError(f"shift solve failed for A{which}: {exc}")
     action = action_t.T
     residual = float(np.linalg.norm(action @ r - img_vectors))
-    gate = RESIDUAL_GATE * max(
-        1.0, float(np.linalg.norm(space.gram)))
     if residual > gate:
         raise InconsistentShiftError(
             f"shift A{which} leaves the quotient span: residual "
@@ -215,8 +214,9 @@ def build_operators(space: GnsSpace, *,
     """
     if space.d_m < 1 or space.d_n < 1:
         raise ValueError("build_operators needs d_m >= 1 and d_n >= 1")
-    a1_domain, a1_action = _shift_operator(space, 1, tolerances)
-    a2_domain, a2_action = _shift_operator(space, 2, tolerances)
+    gate = RESIDUAL_GATE * max(1.0, float(np.linalg.norm(space.gram)))
+    a1_domain, a1_action = _shift_operator(space, 1, tolerances, gate)
+    a2_domain, a2_action = _shift_operator(space, 2, tolerances, gate)
     dim = space.rank
     h00 = space.class_vector(0, 0)
     # Real Gram, real eigendecomposition: the conjugation fixing all

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .config import (ATOM_MERGE_TOL, CARLEMAN_EPS, CARLEMAN_SLOPE,
                      CARLEMAN_WINDOW, DEFAULT_TOLERANCES, PSD_TOL_BASE,
                      Tolerances)
 from .errors import (IndexOutOfRangeError, NegativeDenominatorError)
+from .linalg import read_only
 
 __all__ = [
     "MomentTable",
@@ -41,6 +43,9 @@ __all__ = [
 VERDICT_DIVERGING = "diverging-trend"
 VERDICT_CONVERGING = "converging-trend"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+#: Memo of data that depends only on a rectangle, for the 32 latest keys.
+_per_rectangle = lru_cache(maxsize=32, typed=True)
 
 
 @dataclass(frozen=True)
@@ -178,6 +183,19 @@ def monomial_indices(d_m: int, d_n: int) -> list[tuple[int, int]]:
     return idx
 
 
+@_per_rectangle
+def _monomials(d_m: int, d_n: int) -> tuple:
+    """:func:`monomial_indices` as a tuple, sorted once per rectangle."""
+    return tuple(monomial_indices(d_m, d_n))
+
+
+@_per_rectangle
+def _gram_indices(d_m: int, d_n: int) -> tuple:
+    """Read-only row and column gather indices of :func:`moment_matrix`."""
+    return tuple(read_only(np.add.outer(k, k))
+                 for k in np.array(_monomials(d_m, d_n)).T)
+
+
 def moments_of_measure(measure: AtomicMeasure, max_m: int,
                        max_n: int) -> MomentTable:
     """Exact moments of an atomic measure by direct summation.
@@ -206,14 +224,14 @@ def moment_matrix(table: MomentTable, d_m: int, d_n: int) -> np.ndarray:
 
     Rows and columns follow :func:`monomial_indices`; the entry for
     ``(m, n), (m', n')`` is ``s_{m+m', n+n'}``.  Requires
-    ``2*d_m <= max_m`` and ``2*d_n <= max_n``.
+    ``2*d_m <= max_m`` and ``2*d_n <= max_n``.  The gather indices of the
+    32 latest rectangles are kept, read-only; each call returns a new array.
     """
     if 2 * d_m > table.max_m or 2 * d_n > table.max_n:
         raise IndexOutOfRangeError(
             f"rectangle ({d_m}, {d_n}) needs moments up to "
             f"({2 * d_m}, {2 * d_n}), table holds ({table.max_m}, {table.max_n})")
-    m, n = np.array(monomial_indices(d_m, d_n)).T
-    return table.values[m[:, None] + m[None, :], n[:, None] + n[None, :]]
+    return table.values[_gram_indices(d_m, d_n)]
 
 
 def check_psd(table: MomentTable, d_m: int, d_n: int, *,

@@ -25,17 +25,17 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import (A2_OUT_OF_RANGE, IsometricPair, _inverse_cayley_stack,
-                     build_isometric_pair)
-from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, STRUCTURE_TOL,
-                     WEIGHT_DROP_TOL, Tolerances)
+from .cayley import (IsometricPair, _inverse_cayley_stack,
+                     _require_a2_in_range, build_isometric_pair)
+from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
+                     Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, IndexOutOfRangeError, Moment2dError,
                      NotPsdError, NotUnitaryError, StructureViolationError)
 from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
                   build_operators)
 from .linalg import (as_complex_matrix, frobenius, haar_unitary,
-                     is_hermitian, is_unitary, require_unitary)
+                     is_hermitian, is_unitary, read_only, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
                       moments_of_measure)
 
@@ -55,10 +55,13 @@ __all__ = [
 
 SAMPLER_KINDS = ("identity-only", "haar-random", "exhaustive-phases")
 
-#: Random real combinations ``c1 A1 + c2 A2`` that
-#: :func:`joint_spectral_measure` tries, and the seed they are drawn from.
+#: Random combinations ``c1 A1 + c2 A2`` that :func:`joint_spectral_measure`
+#: tries, the seed they are drawn from, and their ``(c1, c2)``, drawn once.
 MAX_COMBINATIONS = 5
 COMBINATION_SEED = 1234
+_COMBINATIONS = tuple(
+    read_only(c / np.linalg.norm(c)) for c in np.random.default_rng(
+        COMBINATION_SEED).normal(size=(MAX_COMBINATIONS, 2)))
 
 #: Resolvent cross-check of every emitted solution: number of random
 #: point pairs, their seed, and the relative tolerance.
@@ -142,20 +145,22 @@ def _cluster_values(values: np.ndarray, tol: float) -> list:
 
 
 def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
-                                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> Iterator[np.ndarray]:
+                                  tolerances: Tolerances = DEFAULT_TOLERANCES,
+                                  schur: tuple | None = None) -> Iterator[np.ndarray]:
     """Stream of unitaries commuting with the unitary ``w2``.
 
     The commutant of a unitary matrix consists exactly of the block
     operators over its eigenspaces (eigenvalues clustered at
     ``tolerances.cluster_tol``), so every emitted matrix is unitary and
     commutes with ``w2`` up to rounding.  Deterministic under a fixed
-    sampler.  An empty ``w2`` yields an empty stream.
+    sampler.  An empty ``w2`` yields an empty stream.  ``schur`` is the
+    Schur form ``(T, Z)`` of ``w2`` if the caller holds it.
     """
     w2 = require_unitary(w2, STRUCTURE_TOL, "W2")
     d = w2.shape[0]
     if d == 0:
         return
-    t, z_mat = scipy.linalg.schur(w2, output="complex")
+    t, z_mat = schur or scipy.linalg.schur(w2, output="complex")
     off = t - np.diag(np.diagonal(t))
     if float(np.linalg.norm(off)) > STRUCTURE_TOL * d:
         raise StructureViolationError("W2 is not normal within tolerance")
@@ -257,11 +262,11 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     cluster's sum of ``|V^H h00|^2``.  Each compression must be scalar
     on its cluster (a 1 x 1 block is, up to rounding, so only larger
     clusters are tested); a non-scalar compression means the
-    combination collided two distinct joint eigenvalues, and a fresh
-    combination is drawn (at most ``MAX_COMBINATIONS`` in all before
+    combination collided two distinct joint eigenvalues, and the next of
+    the ``MAX_COMBINATIONS`` drawn once per process is tried (then
     ``ClusterAmbiguityError``).  Atoms below ``WEIGHT_DROP_TOL`` are
-    dropped, and atoms within ``tolerances.atom_merge_tol`` of each
-    other are merged, pass after pass, until no two are that close.
+    dropped, and atoms within ``tolerances.atom_merge_tol`` of each other
+    are merged, pass after pass, until no two are that close.
     This is one slice of the stacked kernel of :func:`solve_canonical`.
     """
     a1, a2 = as_complex_matrix(a1), as_complex_matrix(a2)
@@ -287,10 +292,7 @@ def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
           "operators do not commute (residual %.3e)", comm)
     n = a2.shape[0]
     measures, pending = [None] * len(a1s), np.arange(len(a1s))
-    rng = np.random.default_rng(COMBINATION_SEED)
-    for _ in range(MAX_COMBINATIONS):
-        c = rng.normal(size=2)
-        c = c / np.linalg.norm(c)
+    for c in _COMBINATIONS:
         b1 = a1s if pending.size == len(a1s) else a1s[pending]
         m = c[0] * b1 + c[1] * a2
         vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
@@ -298,8 +300,9 @@ def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
         c1, c2 = vh @ b1 @ vecs, vh @ a2 @ vecs
         # Chain clustering along each slice's sorted eigenvalues.
         val_scale = 1.0 + np.abs(vals).max(axis=1, initial=0.0)
-        heads = (np.diff(vals, prepend=-np.inf)
-                 > tolerances.cluster_tol * val_scale[:, None])
+        heads = np.ones(vals.shape, dtype=bool)
+        heads[:, 1:] = (vals[:, 1:] - vals[:, :-1]
+                        > tolerances.cluster_tol * val_scale[:, None])
         starts = np.flatnonzero(heads)
         sizes = np.diff(np.append(starts, heads.size))
         diagonals = np.concatenate([c.reshape(-1, n * n)[:, ::n + 1, None].real
@@ -497,11 +500,9 @@ _CROSS_LAM1, _CROSS_LAM2 = np.array(CROSS_VALIDATION_POINTS).T
 def _a2_resolvent_block(a2: np.ndarray, h00: np.ndarray) -> np.ndarray:
     """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2``, one
     column per ``lam2`` of :data:`CROSS_VALIDATION_POINTS`, from one
-    eigendecomposition; its largest ``|lam|`` runs the range gate of
-    ``build_isometric_pair``, as ``sigma_min(U - E) = 2 / sqrt(1 + lam^2)``."""
+    eigendecomposition, which also runs :func:`_require_a2_in_range`."""
     vals, vecs = np.linalg.eigh(a2)
-    if 2.0 / np.hypot(1.0, np.max(np.abs(vals))) <= FIXED_POINT_TOL:
-        raise StructureViolationError(A2_OUT_OF_RANGE)
+    _require_a2_in_range(vals)
     coef = (vecs.conj().T @ h00)[:, None]
     vals = vals[:, None]
     return vecs @ (coef * (1.0 + _CROSS_LAM2 * vals) / (vals - _CROSS_LAM2))
@@ -666,8 +667,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         stream, labels = iter([None]), ["determinate"]
     else:
         iso = build_isometric_pair(pair, tolerances=tolerances)
-        stream = enumerate_commutant_unitaries(iso.w2, sampler,
-                                               tolerances=tolerances)
+        stream = enumerate_commutant_unitaries(
+            iso.w2, sampler, tolerances=tolerances, schur=iso.w2_schur)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
     a2_block = _a2_resolvent_block(a2_full, pair.h00)
     if ref_table is None:

@@ -511,3 +511,16 @@ def test_isometric_pairs_never_share_cached_data():
         ext.u24[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         first.w2[0, 0] = 0.0
+
+
+def test_a2_range_gate_reads_sigma_min_of_u_minus_e_from_eigenvalues():
+    rng = np.random.default_rng(11)
+    for n, scale in ((3, 1.0), (10, 1e3), (40, 1e6)):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a2 = scale * (g + g.conj().T) / 2
+        eye = np.eye(n)
+        u = (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)
+        sigma_min = np.linalg.svd(u - eye, compute_uv=False)[-1]
+        lam = np.max(np.abs(np.linalg.eigvalsh(a2)))
+        assert 2.0 / np.hypot(1.0, lam) == pytest.approx(sigma_min,
+                                                         rel=1e-9)

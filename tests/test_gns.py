@@ -233,3 +233,19 @@ def test_rank_tolerance_controls_kernel_cut():
     assert loose.rank == 2  # both retained eigenvalues equal the maximum
     strict = build_gns(table, 1, 1, tolerances=Tolerances(rank_tol=1e-14))
     assert strict.rank == 2
+
+
+def test_cached_shift_columns_match_the_space_index():
+    from moment2d.gns import _shift_columns
+    rng = np.random.default_rng(8)
+    table = moments_of_measure(_random_measure(rng, 6), 8, 8)
+    for d_m, d_n in ((1, 1), (1, 4), (3, 2), (4, 4)):
+        space = build_gns(table, d_m, d_n)
+        for which, step, top in ((1, (1, 0), d_m), (2, (0, 1), d_n)):
+            kept = [mn for mn in space.monomial_index
+                    if mn[which - 1] <= top - 1]
+            cols, shifted = _shift_columns(d_m, d_n, which)
+            assert cols.tolist() == [space.index_of(*mn) for mn in kept]
+            assert shifted.tolist() == [
+                space.index_of(m + step[0], n + step[1]) for m, n in kept]
+            assert not (cols.flags.writeable or shifted.flags.writeable)

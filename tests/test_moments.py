@@ -279,3 +279,29 @@ def test_moment_matrix_equals_entrywise_definition():
             table.values, monomial_indices(d_m, d_n))
         assert gram.dtype == np.float64
         assert np.array_equal(gram, expected)
+
+
+def test_moment_matrix_gathers_fresh_arrays_from_read_only_indices():
+    from moment2d.moments import _gram_indices
+    rng = np.random.default_rng(5)
+    table = MomentTable(12, 12, rng.normal(size=(13, 13)))
+    for d_m in range(7):
+        for d_n in range(7):
+            expected = oracles.moment_matrix_direct(
+                table.values, monomial_indices(d_m, d_n))
+            gram = moment_matrix(table, d_m, d_n)
+            assert np.array_equal(gram, expected)
+            assert gram.flags.writeable
+            gram[...] = 0.0
+            again = moment_matrix(table, d_m, d_n)
+            assert np.array_equal(again, expected)
+            assert not np.shares_memory(again, gram)
+            assert not np.shares_memory(again, table.values)
+            assert not any(i.flags.writeable for i in _gram_indices(d_m, d_n))
+    # The public monomial list is the caller's own copy.
+    idx = monomial_indices(2, 2)
+    idx.reverse()
+    assert monomial_indices(2, 2)[0] == (0, 0)
+    assert np.array_equal(moment_matrix(table, 2, 2),
+                          oracles.moment_matrix_direct(
+                              table.values, monomial_indices(2, 2)))

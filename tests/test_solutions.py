@@ -942,3 +942,104 @@ def test_merge_repeats_until_no_two_atoms_are_close():
         gaps = np.abs(mu.points[:, None] - mu.points[None]).max(axis=2)
         assert np.all(gaps[np.triu_indices(mu.n_atoms, 1)] > ATOM_MERGE_TOL)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-14)
+
+
+def test_combinations_are_the_first_seeded_draws():
+    rng = np.random.default_rng(COMBINATION_SEED)
+    assert len(solutions._COMBINATIONS) == MAX_COMBINATIONS
+    for c in solutions._COMBINATIONS:
+        draw = rng.normal(size=2)
+        assert c.tobytes() == (draw / np.linalg.norm(draw)).tobytes()
+        assert not c.flags.writeable
+
+
+def _report_bytes(reports) -> list:
+    return [(r.u2_seed, r.passed, r.determinate, r.degrees_checked,
+             r.max_abs_moment_error, r.measure.points.tobytes(),
+             r.measure.weights.tobytes()) for r in reports]
+
+
+def _clear_rectangle_caches():
+    from moment2d import gns, moments
+    for cached in (moments._monomials, moments._gram_indices,
+                   gns._shift_columns):
+        cached.cache_clear()
+
+
+def test_solve_canonical_reports_do_not_depend_on_warm_rectangle_caches():
+    rng = np.random.default_rng(20)
+    tables = [e2().table, e3().table] + [
+        moments_of_measure(random_atomic_measure(
+            rng, coord_low=-1.0, coord_high=1.0), degree, degree)
+        for degree in (8, 12, 16)]
+    runs = [dict(source=t) for t in tables] + [
+        dict(source=tables[-1], d_m=3, d_n=5),
+        dict(source=tables[-1], d_m=6, d_n=2)]
+    cold = []
+    for kwargs in runs:
+        _clear_rectangle_caches()
+        cold.append(_report_bytes(solve_canonical(**kwargs)))
+    # Warm every cache with other rectangles, more of them than it keeps.
+    big = moments_of_measure(random_atomic_measure(
+        rng, coord_low=-1.0, coord_high=1.0), 14, 14)
+    for d_m in range(1, 8):
+        for d_n in range(1, 8):
+            solutions.build_operators(build_gns(big, d_m, d_n))
+    assert [_report_bytes(solve_canonical(**kwargs))
+            for kwargs in runs] == cold
+    assert sum(map(len, cold)) >= len(tables)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_a2_range_gate_is_one_decision_on_both_paths(factor):
+    from moment2d.cayley import A2_OUT_OF_RANGE
+    from moment2d.config import FIXED_POINT_TOL
+    lam = 2.0 / FIXED_POINT_TOL * factor
+    pair = _determinate_pair(np.diag([0.5, -1.0]), np.diag([lam, 0.5]),
+                             [0.6, 0.8])
+    if factor > 1.0:
+        for build in (build_isometric_pair,
+                      lambda p: list(solve_canonical(p))):
+            with pytest.raises(StructureViolationError,
+                               match=f"^{re.escape(A2_OUT_OF_RANGE)}$"):
+                build(pair)
+        return
+    assert build_isometric_pair(pair).defect_dim == 0
+    (report,) = solve_canonical(pair)
+    assert report.u2_seed == "determinate"
+    assert np.allclose(report.measure.points, [[-1.0, 0.5], [0.5, lam]],
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(report.measure.weights, [0.64, 0.36], rtol=1e-12)
+
+
+def test_solve_canonical_forms_one_schur_form_of_w2(monkeypatch):
+    import scipy.linalg
+    calls = []
+    real = scipy.linalg.schur
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    pair = e3_class(20, 2, 4).pair
+    reports = list(solve_canonical(
+        pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    assert len(reports) >= 3
+    assert calls == [(2, 2)]
+
+
+def test_held_schur_form_gives_the_same_factors_and_stream():
+    from moment2d import godich_lutsenko
+    iso = build_isometric_pair(e3_class(20, 3, 5).pair)
+    held, fresh = (godich_lutsenko(iso.w2, schur=iso.w2_schur),
+                   godich_lutsenko(iso.w2))
+    assert held.k_matrix.tobytes() == fresh.k_matrix.tobytes()
+    assert held.l_matrix.tobytes() == fresh.l_matrix.tobytes()
+    for sampler in (SamplerSpec("exhaustive-phases", phases=3),
+                    SamplerSpec("haar-random", count=4, seed=9)):
+        held = enumerate_commutant_unitaries(iso.w2, sampler,
+                                             schur=iso.w2_schur)
+        fresh = enumerate_commutant_unitaries(iso.w2, sampler)
+        assert [u.tobytes() for u in held] == [u.tobytes() for u in fresh]
+    assert not any(a.flags.writeable for a in iso.w2_schur)
