@@ -59,7 +59,7 @@ from .config import (CONTRACTION_SLACK, DEFAULT_TOLERANCES, FIXED_POINT_TOL,
 from .errors import (ContractionViolatedError, FixedPointError,
                      NoDecompositionError, NotDirectSumError,
                      NotSupportedError, StructureViolationError)
-from .gns import SymmetricPair
+from .gns import A2_OUT_OF_RANGE, SymmetricPair  # re-exports A2_OUT_OF_RANGE
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
                      is_conjugation, is_hermitian, is_unitary,
                      orth_columns, read_only, require_unitary,
@@ -83,16 +83,6 @@ __all__ = [
 #: A kernel direction of ``F - C`` is forbidden when its squared norm
 #: gain reaches ``1 - NORM_TOL`` (admissibility criterion).
 NORM_TOL = 1e-8
-
-#: Refusal of an ``A2`` whose Cayley transform ``U`` leaves ``U - E`` singular.
-A2_OUT_OF_RANGE = ("Cayley transform of A2 has an eigenvalue at 1; A2 is "
-                   "outside the numerically supported range")
-
-
-def _require_a2_in_range(a2_eigenvalues: np.ndarray):
-    """``A2`` range gate: ``sigma_min(U - E) = 2 / hypot(1, max |lambda|)``."""
-    if 2.0 / np.hypot(1.0, np.max(np.abs(a2_eigenvalues))) <= FIXED_POINT_TOL:
-        raise StructureViolationError(A2_OUT_OF_RANGE)
 
 
 @dataclass(frozen=True)
@@ -337,26 +327,25 @@ def build_isometric_pair(pair: SymmetricPair, *,
     """Assemble the Cayley isometry of ``A1`` with the unitary ``U`` of
     ``A2`` and verify the structural invariants.
 
-    Checks: ``U`` unitary with no eigenvalue 1, ``U D(V) = D(V)``, ``U``
-    leaving ``R(V)`` invariant (hence both defect subspaces), the
-    commutation of ``U`` with ``V`` on ``D(V)``, and, at a nonzero
-    defect, ``V`` fixing no vector: ``(E - V) D(V)``, cut at
-    ``subspace_tol``, keeps the dimension of ``D(V)``.  Violations raise
-    ``StructureViolationError``; a non-self-adjoint ``A2`` raises
-    ``NotSelfAdjointA2Error`` with the defect indices attached.  The
-    pair's conjugation ``J`` is kept as ``j_matrix``.
+    ``U = Q diag((b + i)/(b - i)) Q^H`` from the eigendecomposition
+    ``pair.a2_spectrum = (b, Q)``, whose access is the range gate on ``A2``.
+    Checks: ``U`` unitary, ``U D(V) = D(V)``, ``U`` leaving ``R(V)``
+    invariant (hence both defect subspaces), the commutation of ``U``
+    with ``V`` on ``D(V)``, and, at a nonzero defect, ``V`` fixing no
+    vector: ``(E - V) D(V)``, cut at ``subspace_tol``, keeps the
+    dimension of ``D(V)``.  Violations raise ``StructureViolationError``;
+    a non-self-adjoint ``A2`` raises ``NotSelfAdjointA2Error`` with the
+    defect indices attached.  The pair's conjugation ``J`` is kept as
+    ``j_matrix``.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
     cay = cayley(pair, tolerances=tolerances)
-    a2 = pair.a2_matrix
-    n = pair.dim
-    eye = np.eye(n)
-    u = (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)
+    b, q = pair.a2_spectrum
+    u = (q * ((b + 1j) / (b - 1j))) @ q.conj().T
     if not is_unitary(u, STRUCTURE_TOL):
         raise StructureViolationError("Cayley transform of A2 not unitary")
-    _require_a2_in_range(np.linalg.eigvalsh(a2))
     n0 = complement_basis(cay.domain, subspace_tol)
     ninf = complement_basis(cay.range, subspace_tol)
     if n0.shape[1] != ninf.shape[1]:
@@ -368,9 +357,9 @@ def build_isometric_pair(pair: SymmetricPair, *,
             if res > STRUCTURE_TOL:
                 raise StructureViolationError(
                     f"U does not leave {name} invariant (residual {res:.3e})")
-    iso = IsometricPair(dim=n, v_domain=cay.domain, v_action=cay.action,
-                        n0_basis=n0, ninf_basis=ninf, u_matrix=u,
-                        j_matrix=pair.j_matrix)
+    iso = IsometricPair(dim=pair.dim, v_domain=cay.domain,
+                        v_action=cay.action, n0_basis=n0, ninf_basis=ninf,
+                        u_matrix=u, j_matrix=pair.j_matrix)
     if cay.domain.shape[1]:
         v = iso.v_matrix
         comm = (v @ u - u @ v) @ cay.domain

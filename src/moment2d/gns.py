@@ -21,14 +21,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import (DEFAULT_TOLERANCES, RESIDUAL_GATE, STRUCTURE_TOL,
-                     Tolerances)
+from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, RESIDUAL_GATE,
+                     STRUCTURE_TOL, Tolerances)
 from .errors import (DomainCollapseError, InconsistentShiftError,
-                     NotPsdError, NotSelfAdjointA2Error, SingularShiftError)
+                     NotPsdError, NotSelfAdjointA2Error, SingularShiftError,
+                     StructureViolationError)
 from .linalg import is_hermitian, orth_columns, read_only
 from .moments import MomentTable, _monomials, _per_rectangle, moment_matrix
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
+
+#: Refusal of an ``A2`` whose Cayley transform ``U`` leaves ``U - E`` singular.
+A2_OUT_OF_RANGE = ("Cayley transform of A2 has an eigenvalue at 1; A2 is "
+                   "outside the numerically supported range")
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class SymmetricPair:
     coordinates: ``A (domain @ c) = action @ c``.  ``j_matrix`` is the
     matrix of the antilinear conjugation ``x -> j_matrix @ conj(x)``
     fixing the monomial classes.  The pair holds only these matrices;
-    ``a2_matrix`` and ``a2_selfadjoint`` are derived from them on first
-    use and kept on the instance.
+    ``a2_matrix``, ``a2_selfadjoint`` and ``a2_spectrum`` are derived
+    from them on first use and kept on the instance.
     """
 
     dim: int
@@ -111,6 +116,18 @@ class SymmetricPair:
         for every layer that needs the whole ``A2``; a domain that is not
         the whole space raises ``DomainCollapseError`` and keeps nothing."""
         return read_only(self.full_matrix(2))
+
+    @cached_property
+    def a2_spectrum(self) -> tuple:
+        """Eigendecomposition ``(b, Q)`` of ``a2_matrix``, read-only, taken
+        once per pair for the Cayley transform ``U``, the range gate and
+        the resolvent factor of ``A2``.  The gate raises
+        ``StructureViolationError`` when ``sigma_min(U - E) = 2 / hypot(1,
+        max |b|)`` is at most ``FIXED_POINT_TOL``; raising keeps nothing."""
+        vals, vecs = np.linalg.eigh(self.a2_matrix)
+        if 2.0 / np.hypot(1.0, np.max(np.abs(vals))) <= FIXED_POINT_TOL:
+            raise StructureViolationError(A2_OUT_OF_RANGE)
+        return read_only(vals), read_only(vecs)
 
     @cached_property
     def a2_selfadjoint(self) -> bool:

@@ -25,8 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .cayley import (IsometricPair, _inverse_cayley_stack,
-                     _require_a2_in_range, build_isometric_pair)
+from .cayley import IsometricPair, _inverse_cayley_stack, build_isometric_pair
 from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
                      Tolerances)
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
@@ -497,21 +496,14 @@ CROSS_VALIDATION_POINTS = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
 _CROSS_LAM1, _CROSS_LAM2 = np.array(CROSS_VALIDATION_POINTS).T
 
 
-def _a2_resolvent_block(a2: np.ndarray, h00: np.ndarray) -> np.ndarray:
-    """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2``, one
-    column per ``lam2`` of :data:`CROSS_VALIDATION_POINTS`, from one
-    eigendecomposition, which also runs :func:`_require_a2_in_range`."""
-    vals, vecs = np.linalg.eigh(a2)
-    _require_a2_in_range(vals)
+def _a2_resolvent_block(spectrum: tuple, h00: np.ndarray) -> np.ndarray:
+    """``(E + lam2 A2)(A2 - lam2)^-1 h00`` for the Hermitian ``A2`` with
+    eigendecomposition ``spectrum = (b, Q)`` (``SymmetricPair.a2_spectrum``),
+    one column per ``lam2`` of :data:`CROSS_VALIDATION_POINTS`."""
+    vals, vecs = spectrum
     coef = (vecs.conj().T @ h00)[:, None]
     vals = vals[:, None]
     return vecs @ (coef * (1.0 + _CROSS_LAM2 * vals) / (vals - _CROSS_LAM2))
-
-
-def _resolvent_cross_check(a1: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
-                           measure: AtomicMeasure):
-    """One slice of :func:`_cross_check_stack`."""
-    _cross_check_stack(a1[None], r2h, h00, [measure])
 
 
 def _cross_check_stack(a1s: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
@@ -606,6 +598,8 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     defect 0 the one report, whatever the sampler, is measured from
     ``(A1, A2)`` after three gates: ``A1`` Hermitian and commuting with
     ``A2``, and the range gate on ``A2`` (``StructureViolationError``).
+    That gate is decided once per pair, by ``pair.a2_spectrum``, which
+    also gives ``U`` and the ``A2`` factor of the cross-check.
 
     Every emitted measure is cross-validated: the scalar pair resolvent
     of ``(A1_tilde, A2)`` equals the atomic-sum kernel of the measure at
@@ -670,7 +664,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         stream = enumerate_commutant_unitaries(
             iso.w2, sampler, tolerances=tolerances, schur=iso.w2_schur)
         labels = (_sampler_label(sampler, i) for i in itertools.count())
-    a2_block = _a2_resolvent_block(a2_full, pair.h00)
+    a2_block = _a2_resolvent_block(pair.a2_spectrum, pair.h00)
     if ref_table is None:
         if max_n is None:
             max_n = 2 * pair.dim

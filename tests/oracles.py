@@ -91,6 +91,12 @@ def hermitian_from_unitary(u: np.ndarray) -> np.ndarray:
     return 1j * (u + eye) @ np.linalg.inv(u - eye)
 
 
+def cayley_unitary(a2: np.ndarray) -> np.ndarray:
+    """(A2 + i)(A2 - i)^-1 of a Hermitian A2 computed directly."""
+    eye = np.eye(a2.shape[0], dtype=complex)
+    return (a2 + 1j * eye) @ np.linalg.inv(a2 - 1j * eye)
+
+
 def torus_point(t: float) -> complex:
     """Image of a real coordinate under t -> (t + i)/(t - i)."""
     return (t + 1j) / (t - 1j)
@@ -589,7 +595,7 @@ def solve_canonical_per_parameter(pair, sampler, on_reject=None):
         stream = solutions.enumerate_commutant_unitaries(iso.w2, sampler)
         labels = (solutions._sampler_label(sampler, i)
                   for i in itertools.count())
-    r2h = solutions._a2_resolvent_block(a2, pair.h00)
+    r2h = solutions._a2_resolvent_block(pair.a2_spectrum, pair.h00)
     ref = solutions.moments_from_pair(pair, 2 * pair.dim, 2 * pair.dim)
     for u2, label in zip(stream, labels):
         try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -524,3 +525,40 @@ def test_a2_range_gate_reads_sigma_min_of_u_minus_e_from_eigenvalues():
         lam = np.max(np.abs(np.linalg.eigvalsh(a2)))
         assert 2.0 / np.hypot(1.0, lam) == pytest.approx(sigma_min,
                                                          rel=1e-9)
+
+
+def test_u_matches_the_inverse_formula_and_the_spectrum_is_shared():
+    """``U`` comes from the pair's eigendecomposition of ``A2``; it agrees
+    with ``(A2 + i)(A2 - i)^-1`` on seeded pairs of dimension 5-240 and
+    on one whose ``A2`` has the eigenvalue 1.9e8, just inside the range
+    gate (``2 / FIXED_POINT_TOL`` = 2e8)."""
+    from moment2d.cayley import A2_OUT_OF_RANGE
+
+    def gap(pair):
+        u = build_isometric_pair(pair).u_matrix
+        return np.linalg.norm(u - oracles.cayley_unitary(
+            pair.a2_matrix)) / np.sqrt(pair.dim)
+
+    for setup in ((5, 1, 0), (10, 2, 1), (20, 3, 2), (40, 1, 3),
+                  (120, 2, 4), (240, 3, 5)):
+        assert gap(e3_class(*setup).pair) <= 1e-13
+    pair = e3_class(10, 2, 1).pair
+    top = np.max(np.abs(np.linalg.eigvalsh(pair.a2_matrix)))
+    big = dataclasses.replace(pair, a2_action=pair.a2_action * (1.9e8 / top))
+    assert np.max(np.abs(big.a2_spectrum[0])) == pytest.approx(1.9e8)
+    assert gap(big) <= 1e-13
+    # One read-only decomposition per pair, kept on the instance.
+    b, q = pair.a2_spectrum
+    assert pair.a2_spectrum[0] is b and pair.a2_spectrum[1] is q
+    for arr in (b, q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # Just outside the gate every access raises and nothing is kept.
+    lam = 2.0 / FIXED_POINT_TOL * (1.0 + 1e-6)
+    out = _full_pair(np.diag([0.5, -1.0]), np.diag([lam, 0.5]))
+    for access in (lambda: out.a2_spectrum, lambda: build_isometric_pair(out),
+                   lambda: out.a2_spectrum):
+        with pytest.raises(StructureViolationError,
+                           match=f"^{re.escape(A2_OUT_OF_RANGE)}$"):
+            access()
+        assert "a2_spectrum" not in vars(out)

@@ -417,8 +417,9 @@ def _first_extension(pair):
 def _cross_check_failure(a1, a2, h00, measure):
     """``(lam1, lam2)`` named by the batched cross-check, or None."""
     try:
-        solutions._resolvent_cross_check(
-            a1, solutions._a2_resolvent_block(a2, h00), h00, measure)
+        solutions._cross_check_stack(
+            a1[None], solutions._a2_resolvent_block(np.linalg.eigh(a2), h00),
+            h00, [measure])
     except StructureViolationError as exc:
         found = re.match(r"resolvent cross-validation failed at "
                          r"\((\S+), (\S+)\):", str(exc))
@@ -528,6 +529,43 @@ def test_solve_canonical_forms_the_a2_matrix_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(DomainCollapseError):
             short.a2_matrix
+
+
+@pytest.mark.parametrize("path", ["defect-0", "defect-2", "eval-resolvent"])
+def test_a2_is_decomposed_once_per_pair(path, monkeypatch, tmp_path):
+    """``U``, the range gate and the cross-check factor all come from one
+    ``eigh`` of ``A2``: no other eigendecomposition, inverse or solve of
+    ``A2`` or ``A2 - i`` runs for the pair."""
+    if path == "defect-0":
+        rot = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+        pair = _determinate_pair((rot * [0.5, -1.0, 0.2, 1.3]) @ rot.T,
+                                 (rot * [0.3, 0.9, -0.7, -1.2]) @ rot.T,
+                                 rot[0])
+    else:
+        pair = e3_class(20, 2, 4).pair
+    a2 = pair.full_matrix(2)
+    targets = (a2, a2 - 1j * np.eye(pair.dim))
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "inv", "solve",
+                 "svd"):
+        def spy(x, *args, _name=name, _real=getattr(np.linalg, name),
+                **kwargs):
+            if any(np.shape(x) == t.shape and np.allclose(x, t, rtol=1e-13,
+                                                          atol=0.0)
+                   for t in targets):
+                calls.append(_name)
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    if path == "eval-resolvent":
+        pair_path = tmp_path / "pair.json"
+        io.write_json(io.pair_to_json(pair), str(pair_path))
+        assert main(["eval-resolvent", str(pair_path), "--l1-start", "2j",
+                     "--l1-stop", "1-2j", "--l1-count", "3",
+                     "--l2-start", "1+1j"]) == 0
+    else:
+        assert list(solve_canonical(
+            pair, sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    assert calls == ["eigh"]
 
 
 def test_solve_canonical_refuses_arguments_of_the_other_input():
