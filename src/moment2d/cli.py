@@ -13,6 +13,7 @@ the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -27,7 +28,8 @@ from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
                      FixedPointError, Moment2dError, NotSelfAdjointA2Error,
                      SchemaError)
 from .moments import carleman_diagnostic, check_psd
-from .resolvents import pair_resolvent_symmetric, prepare_pair
+from .resolvents import (pair_resolvent_symmetric, prepare_pair,
+                         validate_spectral_point)
 from .scenarios import e1, e2, e3
 from .solutions import (SAMPLER_KINDS, SamplerSpec, canonical_extension,
                         solve_canonical, verify_solution)
@@ -265,30 +267,25 @@ def cmd_eval_resolvent(args) -> int:
     # The gates run here once, even when every grid point is excluded.
     prepared = prepare_pair(iso, ContractionParameter.const(phi_matrix),
                             tolerances=tolerances, h_embed=pair.h00[:, None])
-    rows = []
-    excluded = 0
-    for lam1 in grid1:
-        for lam2 in grid2:
-            try:
-                matrix = pair_resolvent_symmetric(prepared, lam1, lam2)
-            except ExcludedPointError:
-                excluded += 1
-                continue
-            rows.append((lam1, lam2, complex(matrix[0, 0])))
+    valid1, valid2 = [], []
+    for grid, valid, name in ((grid1, valid1, "lambda1"),
+                              (grid2, valid2, "lambda2")):
+        for lam in grid:
+            with contextlib.suppress(ExcludedPointError):
+                valid.append(validate_spectral_point(lam, name))
+    excluded = len(grid1) * len(grid2) - len(valid1) * len(valid2)
+    values = pair_resolvent_symmetric(prepared, valid1, valid2)[..., 0, 0]
+    rows = [[lam1.real, lam1.imag, lam2.real, lam2.imag, value.real,
+             value.imag] for lam1, line in zip(valid1, values.tolist())
+            for lam2, value in zip(valid2, line)]
     if args.format == "csv":
         lines = ["l1_re,l1_im,l2_re,l2_im,value_re,value_im"]
-        for lam1, lam2, value in rows:
-            lines.append(",".join(_fmt(v) for v in (
-                lam1.real, lam1.imag, lam2.real, lam2.imag,
-                value.real, value.imag)))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
         lines.append(f"# excluded: {excluded}")
         _write_or_print("\n".join(lines), args.output)
     else:
-        out = {"rows": [[lam1.real, lam1.imag, lam2.real, lam2.imag,
-                         value.real, value.imag]
-                        for lam1, lam2, value in rows],
-               "excluded": excluded}
-        _write_or_print(io.dumps(out), args.output)
+        _write_or_print(io.dumps({"rows": rows, "excluded": excluded}),
+                        args.output)
     return EXIT_OK
 
 

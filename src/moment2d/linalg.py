@@ -28,6 +28,9 @@ __all__ = [
     "read_only",
 ]
 
+#: Complex entries (8 MB) that one stack of matrices may hold at a time.
+CHUNK_CELLS = 1 << 19
+
 
 def as_complex_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)

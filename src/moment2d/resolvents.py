@@ -26,28 +26,26 @@ that the one-atom measure at the origin gives the scalar value
 the ``z``-type pair resolvent of :func:`pair_resolvent_unitary` is the
 negative of the ``lam``-type one at corresponding points.
 
-Prepared pairs
---------------
+Prepared pairs and grids
+------------------------
 For a constant ``Phi`` the value depends on the parameter only through
 the full matrix of ``V (+) Phi``, and the admissibility and commutation
 gates do not depend on the point.  :func:`prepare_pair` runs both gates
 and builds that matrix once; the :class:`PreparedPair` it returns is
 the first argument of :func:`pair_resolvent_symmetric`, which then does
-only the per-point solves.  The value is the product of a factor of
-``z1`` alone and a factor of ``z2`` alone, and the prepared pair keeps
-each factor it solves: on a grid every distinct ``z1`` and every
-distinct ``z2`` is solved once, with the same operations as a lone
-point, so values are bit for bit those of solving every point afresh.
-With an ``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R
-h_embed``, and each factor is solved against ``h_embed``, not ``E``.
-Each memo keeps its ``FACTOR_MEMO_ENTRIES`` newest points, at most
-``2 * FACTOR_MEMO_ENTRIES * 16 * n * k`` bytes (``k = n`` without one).
+only the solves.  The value is a row factor of ``z1`` alone times a
+column factor of ``z2`` alone, so on a ``lambda1 x lambda2`` grid each
+distinct ``z1`` and each distinct ``z2`` is solved once: every factor
+is one stacked solve, split into stacks of at most ``CHUNK_CELLS //
+n**2`` points, and the grid is one batched product of rows by columns.
+Every value is bit for bit that of a call at its point alone.  With an
+``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R h_embed``,
+and each factor is solved against ``h_embed``, not ``E``.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, SingularMatrixError)
-from .linalg import as_complex_matrix, read_only
+from .linalg import CHUNK_CELLS, as_complex_matrix
 from .moments import AtomicMeasure
 
 __all__ = [
@@ -77,9 +75,6 @@ __all__ = [
 
 # Points this close to the real axis (relative to 1 + |lam|) count as real.
 REAL_AXIS_TOL = 1e-12
-
-# Points kept in each factor memo of a PreparedPair; the oldest goes first.
-FACTOR_MEMO_ENTRIES = 64
 
 
 def cayley_point(lam: complex) -> complex:
@@ -118,19 +113,45 @@ def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,
     z = complex(z)
     if abs(z) >= 1.0:
         raise ExcludedPointError(f"z = {z} is not in the open unit disk")
-    return _extended_resolvent(extend_isometry(iso, phi, z), z)
+    return _solve_stack(extend_isometry(iso, phi, z), [z], "resolvent")[0]
 
 
-def _extended_resolvent(full: np.ndarray, z: complex, rhs=None) -> np.ndarray:
-    """``[E - z full]^{-1} rhs`` (``rhs = E`` if omitted) for the full
-    matrix ``full`` of ``V (+) Phi_z``."""
-    # No disk check: pair_resolvent_symmetric also solves at the z1 of a
-    # huge lambda1, where |z1| rounds to 1 but the solve is still sound.
-    eye = np.eye(full.shape[0], dtype=complex)
-    try:
-        return np.linalg.solve(eye - z * full, eye if rhs is None else rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"resolvent singular at z = {z}") from exc
+def _extended_resolvent(full: np.ndarray, z: np.ndarray, rhs=None,
+                        image=None) -> np.ndarray:
+    """``[E - z full]^{-1} (rhs + z image)`` at each point of the 1-D
+    array ``z``; ``rhs = E`` and ``image = 0`` if omitted."""
+    # No disk check: pair_resolvent_symmetric also solves at the z of a
+    # huge lambda, where |z| rounds to 1 but the solve is still sound (for
+    # z2 because U, the Cayley transform of A2, has no eigenvalue 1).
+    eye, z = np.eye(full.shape[0], dtype=complex), z[:, None, None]
+    rhs = eye if rhs is None else rhs
+    rhs = rhs if image is None else rhs + z * image
+    # One right-hand side per point: NumPy 1.x reads an (n, k) ``b`` next
+    # to an (m, n, n) stack as a stack of vectors.
+    return np.linalg.solve(eye - z * full,
+                           np.broadcast_to(rhs, z.shape[:1] + rhs.shape[-2:]))
+
+
+def _solve_stack(full: np.ndarray, points: list, singular: str, rhs=None,
+                 image=None) -> np.ndarray:
+    """:func:`_extended_resolvent` at ``points``, in stacks of at most
+    ``CHUNK_CELLS // n**2`` points.  A stack that does not solve is
+    solved again point by point, so that ``SingularMatrixError`` names
+    its first singular point and no ``LinAlgError`` escapes."""
+    size = max(1, CHUNK_CELLS // full.shape[0] ** 2)
+    parts = []
+    for start in range(0, max(1, len(points)), size):
+        part = points[start:start + size]
+        try:
+            parts.append(_extended_resolvent(
+                full, np.array(part, dtype=complex), rhs, image))
+        except np.linalg.LinAlgError as exc:
+            if len(part) == 1:
+                raise SingularMatrixError(
+                    f"{singular} singular at z = {part[0]}") from exc
+            parts += [_solve_stack(full, [z], singular, rhs, image)
+                      for z in part]
+    return np.concatenate(parts)
 
 
 def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
@@ -145,18 +166,8 @@ def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if abs(abs(z) - 1.0) <= 1e-12:
         raise SingularMatrixError(f"z = {z} lies on the unit circle")
-    return _moebius_solve(u, z)
-
-
-def _moebius_solve(u: np.ndarray, z: complex, rhs=None) -> np.ndarray:
-    """``(E + z U)(E - z U)^{-1} rhs`` (``rhs = E`` if omitted), ``z`` unchecked:
-    at a huge ``lambda2`` ``|z2|`` rounds to 1, but ``U`` has no eigenvalue 1."""
-    eye = np.eye(u.shape[0], dtype=complex)
-    try:
-        return np.linalg.solve(eye - z * u, eye + z * u if rhs is None
-                               else rhs + z * (u @ rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"E - z U singular at z = {z}") from exc
+    return _solve_stack(u, [z], "E - z U", np.eye(u.shape[0], dtype=complex),
+                        u)[0]
 
 
 def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
@@ -184,47 +195,13 @@ class PreparedPair:
     """An isometric pair with a parameter that passed both gates.
 
     ``extended`` is the full matrix of ``V (+) Phi`` and ``h_embed`` an
-    ``(n, k)`` embedding or ``None``; build it with :func:`prepare_pair`, not
-    directly, so that the gates run.  The two resolvent factors are
-    memoized per point, read-only, keyed by the bits of ``z`` (``-0.0``
-    and ``0.0`` parts are distinct points).
+    ``(n, k)`` embedding or ``None`` (then ``k = n``); build it with
+    :func:`prepare_pair`, not directly, so that the gates run.
     """
 
     iso: IsometricPair
     extended: np.ndarray
     h_embed: np.ndarray | None = None
-    _rows: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-    _cols: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-
-    def row(self, z1: complex) -> np.ndarray:
-        """``E - 2 [E - z1 T]^{-1}`` with ``T = V (+) Phi``, times
-        ``h_embed^H`` on the left if set, solved once per ``z1``."""
-        h, t = self.h_embed, self.extended
-        # h^H (E - z1 T)^{-1} is the transpose of (E - z1 T^T)^{-1} conj(h).
-        return _memoized(self._rows, z1, lambda: (
-            np.eye(self.iso.dim, dtype=complex)
-            - 2.0 * _extended_resolvent(t, z1) if h is None
-            else h.conj().T - 2.0 * _extended_resolvent(t.T, z1, h.conj()).T))
-
-    def col(self, z2: complex) -> np.ndarray:
-        """``U(z2)`` of :func:`unitary_moebius`, or ``U(z2) h_embed``, per ``z2``."""
-        return _memoized(self._cols, z2, lambda: _moebius_solve(
-            self.iso.u_matrix, z2, self.h_embed))
-
-
-def _memoized(memo: dict, z: complex, solve) -> np.ndarray:
-    """``memo``'s read-only value at the bits of ``z``, from ``solve()``
-    on a miss; a ``solve`` that raises stores nothing."""
-    key = struct.pack("<2d", z.real, z.imag)
-    value = memo.get(key)
-    if value is None:
-        value = read_only(solve())
-        if len(memo) >= FACTOR_MEMO_ENTRIES:
-            del memo[next(iter(memo))]
-        memo[key] = value
-    return value
 
 
 def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
@@ -252,24 +229,56 @@ def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
     return PreparedPair(iso, extended, h_embed)
 
 
-def pair_resolvent_symmetric(prepared: PreparedPair, lambda1: complex,
-                             lambda2: complex) -> np.ndarray:
+def _distinct(points: list) -> tuple:
+    """The distinct ``points``, told apart by their bits (``-0.0`` and
+    ``0.0`` parts differ), and the index of each point among them."""
+    first = {}
+    where = [first.setdefault((z.real.hex(), z.imag.hex()), (len(first), z))[0]
+             for z in points]
+    return [z for _, z in first.values()], where
+
+
+def pair_resolvent_symmetric(prepared: PreparedPair, lambda1,
+                             lambda2) -> np.ndarray:
     """Generalized resolvent of the symmetric/self-adjoint pair.
 
     Evaluates the product described in the module docstring at
     ``z_j = (lambda_j - i)/(lambda_j + i)``; for ``lambda1`` in the
     lower half-plane the value is the adjoint of the resolvent at the
-    conjugated points.  Excluded points raise ``ExcludedPointError``.
-    Each factor is taken from ``prepared``'s memo; the returned matrix
-    (``k x k`` with an embedding) is a fresh product the caller may change.
+    conjugated points.  Two points give a ``k x k`` matrix, two 1-D
+    sequences the ``(len(lambda1), len(lambda2), k, k)`` grid of every
+    pair, as a fresh array.  The first excluded point, of ``lambda1``
+    before ``lambda2``, raises ``ExcludedPointError``.
     """
-    lam1 = validate_spectral_point(lambda1, "lambda1")
-    lam2 = validate_spectral_point(lambda2, "lambda2")
-    if lam1.imag < 0.0:
-        m = pair_resolvent_symmetric(prepared, lam1.conjugate(),
-                                     lam2.conjugate())
-        return m.conj().T
-    return prepared.row(cayley_point(lam1)) @ prepared.col(cayley_point(lam2))
+    shape = np.shape(lambda1) + np.shape(lambda2)
+    lam1 = [validate_spectral_point(lam, "lambda1")
+            for lam in np.ravel(lambda1)]
+    lam2 = [validate_spectral_point(lam, "lambda2")
+            for lam in np.ravel(lambda2)]
+    upper = np.array([lam.imag > 0.0 for lam in lam1], dtype=bool)
+    points1, where1 = _distinct([cayley_point(lam if up else lam.conjugate())
+                                 for lam, up in zip(lam1, upper)])
+    h, t, u = prepared.h_embed, prepared.extended, prepared.iso.u_matrix
+    if h is None:
+        rhs, image = np.eye(t.shape[0], dtype=complex), u
+        rows = rhs - 2.0 * _solve_stack(t, points1, "resolvent")
+    else:
+        # h^H (E - z1 T)^{-1} is the transpose of (E - z1 T^T)^{-1} conj(h).
+        rows = h.conj().T - 2.0 * _solve_stack(
+            t.T, points1, "resolvent", h.conj()).swapaxes(-1, -2)
+        rhs, image = h, u @ h
+    rows, k = rows[where1], rows.shape[1]
+    # Lower lambda1 take the adjoint of the value at conj(lambda2).
+    halves = [(mask, conj) for mask, conj in ((upper, False), (~upper, True))
+              if mask.any()]
+    points2, where2 = _distinct([cayley_point(lam.conjugate() if conj else lam)
+                                 for _, conj in halves for lam in lam2])
+    cols = _solve_stack(u, points2, "E - z U", rhs, image)[where2]
+    values = np.empty((len(lam1), len(lam2), k, k), dtype=complex)
+    for i, (mask, conj) in enumerate(halves):
+        block = rows[mask][:, None] @ cols[i * len(lam2):][:len(lam2)][None]
+        values[mask] = block.conj().swapaxes(-1, -2) if conj else block
+    return values.reshape(shape + (k, k))
 
 
 def pair_resolvent_of_measure(measure: AtomicMeasure, lambda1: complex,

@@ -33,7 +33,7 @@ from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      NotPsdError, NotUnitaryError, StructureViolationError)
 from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
                   build_operators)
-from .linalg import (as_complex_matrix, frobenius, haar_unitary,
+from .linalg import (CHUNK_CELLS, as_complex_matrix, frobenius, haar_unitary,
                      is_hermitian, is_unitary, read_only, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
                       moments_of_measure)
@@ -68,8 +68,8 @@ CROSS_POINTS = 5
 CROSS_SEED = 777
 CROSS_TOL = 1e-8
 
-#: Parameters per stack, fewer where its cross-check would pass 8 MB.
-_CHUNK, _CHUNK_CELLS = 16, 1 << 19
+#: Parameters per stack, fewer where its cross-check would pass CHUNK_CELLS.
+_CHUNK = 16
 
 #: Evaluation budget of the least-squares polish in :func:`refine_measure`.
 REFINE_MAX_NFEV = 200
@@ -686,7 +686,7 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         found = iter(measures)
         return [error or next(found) for error in fixed]
 
-    size = max(1, min(_CHUNK, _CHUNK_CELLS // (CROSS_POINTS * pair.dim ** 2)))
+    size = max(1, min(_CHUNK, CHUNK_CELLS // (CROSS_POINTS * pair.dim ** 2)))
     while chunk := list(itertools.islice(stream, size)):
         outcomes = evaluate(chunk)
         if len(outcomes) < len(chunk):   # each error at its own place

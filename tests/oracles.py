@@ -250,16 +250,19 @@ def joint_spectral_measure_per_cluster(a1: np.ndarray, a2: np.ndarray,
     return None
 
 
-def pair_resolvent_symmetric_gated(iso, phi, lam1: complex,
-                                   lam2: complex) -> np.ndarray:
+def pair_resolvent_symmetric_gated(iso, phi, lam1: complex, lam2: complex,
+                                   h_embed=None) -> np.ndarray:
     """The symmetric pair resolvent with both parameter gates run at the
     point itself.
 
     Conjugates a lower half-plane ``lam1`` (the value is then the
     adjoint), runs the admissibility gate and the commutation gate at
     ``z1``, builds ``V (+) Phi_{z1}`` and makes the two dense solves
-    ``(E - z1 V~) R = E`` and ``(E - z2 U) M = E + z2 U``.  Points must
-    be valid spectral points.
+    ``(E - z1 V~) R = E`` and ``(E - z2 U) M = E + z2 U``.  With an
+    ``(n, k)`` embedding ``h_embed`` the value is ``h^H R h``, and the
+    two solves are made against ``h`` instead: ``(E - z1 V~^T) X =
+    conj(h)`` and ``(E - z2 U) Y = h + z2 U h``.  Points must be valid
+    spectral points.
     """
     from moment2d.cayley import (commutation_check, constant_admissibility,
                                  extend_isometry)
@@ -268,7 +271,8 @@ def pair_resolvent_symmetric_gated(iso, phi, lam1: complex,
     lam1, lam2 = complex(lam1), complex(lam2)
     if lam1.imag < 0.0:
         return pair_resolvent_symmetric_gated(
-            iso, phi, lam1.conjugate(), lam2.conjugate()).conj().T
+            iso, phi, lam1.conjugate(), lam2.conjugate(),
+            h_embed).conj().T
     if not constant_admissibility(iso, phi):
         raise AdmissibilityFailedError("parameter is forbidden")
     z1 = (lam1 - 1j) / (lam1 + 1j)
@@ -276,8 +280,14 @@ def pair_resolvent_symmetric_gated(iso, phi, lam1: complex,
     if not commutation_check(iso, phi, z1):
         raise CommutationViolatedError("parameter does not commute")
     eye = np.eye(iso.dim, dtype=complex)
-    resolvent = np.linalg.solve(eye - z1 * extend_isometry(iso, phi, z1), eye)
+    extended = extend_isometry(iso, phi, z1)
     u = iso.u_matrix
+    if h_embed is not None:
+        h = h_embed
+        row = h.conj().T - 2.0 * np.linalg.solve(eye - z1 * extended.T,
+                                                 h.conj()).T
+        return row @ np.linalg.solve(eye - z2 * u, h + z2 * (u @ h))
+    resolvent = np.linalg.solve(eye - z1 * extended, eye)
     moebius = np.linalg.solve(eye - z2 * u, eye + z2 * u)
     return (eye - 2.0 * resolvent) @ moebius
 

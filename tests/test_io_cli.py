@@ -665,22 +665,23 @@ def test_cli_eval_resolvent_computes_the_operator_domain_once(
     assert len(calls) == 1
 
 
-def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,
-                                                   monkeypatch):
+def test_cli_eval_resolvent_makes_one_grid_call(tmp_path: Path, capsys,
+                                               monkeypatch):
     files = _write_demo(tmp_path, capsys)
-    calls = {"_extended_resolvent": 0, "_moebius_solve": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solve=getattr(resolvents, name)):
-            calls[_name] += 1
-            return _solve(*args)
-        monkeypatch.setattr(resolvents, name, counted)
-    points = []
+    stacks = []
 
-    def per_point(prepared, lam1, lam2, _real=cli.pair_resolvent_symmetric):
-        points.append((lam1, lam2))
+    def counted(full, points, singular, *args, _real=resolvents._solve_stack):
+        stacks.append((singular, list(points)))
+        return _real(full, points, singular, *args)
+
+    monkeypatch.setattr(resolvents, "_solve_stack", counted)
+    grids = []
+
+    def grid(prepared, lam1, lam2, _real=cli.pair_resolvent_symmetric):
+        grids.append((list(lam1), list(lam2)))
         return _real(prepared, lam1, lam2)
 
-    monkeypatch.setattr(cli, "pair_resolvent_symmetric", per_point)
+    monkeypatch.setattr(cli, "pair_resolvent_symmetric", grid)
     # 7 x 6 grid whose middle l1 row is excluded: 6 distinct l1 and 6
     # distinct l2 reach the solves.
     argv = ["eval-resolvent", str(files["e3-pair.json"]),
@@ -690,8 +691,12 @@ def test_cli_eval_resolvent_solves_each_factor_once(tmp_path: Path, capsys,
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 36 + 1 and lines[-1] == "# excluded: 6"
-    assert len(points) == 42 and len(set(points)) == 42
-    assert calls == {"_extended_resolvent": 6, "_moebius_solve": 6}
+    assert len(grids) == 1
+    lam1, lam2 = grids[0]
+    assert len(lam1) == len(set(lam1)) == 6 == len(lam2) == len(set(lam2))
+    assert stacks == [
+        ("resolvent", [resolvents.cayley_point(lam) for lam in lam1]),
+        ("E - z U", [resolvents.cayley_point(lam) for lam in lam2])]
 
 
 def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):

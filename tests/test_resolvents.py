@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -203,79 +205,181 @@ def test_prepared_pair_is_bit_identical_to_gating_every_point(dim):
             pair_resolvent_symmetric(prepared, lam1, lam2), want)
 
 
-def test_factor_memo_is_bit_identical_in_any_order_and_past_its_bound():
+@pytest.mark.parametrize("k", [1, 3, None])
+def test_grid_is_bit_identical_to_the_gated_oracle_in_any_order(k):
     iso, phi = _identity_extension_pair(5)
-    prepared = prepare_pair(iso, phi)
     rng = np.random.default_rng(11)
-    pairs = [oracles.random_point_pair(rng) for _ in range(4)]
-    grid = [(a, b) for a, _ in pairs for _, b in pairs]
-    grid += [(np.conj(a), b) for a, b in grid[:6]]
-    assert any(a.imag < 0 for a, _ in grid)
-    assert any(a.imag > 0 for a, _ in grid)
-    order = [grid[i] for i in rng.permutation(len(grid))]
-    # More distinct points than a memo keeps, then the first ones again,
-    # which by then are evicted.
-    sweep = [oracles.random_point_pair(rng)
-             for _ in range(resolvents.FACTOR_MEMO_ENTRIES + 8)]
-    points = order + order[::-1] + sweep + sweep[:8] + order
-    for lam1, lam2 in points:
-        want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
+    h = (None if k is None
+         else rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k)))
+    prepared = prepare_pair(iso, phi, h_embed=h)
+    pairs = [oracles.random_point_pair(rng) for _ in range(70)]
+    lam1 = [a for a, _ in pairs] + [np.conj(a) for a, _ in pairs[:6]]
+    lam2 = [b for _, b in pairs]
+    # More distinct points than the factor memo of earlier versions kept.
+    assert len(set(lam1)) > 64 and len(set(lam2)) > 64
+    assert {a.imag > 0 for a in lam1} == {b.imag > 0 for b in lam2} == {
+        True, False}
+    grid = pair_resolvent_symmetric(prepared, lam1, lam2)
+    assert grid.shape == (len(lam1), len(lam2), k or 5, k or 5)
+    # Every lambda1 and every lambda2 against the oracle at least once.
+    cells = {(i, i % len(lam2)) for i in range(len(lam1))}
+    cells |= {((7 * j + 3) % len(lam1), j) for j in range(len(lam2))}
+    for i, j in sorted(cells):
+        want = oracles.pair_resolvent_symmetric_gated(
+            iso, phi, lam1[i], lam2[j], h_embed=h)
+        assert np.array_equal(grid[i, j], want)
+    p1, p2 = rng.permutation(len(lam1)), rng.permutation(len(lam2))
+    permuted = pair_resolvent_symmetric(
+        prepared, [lam1[i] for i in p1], [lam2[j] for j in p2])
+    assert np.array_equal(permuted, grid[p1][:, p2])
+    for i, j in ((0, 0), (len(lam1) - 1, 5)):
         assert np.array_equal(
-            pair_resolvent_symmetric(prepared, lam1, lam2), want)
-    assert len(prepared._rows) == resolvents.FACTOR_MEMO_ENTRIES
-    assert len(prepared._cols) == resolvents.FACTOR_MEMO_ENTRIES
+            pair_resolvent_symmetric(prepared, lam1[i], lam2[j]), grid[i, j])
 
 
-def test_memoized_factors_are_read_only_and_results_are_fresh():
+def test_results_are_writable_and_fresh():
     iso, phi = _identity_extension_pair(5)
     prepared = prepare_pair(iso, phi)
-    for lam1, lam2 in ((2j, 0.5 + 2j), (-1 - 2j, 0.5 + 2j)):
+    for lam1, lam2 in ((2j, 0.5 + 2j), (-1 - 2j, 0.5 + 2j),
+                       ([2j, -1 - 2j], [0.5 + 2j])):
         want = pair_resolvent_symmetric(prepared, lam1, lam2)
         got = pair_resolvent_symmetric(prepared, lam1, lam2)
         assert got.flags.writeable
         got[...] = 7.0
         assert np.array_equal(pair_resolvent_symmetric(prepared, lam1, lam2),
                               want)
-    row = prepared.row(resolvents.cayley_point(2j))
-    col = prepared.col(resolvents.cayley_point(0.5 + 2j))
-    for factor in (row, col):
-        assert not factor.flags.writeable
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-    assert prepared.row(resolvents.cayley_point(2j)) is row
 
 
-def test_factor_memo_keys_keep_the_sign_of_zero(monkeypatch):
+def test_grid_shape_follows_the_arguments():
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi, h_embed=np.eye(5, 2, dtype=complex))
+    for lam1, lam2, shape in ((2j, 3j, (2, 2)), ([2j], 3j, (1, 2, 2)),
+                              (2j, [3j, 1 - 1j], (2, 2, 2)),
+                              ([2j, 1 - 1j], [3j], (2, 1, 2, 2)),
+                              ([], [3j], (0, 1, 2, 2)),
+                              ([2j], [], (1, 0, 2, 2))):
+        assert pair_resolvent_symmetric(prepared, lam1, lam2).shape == shape
+    # The first excluded point of lambda1, then of lambda2, as one by one.
+    for lam1, lam2, message in (
+            ([2j, 1j], [0.5, 3j],
+             "lambda1 = 1j lies in the excluded neighborhood of i"),
+            ([2j, -2j], [3j, 0.5, 1.5],
+             "lambda2 = (0.5+0j) lies on the real axis")):
+        with pytest.raises(ExcludedPointError) as caught:
+            pair_resolvent_symmetric(prepared, lam1, lam2)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("k", [1, None])
+def test_grid_is_solved_in_slices_under_the_cell_cap(monkeypatch, k):
+    iso, phi = _identity_extension_pair(20)
+    prepared = prepare_pair(iso, phi, h_embed=None if k is None
+                            else np.ones((20, k), dtype=complex))
+    rng = np.random.default_rng(4)
+    pairs = [oracles.random_point_pair(rng) for _ in range(9)]
+    lam1, lam2 = [a for a, _ in pairs[:7]], [b for _, b in pairs]
+    want = pair_resolvent_symmetric(prepared, lam1, lam2)
+    cap = 3 * 20 ** 2
+    monkeypatch.setattr(resolvents, "CHUNK_CELLS", cap)
+    sizes = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        sizes.append((a.size, np.size(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = pair_resolvent_symmetric(prepared, lam1, lam2)
+    assert np.array_equal(got, want)
+    # Slices of at most 3 points: the 7 z1 take three solves, and the 9
+    # or 18 z2 (18 when lambda1 lies in both half-planes) three or more.
+    assert len(sizes) >= 6
+    assert max(max(s) for s in sizes) <= cap
+
+
+def test_points_that_differ_in_the_sign_of_zero_are_solved_apart(
+        monkeypatch):
     iso, phi = _identity_extension_pair(5)
     prepared = prepare_pair(iso, phi)
-    solves = []
-    real = resolvents._extended_resolvent
+    # The z of 0.5j and of -0.0 + 0.5j differ only in the sign of the zero
+    # imaginary part.
+    lam = [complex(0.0, 0.5), complex(-0.0, 0.5)]
+    z = [resolvents.cayley_point(a) for a in lam]
+    assert z[0] == z[1] and str(z[0]) != str(z[1])
+    stacks = []
+    real = resolvents._solve_stack
 
-    def counted(full, z):
-        solves.append(z)
-        return real(full, z)
+    def counted(full, points, *args):
+        stacks.append([str(p) for p in points])
+        return real(full, points, *args)
 
-    monkeypatch.setattr(resolvents, "_extended_resolvent", counted)
-    for z in (complex(0.5, 0.0), complex(0.5, -0.0), complex(0.5, 0.0)):
-        prepared.row(z)
-    assert len(solves) == 2
-    assert "_rows" not in repr(prepared)
+    monkeypatch.setattr(resolvents, "_solve_stack", counted)
+    grid = pair_resolvent_symmetric(prepared, lam, lam)
+    assert stacks == [[str(p) for p in z]] * 2
+    for i, lam1 in enumerate(lam):
+        for j, lam2 in enumerate(lam):
+            want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
+            assert np.array_equal(grid[i, j].view(np.uint64),
+                                  want.view(np.uint64))
 
 
-def test_singular_factor_is_not_memoized(monkeypatch):
+def test_every_solve_has_one_right_hand_side_per_matrix(monkeypatch):
+    # NumPy 1.x reads a ``b`` one dimension short of ``a`` as a stack of
+    # vectors, so every stacked solve must pass ``b`` as deep as ``a``.
     iso, phi = _identity_extension_pair(5)
-    prepared = prepare_pair(iso, phi)
     calls = []
+    real = np.linalg.solve
 
-    def singular(full, z):
-        calls.append(z)
-        raise SingularMatrixError(f"resolvent singular at z = {z}")
+    def solve(a, b):
+        calls.append((np.ndim(a), np.ndim(b)))
+        return real(a, b)
 
-    monkeypatch.setattr(resolvents, "_extended_resolvent", singular)
-    for _ in range(2):
-        with pytest.raises(SingularMatrixError):
-            pair_resolvent_symmetric(prepared, 2j, 0.5 + 2j)
-    assert len(calls) == 2 and not prepared._rows
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    for h in (None, np.ones((5, 1), dtype=complex)):
+        prepared = prepare_pair(iso, phi, h_embed=h)
+        for lam1, lam2 in ((2j, 0.5 + 2j), ([2j, -1 - 2j], [0.5 + 2j, 3j])):
+            pair_resolvent_symmetric(prepared, lam1, lam2)
+    assert chumakin_resolvent(iso, phi, 0.3).shape == (5, 5)
+    assert unitary_moebius(iso.u_matrix, 0.3).shape == (5, 5)
+    assert calls and all(a == b for a, b in calls)
+
+
+def test_singular_factor_names_its_point(monkeypatch):
+    iso, phi = _identity_extension_pair(5)
+    prepared = prepare_pair(iso, phi)
+    bad = resolvents.cayley_point(2j)
+    real = resolvents._extended_resolvent
+    stacks = []
+
+    def singular_at_bad(full, z, *args):
+        stacks.append(len(z))
+        if bad in z:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(full, z, *args)
+
+    monkeypatch.setattr(resolvents, "_extended_resolvent", singular_at_bad)
+    message = f"resolvent singular at z = {bad}"
+    with pytest.raises(SingularMatrixError) as caught:
+        pair_resolvent_symmetric(prepared, 2j, 0.5 + 2j)
+    assert str(caught.value) == message
+    assert stacks == [1]
+    stacks.clear()
+    # 2j and -2j share their z1; the stack fails, the first point solves.
+    with pytest.raises(SingularMatrixError) as caught:
+        pair_resolvent_symmetric(prepared, [3j, -2j, 2j], [0.5 + 2j, 1j + 2])
+    assert str(caught.value) == message
+    assert stacks == [2, 1, 1]
+
+
+def test_singular_column_factor_names_its_point():
+    # E - z2 U is singular at the z2 = 1/3 of lambda2 = 2j.
+    iso = SimpleNamespace(u_matrix=np.diag([3.0, 0.5]).astype(complex))
+    prepared = resolvents.PreparedPair(iso, np.zeros((2, 2), dtype=complex))
+    message = f"E - z U singular at z = {resolvents.cayley_point(2j)}"
+    for lam2 in (2j, [1 + 1j, 2j, 3j]):
+        with pytest.raises(SingularMatrixError) as caught:
+            pair_resolvent_symmetric(prepared, 3j, lam2)
+        assert str(caught.value) == message
 
 
 def _compression_cases():
@@ -316,7 +420,9 @@ def test_compressed_pair_resolvent_matches_the_gated_oracle(case):
             # has the eigenvalue -1 (e3: A2 has the eigenvalue 0).
             z1, z2 = (resolvents.cayley_point(lam) for lam in (
                 (lam1, lam2) if lam1.imag > 0 else np.conj((lam1, lam2))))
-            scale = (np.linalg.norm(h) ** 2 * np.linalg.norm(plain.row(z1))
+            row = np.eye(iso.dim) - 2.0 * np.linalg.inv(
+                np.eye(iso.dim) - z1 * plain.extended)
+            scale = (np.linalg.norm(h) ** 2 * np.linalg.norm(row)
                      * 2.0 * np.linalg.norm(np.linalg.inv(
                          np.eye(iso.dim) - z2 * iso.u_matrix)))
             assert np.linalg.norm(got - want) <= 1e-13 * scale
@@ -324,9 +430,12 @@ def test_compressed_pair_resolvent_matches_the_gated_oracle(case):
             with pytest.raises(ExcludedPointError):
                 pair_resolvent_symmetric(prepared, lam1, lam2)
         k = h.shape[1]
-        assert prepared._rows and prepared._cols
-        assert {r.shape for r in prepared._rows.values()} == {(k, iso.dim)}
-        assert {c.shape for c in prepared._cols.values()} == {(iso.dim, k)}
+        lam1, lam2 = [a for a, _ in points], [b for _, b in points]
+        grid = pair_resolvent_symmetric(prepared, lam1, lam2)
+        assert grid.shape == (len(points), len(points), k, k)
+        for i, (a, b) in enumerate(points):
+            assert np.array_equal(
+                grid[i, i], pair_resolvent_symmetric(prepared, a, b))
 
 
 def test_resolvent_rejects_forbidden_parameter():
