@@ -61,7 +61,7 @@ from .errors import (ContractionViolatedError, FixedPointError,
                      NotSupportedError, StructureViolationError)
 from .gns import A2_OUT_OF_RANGE, SymmetricPair  # re-exports A2_OUT_OF_RANGE
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
-                     is_conjugation, is_hermitian, is_unitary,
+                     frobenius, is_conjugation, is_hermitian, is_unitary,
                      orth_columns, read_only, require_unitary,
                      subspace_residual)
 
@@ -307,19 +307,30 @@ def inverse_cayley(u: np.ndarray,
 
 
 def _inverse_cayley_stack(us: np.ndarray) -> tuple:
-    """:func:`inverse_cayley` of a stack, by one SVD and one solve: the
-    slices without a fixed point, and per slice its error or None."""
+    """:func:`inverse_cayley` of a stack: the slices without a fixed point,
+    and per slice its error or None.  The solution ``A = i (E + 2 (U -
+    E)^{-1})`` proves ``sigma_min(U - E) >= 2 / (1 + ||A||_F)``; an SVD
+    decides at ``FIXED_POINT_TOL`` only if the solve raises or a slice has
+    that bound at most ``2 * FIXED_POINT_TOL`` (2 covers the rounding)."""
     eye = np.eye(us.shape[-1])
-    shifted = us - eye
-    sigma_min = np.linalg.svd(shifted, compute_uv=False).min(
-        axis=1, initial=np.inf)
-    ok = sigma_min > FIXED_POINT_TOL
-    a = 1j * np.swapaxes(np.linalg.solve(
-        np.swapaxes(shifted[ok], 1, 2), np.swapaxes(us[ok] + eye, 1, 2)), 1, 2)
-    return 0.5 * (a + np.swapaxes(a.conj(), 1, 2)), [
-        None if passed else FixedPointError(
+    shifted, fixed = us - eye, [None] * len(us)
+
+    def solve(keep):
+        return 1j * np.swapaxes(np.linalg.solve(np.swapaxes(
+            shifted[keep], 1, 2), np.swapaxes(us[keep] + eye, 1, 2)), 1, 2)
+    try:
+        a = solve(...)
+        cleared = np.all(2.0 / (1.0 + frobenius(a)) > 2.0 * FIXED_POINT_TOL)
+    except np.linalg.LinAlgError:
+        cleared = False
+    if not cleared:
+        sigma_min = np.linalg.svd(shifted, compute_uv=False).min(
+            axis=1, initial=np.inf)
+        ok = sigma_min > FIXED_POINT_TOL
+        a, fixed = solve(ok), [None if passed else FixedPointError(
             f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
             f"(sigma_min = {s:.3e})") for passed, s in zip(ok, sigma_min)]
+    return 0.5 * (a + np.swapaxes(a.conj(), 1, 2)), fixed
 
 
 def build_isometric_pair(pair: SymmetricPair, *,

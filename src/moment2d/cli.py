@@ -13,7 +13,6 @@ the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import os
@@ -24,12 +23,10 @@ import numpy as np
 from . import io
 from .cayley import ContractionParameter, build_isometric_pair
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (EXIT_INPUT, EXIT_VERIFY, ExcludedPointError,
-                     FixedPointError, Moment2dError, NotSelfAdjointA2Error,
-                     SchemaError)
+from .errors import (EXIT_INPUT, EXIT_VERIFY, FixedPointError,
+                     Moment2dError, NotSelfAdjointA2Error, SchemaError)
 from .moments import carleman_diagnostic, check_psd
-from .resolvents import (pair_resolvent_symmetric, prepare_pair,
-                         validate_spectral_point)
+from .resolvents import pair_resolvent_symmetric, prepare_pair, valid_grid
 from .scenarios import e1, e2, e3
 from .solutions import (SAMPLER_KINDS, SamplerSpec, canonical_extension,
                         solve_canonical, verify_solution)
@@ -267,13 +264,7 @@ def cmd_eval_resolvent(args) -> int:
     # The gates run here once, even when every grid point is excluded.
     prepared = prepare_pair(iso, ContractionParameter.const(phi_matrix),
                             tolerances=tolerances, h_embed=pair.h00[:, None])
-    valid1, valid2 = [], []
-    for grid, valid, name in ((grid1, valid1, "lambda1"),
-                              (grid2, valid2, "lambda2")):
-        for lam in grid:
-            with contextlib.suppress(ExcludedPointError):
-                valid.append(validate_spectral_point(lam, name))
-    excluded = len(grid1) * len(grid2) - len(valid1) * len(valid2)
+    valid1, valid2, excluded = valid_grid(grid1, grid2)
     values = pair_resolvent_symmetric(prepared, valid1, valid2)[..., 0, 0]
     rows = [[lam1.real, lam1.imag, lam2.real, lam2.imag, value.real,
              value.imag] for lam1, line in zip(valid1, values.tolist())

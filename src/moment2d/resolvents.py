@@ -45,6 +45,7 @@ and each factor is solved against ``h_embed``, not ``E``.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,17 @@ def validate_spectral_point(lam: complex, name: str = "lambda") -> complex:
                 f"{name} = {lam} lies in the excluded neighborhood of {label}")
     return lam
 
+
+def valid_grid(lambda1, lambda2) -> tuple:
+    """The points of each line that :func:`validate_spectral_point` accepts
+    and the number of grid points lost: ``(valid1, valid2, excluded)``."""
+    valid = ([], [])
+    for line, kept, name in zip((lambda1, lambda2), valid,
+                                ("lambda1", "lambda2")):
+        for lam in line:
+            with contextlib.suppress(ExcludedPointError):
+                kept.append(validate_spectral_point(lam, name))
+    return *valid, len(lambda1) * len(lambda2) - len(valid[0]) * len(valid[1])
 
 
 def chumakin_resolvent(iso: IsometricPair, phi: ContractionParameter,

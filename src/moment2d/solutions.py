@@ -391,24 +391,30 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int, *,
     result's ``max_m`` reports how far that held (0 when ``h00`` already
     leaves ``D(A1)``).  Values must come out real within tolerance.
 
-    Row 0 is the chain ``A2^n h00``; row ``m`` applies ``A1`` once to
-    each vector of row ``m - 1`` and stops at the first one outside
-    ``D(A1)``.  A table with ``M + 1`` rows thus costs at most ``(M + 2)
-    * (max_n + 1)`` domain-tested shift steps, O(m n) where rebuilding
-    every chain from ``h00`` took O(m n (m + n)); each vector still
-    takes exactly the steps of its own chain, so the values are the
-    same to the last bit.
+    Row 0 is the chain ``A2^n h00``, two products per step into
+    column-contiguous buffers (each the product a lone vector takes),
+    domain-tested in one pass after it.  Row ``m`` applies ``A1`` to each
+    vector of row ``m - 1`` and stops at the first one outside ``D(A1)``:
+    O(m n) steps where rebuilding every chain from ``h00`` took O(m n (m +
+    n)), and each vector takes exactly the steps of its own chain, so the
+    values are the same to the last bit.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
-    tol = tolerances.subspace_tol
-    row = [pair.h00]
-    for _ in range(max_n):
-        x = _shift_step(pair.a2_domain, pair.a2_action, row[-1], tol)
-        if x is None:
-            raise ValueError("no moment row is reachable: h00 must at "
-                             "least support the m = 0 chain")
-        row.append(x)
+    tol, adjoint = tolerances.subspace_tol, pair.a2_domain.conj().T
+    dtype = np.result_type(pair.h00, adjoint, pair.a2_action)
+    chain = np.empty((pair.dim, max_n + 1), dtype, order="F")
+    coefs = np.empty((len(adjoint), max_n), dtype, order="F")
+    chain[:, 0] = pair.h00
+    for j in range(max_n):
+        np.matmul(adjoint, chain[:, j], out=coefs[:, j])
+        np.matmul(pair.a2_action, coefs[:, j], out=chain[:, j + 1])
+    steps = chain[:, :-1]
+    res, size = np.linalg.norm((steps - pair.a2_domain @ coefs, steps), axis=1)
+    if (res > tol * np.maximum(1.0, size)).any():
+        raise ValueError("no moment row is reachable: h00 must at least "
+                         "support the m = 0 chain")
+    row = list(chain.T)
     rows = [[complex(np.vdot(pair.h00, v)) for v in row]]
     while len(rows) <= max_m:
         shifted = []

@@ -451,6 +451,27 @@ def _require_commutes_one(name: str, a1: np.ndarray, a2: np.ndarray):
             f"{name} does not commute with A2 (residual {comm:.3e})")
 
 
+def inverse_cayley_stack_svd_first(us: np.ndarray) -> tuple:
+    """Inverse Cayley transforms of a stack of unitaries with the SVD
+    first: ``sigma_min(U - E)`` of every slice decides at
+    ``FIXED_POINT_TOL`` before anything is solved, then the slices that
+    pass are solved together.  Returns the Hermitian slices and, per
+    slice, ``None`` or its ``FixedPointError``."""
+    from moment2d.config import FIXED_POINT_TOL
+    from moment2d.errors import FixedPointError
+    eye = np.eye(us.shape[-1])
+    shifted = us - eye
+    sigma_min = np.linalg.svd(shifted, compute_uv=False).min(
+        axis=1, initial=np.inf)
+    ok = sigma_min > FIXED_POINT_TOL
+    a = 1j * np.swapaxes(np.linalg.solve(
+        np.swapaxes(shifted[ok], 1, 2), np.swapaxes(us[ok] + eye, 1, 2)), 1, 2)
+    errors = [None if passed else FixedPointError(
+        f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
+        f"(sigma_min = {s:.3e})") for passed, s in zip(ok, sigma_min)]
+    return 0.5 * (a + np.swapaxes(a.conj(), 1, 2)), errors
+
+
 def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:
     """Hermitian extension of ``A1`` for one commutant parameter ``u2``
     of a pair with a nonzero defect, gate by gate: ``U2`` unitary and

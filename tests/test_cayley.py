@@ -112,6 +112,52 @@ def test_inverse_cayley_gates():
         inverse_cayley(np.diag([0.5 + 0j, 1j]))
 
 
+def _unitary_with_eigenvalue_near_one(rng, n: int, delta: float):
+    """Random ``n x n`` unitary with one eigenvalue at distance ``delta``
+    from 1 and the others at least 0.5 away from it along the circle."""
+    angles = rng.uniform(0.5, 2.0 * np.pi - 0.5, size=n)
+    angles[0] = 2.0 * np.arcsin(delta / 2.0)
+    q = haar_unitary(n, rng)
+    return (q * np.exp(1j * angles)) @ q.conj().T
+
+
+@pytest.mark.parametrize("delta", [1e-10, 5e-9, 1e-8, 1.5e-8, 2e-8, 1e-7,
+                                   1e-3, 0.0])
+def test_fixed_point_screen_matches_the_svd_first_oracle(monkeypatch, delta):
+    """Stacks with one eigenvalue at ``delta`` from 1 give, bit for bit,
+    the slices and errors of an SVD taken first.  The SVD runs only when
+    the solve does not clear the bound, and ``delta = 0`` stands for a
+    ``U - E`` that is exactly singular (the stacked solve raises)."""
+    from moment2d.cayley import _inverse_cayley_stack
+    rng = np.random.default_rng(23)
+    n = 8
+    far = [_unitary_with_eigenvalue_near_one(rng, n, 1.0) for _ in range(3)]
+    if delta:
+        near = _unitary_with_eigenvalue_near_one(rng, n, delta)
+    else:
+        near = np.diag(np.exp(1j * np.linspace(0.0, 3.0, n)))
+    svd_calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (
+        svd_calls.append(1), real_svd(*args, **kwargs))[1])
+    for stack in ([near], [far[0], near, far[1]], [near] + far, far + [near]):
+        us = np.array(stack)
+        svd_calls.clear()
+        got, got_errors = _inverse_cayley_stack(us)
+        screened = bool(svd_calls)
+        want, want_errors = oracles.inverse_cayley_stack_svd_first(us)
+        assert got.tobytes() == want.tobytes()
+        assert [(type(e), str(e)) for e in got_errors] == [
+            (type(e), str(e)) for e in want_errors]
+        if delta != 2e-8:   # there the bound sits at 2 * FIXED_POINT_TOL
+            assert screened == (delta < 2e-8)
+    if delta != 1e-8:   # at the threshold itself either verdict is sound
+        assert (want_errors[-1] is None) == (delta > 1e-8)
+    if delta < 1e-8:
+        with pytest.raises(FixedPointError, match=r"sigma_min = "):
+            inverse_cayley(near)
+
+
 def test_isometric_pair_invariants():
     iso = build_isometric_pair(e3().pair)
     assert iso.defect_dim == 1

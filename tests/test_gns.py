@@ -209,6 +209,15 @@ def test_moments_from_pair_chain_leaving_a2_domain_raises():
         pair, 3, 2, DEFAULT_TOLERANCES.subspace_tol).shape[0] == 0
     with pytest.raises(ValueError, match="no moment row is reachable"):
         moments_from_pair(pair, 3, 2)
+    # A2 e0 = e1, A2 e1 = e2 and e2 is outside D(A2) = span{e0, e1}: the
+    # chain leaves the domain at step 2, after two steps that pass.
+    pair = _basis_pair([0, 1, 2], [0, 1, 2], [0, 1], [1, 2])
+    assert _assert_matches_per_chain(pair, 3, 2).max_m == 3
+    for max_n in (3, 6):
+        assert oracles.pair_moments_per_chain(
+            pair, 3, max_n, DEFAULT_TOLERANCES.subspace_tol).shape[0] == 0
+        with pytest.raises(ValueError, match="no moment row is reachable"):
+            moments_from_pair(pair, 3, max_n)
 
 
 def test_moments_from_pair_row_stops_at_first_vector_outside_a1(monkeypatch):

@@ -1067,6 +1067,29 @@ def test_solve_canonical_forms_one_schur_form_of_w2(monkeypatch):
     assert calls == [(2, 2)]
 
 
+def test_pair_stream_clears_the_fixed_point_screen_without_an_svd(
+        monkeypatch):
+    """On pairs whose extensions are far from a fixed point the stacked
+    solve clears the screen: no SVD of the ``(K, n, n)`` extension stack."""
+    real = np.linalg.svd
+    stacks = []
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for seed in range(4):
+        rejected = []
+        reports = list(solve_canonical(
+            e3_class(20, 2, seed).pair,
+            sampler=SamplerSpec("exhaustive-phases", phases=4),
+            on_reject=lambda label, exc: rejected.append(label)))
+        assert len(reports) >= 4 and not rejected
+    assert stacks == []
+
+
 def test_held_schur_form_gives_the_same_factors_and_stream():
     from moment2d import godich_lutsenko
     iso = build_isometric_pair(e3_class(20, 3, 5).pair)
