@@ -204,13 +204,9 @@ class IsometricPair:
 
     def operator_domain(self, *,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Orthonormal basis of ``D(A) = (E - V) D(V)``.
-
-        ``V`` has no fixed vectors when it comes from a symmetric ``A``,
-        so the map is injective and the basis has ``dim D(V)`` columns;
-        :func:`build_isometric_pair` refuses a pair with a nonzero defect
-        on which the basis, cut at ``subspace_tol``, has fewer.
-        """
+        """Orthonormal basis of ``D(A) = (E - V) D(V)``, cut at
+        ``subspace_tol``: ``dim D(V)`` columns unless ``V`` fixes a vector,
+        which :func:`build_isometric_pair` refuses at a nonzero defect."""
         return orth_columns(self.v_domain - self.v_action,
                             tolerances.subspace_tol)
 
@@ -343,11 +339,11 @@ def build_isometric_pair(pair: SymmetricPair, *,
     Checks: ``U`` unitary, ``U D(V) = D(V)``, ``U`` leaving ``R(V)``
     invariant (hence both defect subspaces), the commutation of ``U``
     with ``V`` on ``D(V)``, and, at a nonzero defect, ``V`` fixing no
-    vector: ``(E - V) D(V)``, cut at ``subspace_tol``, keeps the
-    dimension of ``D(V)``.  Violations raise ``StructureViolationError``;
-    a non-self-adjoint ``A2`` raises ``NotSelfAdjointA2Error`` with the
-    defect indices attached.  The pair's conjugation ``J`` is kept as
-    ``j_matrix``.
+    vector: ``(E - V) D(V)``, cut at ``subspace_tol``, keeps the dimension
+    of ``D(V)`` (by an SVD where :func:`_clears_fixed_vector_gate` fails).
+    Violations raise ``StructureViolationError``; a non-self-adjoint ``A2``
+    raises ``NotSelfAdjointA2Error`` with the defect indices attached.
+    The pair's conjugation ``J`` is kept as ``j_matrix``.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
@@ -378,18 +374,34 @@ def build_isometric_pair(pair: SymmetricPair, *,
         if float(np.linalg.norm(comm)) > STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "U and V do not commute on D(V)")
-    if n0.shape[1]:
+    if n0.shape[1] and not _clears_fixed_vector_gate(pair, subspace_tol):
         # At defect 0 no forbidden operator is needed, and the resolvent
         # of a unitary V with a numerically fixed vector still evaluates.
         _full_operator_domain(iso, tolerances)
     return iso
 
 
+def _clears_fixed_vector_gate(pair: SymmetricPair, subspace_tol: float) -> bool:
+    """Whether ``(E - V) D(V)`` of ``cayley(pair)`` provably keeps its rank
+    at the cut ``subspace_tol``.  With ``Q, T = a1_domain, a1_action`` and
+    :func:`cayley`'s QR ``T - iQ = D(V) R``, ``v_domain - v_action = -2i Q
+    R^-1`` and ``R^H R = T^H T + G + i (H^H - H)``, ``G, H = Q^H Q, Q^H T``.
+    With ``d = ||G - E||_F``, :func:`cayley`'s check gives ``||H - H^H||_F
+    <= STRUCTURE_TOL (1 + (1 + d)^(1/2) ||T||_F)``.  If ``d`` plus that is at
+    most 1/4, ``G`` and ``R^H R`` have spectra in ``[3/4, 5/4]`` and ``[3/4,
+    5/4 + ||T||_F^2]``: ``cond <= (5/3) hypot(1, ||T||_F)``, which the cut
+    ``hypot(1, ||T||_F) <= 1 / (4 subspace_tol)`` keeps 12/5 below the SVD's."""
+    q, top = pair.a1_domain, np.linalg.norm(pair.a1_action)
+    d = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+    e = d + STRUCTURE_TOL * (1.0 + np.sqrt(1.0 + d) * top)
+    return e <= 0.25 and np.hypot(1.0, top) <= 0.25 / subspace_tol
+
+
 def _full_operator_domain(iso: IsometricPair,
                           tolerances: Tolerances) -> np.ndarray:
-    """``iso.operator_domain()``, kept on ``iso`` per ``subspace_tol``;
-    raises ``StructureViolationError`` (and keeps nothing) when it has
-    fewer columns than ``D(V)``, i.e. ``V`` fixes a vector."""
+    """``iso.operator_domain()``, kept on ``iso`` per ``subspace_tol``; raises
+    ``StructureViolationError`` (keeping nothing) if ``V`` fixes a vector.
+    Built lazily when :func:`_clears_fixed_vector_gate` clears the pair."""
     tol = tolerances.subspace_tol
     if tol not in iso._full_domains:
         q = iso.operator_domain(tolerances=tolerances)

@@ -196,22 +196,30 @@ def _gram_indices(d_m: int, d_n: int) -> tuple:
                  for k in np.array(_monomials(d_m, d_n)).T)
 
 
+def _power_table(t: np.ndarray, top: int) -> np.ndarray:
+    """``t[:, None] ** arange(top + 1)``, as ``|t| ** k`` with ``t``'s sign on
+    odd ``k``: ``pow``'s accuracy on positive bases, without its slow path."""
+    table = np.abs(t)[:, None] ** np.arange(top + 1)
+    np.copysign(table[:, 1::2], t[:, None], out=table[:, 1::2])
+    return table
+
+
 def moments_of_measure(measure: AtomicMeasure, max_m: int,
                        max_n: int) -> MomentTable:
     """Exact moments of an atomic measure by direct summation.
 
     This is the independent oracle the rest of the package is verified
     against: ``s_{m,n} = sum_i w_i t1_i^m t2_i^n`` with ``0^0 = 1``.
-    The terms ``w_i t1_i^m t2_i^n`` are one ``(k, max_m + 1, max_n + 1)``
-    array, added to a zero rectangle one atom's slab at a time, in atom
-    order, so every sum is rounded as in a plain per-atom loop.
-    ``np.add.reduce`` over the atom axis would not keep that order: on a
-    1 x 1 rectangle it sums the atoms pairwise.
+    The powers come from :func:`_power_table`; the terms ``w_i t1_i^m
+    t2_i^n``, one ``(k, max_m + 1, max_n + 1)`` array, are added to a zero
+    rectangle one atom's slab at a time, in atom order, so every sum is
+    rounded as in a plain per-atom loop (``np.add.reduce`` over the atom
+    axis sums a 1 x 1 rectangle's atoms pairwise).
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
-    p1 = measure.points[:, :1] ** np.arange(max_m + 1)
-    p2 = measure.points[:, 1:] ** np.arange(max_n + 1)
+    p1 = _power_table(measure.points[:, 0], max_m)
+    p2 = _power_table(measure.points[:, 1], max_n)
     terms = measure.weights[:, None, None] * (p1[:, :, None] * p2[:, None, :])
     values = np.zeros((max_m + 1, max_n + 1))
     for term in terms:

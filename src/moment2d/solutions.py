@@ -36,7 +36,7 @@ from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
 from .linalg import (CHUNK_CELLS, as_complex_matrix, frobenius, haar_unitary,
                      is_hermitian, is_unitary, read_only, require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
-                      moments_of_measure)
+                      _power_table, moments_of_measure)
 
 __all__ = [
     "SamplerSpec",
@@ -450,27 +450,23 @@ def refine_measure(measure: AtomicMeasure,
         return measure
     ms = np.arange(table.max_m + 1)
     ns = np.arange(table.max_n + 1)
-    target = table.values
 
-    def unpack(x):
-        return x[:k], x[k:2 * k], x[2 * k:]
+    def powers(x):  # (k, M+1) and (k, N+1) power tables, weights
+        return (_power_table(x[:k], table.max_m),
+                _power_table(x[k:2 * k], table.max_n), x[2 * k:])
 
     def residuals(x):
-        t1, t2, w = unpack(x)
-        p1 = t1[None, :] ** ms[:, None]           # (M+1, k)
-        p2 = t2[None, :] ** ns[:, None]           # (N+1, k)
-        model = np.einsum("mk,nk,k->mn", p1, p2, w)
-        return (model - target).ravel()
+        p1, p2, w = powers(x)
+        model = np.einsum("km,kn,k->mn", p1, p2, w)
+        return (model - table.values).ravel()
 
     def jacobian(x):
-        t1, t2, w = unpack(x)
-        p1 = t1[None, :] ** ms[:, None]
-        p2 = t2[None, :] ** ns[:, None]
-        d1 = ms[:, None] * t1[None, :] ** np.maximum(ms[:, None] - 1, 0)
-        d2 = ns[:, None] * t2[None, :] ** np.maximum(ns[:, None] - 1, 0)
-        jt1 = np.einsum("mk,nk,k->mnk", d1, p2, w)
-        jt2 = np.einsum("mk,nk,k->mnk", p1, d2, w)
-        jw = np.einsum("mk,nk->mnk", p1, p2)
+        p1, p2, w = powers(x)
+        d1 = ms * p1[:, np.maximum(ms - 1, 0)]   # m t^(m-1), 0 at m = 0
+        d2 = ns * p2[:, np.maximum(ns - 1, 0)]
+        jt1 = np.einsum("km,kn,k->mnk", d1, p2, w)
+        jt2 = np.einsum("km,kn,k->mnk", p1, d2, w)
+        jw = np.einsum("km,kn->mnk", p1, p2)
         return np.concatenate([jt1, jt2, jw], axis=2).reshape(-1, 3 * k)
 
     x0 = np.concatenate([measure.points[:, 0], measure.points[:, 1],
@@ -480,9 +476,8 @@ def refine_measure(measure: AtomicMeasure,
     result = scipy.optimize.least_squares(
         residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=REFINE_MAX_NFEV)
-    t1, t2, w = unpack(result.x)
-    points = np.stack([t1, t2], axis=1)
-    return AtomicMeasure(points, w, measure.merge_tol).sorted()
+    points = result.x[:2 * k].reshape(2, k).T
+    return AtomicMeasure(points, result.x[2 * k:], measure.merge_tol).sorted()
 
 
 def _cross_validation_points(count: int, seed: int) -> tuple:

@@ -320,8 +320,11 @@ def moments_of_measure_per_atom(measure, max_m: int,
     product of powers at a time, in atom order, to a zero array."""
     values = np.zeros((max_m + 1, max_n + 1))
     for t, w in zip(measure.points, measure.weights):
-        p1 = t[0] ** np.arange(max_m + 1)
-        p2 = t[1] ** np.arange(max_n + 1)
+        # |t| ** k, negated where t has its sign bit set and k is odd.
+        p1 = abs(t[0]) ** np.arange(max_m + 1) * np.where(
+            np.signbit(t[0]) & (np.arange(max_m + 1) % 2 == 1), -1.0, 1.0)
+        p2 = abs(t[1]) ** np.arange(max_n + 1) * np.where(
+            np.signbit(t[1]) & (np.arange(max_n + 1) % 2 == 1), -1.0, 1.0)
         values += w * np.outer(p1, p2)
     return values
 
@@ -470,6 +473,24 @@ def inverse_cayley_stack_svd_first(us: np.ndarray) -> tuple:
         f"unitary has an eigenvalue within {FIXED_POINT_TOL} of 1 "
         f"(sigma_min = {s:.3e})") for passed, s in zip(ok, sigma_min)]
     return 0.5 * (a + np.swapaxes(a.conj(), 1, 2)), errors
+
+
+def fixed_vector_gate_svd_first(pair, tolerances):
+    """The fixed-vector gate of ``build_isometric_pair`` decided by the SVD
+    alone: at a nonzero defect every singular value of ``(E - V) D(V)``,
+    from ``cayley(pair)``, must exceed ``subspace_tol`` times the largest.
+    Returns ``None`` or the ``StructureViolationError`` the gate raises."""
+    from moment2d.cayley import cayley
+    from moment2d.errors import StructureViolationError
+    cay = cayley(pair, tolerances=tolerances)
+    if cay.domain.shape[1] == pair.dim:
+        return None
+    s = np.linalg.svd(cay.domain - cay.action, compute_uv=False)
+    if np.all(s > tolerances.subspace_tol * s.max(initial=0.0)):
+        return None
+    return StructureViolationError(
+        "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+        "outside the numerically supported range")
 
 
 def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:

@@ -413,6 +413,77 @@ def test_a_cayley_transform_with_a_fixed_vector_is_refused_when_built():
     assert rejected == []
 
 
+def _scaled_a1_pair(norm: float, basis_scale: float = 1.0) -> SymmetricPair:
+    """Dimension 6, defect 2, A2 = 0: on a random 4-dimensional domain A1
+    has the eigenvalues 0, 0.3, 0.7, 1 and a part leaving the domain that
+    spares the kernel, scaled to ``||A1||_F = norm``, so ``(E - V) D(V)``
+    has condition number about ``norm``; ``basis_scale`` stretches the
+    domain basis."""
+    rng = np.random.default_rng(3)
+    w = haar_unitary(6, rng)
+    v = haar_unitary(4, rng)
+    h = (v * np.array([0.0, 0.3, 0.7, 1.0])) @ v.conj().T
+    t = w[:, :4] @ (0.5 * (h + h.conj().T)) + 0.1 * w[:, 4:] @ rng.normal(
+        size=(2, 3)) @ v[:, 1:].conj().T
+    t *= norm / np.linalg.norm(t)
+    return SymmetricPair(dim=6, a1_domain=basis_scale * w[:, :4],
+                         a1_action=basis_scale * t,
+                         a2_domain=np.eye(6, dtype=complex),
+                         a2_action=np.zeros((6, 6), dtype=complex),
+                         h00=w[:, 0], j_matrix=np.eye(6, dtype=complex))
+
+
+@pytest.fixture
+def domain_calls(monkeypatch) -> list:
+    """The pairs on which ``IsometricPair.operator_domain`` runs, in order."""
+    calls = []
+    real = IsometricPair.operator_domain
+
+    def counted(self, **kwargs):
+        calls.append(self)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(IsometricPair, "operator_domain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("subspace_tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("basis_scale", [1.0, 1.5])
+def test_fixed_vector_screen_matches_the_svd_first_oracle(
+        subspace_tol, basis_scale, domain_calls):
+    tolerances = Tolerances(subspace_tol=subspace_tol)
+    calls = domain_calls
+    decisions = set()
+    for norm in np.geomspace(1.0, 1e10, 61):
+        pair = _scaled_a1_pair(norm, basis_scale)
+        want = oracles.fixed_vector_gate_svd_first(pair, tolerances)
+        del calls[:]
+        try:
+            build_isometric_pair(pair, tolerances=tolerances)
+            got = None
+        except StructureViolationError as exc:
+            got = exc
+        assert type(got) is type(want) and str(got) == str(want), norm
+        decisions.add(got is None)
+        # The SVD runs past the screen's cut, and always for a stretched
+        # domain basis; well inside the cut it does not run.
+        bound = np.hypot(1.0, np.linalg.norm(pair.a1_action))
+        if basis_scale != 1.0 or bound > 0.25 / subspace_tol:
+            assert len(calls) == 1, norm
+        elif bound <= 0.1 / subspace_tol:
+            assert calls == [], norm
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("defect", [1, 2, 3])
+def test_dimension_40_pairs_clear_the_fixed_vector_gate_without_an_svd(
+        defect, domain_calls):
+    for seed in range(4):
+        assert build_isometric_pair(
+            e3_class(40, defect, seed).pair).defect_dim == defect
+    assert domain_calls == []
+
+
 def test_a_fixed_vector_at_defect_zero_is_not_refused():
     # A1 = diag(1e10, 0.5, -1) is self-adjoint: no forbidden operator is
     # needed, and the pair resolvent still matches the atomic sum.

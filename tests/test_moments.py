@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from moment2d import (
     moments_of_measure,
     monomial_indices,
 )
+from moment2d.moments import _power_table
 
 import oracles
 
@@ -102,6 +104,36 @@ def test_moments_of_measure_is_bit_identical_to_the_per_atom_loop(k):
         assert got.shape == want.shape == (max_m + 1, max_n + 1)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_power_table_is_within_one_ulp_of_the_exact_powers():
+    rng = np.random.default_rng(11)
+    mags = np.concatenate([[1e-3, 1e3, 1.0], 10.0 ** rng.uniform(-3, 3, 24)])
+    bases = np.concatenate([mags, -mags, [0.0, -0.0]])
+    table = _power_table(bases, 80)
+    assert table.shape == (bases.size, 81)
+    for t, row in zip(bases, table):
+        for k, got in enumerate(row):
+            exact = Fraction(t) ** k
+            ulp = Fraction(np.spacing(abs(float(exact))))
+            assert abs(Fraction(got) - exact) <= ulp, (t, k)
+            # The sign, signed zeros included, is the sign of t ** k.
+            assert np.signbit(got) == np.signbit(t ** k), (t, k)
+
+
+def test_moments_of_dyadic_atoms_are_exact():
+    # Every power, product and partial sum here is a short dyadic
+    # rational, so correctly computed moments equal the exact ones.
+    points = [(0.5, -0.75), (-0.5, 1.25), (-0.75, -1.25), (1.25, 0.5),
+              (-1.25, -0.5), (0.75, 0.75)]
+    weights = [0.25, 0.125, 0.375, 0.0625, 0.1875, 0.5]
+    mu = AtomicMeasure(np.array(points), np.array(weights))
+    max_m, max_n = 5, 6
+    exact = np.array([[float(sum(Fraction(w) * Fraction(t1) ** m
+                                 * Fraction(t2) ** n
+                                 for (t1, t2), w in zip(points, weights)))
+                       for n in range(max_n + 1)] for m in range(max_m + 1)])
+    assert np.array_equal(moments_of_measure(mu, max_m, max_n).values, exact)
 
 
 def test_moment_matrix_of_two_point_measure():
