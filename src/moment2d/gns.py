@@ -10,8 +10,8 @@ shift operators
 
 with cyclic vector ``h_{0,0}`` and the canonical conjugation ``J`` that
 fixes every class.  Because the Gram matrix is real, the coordinate
-construction below is real, and ``J`` acts as plain entrywise
-conjugation (its matrix is the identity).
+construction below is real: ``J`` is entrywise conjugation (its matrix is
+the identity), and one real SVD gives a shift's domain basis and action.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, RESIDUAL_GATE,
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError,
                      StructureViolationError)
-from .linalg import is_hermitian, orth_columns, read_only
+from .linalg import is_hermitian, read_only, truncated_svd
 from .moments import MomentTable, _monomials, _per_rectangle, moment_matrix
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
@@ -194,23 +194,24 @@ def _shift_columns(d_m: int, d_n: int, which: int) -> np.ndarray:
 
 def _shift_operator(space: GnsSpace, which: int, tolerances: Tolerances,
                     gate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Domain basis and action of one shift; residual bound ``gate``."""
+    """Domain basis ``U_r`` and action of one shift from one real SVD ``dom =
+    U S Vh``.  ``action @ r = img``, ``r = basis^H dom``, is solved in least
+    squares with ``r^+ = Vh_r^H / S_r`` (exact for ``r = S_r Vh_r``) and one
+    refinement step.  A residual above ``gate`` means a kernel combination
+    of domain classes leaves the quotient span under the shift."""
     cols, cols_shifted = _shift_columns(space.d_m, space.d_n, which)
     dom_vectors = space.coords[:, cols]
     img_vectors = space.coords[:, cols_shifted]
-    basis = orth_columns(dom_vectors, tolerances.subspace_tol)
-    if basis.shape[1] == 0:
-        raise DomainCollapseError(f"domain of A{which} is zero-dimensional")
-    # Solve action @ (basis^H dom) = img in least squares.  The residual
-    # measures whether the shift is well defined on the quotient: any
-    # kernel combination of domain classes must be annihilated by the
-    # shifted columns as well.
-    r = basis.conj().T @ dom_vectors
     try:
-        action_t, _, _, _ = np.linalg.lstsq(r.T, img_vectors.T, rcond=None)
+        basis, s, vh = truncated_svd(dom_vectors, tolerances.subspace_tol)
     except np.linalg.LinAlgError as exc:
         raise SingularShiftError(f"shift solve failed for A{which}: {exc}")
-    action = action_t.T
+    if s.size == 0:
+        raise DomainCollapseError(f"domain of A{which} is zero-dimensional")
+    r = basis.conj().T @ dom_vectors
+    r_pinv = vh.conj().T / s
+    action = img_vectors @ r_pinv
+    action += (img_vectors - action @ r) @ r_pinv
     residual = float(np.linalg.norm(action @ r - img_vectors))
     if residual > gate:
         raise InconsistentShiftError(

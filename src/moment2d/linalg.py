@@ -17,6 +17,7 @@ from .errors import NotUnitaryError
 __all__ = [
     "as_complex_matrix",
     "orth_columns",
+    "truncated_svd",
     "complement_basis",
     "subspace_residual",
     "is_hermitian",
@@ -47,23 +48,21 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def orth_columns(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a``.
-
-    Uses an SVD; singular values below ``tol`` times the largest are
-    treated as zero.  Returns an ``(n, r)`` matrix with orthonormal
-    columns (``r`` may be 0).
-    """
-    a = as_complex_matrix(a)
+def truncated_svd(a: np.ndarray, tol: float = SUBSPACE_TOL) -> tuple:
+    """Thin SVD ``(U_r, S_r, Vh_r)`` of ``a``, in its own dtype, keeping the
+    singular values above ``tol`` times the largest (``r = 0`` when ``a``
+    has no columns or is all zero)."""
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    if a.shape[1] == 0 or not np.any(a):
-        return empty_basis(a.shape[0])
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return empty_basis(a.shape[0])
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    return u[:, :rank], s[:rank], vh[:rank]
+
+
+def orth_columns(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
+    """Orthonormal basis (``n x r``, ``r`` may be 0) of the column space of
+    ``a``: the ``U_r`` of :func:`truncated_svd` in complex arithmetic."""
+    return truncated_svd(as_complex_matrix(a), tol)[0]
 
 
 def complement_basis(basis: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:

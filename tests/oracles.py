@@ -662,3 +662,39 @@ def solve_canonical_per_parameter(pair, sampler, on_reject=None):
         yield solutions.verify_solution(measure, ref,
                                         determinate=determinate,
                                         u2_seed=label)
+
+
+def shift_operator_lstsq(space, which: int, tolerances, gate: float) -> tuple:
+    """Domain basis and action of one GNS shift the two-factorization way:
+    an orthonormal basis of the domain columns from a complex SVD (the
+    rank rule of ``orth_columns``), then a least-squares solve of
+    ``action @ (basis^H dom) = img``.  Raises the errors of
+    ``gns._shift_operator`` with the same messages."""
+    from moment2d.errors import (DomainCollapseError, InconsistentShiftError,
+                                 SingularShiftError)
+    dm, dn = (1, 0) if which == 1 else (0, 1)
+    kept = [(m, n) for m, n in space.monomial_index
+            if (m + dm, n + dn) in space.monomial_index]
+    dom_vectors = space.coords[:, [space.index_of(m, n) for m, n in kept]]
+    img_vectors = space.coords[:, [space.index_of(m + dm, n + dn)
+                                   for m, n in kept]]
+    a = np.asarray(dom_vectors, dtype=complex)
+    if a.shape[1] == 0 or not np.any(a):
+        basis = np.zeros((a.shape[0], 0), dtype=complex)
+    else:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        basis = u[:, :int(np.sum(s > tolerances.subspace_tol * s[0]))]
+    if basis.shape[1] == 0:
+        raise DomainCollapseError(f"domain of A{which} is zero-dimensional")
+    r = basis.conj().T @ dom_vectors
+    try:
+        action_t, _, _, _ = np.linalg.lstsq(r.T, img_vectors.T, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise SingularShiftError(f"shift solve failed for A{which}: {exc}")
+    action = action_t.T
+    residual = float(np.linalg.norm(action @ r - img_vectors))
+    if residual > gate:
+        raise InconsistentShiftError(
+            f"shift A{which} leaves the quotient span: residual "
+            f"{residual:.3e} > gate {gate:.3e}")
+    return basis, action

@@ -22,7 +22,11 @@ from moment2d import (
     moments_of_measure,
     random_atomic_measure,
 )
-from moment2d import solutions
+from moment2d import io, solutions
+from moment2d.cli import main
+from moment2d.config import RESIDUAL_GATE
+from moment2d.errors import Moment2dError, SingularShiftError
+from moment2d.gns import _shift_columns, _shift_operator
 
 import oracles
 
@@ -258,3 +262,112 @@ def test_cached_shift_columns_match_the_space_index():
             assert shifted.tolist() == [
                 space.index_of(m + step[0], n + step[1]) for m, n in kept]
             assert not (cols.flags.writeable or shifted.flags.writeable)
+
+
+def _both_shift_paths(space, which):
+    """``(basis, action)`` or the raised error, from the library and from
+    the SVD-plus-``lstsq`` oracle, with ``build_operators``'s gate."""
+    gate = RESIDUAL_GATE * max(1.0, float(np.linalg.norm(space.gram)))
+    out = []
+    for shift in (_shift_operator, oracles.shift_operator_lstsq):
+        try:
+            out.append(shift(space, which, DEFAULT_TOLERANCES, gate))
+        except Moment2dError as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("box", [1.0, 2.0])
+def test_shift_operators_match_the_lstsq_oracle(box):
+    # Both paths compute the operator to about eps * kappa, kappa the
+    # condition number of the retained domain columns; at degree 20 on
+    # [-2, 2]^2 kappa reaches 3e5 and the two differ by up to 4e-12.  The
+    # library's refinement step fits the domain columns more closely than
+    # lstsq does: its least-squares residual is the smaller one on most
+    # inputs.
+    eps = np.finfo(float).eps
+    deficient, fits = 0, []
+    for seed in range(8):
+        rng = np.random.default_rng([seed, int(box)])
+        mu = random_atomic_measure(rng, coord_low=-box, coord_high=box)
+        for degree in (8, 12, 14, 16, 20):
+            table = moments_of_measure(mu, degree, degree)
+            h = degree // 2
+            for d_m, d_n in ((h, h - 1), (h - 2, h), (1, h), (h, 2)):
+                space = build_gns(table, d_m, d_n)
+                deficient += space.rank < len(space.monomial_index)
+                for which in (1, 2):
+                    (basis, action), (ref_basis, ref_action) = \
+                        _both_shift_paths(space, which)
+                    assert basis.shape == ref_basis.shape
+                    op = action @ basis.conj().T
+                    ref = ref_action @ ref_basis.conj().T
+                    cols, shifted = _shift_columns(d_m, d_n, which)
+                    dom, img = space.coords[:, cols], space.coords[:, shifted]
+                    _, s, vh = np.linalg.svd(dom, full_matrices=False)
+                    rank = basis.shape[1]
+                    kappa = s[0] / s[rank - 1]
+                    assert (np.linalg.norm(op - ref)
+                            <= max(1e-12, 64 * eps * kappa)
+                            * np.linalg.norm(ref))
+                    fits.append([np.linalg.norm((m @ dom - img) @ vh[:rank].T)
+                                 for m in (op, ref)])
+    assert deficient == 8 * 5 * 4
+    fit, ref_fit = np.array(fits).T
+    assert np.median(fit / ref_fit) < 1.0
+
+
+@pytest.mark.parametrize("values, which, error", [
+    # The table of test_inconsistent_shift_is_detected: A1 is well
+    # defined, A2 is not.
+    (np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]), 2,
+     InconsistentShiftError),
+    (np.zeros((3, 3)), 1, DomainCollapseError),
+], ids=["inconsistent", "all-zero"])
+def test_shift_errors_match_the_lstsq_oracle(values, which, error):
+    space = build_gns(MomentTable(2, 2, values), 1, 1)
+    with pytest.raises(error) as raised:
+        build_operators(space)
+    got, ref = _both_shift_paths(space, which)
+    assert type(got) is type(ref) is error
+    assert str(got) == str(ref) == str(raised.value)
+    if error is DomainCollapseError:
+        assert str(got) == "domain of A1 is zero-dimensional"
+
+
+def test_each_shift_takes_one_svd_and_no_lstsq(monkeypatch):
+    calls = {"svd": 0, "lstsq": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rng = np.random.default_rng(3)
+    table = moments_of_measure(_random_measure(rng, 5), 8, 8)
+    build_operators(build_gns(table, 4, 3))
+    assert calls == {"svd": 2, "lstsq": 0}
+
+
+def test_a_failed_shift_svd_is_a_singular_shift_error(monkeypatch, tmp_path,
+                                                      capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SingularShiftError,
+                       match="^shift solve failed for A1: SVD did not "
+                             "converge$"):
+        build_operators(build_gns(e2().table, 1, 1))
+    path = tmp_path / "table.json"
+    io.write_json(io.moment_table_to_json(e2().table), str(path))
+    assert main(["solve-canonical", str(path), "--output-dir",
+                 str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error: shift solve failed for A1: SVD did not converge\n")
+    assert not (tmp_path / "out").exists()
