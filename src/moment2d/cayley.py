@@ -47,7 +47,7 @@ families are not supported otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -107,9 +107,9 @@ class IsometricPair:
     The subspaces ``H1 = D(V)``, ``H2 = N0(V)`` and ``H4 = Ninf(V)`` are
     stored as orthonormal column bases; ``U`` leaves each of them
     invariant.  ``j_matrix`` is the conjugation ``J`` of the pair
-    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``w2_schur``, ``u24``
-    and the gated ``operator_domain`` (``_full_domains``, by ``subspace_tol``)
-    are kept on the instance after first use, as read-only shared arrays.
+    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``w2_schur`` and
+    ``u24`` are kept on the instance after first use, as read-only shared
+    arrays.
     """
 
     dim: int
@@ -119,8 +119,6 @@ class IsometricPair:
     ninf_basis: np.ndarray
     u_matrix: np.ndarray
     j_matrix: np.ndarray
-    _full_domains: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
 
     @property
     def defect_dim(self) -> int:
@@ -206,7 +204,8 @@ class IsometricPair:
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """Orthonormal basis of ``D(A) = (E - V) D(V)``, cut at
         ``subspace_tol``: ``dim D(V)`` columns unless ``V`` fixes a vector,
-        which :func:`build_isometric_pair` refuses at a nonzero defect."""
+        which :func:`build_isometric_pair` refuses at a nonzero defect; it
+        is built only near that cut or :func:`forbidden_operator`'s."""
         return orth_columns(self.v_domain - self.v_action,
                             tolerances.subspace_tol)
 
@@ -377,7 +376,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
     if n0.shape[1] and not _clears_fixed_vector_gate(pair, subspace_tol):
         # At defect 0 no forbidden operator is needed, and the resolvent
         # of a unitary V with a numerically fixed vector still evaluates.
-        _full_operator_domain(iso, tolerances)
+        _checked_operator_domain(iso, tolerances)
     return iso
 
 
@@ -397,20 +396,16 @@ def _clears_fixed_vector_gate(pair: SymmetricPair, subspace_tol: float) -> bool:
     return e <= 0.25 and np.hypot(1.0, top) <= 0.25 / subspace_tol
 
 
-def _full_operator_domain(iso: IsometricPair,
-                          tolerances: Tolerances) -> np.ndarray:
-    """``iso.operator_domain()``, kept on ``iso`` per ``subspace_tol``; raises
-    ``StructureViolationError`` (keeping nothing) if ``V`` fixes a vector.
-    Built lazily when :func:`_clears_fixed_vector_gate` clears the pair."""
-    tol = tolerances.subspace_tol
-    if tol not in iso._full_domains:
-        q = iso.operator_domain(tolerances=tolerances)
-        if q.shape[1] < iso.v_domain.shape[1]:
-            raise StructureViolationError(
-                "Cayley transform of A1 has a fixed vector on D(V); A1 is "
-                "outside the numerically supported range")
-        iso._full_domains[tol] = read_only(q)
-    return iso._full_domains[tol]
+def _checked_operator_domain(iso: IsometricPair, tolerances: Tolerances):
+    """``iso.operator_domain()``, or ``StructureViolationError`` if it lost a
+    dimension of ``D(V)``: ``V`` fixes a vector.  One SVD, run only where the
+    cheaper tests cannot decide."""
+    q = iso.operator_domain(tolerances=tolerances)
+    if q.shape[1] < iso.v_domain.shape[1]:
+        raise StructureViolationError(
+            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+            "outside the numerically supported range")
+    return q
 
 
 def extend_isometry(iso: IsometricPair, phi: ContractionParameter,
@@ -461,10 +456,14 @@ def forbidden_operator(iso: IsometricPair, *,
     ``X (phi + d) = phi`` for ``phi`` in ``Ninf`` and ``d`` in ``D(A)``
     on ``dom X = N0`` (module docstring).  Returns ``(iso.n0_basis,
     x_matrix)`` with the images in space coordinates, from one square
-    solve.  Raises ``StructureViolationError`` when the defect dimensions
-    differ or ``D(A)`` lost a dimension, ``NotDirectSumError`` when
-    ``[Ninf, D(A)]`` is singular and ``NoDecompositionError`` when the
-    residual exceeds the gate.
+    solve against ``[Ninf, (E - V) D(V)]``: the columns of ``v_domain -
+    v_action`` span ``D(A)``, and the ``Ninf`` part of the solution does
+    not depend on the basis of ``D(A)``; near its cut, the stack takes
+    ``iso.operator_domain()`` instead, so the verdicts are an orthonormal
+    basis's.  Raises ``StructureViolationError`` when the defect dimensions
+    differ or ``V`` fixes a vector, ``NotDirectSumError`` when ``[Ninf,
+    D(A)]`` is singular and ``NoDecompositionError`` when the residual
+    exceeds the gate.
     """
     n0, ninf = iso.n0_basis, iso.ninf_basis
     if ninf.shape[1] + iso.v_domain.shape[1] != iso.dim or (
@@ -472,11 +471,18 @@ def forbidden_operator(iso: IsometricPair, *,
         raise StructureViolationError(
             f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
             f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
-    q = _full_operator_domain(iso, tolerances)
-    stacked = np.hstack([ninf, q])
+    stacked = np.hstack([ninf, iso.v_domain - iso.v_action])
     s = np.linalg.svd(stacked, compute_uv=False)
-    if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
-        raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
+    # (E - V) D(V) = Q R with Q orthonormal makes the stack [Ninf, Q] diag(E,
+    # R): s[-1] <= s_min([Ninf, Q]) max(1, s[0]).  Past this cut, Q keeps all
+    # columns and [Ninf, Q] (norm <= sqrt 2) clears the cut below; short of
+    # it, both cuts are taken on Q itself.
+    if s[-1] <= np.sqrt(2.0) * tolerances.subspace_tol * max(s[0], 1.0):
+        stacked = np.hstack([ninf, _checked_operator_domain(iso, tolerances)])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
+            raise NotDirectSumError(
+                "N_-i and D(A) overlap; sum is not direct")
     coeffs = np.linalg.solve(stacked, n0)
     residual = float(np.linalg.norm(stacked @ coeffs - n0))
     if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):

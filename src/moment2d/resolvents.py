@@ -34,10 +34,11 @@ gates do not depend on the point.  :func:`prepare_pair` runs both gates
 and builds that matrix once; the :class:`PreparedPair` it returns is
 the first argument of :func:`pair_resolvent_symmetric`, which then does
 only the solves.  The value is a row factor of ``z1`` alone times a
-column factor of ``z2`` alone, so on a ``lambda1 x lambda2`` grid each
-distinct ``z1`` and each distinct ``z2`` is solved once: every factor
-is one stacked solve, split into stacks of at most ``CHUNK_CELLS //
-n**2`` points, and the grid is one batched product of rows by columns.
+column factor of ``z2`` alone, so a ``lambda1 x lambda2`` grid solves
+one row factor per ``lambda1`` and one column factor per ``lambda2`` and
+half-plane of ``lambda1``: each kind is one stacked solve, split into
+stacks of at most ``CHUNK_CELLS // n**2`` points, and the grid is one
+batched product of rows by columns.
 Every value is bit for bit that of a call at its point alone.  With an
 ``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R h_embed``,
 and each factor is solved against ``h_embed``, not ``E``.
@@ -241,15 +242,6 @@ def prepare_pair(iso: IsometricPair, phi: ContractionParameter, *,
     return PreparedPair(iso, extended, h_embed)
 
 
-def _distinct(points: list) -> tuple:
-    """The distinct ``points``, told apart by their bits (``-0.0`` and
-    ``0.0`` parts differ), and the index of each point among them."""
-    first = {}
-    where = [first.setdefault((z.real.hex(), z.imag.hex()), (len(first), z))[0]
-             for z in points]
-    return [z for _, z in first.values()], where
-
-
 def pair_resolvent_symmetric(prepared: PreparedPair, lambda1,
                              lambda2) -> np.ndarray:
     """Generalized resolvent of the symmetric/self-adjoint pair.
@@ -268,8 +260,8 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1,
     lam2 = [validate_spectral_point(lam, "lambda2")
             for lam in np.ravel(lambda2)]
     upper = np.array([lam.imag > 0.0 for lam in lam1], dtype=bool)
-    points1, where1 = _distinct([cayley_point(lam if up else lam.conjugate())
-                                 for lam, up in zip(lam1, upper)])
+    points1 = [cayley_point(lam if up else lam.conjugate())
+               for lam, up in zip(lam1, upper)]
     h, t, u = prepared.h_embed, prepared.extended, prepared.iso.u_matrix
     if h is None:
         rhs, image = np.eye(t.shape[0], dtype=complex), u
@@ -279,13 +271,13 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1,
         rows = h.conj().T - 2.0 * _solve_stack(
             t.T, points1, "resolvent", h.conj()).swapaxes(-1, -2)
         rhs, image = h, u @ h
-    rows, k = rows[where1], rows.shape[1]
+    k = rows.shape[1]
     # Lower lambda1 take the adjoint of the value at conj(lambda2).
     halves = [(mask, conj) for mask, conj in ((upper, False), (~upper, True))
               if mask.any()]
-    points2, where2 = _distinct([cayley_point(lam.conjugate() if conj else lam)
-                                 for _, conj in halves for lam in lam2])
-    cols = _solve_stack(u, points2, "E - z U", rhs, image)[where2]
+    points2 = [cayley_point(lam.conjugate() if conj else lam)
+               for _, conj in halves for lam in lam2]
+    cols = _solve_stack(u, points2, "E - z U", rhs, image)
     values = np.empty((len(lam1), len(lam2), k, k), dtype=complex)
     for i, (mask, conj) in enumerate(halves):
         block = rows[mask][:, None] @ cols[i * len(lam2):][:len(lam2)][None]

@@ -174,9 +174,10 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
     if sampler.kind == "identity-only":
         yield np.eye(d, dtype=complex)
     elif sampler.kind == "haar-random":
-        children = np.random.SeedSequence(sampler.seed).spawn(sampler.count)
-        for child in children:
-            rng = np.random.default_rng(child)
+        # Child i of SeedSequence(seed).spawn(count), built when drawn.
+        for i in range(sampler.count):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(sampler.seed, spawn_key=(i,)))
             yield assemble([haar_unitary(len(idx), rng) for idx in blocks])
     else:
         g = sampler.phases

@@ -493,6 +493,39 @@ def fixed_vector_gate_svd_first(pair, tolerances):
         "outside the numerically supported range")
 
 
+def forbidden_operator_orthonormal(iso, tolerances) -> tuple:
+    """``forbidden_operator`` solved against an orthonormal basis of
+    ``D(A)``: the thin SVD of ``(E - V) D(V)``, cut at ``subspace_tol``
+    times the largest singular value, refuses a fixed vector of ``V``
+    before ``[Ninf, D(A)]`` is cut and solved.  Returns ``(n0_basis,
+    x_matrix)`` or raises the library's error with its message."""
+    from moment2d.config import STRUCTURE_TOL
+    from moment2d.errors import (NoDecompositionError, NotDirectSumError,
+                                 StructureViolationError)
+    n0, ninf = iso.n0_basis, iso.ninf_basis
+    if ninf.shape[1] + iso.v_domain.shape[1] != iso.dim or (
+            n0.shape[1] != ninf.shape[1]):
+        raise StructureViolationError(
+            f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
+            f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
+    u, s, _ = np.linalg.svd(iso.v_domain - iso.v_action, full_matrices=False)
+    q = u[:, :int(np.sum(s > tolerances.subspace_tol * s[0]))] if s.size else u
+    if q.shape[1] < iso.v_domain.shape[1]:
+        raise StructureViolationError(
+            "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+            "outside the numerically supported range")
+    stacked = np.hstack([ninf, q])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
+        raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
+    coeffs = np.linalg.solve(stacked, n0)
+    residual = float(np.linalg.norm(stacked @ coeffs - n0))
+    if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
+        raise NoDecompositionError(
+            f"decomposition residual {residual:.3e} exceeds gate")
+    return n0, ninf @ coeffs[: n0.shape[1]]
+
+
 def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:
     """Hermitian extension of ``A1`` for one commutant parameter ``u2``
     of a pair with a nonzero defect, gate by gate: ``U2`` unitary and

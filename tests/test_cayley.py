@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -38,7 +39,9 @@ from moment2d import (
     solve_canonical,
 )
 from moment2d.config import DEFAULT_TOLERANCES, FIXED_POINT_TOL
-from moment2d.linalg import haar_unitary, is_unitary, subspace_residual
+from moment2d.errors import Moment2dError
+from moment2d.linalg import (complement_basis, haar_unitary, is_unitary,
+                             subspace_residual)
 
 import oracles
 
@@ -364,32 +367,6 @@ def test_a_fixed_vector_of_v_is_refused_before_the_admissibility_test():
         constant_admissibility(iso, ContractionParameter.const([[0.5]]))
 
 
-def test_the_operator_domain_is_computed_once_per_pair_and_tolerance(
-        monkeypatch):
-    calls = []
-    real = IsometricPair.operator_domain
-
-    def counted(self, **kwargs):
-        calls.append(kwargs["tolerances"].subspace_tol)
-        return real(self, **kwargs)
-
-    monkeypatch.setattr(IsometricPair, "operator_domain", counted)
-    iso = build_isometric_pair(e3().pair)
-    phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
-    first = forbidden_operator(iso)
-    assert constant_admissibility(iso, phi) is True
-    assert calls == [DEFAULT_TOLERANCES.subspace_tol]
-    wide = Tolerances(subspace_tol=1e-7)
-    constant_admissibility(iso, phi, tolerances=wide)
-    constant_admissibility(iso, phi, tolerances=wide)
-    assert calls == [DEFAULT_TOLERANCES.subspace_tol, 1e-7]
-    # A copy starts without the kept bases; the values are the same.
-    second = forbidden_operator(dataclasses.replace(iso))
-    assert len(calls) == 3
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
-
-
 def test_a_cayley_transform_with_a_fixed_vector_is_refused_when_built():
     # A1 e1 = 1e10 e1: its Cayley transform moves e1 by 2e-10, below the
     # subspace tolerance, so D(A) = (E - V) D(V) loses a dimension.
@@ -413,17 +390,18 @@ def test_a_cayley_transform_with_a_fixed_vector_is_refused_when_built():
     assert rejected == []
 
 
-def _scaled_a1_pair(norm: float, basis_scale: float = 1.0) -> SymmetricPair:
+def _scaled_a1_pair(norm: float, basis_scale: float = 1.0,
+                    leave: float = 0.1) -> SymmetricPair:
     """Dimension 6, defect 2, A2 = 0: on a random 4-dimensional domain A1
-    has the eigenvalues 0, 0.3, 0.7, 1 and a part leaving the domain that
-    spares the kernel, scaled to ``||A1||_F = norm``, so ``(E - V) D(V)``
-    has condition number about ``norm``; ``basis_scale`` stretches the
-    domain basis."""
+    has the eigenvalues 0, 0.3, 0.7, 1 and a part leaving the domain, of
+    weight ``leave``, that spares the kernel, scaled to ``||A1||_F = norm``,
+    so ``(E - V) D(V)`` has condition number about ``norm``;
+    ``basis_scale`` stretches the domain basis."""
     rng = np.random.default_rng(3)
     w = haar_unitary(6, rng)
     v = haar_unitary(4, rng)
     h = (v * np.array([0.0, 0.3, 0.7, 1.0])) @ v.conj().T
-    t = w[:, :4] @ (0.5 * (h + h.conj().T)) + 0.1 * w[:, 4:] @ rng.normal(
+    t = w[:, :4] @ (0.5 * (h + h.conj().T)) + leave * w[:, 4:] @ rng.normal(
         size=(2, 3)) @ v[:, 1:].conj().T
     t *= norm / np.linalg.norm(t)
     return SymmetricPair(dim=6, a1_domain=basis_scale * w[:, :4],
@@ -431,6 +409,17 @@ def _scaled_a1_pair(norm: float, basis_scale: float = 1.0) -> SymmetricPair:
                          a2_domain=np.eye(6, dtype=complex),
                          a2_action=np.zeros((6, 6), dtype=complex),
                          h00=w[:, 0], j_matrix=np.eye(6, dtype=complex))
+
+
+def _off_domain_a1_pair(norm: float,
+                        basis_scale: float = 1.0) -> SymmetricPair:
+    """Dimension 2, A2 = 0, ``D(A1) = span(e1)`` and ``A1 e1 = norm e2``:
+    ``D(A)`` meets ``N_-i`` at an angle of about ``1 / norm``."""
+    e = np.eye(2, dtype=complex)
+    return SymmetricPair(dim=2, a1_domain=basis_scale * e[:, :1],
+                         a1_action=basis_scale * norm * e[:, 1:],
+                         a2_domain=e, a2_action=np.zeros_like(e),
+                         h00=e[:, 0], j_matrix=e)
 
 
 @pytest.fixture
@@ -473,6 +462,80 @@ def test_fixed_vector_screen_matches_the_svd_first_oracle(
         elif bound <= 0.1 / subspace_tol:
             assert calls == [], norm
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("subspace_tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("basis_scale", [1.0, 1.5])
+@pytest.mark.parametrize("family", [
+    _scaled_a1_pair, functools.partial(_scaled_a1_pair, leave=10.0),
+    _off_domain_a1_pair], ids=["leave-0.1", "leave-10", "off-domain"])
+def test_forbidden_operator_matches_the_orthonormal_basis_oracle(
+        subspace_tol, basis_scale, family):
+    # The Cayley data of build_isometric_pair without its gates, so that
+    # the pairs whose V fixes a vector reach the forbidden operator too.
+    tolerances = Tolerances(subspace_tol=subspace_tol)
+    verdicts = set()
+    for norm in np.geomspace(1.0, 1e10, 241):
+        pair = family(norm, basis_scale)
+        cay = cayley(pair, tolerances=tolerances)
+        iso = IsometricPair(
+            dim=pair.dim, v_domain=cay.domain, v_action=cay.action,
+            n0_basis=complement_basis(cay.domain, subspace_tol),
+            ninf_basis=complement_basis(cay.range, subspace_tol),
+            u_matrix=-np.eye(pair.dim, dtype=complex),
+            j_matrix=pair.j_matrix)
+        outcomes = []
+        for solve in (forbidden_operator,
+                      oracles.forbidden_operator_orthonormal):
+            try:
+                outcomes.append(solve(iso, tolerances=tolerances))
+            except Moment2dError as exc:
+                outcomes.append(exc)
+        got, want = outcomes
+        assert type(got) is type(want), norm
+        if isinstance(want, Exception):
+            assert str(got) == str(want), norm
+        else:
+            assert got[0] is want[0] is iso.n0_basis
+            delta = iso.ninf_basis.conj().T @ (got[1] - want[1])
+            assert np.max(np.abs(delta)) <= 1e-12, norm
+        verdicts.add(type(want).__name__)
+    assert "tuple" in verdicts and len(verdicts) > 1
+
+
+@pytest.mark.parametrize("setup", [None, (40, 1, 0), (40, 2, 0), (40, 3, 0)],
+                         ids=["e3", "e3_class-40-1", "e3_class-40-2",
+                              "e3_class-40-3"])
+def test_a_pair_the_screen_clears_builds_no_operator_domain(
+        setup, domain_calls):
+    iso = build_isometric_pair(e3().pair if setup is None
+                               else e3_class(*setup).pair)
+    phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
+    first = forbidden_operator(iso)
+    assert constant_admissibility(iso, phi) is True
+    assert constant_admissibility(
+        iso, phi, tolerances=Tolerances(subspace_tol=1e-7)) is True
+    assert domain_calls == []
+    second = forbidden_operator(dataclasses.replace(iso))
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("norm, basis_scale", [(10.0, 1.5), (4e8, 1.0)],
+                         ids=["stretched-basis", "norm-4e8"])
+def test_a_pair_past_the_screen_builds_its_operator_domain_once(
+        norm, basis_scale, domain_calls):
+    iso = build_isometric_pair(_scaled_a1_pair(norm, basis_scale))
+    assert len(domain_calls) == 1 and domain_calls[0] is iso
+    # The forbidden operator solves against (E - V) D(V) as it stands.
+    phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
+    first = forbidden_operator(iso)
+    assert constant_admissibility(iso, phi) is True
+    assert len(domain_calls) == 1
+    # A copy gives the same values.
+    second = forbidden_operator(dataclasses.replace(iso))
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("defect", [1, 2, 3])

@@ -646,7 +646,7 @@ def test_cli_eval_resolvent_gates_the_parameter_once(tmp_path: Path, capsys,
     assert calls == {"constant_admissibility": 1, "commutation_check": 1}
 
 
-def test_cli_eval_resolvent_computes_the_operator_domain_once(
+def test_cli_eval_resolvent_runs_the_operator_domain_svd_only_past_the_screen(
         tmp_path: Path, capsys, monkeypatch):
     files = _write_demo(tmp_path, capsys)
     calls = []
@@ -657,11 +657,26 @@ def test_cli_eval_resolvent_computes_the_operator_domain_once(
         return real(self, **kwargs)
 
     monkeypatch.setattr(IsometricPair, "operator_domain", counted)
-    # build_isometric_pair's fixed-vector gate and the forbidden operator
-    # of the admissibility gate share one basis.
+    grid = ["--l1-start", "2j", "--l2-start", "1+1j"]
+    # Pairs the norm screen clears: neither build_isometric_pair nor the
+    # forbidden operator of the admissibility gate builds the basis.
     assert main(["eval-resolvent", str(files["e3-pair.json"]),
-                 "--phi", str(files["e3-phi.json"]),
-                 "--l1-start", "2j", "--l2-start", "1+1j"]) == 0
+                 "--phi", str(files["e3-phi.json"]), *grid]) == 0
+    for defect in (1, 2, 3):
+        path = tmp_path / f"e3-class-40-{defect}.json"
+        io.write_json(io.pair_to_json(e3_class(40, defect, 0).pair), path)
+        assert main(["eval-resolvent", str(path), *grid]) == 0
+    assert calls == []
+    # ||A1||_F = 500 is past the screen at subspace_tol 1e-3: one SVD, at
+    # build, and the forbidden operator adds none.
+    e = np.eye(3, dtype=complex)
+    pair = SymmetricPair(dim=3, a1_domain=e[:, :2], a1_action=np.column_stack(
+        [500.0 * e[:, 0], 0.5 * e[:, 1] + e[:, 2]]), a2_domain=e,
+        a2_action=np.zeros((3, 3), dtype=complex), h00=e[:, 1], j_matrix=e)
+    path = tmp_path / "past-screen.json"
+    io.write_json(io.pair_to_json(pair), path)
+    assert main(["eval-resolvent", str(path), "--subspace-tol", "1e-3",
+                 *grid]) == 0
     assert len(calls) == 1
 
 

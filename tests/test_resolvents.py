@@ -364,11 +364,12 @@ def test_singular_factor_names_its_point(monkeypatch):
     assert str(caught.value) == message
     assert stacks == [1]
     stacks.clear()
-    # 2j and -2j share their z1; the stack fails, the first point solves.
+    # 2j and -2j share their z1 but are solved apart: the stack of three
+    # fails, 3j solves and -2j names the shared point.
     with pytest.raises(SingularMatrixError) as caught:
         pair_resolvent_symmetric(prepared, [3j, -2j, 2j], [0.5 + 2j, 1j + 2])
     assert str(caught.value) == message
-    assert stacks == [2, 1, 1]
+    assert stacks == [3, 1, 1]
 
 
 def test_singular_column_factor_names_its_point():

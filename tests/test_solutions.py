@@ -89,6 +89,28 @@ def test_commutant_enumeration_structure():
         assert abs(np.diag([1j, -1j]) @ u - u @ np.diag([1j, -1j])).max() < 1e-12
 
 
+def test_haar_random_seeds_are_drawn_lazily(monkeypatch):
+    # A scalar W2 leaves the whole unitary group as its commutant, so each
+    # draw is the Haar unitary of the spawned child seed itself.
+    w2 = 1j * np.eye(3, dtype=complex)
+    expected = [haar_unitary(3, np.random.default_rng(child))
+                for child in np.random.SeedSequence(7).spawn(40)]
+
+    class Unspawnable(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("the sampler spawned its seeds up front")
+
+    # SeedSequence is an extension type: patch the name, not the method.
+    monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
+    huge = SamplerSpec(kind="haar-random", count=10 ** 12, seed=7)
+    assert np.array_equal(next(enumerate_commutant_unitaries(w2, huge)),
+                          expected[0])
+    draws = list(enumerate_commutant_unitaries(
+        w2, SamplerSpec(kind="haar-random", count=40, seed=7)))
+    assert len(draws) == 40
+    assert all(np.array_equal(a, b) for a, b in zip(draws, expected))
+
+
 def test_commutant_enumeration_phases_and_identity():
     phases = list(enumerate_commutant_unitaries(
         np.array([[1j]]), SamplerSpec(kind="exhaustive-phases", phases=4)))
