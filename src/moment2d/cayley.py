@@ -87,16 +87,19 @@ NORM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CayleyIsometry:
-    """Isometry data ``(domain, action, range)``.
+    """Isometry data ``(domain, action, range, ninf)``.
 
     ``domain`` is an orthonormal basis of ``D(V)``; ``action`` sends
     ``D(V)``-coordinates to space coordinates, ``V (domain @ c) =
-    action @ c``; ``range`` is an orthonormal basis of ``R(V)``.
+    action @ c``; ``range`` and ``ninf`` are orthonormal bases of ``R(V)``
+    and of its orthogonal complement ``Ninf(V)``, together the unitary
+    factor of one complete QR of ``action``.
     """
 
     domain: np.ndarray
     action: np.ndarray
     range: np.ndarray
+    ninf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -264,14 +267,20 @@ def cayley(pair: SymmetricPair, *,
     ``(A1 - i)(Q c) = (T - iQ) c`` and the transform maps it to
     ``(T + iQ) c``.  Since ``A1`` is symmetric, ``||(A1 - i)x||^2 =
     ||A1 x||^2 + ||x||^2``, so ``T - iQ`` has full column rank and the
-    returned action has orthonormal columns.
+    returned action has orthonormal columns.  ``range`` and ``ninf`` come
+    from one complete QR of the action.  Its rank is cleared by ``||action^H
+    action - E||_F <= 1/2``, which puts every singular value in ``[sqrt
+    1/2, sqrt 3/2]`` where the ``subspace_tol`` cut (below ``1/2``) keeps
+    them all; only where that bound fails does an SVD decide, and a lost
+    dimension raises ``StructureViolationError``.
     """
     q = pair.a1_domain
     t = pair.a1_action
     n = pair.dim
     if q.shape[1] == 0:
         return CayleyIsometry(domain=empty_basis(n), action=empty_basis(n),
-                              range=empty_basis(n))
+                              range=empty_basis(n),
+                              ninf=np.eye(n, dtype=complex))
     if not is_hermitian(q.conj().T @ t, STRUCTURE_TOL):
         raise StructureViolationError(
             "operator A1 is not symmetric on its domain")
@@ -279,12 +288,16 @@ def cayley(pair: SymmetricPair, *,
     plus = t + 1j * q
     dom, r = np.linalg.qr(minus)
     action = scipy.linalg.solve_triangular(r.T, plus.T, lower=True).T
-    rng = orth_columns(action, tolerances.subspace_tol)
-    if rng.shape[1] != dom.shape[1]:
-        raise StructureViolationError(
-            f"Cayley range of A1 lost dimension "
-            f"({rng.shape[1]} != {dom.shape[1]})")
-    return CayleyIsometry(domain=dom, action=action, range=rng)
+    k, tol = dom.shape[1], tolerances.subspace_tol
+    if not (frobenius(action.conj().T @ action - np.eye(k)) <= 0.5
+            and tol < 0.5):
+        kept = orth_columns(action, tol).shape[1]
+        if kept != k:
+            raise StructureViolationError(
+                f"Cayley range of A1 lost dimension ({kept} != {k})")
+    basis = np.linalg.qr(action, mode="complete")[0]
+    return CayleyIsometry(domain=dom, action=action, range=basis[:, :k],
+                          ninf=basis[:, k:])
 
 
 def inverse_cayley(u: np.ndarray,
@@ -342,7 +355,10 @@ def build_isometric_pair(pair: SymmetricPair, *,
     of ``D(V)`` (by an SVD where :func:`_clears_fixed_vector_gate` fails).
     Violations raise ``StructureViolationError``; a non-self-adjoint ``A2``
     raises ``NotSelfAdjointA2Error`` with the defect indices attached.
-    The pair's conjugation ``J`` is kept as ``j_matrix``.
+    The pair's conjugation ``J`` is kept as ``j_matrix``.  ``ninf_basis`` is
+    :func:`cayley`'s ``ninf``; ``n0_basis`` is the SVD complement of
+    ``D(V)``, whose basis fixes the phases of ``W2``'s Schur vectors and so
+    every canonical solution.
     """
     pair.require_a2_selfadjoint(
         "A2 is not self-adjoint; extension machinery unavailable")
@@ -352,11 +368,7 @@ def build_isometric_pair(pair: SymmetricPair, *,
     u = (q * ((b + 1j) / (b - 1j))) @ q.conj().T
     if not is_unitary(u, STRUCTURE_TOL):
         raise StructureViolationError("Cayley transform of A2 not unitary")
-    n0 = complement_basis(cay.domain, subspace_tol)
-    ninf = complement_basis(cay.range, subspace_tol)
-    if n0.shape[1] != ninf.shape[1]:
-        raise StructureViolationError(
-            f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]}")
+    n0, ninf = complement_basis(cay.domain, subspace_tol), cay.ninf
     for name, basis in (("D(V)", cay.domain), ("R(V)", cay.range)):
         if basis.shape[1]:
             res = subspace_residual(basis, u @ basis)

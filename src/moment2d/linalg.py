@@ -101,14 +101,16 @@ def is_hermitian(a: np.ndarray, tol: float) -> bool:
 
 
 def is_unitary(u: np.ndarray, tol: float):
-    """A bool for a matrix, one per slice for a stack of matrices."""
+    """Whether ``||U^H U - E||_F <= tol * n``: a bool for a matrix, one per
+    slice for a stack of matrices (``False`` for non-square input).  One
+    Gram product decides both sides: for square ``U``, ``U^H U`` and ``U
+    U^H`` are Hermitian with the same eigenvalues ``s_i^2``, so ``||U U^H -
+    E||_F`` is the same number."""
     u = as_complex_matrix(u)
     n = u.shape[-1]
     if u.shape[-2] != n:
         return False
-    uh, eye = np.swapaxes(u.conj(), -1, -2), np.eye(n)
-    ok = ((frobenius(uh @ u - eye) <= tol * n)
-          & (frobenius(u @ uh - eye) <= tol * n))
+    ok = frobenius(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(n)) <= tol * n
     return ok if ok.ndim else bool(ok)
 
 

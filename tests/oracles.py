@@ -437,11 +437,18 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_unitary_one(u: np.ndarray, tol: float) -> bool:
-    n = u.shape[0]
-    eye = np.eye(n)
-    return (float(np.linalg.norm(u.conj().T @ u - eye)) <= tol * n
-            and float(np.linalg.norm(u @ u.conj().T - eye)) <= tol * n)
+def is_unitary_two_sided(u: np.ndarray, tol: float):
+    """Unitarity checked on both Gram products, ``||U^H U - E||_F`` and
+    ``||U U^H - E||_F`` each at most ``tol * n``: a bool for a matrix, one
+    per slice for a stack, ``False`` for non-square input."""
+    u = np.asarray(u, dtype=complex)
+    n = u.shape[-1]
+    if u.shape[-2] != n:
+        return False
+    uh, eye = np.swapaxes(u.conj(), -1, -2), np.eye(n)
+    ok = ((np.linalg.norm(uh @ u - eye, axis=(-2, -1)) <= tol * n)
+          & (np.linalg.norm(u @ uh - eye, axis=(-2, -1)) <= tol * n))
+    return ok if ok.ndim else bool(ok)
 
 
 def _require_commutes_one(name: str, a1: np.ndarray, a2: np.ndarray):
@@ -493,6 +500,43 @@ def fixed_vector_gate_svd_first(pair, tolerances):
         "outside the numerically supported range")
 
 
+def cayley_data_svd(pair, tolerances) -> tuple:
+    """The Cayley data of ``build_isometric_pair`` from three SVDs: the
+    action of ``V`` from the QR of ``T - iQ`` as in ``cayley``, an
+    orthonormal basis of ``R(V)`` from the thin SVD of the action, cut at
+    ``subspace_tol`` times the largest singular value, and ``N0`` and
+    ``Ninf`` as the SVD complements of ``D(V)`` and ``R(V)``.  Returns
+    ``(CayleyIsometry, n0)`` or raises the library's error with its
+    message."""
+    import scipy.linalg
+    from moment2d.cayley import CayleyIsometry
+    from moment2d.config import STRUCTURE_TOL
+    from moment2d.errors import StructureViolationError
+    from moment2d.linalg import complement_basis, is_hermitian
+
+    q, t, n = pair.a1_domain, pair.a1_action, pair.dim
+    tol = tolerances.subspace_tol
+    if q.shape[1] == 0:
+        empty = np.zeros((n, 0), dtype=complex)
+        return CayleyIsometry(domain=empty, action=empty, range=empty,
+                              ninf=np.eye(n, dtype=complex)), np.eye(
+                                  n, dtype=complex)
+    if not is_hermitian(q.conj().T @ t, STRUCTURE_TOL):
+        raise StructureViolationError(
+            "operator A1 is not symmetric on its domain")
+    dom, r = np.linalg.qr(t - 1j * q)
+    action = scipy.linalg.solve_triangular(r.T, (t + 1j * q).T, lower=True).T
+    u, s, _ = np.linalg.svd(action, full_matrices=False)
+    rng = u[:, :int(np.sum(s > tol * s[0]))]
+    if rng.shape[1] != dom.shape[1]:
+        raise StructureViolationError(
+            f"Cayley range of A1 lost dimension "
+            f"({rng.shape[1]} != {dom.shape[1]})")
+    return (CayleyIsometry(domain=dom, action=action, range=rng,
+                           ninf=complement_basis(rng, tol)),
+            complement_basis(dom, tol))
+
+
 def forbidden_operator_orthonormal(iso, tolerances) -> tuple:
     """``forbidden_operator`` solved against an orthonormal basis of
     ``D(A)``: the thin SVD of ``(E - V) D(V)``, cut at ``subspace_tol``
@@ -536,7 +580,7 @@ def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:
     from moment2d.errors import (CommutationViolatedError, FixedPointError,
                                  NotUnitaryError, StructureViolationError)
     u2 = np.asarray(u2, dtype=complex)
-    if not _is_unitary_one(u2, STRUCTURE_TOL):
+    if not is_unitary_two_sided(u2, STRUCTURE_TOL):
         raise NotUnitaryError(
             f"U2 is not unitary within tolerance {STRUCTURE_TOL}")
     u24, w2 = iso.u24, iso.w2
@@ -545,7 +589,7 @@ def canonical_extension_one(pair, iso, u2: np.ndarray) -> np.ndarray:
         raise CommutationViolatedError(
             f"U2 does not commute with W2 (residual {comm:.3e})")
     v = iso.v_matrix + (u24 @ u2) @ iso.n0_basis.conj().T
-    if not _is_unitary_one(v, STRUCTURE_TOL * 10):
+    if not is_unitary_two_sided(v, STRUCTURE_TOL * 10):
         raise StructureViolationError("extended isometry is not unitary")
     eye = np.eye(v.shape[0])
     shifted = v - eye

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.linalg
 
 from moment2d import (
     AdmissibilityFailedError,
+    CayleyIsometry,
     CommutationViolatedError,
     ContractionParameter,
     ContractionViolatedError,
@@ -18,6 +20,7 @@ from moment2d import (
     NotSelfAdjointA2Error,
     NotSupportedError,
     NotUnitaryError,
+    SamplerSpec,
     StructureViolationError,
     Tolerances,
     IsometricPair,
@@ -35,6 +38,7 @@ from moment2d import (
     godich_lutsenko,
     inverse_cayley,
     pair_resolvent_symmetric,
+    io,
     prepare_pair,
     solve_canonical,
 )
@@ -196,6 +200,44 @@ def test_extend_isometry_shapes_and_unitarity():
     assert is_unitary(phase, 1e-12)
     with pytest.raises(ValueError):
         extend_isometry(iso, ContractionParameter.const(np.zeros((2, 1))))
+
+
+def _unitary_at_residual(rng, n: int, residual: float) -> np.ndarray:
+    """Haar unitaries ``W`` and ``Y`` around ``diag(s)`` with ``||s^2 -
+    1||_2 = residual``, so ``||U^H U - E||_F = ||U U^H - E||_F = residual``."""
+    delta = rng.normal(size=n)
+    delta *= residual / np.linalg.norm(delta)
+    return (haar_unitary(n, rng) * np.sqrt(1.0 + delta)) @ haar_unitary(
+        n, rng).conj().T
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_one_gram_product_gives_the_two_sided_unitarity_verdicts(tol):
+    rng = np.random.default_rng(27)
+    ratios = np.array([0.5, 0.99, 1.01, 2.0])
+    checked = 0
+    for n in list(range(1, 13)) + [20, 40]:
+        for ratio in ratios:
+            u = _unitary_at_residual(rng, n, ratio * tol * n)
+            assert is_unitary(u, tol) is oracles.is_unitary_two_sided(u, tol)
+            assert is_unitary(u, tol) is bool(ratio < 1.0)
+            checked += 1
+        for _ in range(3):
+            order = rng.permutation(ratios)
+            stack = np.array([_unitary_at_residual(rng, n, r * tol * n)
+                              for r in order])
+            got = is_unitary(stack, tol)
+            assert np.array_equal(got,
+                                  oracles.is_unitary_two_sided(stack, tol))
+            assert np.array_equal(got, order < 1.0)
+            checked += len(order)
+    assert checked >= 200
+    for shape in ((3, 2), (2, 3), (4, 3, 2), (0, 2)):
+        u = np.zeros(shape, dtype=complex)
+        assert is_unitary(u, tol) is False
+        assert oracles.is_unitary_two_sided(u, tol) is False
+    assert is_unitary(np.zeros((0, 0)), tol) is True
+    assert oracles.is_unitary_two_sided(np.zeros((0, 0)), tol) is True
 
 
 def test_extend_isometry_returns_a_new_array_at_defect_zero():
@@ -422,6 +464,33 @@ def _off_domain_a1_pair(norm: float,
                          h00=e[:, 0], j_matrix=e)
 
 
+def _sub_tolerance_pair(*t: complex) -> SymmetricPair:
+    """Dimension ``k + 1`` for ``k`` values ``t``, A2 = 0, domain basis
+    ``1e-5 e_j`` with ``A1 e_j = t_j e_j``: ``Q^H T = 1e-10 diag(t)`` passes
+    the symmetry check for ``|t_j| <= 1``, and the action of ``V`` has the
+    singular values ``|t_j + i| / |t_j - i|``."""
+    e = np.eye(len(t) + 1, dtype=complex)
+    return SymmetricPair(dim=len(t) + 1, a1_domain=1e-5 * e[:, :-1],
+                         a1_action=1e-5 * e[:, :-1] * np.array(t),
+                         a2_domain=e, a2_action=np.zeros_like(e),
+                         h00=e[:, -1], j_matrix=e)
+
+
+@pytest.fixture
+def orth_calls(monkeypatch) -> list:
+    """The matrices ``moment2d.cayley`` passes to ``orth_columns``."""
+    module = importlib.import_module("moment2d.cayley")
+    calls = []
+    real = module.orth_columns
+
+    def counted(a, *args):
+        calls.append(a)
+        return real(a, *args)
+
+    monkeypatch.setattr(module, "orth_columns", counted)
+    return calls
+
+
 @pytest.fixture
 def domain_calls(monkeypatch) -> list:
     """The pairs on which ``IsometricPair.operator_domain`` runs, in order."""
@@ -507,7 +576,7 @@ def test_forbidden_operator_matches_the_orthonormal_basis_oracle(
                          ids=["e3", "e3_class-40-1", "e3_class-40-2",
                               "e3_class-40-3"])
 def test_a_pair_the_screen_clears_builds_no_operator_domain(
-        setup, domain_calls):
+        setup, domain_calls, orth_calls):
     iso = build_isometric_pair(e3().pair if setup is None
                                else e3_class(*setup).pair)
     phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
@@ -516,6 +585,8 @@ def test_a_pair_the_screen_clears_builds_no_operator_domain(
     assert constant_admissibility(
         iso, phi, tolerances=Tolerances(subspace_tol=1e-7)) is True
     assert domain_calls == []
+    # The rank bound clears the Cayley range too: no SVD of its action.
+    assert orth_calls == []
     second = forbidden_operator(dataclasses.replace(iso))
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
@@ -540,11 +611,118 @@ def test_a_pair_past_the_screen_builds_its_operator_domain_once(
 
 @pytest.mark.parametrize("defect", [1, 2, 3])
 def test_dimension_40_pairs_clear_the_fixed_vector_gate_without_an_svd(
-        defect, domain_calls):
+        defect, domain_calls, orth_calls):
     for seed in range(4):
         assert build_isometric_pair(
             e3_class(40, defect, seed).pair).defect_dim == defect
-    assert domain_calls == []
+    assert domain_calls == [] and orth_calls == []
+
+
+@pytest.mark.parametrize("t, subspace_tol, kept", [
+    ((-0.5j,), 1e-9, 1), ((-1j,), 1e-9, 0), ((0.06j, -0.12j), 0.75, 1)])
+def test_the_cayley_range_svd_runs_only_where_the_rank_bound_fails(
+        t, subspace_tol, kept, orth_calls):
+    # |action| = 1/3 misses ||action^H action - E||_F <= 1/2, so the SVD
+    # decides: it keeps the column at 1/3, and loses it at exactly 0.  The
+    # singular values 1.128 and 0.786 clear the bound, but a cut at 0.75
+    # drops the smaller one, so the bound holds only below a cut of 1/2.
+    pair = _sub_tolerance_pair(*t)
+    tolerances = Tolerances(subspace_tol=subspace_tol)
+    if kept == len(t):
+        cay = cayley(pair, tolerances=tolerances)
+        assert cay.range.shape == cay.ninf.shape == (2, 1)
+        assert abs(abs(cay.action[0, 0]) - 1.0 / 3.0) < 1e-12
+        assert len(orth_calls) == 1
+    else:
+        message = (rf"^Cayley range of A1 lost dimension "
+                   rf"\({kept} != {len(t)}\)$")
+        for build in (cayley, build_isometric_pair, oracles.cayley_data_svd):
+            with pytest.raises(StructureViolationError, match=message):
+                build(pair, tolerances=tolerances)
+        assert len(orth_calls) == 2
+
+
+def _outcome(call):
+    """``call()``, or the class and message of the library error it raises."""
+    try:
+        return call()
+    except Moment2dError as exc:
+        return type(exc), str(exc)
+
+
+def _reports(pair) -> list:
+    return [io.report_to_json(r) for r in solve_canonical(
+        pair, sampler=SamplerSpec("exhaustive-phases", phases=4))]
+
+
+def _assert_cayley_data_matches_the_svd_oracle(pair, tolerances, monkeypatch,
+                                               compare_reports=False):
+    """``cayley`` and ``build_isometric_pair`` against the three-SVD data
+    of ``oracles.cayley_data_svd``, which ``build_isometric_pair`` takes in
+    place of ``cayley`` for the second outcome.  Returns the reports of
+    ``solve_canonical`` if ``compare_reports``."""
+    got = _outcome(lambda: cayley(pair, tolerances=tolerances))
+    want = _outcome(lambda: oracles.cayley_data_svd(pair, tolerances))
+    if not isinstance(got, CayleyIsometry):
+        assert got == want
+        return None
+    want, n0 = want
+    assert got.domain.tobytes() == want.domain.tobytes()
+    assert got.action.tobytes() == want.action.tobytes()
+    for a, b in ((got.range, want.range), (got.ninf, want.ninf)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a @ a.conj().T - b @ b.conj().T)) <= 1e-12
+    d = got.ninf.shape[1]
+    assert np.max(np.abs(got.ninf.conj().T @ got.ninf - np.eye(d)),
+                  initial=0.0) <= 1e-12
+    assert np.max(np.abs(got.ninf.conj().T @ got.action),
+                  initial=0.0) <= 1e-12
+
+    def run():
+        iso = _outcome(lambda: build_isometric_pair(pair,
+                                                    tolerances=tolerances))
+        return iso, (_outcome(lambda: _reports(pair)) if compare_reports
+                     else None)
+    got_iso, got_reports = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("moment2d.cayley"), "cayley",
+                      lambda *args, **kwargs: want)
+        want_iso, want_reports = run()
+    assert got_reports == want_reports
+    if isinstance(want_iso, tuple):
+        assert got_iso == want_iso
+    else:
+        assert got_iso.n0_basis.tobytes() == n0.tobytes()
+        assert want_iso.n0_basis.tobytes() == n0.tobytes()
+        assert got_iso.ninf_basis.tobytes() == got.ninf.tobytes()
+    return got_reports
+
+
+@pytest.mark.parametrize("dim", [10, 20, 40, 120])
+def test_e3_class_cayley_data_and_reports_match_the_svd_oracle(
+        dim, monkeypatch):
+    for defect in (1, 2, 3):
+        assert len(_assert_cayley_data_matches_the_svd_oracle(
+            e3_class(dim, defect, 0).pair, DEFAULT_TOLERANCES, monkeypatch,
+            compare_reports=True)) == 4
+
+
+@pytest.mark.parametrize("subspace_tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("basis_scale", [1.0, 1.5])
+@pytest.mark.parametrize("family", [
+    _scaled_a1_pair, functools.partial(_scaled_a1_pair, leave=10.0),
+    _off_domain_a1_pair], ids=["leave-0.1", "leave-10", "off-domain"])
+def test_cayley_data_matches_the_svd_oracle_across_norms(
+        subspace_tol, basis_scale, family, monkeypatch):
+    tolerances = Tolerances(subspace_tol=subspace_tol)
+    for norm in np.geomspace(1.0, 1e10, 61):
+        _assert_cayley_data_matches_the_svd_oracle(
+            family(norm, basis_scale), tolerances, monkeypatch,
+            compare_reports=norm < 1e3)
+    for pair in [_scalar_pair()] + [_sub_tolerance_pair(t)
+                                    for t in (-0.5j, -1j, 0.5)]:
+        _assert_cayley_data_matches_the_svd_oracle(pair, tolerances,
+                                                   monkeypatch)
 
 
 def test_a_fixed_vector_at_defect_zero_is_not_refused():
