@@ -265,14 +265,18 @@ def cayley(pair: SymmetricPair, *,
 
     Works with the stored domain basis ``Q`` and action ``T``:
     ``(A1 - i)(Q c) = (T - iQ) c`` and the transform maps it to
-    ``(T + iQ) c``.  Since ``A1`` is symmetric, ``||(A1 - i)x||^2 =
-    ||A1 x||^2 + ||x||^2``, so ``T - iQ`` has full column rank and the
-    returned action has orthonormal columns.  ``range`` and ``ninf`` come
-    from one complete QR of the action.  Its rank is cleared by ``||action^H
-    action - E||_F <= 1/2``, which puts every singular value in ``[sqrt
-    1/2, sqrt 3/2]`` where the ``subspace_tol`` cut (below ``1/2``) keeps
-    them all; only where that bound fails does an SVD decide, and a lost
-    dimension raises ``StructureViolationError``.
+    ``(T + iQ) c``.  ``Q`` must have full column rank: ``||Q^H Q - E||_F
+    <= 1/2`` (``pair.a1_gram_defect``) proves it, and only where that bound
+    fails does the diagonal of ``Q``'s QR decide, at ``subspace_tol`` times
+    its largest entry; a dependent basis raises ``StructureViolationError``.
+    Since ``A1`` is symmetric, ``||(A1 - i)x||^2 = ||A1 x||^2 + ||x||^2``,
+    so ``T - iQ`` then has full column rank and the returned action has
+    orthonormal columns.  ``range`` and ``ninf`` come from one complete QR
+    of the action.  Its rank is cleared by ``||action^H action - E||_F <=
+    1/2``, which puts every singular value in ``[sqrt 1/2, sqrt 3/2]`` where
+    the ``subspace_tol`` cut (below ``1/2``) keeps them all; only where that
+    bound fails does an SVD decide, and a lost dimension raises
+    ``StructureViolationError``.
     """
     q = pair.a1_domain
     t = pair.a1_action
@@ -284,11 +288,17 @@ def cayley(pair: SymmetricPair, *,
     if not is_hermitian(q.conj().T @ t, STRUCTURE_TOL):
         raise StructureViolationError(
             "operator A1 is not symmetric on its domain")
+    k, tol = q.shape[1], tolerances.subspace_tol
+    if not (pair.a1_gram_defect <= 0.5 and tol < 0.5):
+        diag = np.abs(np.diagonal(np.linalg.qr(q, mode="r")))
+        if k > n or diag.min() <= tol * diag.max():
+            raise StructureViolationError(
+                "a1_domain does not have full column rank (min |r_jj| = "
+                f"{diag.min():.3e} in the QR of its {k} columns)")
     minus = t - 1j * q
     plus = t + 1j * q
     dom, r = np.linalg.qr(minus)
     action = scipy.linalg.solve_triangular(r.T, plus.T, lower=True).T
-    k, tol = dom.shape[1], tolerances.subspace_tol
     if not (frobenius(action.conj().T @ action - np.eye(k)) <= 0.5
             and tol < 0.5):
         kept = orth_columns(action, tol).shape[1]
@@ -402,8 +412,7 @@ def _clears_fixed_vector_gate(pair: SymmetricPair, subspace_tol: float) -> bool:
     most 1/4, ``G`` and ``R^H R`` have spectra in ``[3/4, 5/4]`` and ``[3/4,
     5/4 + ||T||_F^2]``: ``cond <= (5/3) hypot(1, ||T||_F)``, which the cut
     ``hypot(1, ||T||_F) <= 1 / (4 subspace_tol)`` keeps 12/5 below the SVD's."""
-    q, top = pair.a1_domain, np.linalg.norm(pair.a1_action)
-    d = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+    d, top = pair.a1_gram_defect, np.linalg.norm(pair.a1_action)
     e = d + STRUCTURE_TOL * (1.0 + np.sqrt(1.0 + d) * top)
     return e <= 0.25 and np.hypot(1.0, top) <= 0.25 / subspace_tol
 

@@ -98,6 +98,9 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+_CSV_ROW = ",".join(["%.17g"] * 6)
+
+
 def _parse_complex(text: str, what: str) -> complex:
     try:
         z = complex(text.replace(" ", ""))
@@ -271,7 +274,7 @@ def cmd_eval_resolvent(args) -> int:
             for lam2, value in zip(valid2, line)]
     if args.format == "csv":
         lines = ["l1_re,l1_im,l2_re,l2_im,value_re,value_im"]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [_CSV_ROW % tuple(row) for row in rows]
         lines.append(f"# excluded: {excluded}")
         _write_or_print("\n".join(lines), args.output)
     else:

@@ -78,8 +78,9 @@ class SymmetricPair:
     coordinates: ``A (domain @ c) = action @ c``.  ``j_matrix`` is the
     matrix of the antilinear conjugation ``x -> j_matrix @ conj(x)``
     fixing the monomial classes.  The pair holds only these matrices;
-    ``a2_matrix``, ``a2_selfadjoint`` and ``a2_spectrum`` are derived
-    from them on first use and kept on the instance.
+    ``a2_matrix``, ``a2_selfadjoint``, ``a2_spectrum`` and
+    ``a1_gram_defect`` are derived from them on first use and kept on the
+    instance.
     """
 
     dim: int
@@ -128,6 +129,14 @@ class SymmetricPair:
         if 2.0 / np.hypot(1.0, np.max(np.abs(vals))) <= FIXED_POINT_TOL:
             raise StructureViolationError(A2_OUT_OF_RANGE)
         return read_only(vals), read_only(vecs)
+
+    @cached_property
+    def a1_gram_defect(self) -> float:
+        """``||Q^H Q - E||_F`` of ``Q = a1_domain``, formed once per pair
+        for the rank check of :func:`~moment2d.cayley.cayley` and its
+        fixed-vector gate."""
+        q = self.a1_domain
+        return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
 
     @cached_property
     def a2_selfadjoint(self) -> bool:

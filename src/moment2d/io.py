@@ -39,14 +39,48 @@ __all__ = [
 ]
 
 
-def _format_float(x: float) -> str:
-    text = "%.17g" % float(x)
+def _number_texts(values) -> list | None:
+    """The texts of plain ``float`` and ``int`` values in one pass, or
+    ``None`` if any value has another type (``bool`` included)."""
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    texts = [str(v) if type(v) is int else "%.17g" % v for v in values]
     # "-0" would read back as the integer 0 and lose the sign.
-    return "-0.0" if text == "-0" else text
+    if "-0" in texts:
+        texts = ["-0.0" if text == "-0" else text for text in texts]
+    return texts
+
+
+def _list_parts(obj, indent: int) -> list:
+    """The texts of a list's items: in one pass for plain numbers and for
+    equally long lists of plain numbers that all fit inline (matrix rows
+    of ``[re, im]`` cells, table entries, grid rows), else one
+    :func:`dumps` call per item."""
+    texts = _number_texts(obj)
+    if texts is not None:
+        return texts
+    if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
+        size = len(obj[0])
+        texts = _number_texts(list(chain.from_iterable(obj)))
+        if size and texts is not None and max(map(len, texts)) < 40:
+            item = "[" + ", ".join(["%s"] * size) + "]"
+            return list(map(item.__mod__, zip(*[iter(texts)] * size)))
+    return [dumps(v, indent + 1) for v in obj]
 
 
 def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats.
+
+    Every float is printed with ``"%.17g"``, so parsing the text gives
+    back the same double; ``-0`` is written ``-0.0`` to keep the sign.
+    Ints are printed with ``str``.  A list is written on one line when
+    each of its items is under 40 characters and holds no newline, else
+    one item per line; a dict always puts one key per line.  Lists of
+    plain ``float``/``int`` values, and lists of such lists (the
+    ``[re, im]`` cells of a matrix row), are formatted in one pass; other
+    values (``bool``, ``None``, numpy scalars, ...) take the recursive
+    path, which gives the same text.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -56,7 +90,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        return _number_texts([float(obj)])[0]
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -68,11 +102,12 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [dumps(v, indent + 1) for v in obj]
-        if all(len(p) < 40 and "\n" not in p for p in parts):
-            return "[" + ", ".join(parts) + "]"
-        return ("[\n" + ",\n".join(inner + p for p in parts) + "\n"
-                + pad + "]")
+        parts = _list_parts(obj, indent)
+        if max(map(len, parts)) < 40:
+            text = ", ".join(parts)
+            if "\n" not in text:
+                return "[" + text + "]"
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -129,9 +164,8 @@ def _get(obj: dict, key: str, what: str):
 
 
 def moment_table_to_json(table: MomentTable) -> dict:
-    entries = [[m, n, float(table.values[m, n])]
-               for m in range(table.max_m + 1)
-               for n in range(table.max_n + 1)]
+    entries = [[m, n, s] for m, row in enumerate(table.values.tolist())
+               for n, s in enumerate(row)]
     return {"max_m": table.max_m, "max_n": table.max_n, "entries": entries}
 
 
@@ -167,8 +201,7 @@ def moment_table_from_json(obj) -> MomentTable:
 
 
 def measure_to_json(measure: AtomicMeasure) -> dict:
-    atoms = [[float(measure.points[i, 0]), float(measure.points[i, 1]),
-              float(measure.weights[i])] for i in range(measure.n_atoms)]
+    atoms = np.column_stack((measure.points, measure.weights)).tolist()
     return {"atoms": atoms}
 
 
@@ -194,8 +227,10 @@ def measure_from_json(obj) -> AtomicMeasure:
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
+    """Rows of ``[re, im]`` cells; a ``dim x 0`` matrix gives ``dim`` empty
+    rows, and a vector gives one list of cells."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
 def _complex_cell(cell, what: str) -> complex:
@@ -250,8 +285,7 @@ def complex_matrix_from_json(obj, what: str, rows: int | None = None,
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in vec]
+    return complex_matrix_to_json(np.reshape(vec, -1))
 
 
 def complex_vector_from_json(obj, what: str, length: int | None = None) -> np.ndarray:

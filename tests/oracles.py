@@ -775,3 +775,88 @@ def shift_operator_lstsq(space, which: int, tolerances, gate: float) -> tuple:
             f"shift A{which} leaves the quotient span: residual "
             f"{residual:.3e} > gate {gate:.3e}")
     return basis, action
+
+
+def _format_float_per_value(x: float) -> str:
+    text = "%.17g" % float(x)
+    return "-0.0" if text == "-0" else text
+
+
+def dumps_recursive(obj, indent: int = 0) -> str:
+    """JSON text with one recursive call per value: ``"%.17g"`` floats,
+    ``-0.0`` for negative zero, ``str`` ints, and a list on one line only
+    when every item is under 40 characters and holds no newline."""
+    import json
+
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float_per_value(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: "
+                 f"{dumps_recursive(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [dumps_recursive(v, indent + 1) for v in obj]
+        if all(len(p) < 40 and "\n" not in p for p in parts):
+            return "[" + ", ".join(parts) + "]"
+        return ("[\n" + ",\n".join(inner + p for p in parts) + "\n"
+                + pad + "]")
+    raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def complex_matrix_to_json_per_cell(mat) -> list:
+    """Rows of ``[re, im]`` cells, one ``float()`` per part."""
+    mat = np.asarray(mat, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+
+
+def complex_vector_to_json_per_cell(vec) -> list:
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    return [[float(v.real), float(v.imag)] for v in vec]
+
+
+def measure_to_json_per_atom(measure) -> dict:
+    return {"atoms": [[float(measure.points[i, 0]),
+                       float(measure.points[i, 1]),
+                       float(measure.weights[i])]
+                      for i in range(measure.n_atoms)]}
+
+
+def moment_table_to_json_per_entry(table) -> dict:
+    entries = [[m, n, float(table.values[m, n])]
+               for m in range(table.max_m + 1)
+               for n in range(table.max_n + 1)]
+    return {"max_m": table.max_m, "max_n": table.max_n, "entries": entries}
+
+
+def pair_to_json_per_cell(pair) -> dict:
+    """``io.pair_to_json`` built from the per-cell converters above."""
+    return {
+        "dim": pair.dim,
+        "a1_domain": complex_matrix_to_json_per_cell(pair.a1_domain),
+        "a1_action": complex_matrix_to_json_per_cell(pair.a1_action),
+        "a2_domain": complex_matrix_to_json_per_cell(pair.a2_domain),
+        "a2_action": complex_matrix_to_json_per_cell(pair.a2_action),
+        "h00": complex_vector_to_json_per_cell(pair.h00),
+        "j_matrix": complex_matrix_to_json_per_cell(pair.j_matrix),
+        "a2_selfadjoint": pair.a2_selfadjoint,
+    }
+
+
+def write_json_recursive(obj, path: str):
+    """The file ``io.write_json`` writes, from :func:`dumps_recursive`."""
+    with open(path, "w") as fh:
+        fh.write(dumps_recursive(obj) + "\n")

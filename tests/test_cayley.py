@@ -725,6 +725,54 @@ def test_cayley_data_matches_the_svd_oracle_across_norms(
                                                    monkeypatch)
 
 
+def _dependent_basis_pair(columns: np.ndarray, seed: int,
+                          off: float = 0.0) -> SymmetricPair:
+    """Dimension 3, A2 = 0, ``a1_domain = columns`` and ``a1_action = A1
+    columns`` for a random Hermitian ``A1``, plus ``off e2`` in the second
+    column, which keeps ``Q^H T`` Hermitian while ``Q`` repeats ``e1``."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    e = np.eye(3, dtype=complex)
+    t = (h + h.conj().T) @ columns
+    t[:, 1] += off * e[:, 1]
+    return SymmetricPair(dim=3, a1_domain=columns, a1_action=t, a2_domain=e,
+                         a2_action=np.zeros_like(e), h00=e[:, 0], j_matrix=e)
+
+
+@pytest.mark.parametrize("columns, off", [
+    (np.eye(3, dtype=complex)[:, [0, 0]], 0.0),
+    (np.eye(3, dtype=complex)[:, [0, 0]], 1.0),
+    (np.array([[1, 1], [0, 0], [0, 1e-18]], dtype=complex), 0.0),
+], ids=["e1-e1", "e1-e1-inconsistent", "e1-e1+1e-18e3"])
+def test_cayley_refuses_a_domain_basis_without_full_column_rank(columns, off):
+    for seed in range(5):
+        pair = _dependent_basis_pair(columns, seed, off)
+        for call in (cayley, build_isometric_pair, lambda p: next(
+                solve_canonical(p, SamplerSpec("exhaustive-phases",
+                                               phases=4)))):
+            with pytest.raises(StructureViolationError,
+                               match="a1_domain does not have full column "
+                                     "rank"):
+                call(pair)
+
+
+def test_the_domain_rank_qr_runs_only_past_the_gram_bound(monkeypatch):
+    modes = []
+    real = np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        modes.append(mode)
+        return real(a, mode=mode)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for defect in (1, 2, 3):
+        build_isometric_pair(e3_class(40, defect, 0).pair)
+    assert "r" not in modes
+    for pair in (_scaled_a1_pair(10.0, 1.5), _sub_tolerance_pair(0.5, -0.5)):
+        modes.clear()
+        cayley(pair)
+        assert modes.count("r") == 1
+
+
 def test_a_fixed_vector_at_defect_zero_is_not_refused():
     # A1 = diag(1e10, 0.5, -1) is self-adjoint: no forbidden operator is
     # needed, and the pair resolvent still matches the atomic sum.

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -406,6 +408,139 @@ def test_read_json_rejects_malformed_files(tmp_path: Path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         io.read_json(str(bad))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+                float("nan"), float("inf"), float("-inf"), 1.0 / 3.0]
+_NUMBERS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                     st.integers(), st.integers(10 ** 38, 10 ** 45),
+                     st.integers(-10 ** 45, -10 ** 38))
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=45),
+                    st.floats().map(np.float64),
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_NUMBER_LISTS = st.lists(st.lists(_NUMBERS, max_size=4), max_size=5)
+_TREES = st.recursive(
+    st.one_of(_LEAVES, _NUMBER_LISTS, st.lists(_NUMBERS, max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=30)
+
+
+@given(st.one_of(_TREES, _NUMBER_LISTS), st.integers(0, 3))
+@example([[1.0, 2.0], [3.0]], 0)
+@example([[], [-0.0]], 1)
+@example([[0, -0.0], [10 ** 39, 0.5]], 0)
+@example([[True, 1]], 0)
+@settings(max_examples=400, deadline=None)
+def test_dumps_matches_the_recursive_writer_byte_for_byte(tree, indent):
+    assert io.dumps(tree, indent) == oracles.dumps_recursive(tree, indent)
+
+
+def _signed_zero_matrix(rng, shape) -> np.ndarray:
+    """Random complex entries with about a third of the parts set to a
+    signed zero or a subnormal."""
+    parts = rng.normal(size=shape + (2,)) * 10.0 ** rng.integers(
+        -5, 5, size=shape + (2,))
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324])
+    pick = rng.random(shape + (2,)) < 1 / 3
+    parts[pick] = pool[rng.integers(len(pool), size=int(pick.sum()))]
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+def test_converters_match_the_per_cell_writers_byte_for_byte():
+    def same(new, old):
+        return io.dumps(new) == oracles.dumps_recursive(old)
+    rng = np.random.default_rng(28)
+    for shape in ((1, 1), (3, 5), (7, 0), (0, 4), (12, 12), (40, 3)):
+        mat = _signed_zero_matrix(rng, shape)
+        assert same(io.complex_matrix_to_json(mat),
+                    oracles.complex_matrix_to_json_per_cell(mat))
+        vec = mat.reshape(-1)
+        assert same(io.complex_vector_to_json(vec),
+                    oracles.complex_vector_to_json_per_cell(vec))
+    assert io.complex_matrix_to_json(np.zeros((3, 0))) == [[], [], []]
+    for table in (e2().table, MomentTable(1, 2, [[0.0, -0.0, 5e-324],
+                                                 [-1e308, 2.5, -5e-324]])):
+        assert same(io.moment_table_to_json(table),
+                    oracles.moment_table_to_json_per_entry(table))
+    for measure in (e2().measure, AtomicMeasure(
+            np.array([[-0.0, 5e-324], [0.5, -0.0]]), np.array([1e-300, 2.0])),
+            AtomicMeasure(np.zeros((0, 2)), np.zeros(0))):
+        assert same(io.measure_to_json(measure),
+                    oracles.measure_to_json_per_atom(measure))
+
+
+@pytest.mark.parametrize("dim", [5, 20, 40, 120])
+def test_pair_json_matches_the_recursive_writer_byte_for_byte(dim, tmp_path):
+    pair = e3_class(dim, 2, 1).pair
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    io.write_json(io.pair_to_json(pair), str(new))
+    oracles.write_json_recursive(oracles.pair_to_json_per_cell(pair), str(old))
+    assert new.read_bytes() == old.read_bytes()
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([x for x in _EDGE_FLOATS if np.isfinite(x)]))
+
+
+def _bits(values) -> list:
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+@given(rows=st.integers(0, 4), cols=st.integers(0, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_written_arrays_read_back_bit_for_bit(tmp_path_factory, rows, cols,
+                                              data):
+    path = str(tmp_path_factory.mktemp("round-trip") / "x.json")
+    parts = data.draw(st.lists(_FINITE, min_size=2 * rows * cols,
+                               max_size=2 * rows * cols))
+    mat = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    io.write_json(io.complex_matrix_to_json(mat), path)
+    back = io.complex_matrix_from_json(io.read_json(path), "m", cols=cols)
+    assert back.shape == mat.shape and _bits(back) == _bits(mat)
+    io.write_json(io.complex_vector_to_json(mat.reshape(-1)), path)
+    back = io.complex_vector_from_json(io.read_json(path), "v")
+    assert _bits(back) == _bits(mat.reshape(-1))
+    if rows and cols:
+        table = MomentTable(rows - 1, cols - 1, mat.real)
+        io.write_json(io.moment_table_to_json(table), path)
+        back = io.moment_table_from_json(io.read_json(path))
+        assert _bits(back.values) == _bits(table.values)
+    points = np.array(data.draw(st.lists(
+        st.tuples(_FINITE, _FINITE), max_size=4, unique_by=lambda p: p)))
+    weights = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=len(
+        points), max_size=len(points)))
+    try:
+        measure = AtomicMeasure(points, weights)
+    except ValueError:  # two atoms within the merge tolerance
+        return
+    io.write_json(io.measure_to_json(measure), path)
+    back = io.measure_from_json(io.read_json(path))
+    assert _bits(back.points) == _bits(measure.points)
+    assert _bits(back.weights) == _bits(measure.weights)
+
+
+def test_eval_resolvent_csv_rows_print_17_significant_digits(tmp_path: Path,
+                                                             capsys):
+    files = _write_demo(tmp_path, capsys)
+    grid = ["--l1-start", "-0+2j", "--l2-start", "0.5-2j", "--l2-stop",
+            "1e-300-1e13j", "--l2-count", "3"]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["eval-resolvent", str(files["e3-pair.json"])] + grid
+                    + ["--format", fmt, "--output", str(out)]) == 0
+        outputs[fmt] = out.read_text()
+    rows = json.loads(outputs["json"])["rows"]
+    lines = outputs["csv"].splitlines()
+    assert lines[1:-1] == [",".join("%.17g" % v for v in row) for row in rows]
+    assert len(rows) == 3 and all(line.startswith("-0,2,")
+                                  for line in lines[1:-1])
+    assert outputs["json"].count("-0.0, 2,") == 3
 
 
 def _write_demo(tmp_path: Path, capsys=None) -> dict:
