@@ -109,8 +109,10 @@ class IsometricPair:
 
     The subspaces ``H1 = D(V)``, ``H2 = N0(V)`` and ``H4 = Ninf(V)`` are
     stored as orthonormal column bases; ``U`` leaves each of them
-    invariant.  ``j_matrix`` is the conjugation ``J`` of the pair
-    (``x -> j_matrix @ conj(x)``).  ``v_matrix``, ``w2``, ``w2_schur`` and
+    invariant.  ``a2_spectrum`` is the eigendecomposition ``(b, Q)`` of
+    ``A2``, and ``U = Q diag((b + i)/(b - i)) Q^H`` is formed from it.
+    ``j_matrix`` is the conjugation ``J`` of the pair (``x -> j_matrix @
+    conj(x)``).  ``u_matrix``, ``v_matrix``, ``w2``, ``w2_schur`` and
     ``u24`` are kept on the instance after first use, as read-only shared
     arrays.
     """
@@ -120,12 +122,18 @@ class IsometricPair:
     v_action: np.ndarray
     n0_basis: np.ndarray
     ninf_basis: np.ndarray
-    u_matrix: np.ndarray
+    a2_spectrum: tuple
     j_matrix: np.ndarray
 
     @property
     def defect_dim(self) -> int:
         return self.n0_basis.shape[1]
+
+    @cached_property
+    def u_matrix(self) -> np.ndarray:
+        """``U = Q diag((b + i)/(b - i)) Q^H`` from ``a2_spectrum``."""
+        b, q = self.a2_spectrum
+        return read_only((q * ((b + 1j) / (b - 1j))) @ q.conj().T)
 
     @cached_property
     def v_matrix(self) -> np.ndarray:
@@ -374,20 +382,19 @@ def build_isometric_pair(pair: SymmetricPair, *,
         "A2 is not self-adjoint; extension machinery unavailable")
     subspace_tol = tolerances.subspace_tol
     cay = cayley(pair, tolerances=tolerances)
-    b, q = pair.a2_spectrum
-    u = (q * ((b + 1j) / (b - 1j))) @ q.conj().T
+    n0 = complement_basis(cay.domain, subspace_tol)
+    iso = IsometricPair(dim=pair.dim, v_domain=cay.domain,
+                        v_action=cay.action, n0_basis=n0, ninf_basis=cay.ninf,
+                        a2_spectrum=pair.a2_spectrum, j_matrix=pair.j_matrix)
+    u = iso.u_matrix
     if not is_unitary(u, STRUCTURE_TOL):
         raise StructureViolationError("Cayley transform of A2 not unitary")
-    n0, ninf = complement_basis(cay.domain, subspace_tol), cay.ninf
     for name, basis in (("D(V)", cay.domain), ("R(V)", cay.range)):
         if basis.shape[1]:
             res = subspace_residual(basis, u @ basis)
             if res > STRUCTURE_TOL:
                 raise StructureViolationError(
                     f"U does not leave {name} invariant (residual {res:.3e})")
-    iso = IsometricPair(dim=pair.dim, v_domain=cay.domain,
-                        v_action=cay.action, n0_basis=n0, ninf_basis=ninf,
-                        u_matrix=u, j_matrix=pair.j_matrix)
     if cay.domain.shape[1]:
         v = iso.v_matrix
         comm = (v @ u - u @ v) @ cay.domain
@@ -481,7 +488,8 @@ def forbidden_operator(iso: IsometricPair, *,
     v_action`` span ``D(A)``, and the ``Ninf`` part of the solution does
     not depend on the basis of ``D(A)``; near its cut, the stack takes
     ``iso.operator_domain()`` instead, so the verdicts are an orthonormal
-    basis's.  Raises ``StructureViolationError`` when the defect dimensions
+    basis's.  The stack's singular values are computed only where
+    :func:`_clears_direct_sum_cut` cannot prove it past the cut.  Raises ``StructureViolationError`` when the defect dimensions
     differ or ``V`` fixes a vector, ``NotDirectSumError`` when ``[Ninf,
     D(A)]`` is singular and ``NoDecompositionError`` when the residual
     exceeds the gate.
@@ -493,23 +501,58 @@ def forbidden_operator(iso: IsometricPair, *,
             f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
             f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
     stacked = np.hstack([ninf, iso.v_domain - iso.v_action])
-    s = np.linalg.svd(stacked, compute_uv=False)
+    cut = np.sqrt(2.0) * tolerances.subspace_tol
     # (E - V) D(V) = Q R with Q orthonormal makes the stack [Ninf, Q] diag(E,
     # R): s[-1] <= s_min([Ninf, Q]) max(1, s[0]).  Past this cut, Q keeps all
     # columns and [Ninf, Q] (norm <= sqrt 2) clears the cut below; short of
     # it, both cuts are taken on Q itself.
-    if s[-1] <= np.sqrt(2.0) * tolerances.subspace_tol * max(s[0], 1.0):
-        stacked = np.hstack([ninf, _checked_operator_domain(iso, tolerances)])
+    if not _clears_direct_sum_cut(stacked, cut):
         s = np.linalg.svd(stacked, compute_uv=False)
-        if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
-            raise NotDirectSumError(
-                "N_-i and D(A) overlap; sum is not direct")
+        if s[-1] <= cut * max(s[0], 1.0):
+            stacked = np.hstack([ninf,
+                                 _checked_operator_domain(iso, tolerances)])
+            s = np.linalg.svd(stacked, compute_uv=False)
+            if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
+                raise NotDirectSumError(
+                    "N_-i and D(A) overlap; sum is not direct")
     coeffs = np.linalg.solve(stacked, n0)
     residual = float(np.linalg.norm(stacked @ coeffs - n0))
     if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
     return n0, ninf @ coeffs[: iso.defect_dim]
+
+
+def _clears_direct_sum_cut(stacked: np.ndarray, cut: float) -> bool:
+    """Whether the singular values ``s`` of the square ``n x n`` stack ``S``
+    provably satisfy ``s[-1] > cut max(s[0], 1)``, from one Gram product and
+    one Cholesky instead of an SVD.
+
+    Let ``F = ||S||_F >= s[0]``, ``c = cut max(F, 1)`` and ``mu = 4 c^2 + 64
+    n eps F^2``.  In complex arithmetic (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Sec. 3.6 and Thm 10.5): ``fl(S^H S)`` is
+    within ``3 n eps F^2`` of ``S^H S`` in the 2-norm, as ``|| |S|^H |S|
+    ||_2 <= F^2``; subtracting ``mu E`` rounds the diagonal by at most ``eps
+    (F^2 + mu)``; and a Cholesky factor ``R`` of the result ``M`` that
+    completes has ``R^H R = M + D``, ``||D||_2 <= 3 n eps ||R||_F^2 <= 4 n
+    eps F^2``.  ``R^H R`` is semidefinite, so ``lambda_min(S^H S) >= mu (1 -
+    eps) - 8 n eps F^2 >= 4 c^2 (1 - eps) + 48 n eps F^2``: ``sigma_min(S)``
+    is at least ``2 c (1 - eps)`` and at least ``1e-7 sqrt(n) F``, which is
+    more than ``1e4`` times the error of the computed singular values (a
+    small multiple of ``n eps F``) for any ``n`` up to a few hundred.  So the
+    SVD too finds ``s[-1]`` above its ``cut max(s[0], 1) <= c (1 + n eps)``.
+    A factorization that fails proves nothing, and the caller takes the SVD.
+    """
+    n, norm = stacked.shape[1], float(frobenius(stacked))
+    c = cut * max(norm, 1.0)
+    shift = 4.0 * c * c + 64.0 * n * np.finfo(float).eps * norm * norm
+    gram = stacked.conj().T @ stacked
+    gram[np.diag_indices(n)] -= shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def constant_admissibility(iso: IsometricPair, phi: ContractionParameter, *,

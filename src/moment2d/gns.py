@@ -26,7 +26,7 @@ from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, RESIDUAL_GATE,
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError,
                      StructureViolationError)
-from .linalg import is_hermitian, read_only, truncated_svd
+from .linalg import gram_defect, is_hermitian, read_only, truncated_svd
 from .moments import MomentTable, _monomials, _per_rectangle, moment_matrix
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
@@ -134,9 +134,9 @@ class SymmetricPair:
     def a1_gram_defect(self) -> float:
         """``||Q^H Q - E||_F`` of ``Q = a1_domain``, formed once per pair
         for the rank check of :func:`~moment2d.cayley.cayley` and its
-        fixed-vector gate."""
-        q = self.a1_domain
-        return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+        fixed-vector gate (:func:`~moment2d.io.pair_from_json` keeps the
+        value its orthonormality check formed)."""
+        return gram_defect(self.a1_domain)
 
     @cached_property
     def a2_selfadjoint(self) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 from .config import STRUCTURE_TOL
 from .errors import SchemaError
 from .gns import SymmetricPair
-from .linalg import is_conjugation
+from .linalg import gram_defect, is_conjugation
 from .moments import AtomicMeasure, MomentTable
 from .solutions import SolutionReport
 
@@ -316,14 +316,14 @@ def pair_from_json(obj) -> SymmetricPair:
     obj = _expect_dict(obj, "operator pair")
     dim = _expect_int(_get(obj, "dim", "operator pair"), "dim")
     _expect(dim >= 1, "dim must be >= 1")
-    ops = {}
+    ops, residuals = {}, {}
     for op in ("a1", "a2"):
         domain = complex_matrix_from_json(
             _get(obj, f"{op}_domain", "operator pair"), f"{op}_domain",
             rows=dim)
         # The operator's full matrix, action @ domain^H, needs this.
         k = domain.shape[1]
-        residual = float(np.linalg.norm(domain.conj().T @ domain - np.eye(k)))
+        residual = residuals[op] = gram_defect(domain)
         _expect(residual <= STRUCTURE_TOL * max(k, 1),
                 f"{op}_domain columns must be orthonormal (residual "
                 f"||Q^H Q - I||_F = {residual:.3e})")
@@ -340,6 +340,8 @@ def pair_from_json(obj) -> SymmetricPair:
     flag = _get(obj, "a2_selfadjoint", "operator pair")
     _expect(isinstance(flag, bool), "a2_selfadjoint must be a boolean")
     pair = SymmetricPair(dim=dim, **ops, h00=h00, j_matrix=j_matrix)
+    # The same number as pair.a1_gram_defect, which cayley() reads.
+    vars(pair)["a1_gram_defect"] = residuals["a1"]
     _expect(flag == pair.a2_selfadjoint,
             f"a2_selfadjoint is {dumps(flag)}, but A2 is "
             f"{'' if pair.a2_selfadjoint else 'not '}self-adjoint")

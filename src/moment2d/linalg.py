@@ -94,6 +94,12 @@ def frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
+def gram_defect(q: np.ndarray) -> float:
+    """``||Q^H Q - E||_F``: how far the columns of ``q`` are from
+    orthonormal."""
+    return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+
+
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     a = as_complex_matrix(a)
     scale = 1.0 + float(np.linalg.norm(a))

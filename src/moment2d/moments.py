@@ -92,17 +92,18 @@ def _has_close_pair(points: np.ndarray, tol: float) -> bool:
     grows with the rank gap ``g``, so the scan over gaps stops at the
     first gap where no pair is within ``tol`` in ``t1``: O(k log k) when
     the atoms are apart in ``t1``, and the same decision as comparing
-    every pair, since floating-point subtraction is antisymmetric.
+    every pair, since floating-point subtraction is antisymmetric.  A
+    difference that overflows (atoms near +-1.8e308) is infinite and so
+    not within ``tol``; it raises no warning.
     """
-    order = np.argsort(points[:, 0], kind="stable")
-    t1 = points[order, 0]
-    t2 = points[order, 1]
-    for gap in range(1, t1.size):
-        near = t1[gap:] - t1[:-gap] <= tol
-        if not near.any():
-            return False
-        if np.any(near & (np.abs(t2[gap:] - t2[:-gap]) <= tol)):
-            return True
+    t1, t2 = points.take(points[:, 0].argsort(kind="stable"), axis=0).T
+    with np.errstate(over="ignore"):
+        for gap in range(1, t1.size):
+            near = t1[gap:] - t1[:-gap] <= tol
+            if not np.count_nonzero(near):
+                return False
+            if np.count_nonzero(near & (np.abs(t2[gap:] - t2[:-gap]) <= tol)):
+                return True
     return False
 
 
@@ -136,12 +137,14 @@ class AtomicMeasure:
             raise ValueError("weights must be strictly positive")
         if _has_close_pair(points, self.merge_tol):
             # Name the first coinciding pair in input order.
-            for i in range(points.shape[0]):
-                for j in range(i + 1, points.shape[0]):
-                    if np.max(np.abs(points[i] - points[j])) <= self.merge_tol:
-                        raise ValueError(
-                            f"atoms {i} and {j} coincide within merge "
-                            f"tolerance")
+            with np.errstate(over="ignore"):
+                for i in range(points.shape[0]):
+                    for j in range(i + 1, points.shape[0]):
+                        if (np.max(np.abs(points[i] - points[j]))
+                                <= self.merge_tol):
+                            raise ValueError(
+                                f"atoms {i} and {j} coincide within merge "
+                                f"tolerance")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 

@@ -24,7 +24,17 @@ that the one-atom measure at the origin gives the scalar value
 ``1/(lam1 lam2)``, which is the compressed product of resolvent factors
 ``(E + lam B)(B - lam)^{-1}`` of the in-space self-adjoint extensions;
 the ``z``-type pair resolvent of :func:`pair_resolvent_unitary` is the
-negative of the ``lam``-type one at corresponding points.
+negative of the ``lam``-type one at corresponding points.  The column
+factor is taken in that ``lam`` form: with ``A2 = Q diag(b) Q^H`` (the
+pair's ``a2_spectrum``) and ``U = Q diag((b + i)/(b - i)) Q^H``,
+
+    ``(E + z2 U)(E - z2 U)^{-1} = Q diag(-i (1 + lam2 b)/(b - lam2)) Q^H``,
+
+one division per eigenvalue instead of a solve against ``E - z2 U``.  It
+keeps its digits where the Moebius form cannot: at a huge ``lam2``,
+``1 - z2`` holds few digits and ``E + z2 U`` cancels on an eigenvalue 0
+of ``A2``; next to the real axis, ``E - z2 U`` is nearly singular while
+``b - lam2`` is exact.
 
 Prepared pairs and grids
 ------------------------
@@ -32,21 +42,23 @@ For a constant ``Phi`` the value depends on the parameter only through
 the full matrix of ``V (+) Phi``, and the admissibility and commutation
 gates do not depend on the point.  :func:`prepare_pair` runs both gates
 and builds that matrix once; the :class:`PreparedPair` it returns is
-the first argument of :func:`pair_resolvent_symmetric`, which then does
-only the solves.  The value is a row factor of ``z1`` alone times a
-column factor of ``z2`` alone, so a ``lambda1 x lambda2`` grid solves
-one row factor per ``lambda1`` and one column factor per ``lambda2`` and
-half-plane of ``lambda1``: each kind is one stacked solve, split into
-stacks of at most ``CHUNK_CELLS // n**2`` points, and the grid is one
-batched product of rows by columns.
+the first argument of :func:`pair_resolvent_symmetric`, which then
+evaluates only the two factors.  The value is a row factor of ``z1``
+alone times a column factor of ``lam2`` alone, so a ``lambda1 x
+lambda2`` grid solves one row factor per ``lambda1``, in stacked solves
+of at most ``CHUNK_CELLS // n**2`` points, and forms one column factor
+per ``lambda2`` and half-plane of ``lambda1`` in one stacked product;
+the grid is one batched product of rows by columns.
 Every value is bit for bit that of a call at its point alone.  With an
-``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R h_embed``,
-and each factor is solved against ``h_embed``, not ``E``.
+``(n, k)`` embedding ``h_embed`` the value is ``h_embed^H R h_embed``:
+the row factor is solved against ``h_embed`` and the column factor
+applied to it, not to ``E``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +90,9 @@ __all__ = [
 # Points this close to the real axis (relative to 1 + |lam|) count as real.
 REAL_AXIS_TOL = 1e-12
 
+# The exact scale of the lambda-form column factor (_column_factors).
+_TINY = 2.0 ** -60
+
 
 def cayley_point(lam: complex) -> complex:
     """Moebius image ``z = (lam - i)/(lam + i)`` of a spectral point."""
@@ -93,7 +108,7 @@ def validate_spectral_point(lam: complex, name: str = "lambda") -> complex:
     otherwise.
     """
     lam = complex(lam)
-    if not np.isfinite(lam.real) or not np.isfinite(lam.imag):
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise ExcludedPointError(f"{name} = {lam} is not finite")
     if abs(lam.imag) <= REAL_AXIS_TOL * (1.0 + abs(lam)):
         raise ExcludedPointError(f"{name} = {lam} lies on the real axis")
@@ -133,9 +148,8 @@ def _extended_resolvent(full: np.ndarray, z: np.ndarray, rhs=None,
                         image=None) -> np.ndarray:
     """``[E - z full]^{-1} (rhs + z image)`` at each point of the 1-D
     array ``z``; ``rhs = E`` and ``image = 0`` if omitted."""
-    # No disk check: pair_resolvent_symmetric also solves at the z of a
-    # huge lambda, where |z| rounds to 1 but the solve is still sound (for
-    # z2 because U, the Cayley transform of A2, has no eigenvalue 1).
+    # No disk check: pair_resolvent_symmetric also solves at the z1 of a
+    # huge lambda1, where |z1| rounds to 1; unitary_moebius checks its z.
     eye, z = np.eye(full.shape[0], dtype=complex), z[:, None, None]
     rhs = eye if rhs is None else rhs
     rhs = rhs if image is None else rhs + z * image
@@ -165,6 +179,22 @@ def _solve_stack(full: np.ndarray, points: list, singular: str, rhs=None,
             parts += [_solve_stack(full, [z], singular, rhs, image)
                       for z in part]
     return np.concatenate(parts)
+
+
+def _column_factors(b: np.ndarray, q: np.ndarray, lam: np.ndarray,
+                    coords: np.ndarray) -> np.ndarray:
+    """``(E + z U)(E - z U)^{-1} h`` at ``z = (lam - i)/(lam + i)`` for each
+    point of the 1-D array ``lam``, with ``U = Q diag((b + i)/(b - i)) Q^H``
+    and ``coords = Q^H h``: ``Q diag(-i (1 + lam b)/(b - lam)) coords``, one
+    product per point in one stacked ``matmul``.  No solve: ``b`` is real
+    and ``lam`` is not, so no denominator vanishes.  Numerator and
+    denominator are scaled by ``2**-60``, exactly: ``lam b`` stays finite
+    for every finite ``lam`` (``|b| < 2**28`` by the range gate of
+    ``a2_spectrum``), and the quotient is the unscaled one wherever no
+    scaled part falls below ``2**-1022``."""
+    lam = _TINY * lam[:, None]
+    scale = -1j * (_TINY + lam * b) / (_TINY * b - lam)
+    return q @ (scale[:, :, None] * coords)
 
 
 def unitary_moebius(u: np.ndarray, z: complex) -> np.ndarray:
@@ -262,22 +292,24 @@ def pair_resolvent_symmetric(prepared: PreparedPair, lambda1,
     upper = np.array([lam.imag > 0.0 for lam in lam1], dtype=bool)
     points1 = [cayley_point(lam if up else lam.conjugate())
                for lam, up in zip(lam1, upper)]
-    h, t, u = prepared.h_embed, prepared.extended, prepared.iso.u_matrix
+    h, t = prepared.h_embed, prepared.extended
+    b, q = prepared.iso.a2_spectrum
     if h is None:
-        rhs, image = np.eye(t.shape[0], dtype=complex), u
-        rows = rhs - 2.0 * _solve_stack(t, points1, "resolvent")
+        rows = np.eye(t.shape[0], dtype=complex) - 2.0 * _solve_stack(
+            t, points1, "resolvent")
+        coords = q.conj().T
     else:
         # h^H (E - z1 T)^{-1} is the transpose of (E - z1 T^T)^{-1} conj(h).
         rows = h.conj().T - 2.0 * _solve_stack(
             t.T, points1, "resolvent", h.conj()).swapaxes(-1, -2)
-        rhs, image = h, u @ h
+        coords = q.conj().T @ h
     k = rows.shape[1]
     # Lower lambda1 take the adjoint of the value at conj(lambda2).
     halves = [(mask, conj) for mask, conj in ((upper, False), (~upper, True))
               if mask.any()]
-    points2 = [cayley_point(lam.conjugate() if conj else lam)
-               for _, conj in halves for lam in lam2]
-    cols = _solve_stack(u, points2, "E - z U", rhs, image)
+    points2 = np.array([lam.conjugate() if conj else lam
+                        for _, conj in halves for lam in lam2], dtype=complex)
+    cols = _column_factors(b, q, points2, coords)
     values = np.empty((len(lam1), len(lam2), k, k), dtype=complex)
     for i, (mask, conj) in enumerate(halves):
         block = rows[mask][:, None] @ cols[i * len(lam2):][:len(lam2)][None]

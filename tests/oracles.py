@@ -160,11 +160,13 @@ def pair_moments_per_chain(pair, max_m: int, max_n: int,
 
 def first_close_pair(points: np.ndarray, tol: float):
     """First ``(i, j)``, ``i < j``, in input order with max-coordinate
-    distance at most ``tol``, or None."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if np.max(np.abs(points[i] - points[j])) <= tol:
-                return i, j
+    distance at most ``tol``, or None.  An overflowing distance is
+    infinite, and so not within ``tol``."""
+    with np.errstate(over="ignore"):
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                if np.max(np.abs(points[i] - points[j])) <= tol:
+                    return i, j
     return None
 
 
@@ -257,39 +259,65 @@ def pair_resolvent_symmetric_gated(iso, phi, lam1: complex, lam2: complex,
 
     Conjugates a lower half-plane ``lam1`` (the value is then the
     adjoint), runs the admissibility gate and the commutation gate at
-    ``z1``, builds ``V (+) Phi_{z1}`` and makes the two dense solves
-    ``(E - z1 V~) R = E`` and ``(E - z2 U) M = E + z2 U``.  With an
-    ``(n, k)`` embedding ``h_embed`` the value is ``h^H R h``, and the
-    two solves are made against ``h`` instead: ``(E - z1 V~^T) X =
-    conj(h)`` and ``(E - z2 U) Y = h + z2 U h``.  Points must be valid
-    spectral points.
+    ``z1``, builds ``V (+) Phi_{z1}``, makes the dense solve ``(E - z1 V~)
+    R = E`` and takes the column factor in ``lambda`` form on the
+    eigenbasis ``(b, Q)`` of ``A2``: ``Q diag(-i (1 + lam2 b)/(b - lam2))
+    Q^H``.  With an ``(n, k)`` embedding ``h_embed`` the value is ``h^H R
+    h``: the solve is made against ``h`` instead, ``(E - z1 V~^T) X =
+    conj(h)``, and the column factor is applied to ``h``.  Points must be
+    valid spectral points.
     """
+    return _gated(iso, phi, lam1, lam2, h_embed, _lambda_column)
+
+
+def pair_resolvent_symmetric_moebius(iso, phi, lam1: complex, lam2: complex,
+                                     h_embed=None) -> np.ndarray:
+    """:func:`pair_resolvent_symmetric_gated` with the column factor from
+    the dense solve ``(E - z2 U) M = E + z2 U`` (against ``h + z2 U h``
+    with ``h_embed``), the Moebius form of the factor.  Where ``E - z2 U``
+    is well conditioned it agrees with the ``lambda`` form to rounding."""
+    return _gated(iso, phi, lam1, lam2, h_embed, _moebius_column)
+
+
+def _lambda_column(iso, lam2, h):
+    b, q = iso.a2_spectrum
+    scale = -1j * (1.0 + lam2 * b) / (b - lam2)
+    coords = q.conj().T if h is None else q.conj().T @ h
+    return q @ (scale[:, None] * coords)
+
+
+def _moebius_column(iso, lam2, h):
+    z2 = (lam2 - 1j) / (lam2 + 1j)
+    eye = np.eye(iso.dim, dtype=complex)
+    u = iso.u_matrix
+    if h is None:
+        return np.linalg.solve(eye - z2 * u, eye + z2 * u)
+    return np.linalg.solve(eye - z2 * u, h + z2 * (u @ h))
+
+
+def _gated(iso, phi, lam1, lam2, h_embed, column):
     from moment2d.cayley import (commutation_check, constant_admissibility,
                                  extend_isometry)
     from moment2d.errors import (AdmissibilityFailedError,
                                  CommutationViolatedError)
     lam1, lam2 = complex(lam1), complex(lam2)
     if lam1.imag < 0.0:
-        return pair_resolvent_symmetric_gated(
-            iso, phi, lam1.conjugate(), lam2.conjugate(),
-            h_embed).conj().T
+        return _gated(iso, phi, lam1.conjugate(), lam2.conjugate(), h_embed,
+                      column).conj().T
     if not constant_admissibility(iso, phi):
         raise AdmissibilityFailedError("parameter is forbidden")
     z1 = (lam1 - 1j) / (lam1 + 1j)
-    z2 = (lam2 - 1j) / (lam2 + 1j)
     if not commutation_check(iso, phi, z1):
         raise CommutationViolatedError("parameter does not commute")
     eye = np.eye(iso.dim, dtype=complex)
     extended = extend_isometry(iso, phi, z1)
-    u = iso.u_matrix
     if h_embed is not None:
         h = h_embed
         row = h.conj().T - 2.0 * np.linalg.solve(eye - z1 * extended.T,
                                                  h.conj()).T
-        return row @ np.linalg.solve(eye - z2 * u, h + z2 * (u @ h))
+        return row @ column(iso, lam2, h)
     resolvent = np.linalg.solve(eye - z1 * extended, eye)
-    moebius = np.linalg.solve(eye - z2 * u, eye + z2 * u)
-    return (eye - 2.0 * resolvent) @ moebius
+    return (eye - 2.0 * resolvent) @ column(iso, lam2, None)
 
 
 def cayley_route_measure(pair):
@@ -562,6 +590,42 @@ def forbidden_operator_orthonormal(iso, tolerances) -> tuple:
     s = np.linalg.svd(stacked, compute_uv=False)
     if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
         raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
+    coeffs = np.linalg.solve(stacked, n0)
+    residual = float(np.linalg.norm(stacked @ coeffs - n0))
+    if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
+        raise NoDecompositionError(
+            f"decomposition residual {residual:.3e} exceeds gate")
+    return n0, ninf @ coeffs[: n0.shape[1]]
+
+
+def forbidden_operator_svd_first(iso, tolerances) -> tuple:
+    """``forbidden_operator`` deciding the direct-sum cut of ``[Ninf, (E -
+    V) D(V)]`` by its singular values on every stack, with no cheaper proof
+    first; near the cut it takes an orthonormal basis of ``D(A)``, whose
+    loss of a dimension refuses a fixed vector of ``V``.  Returns
+    ``(n0_basis, x_matrix)`` or raises the library's error with its
+    message."""
+    from moment2d.config import STRUCTURE_TOL
+    from moment2d.errors import (NoDecompositionError, NotDirectSumError,
+                                 StructureViolationError)
+    n0, ninf = iso.n0_basis, iso.ninf_basis
+    if ninf.shape[1] + iso.v_domain.shape[1] != iso.dim or (
+            n0.shape[1] != ninf.shape[1]):
+        raise StructureViolationError(
+            f"defect dimensions differ: {n0.shape[1]} != {ninf.shape[1]} "
+            f"(dim D(V) = {iso.v_domain.shape[1]}, dim = {iso.dim})")
+    stacked = np.hstack([ninf, iso.v_domain - iso.v_action])
+    s = np.linalg.svd(stacked, compute_uv=False)
+    if s[-1] <= np.sqrt(2.0) * tolerances.subspace_tol * max(s[0], 1.0):
+        q = iso.operator_domain(tolerances=tolerances)
+        if q.shape[1] < iso.v_domain.shape[1]:
+            raise StructureViolationError(
+                "Cayley transform of A1 has a fixed vector on D(V); A1 is "
+                "outside the numerically supported range")
+        stacked = np.hstack([ninf, q])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        if s[-1] <= tolerances.subspace_tol * max(s[0], 1.0):
+            raise NotDirectSumError("N_-i and D(A) overlap; sum is not direct")
     coeffs = np.linalg.solve(stacked, n0)
     residual = float(np.linalg.norm(stacked @ coeffs - n0))
     if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):

@@ -314,7 +314,7 @@ def test_forbidden_operator_requires_direct_sum():
     e2_col = np.eye(2, dtype=complex)[:, [1]]
     iso = IsometricPair(dim=2, v_domain=e1_col, v_action=-e1_col,
                         n0_basis=e2_col, ninf_basis=e1_col,
-                        u_matrix=np.eye(2, dtype=complex),
+                        a2_spectrum=(np.zeros(2), np.eye(2, dtype=complex)),
                         j_matrix=np.eye(2, dtype=complex))
     assert subspace_residual(iso.operator_domain(), e1_col) < 1e-12
     with pytest.raises(NotDirectSumError):
@@ -347,7 +347,7 @@ def test_forbidden_operator_refuses_defect_bases_of_different_sizes():
     e = np.eye(3, dtype=complex)
     iso = IsometricPair(dim=3, v_domain=e[:, [0]], v_action=1j * e[:, [0]],
                         n0_basis=e[:, 1:], ninf_basis=e[:, [1]],
-                        u_matrix=e, j_matrix=e)
+                        a2_spectrum=(np.zeros(3), e), j_matrix=e)
     with pytest.raises(StructureViolationError,
                        match=r"defect dimensions differ: 2 != 1"):
         forbidden_operator(iso)
@@ -399,7 +399,7 @@ def test_a_fixed_vector_of_v_is_refused_before_the_admissibility_test():
     e2_col = np.eye(2, dtype=complex)[:, [1]]
     iso = IsometricPair(dim=2, v_domain=e1_col, v_action=e1_col,
                         n0_basis=e2_col, ninf_basis=e2_col,
-                        u_matrix=np.eye(2, dtype=complex),
+                        a2_spectrum=(np.zeros(2), np.eye(2, dtype=complex)),
                         j_matrix=np.eye(2, dtype=complex))
     assert iso.operator_domain().shape == (2, 0)
     message = r"Cayley transform of A1 has a fixed vector on D\(V\)"
@@ -551,7 +551,7 @@ def test_forbidden_operator_matches_the_orthonormal_basis_oracle(
             dim=pair.dim, v_domain=cay.domain, v_action=cay.action,
             n0_basis=complement_basis(cay.domain, subspace_tol),
             ninf_basis=complement_basis(cay.range, subspace_tol),
-            u_matrix=-np.eye(pair.dim, dtype=complex),
+            a2_spectrum=pair.a2_spectrum,
             j_matrix=pair.j_matrix)
         outcomes = []
         for solve in (forbidden_operator,
@@ -572,15 +572,75 @@ def test_forbidden_operator_matches_the_orthonormal_basis_oracle(
     assert "tuple" in verdicts and len(verdicts) > 1
 
 
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """The matrices passed to ``np.linalg.svd``, in order."""
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("subspace_tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("family", [
+    _scaled_a1_pair, functools.partial(_scaled_a1_pair, leave=10.0),
+    _off_domain_a1_pair], ids=["leave-0.1", "leave-10", "off-domain"])
+def test_direct_sum_screen_matches_the_svd_first_oracle(
+        subspace_tol, family, svd_calls):
+    # Cayley data without the gates of build_isometric_pair, as in the
+    # orthonormal-basis test above, so that fixed vectors reach the cut.
+    tolerances = Tolerances(subspace_tol=subspace_tol)
+    cut = np.sqrt(2.0) * subspace_tol
+    screened = set()
+    for norm in np.geomspace(1.0, 1e10, 121):
+        pair = family(norm)
+        cay = cayley(pair, tolerances=tolerances)
+        iso = IsometricPair(
+            dim=pair.dim, v_domain=cay.domain, v_action=cay.action,
+            n0_basis=complement_basis(cay.domain, subspace_tol),
+            ninf_basis=cay.ninf, a2_spectrum=pair.a2_spectrum,
+            j_matrix=pair.j_matrix)
+        stacked = np.hstack([iso.ninf_basis, iso.v_domain - iso.v_action])
+        s = np.linalg.svd(stacked, compute_uv=False)
+        outcomes = []
+        for solve in (oracles.forbidden_operator_svd_first,
+                      forbidden_operator):
+            svd_calls.clear()
+            try:
+                outcomes.append(solve(iso, tolerances=tolerances))
+            except Moment2dError as exc:
+                outcomes.append(exc)
+        want, got = outcomes
+        assert type(got) is type(want), norm
+        if isinstance(want, Exception):
+            assert str(got) == str(want), norm
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), norm
+        screened.add(not svd_calls)
+        # The screen proves s[-1] >= 2 cut max(s[0], 1); a stack short of
+        # that always reaches the SVD, and every error comes from it.
+        if s[-1] < 2.0 * cut * max(s[0], 1.0) or isinstance(want, Exception):
+            assert svd_calls, norm
+    assert screened == {True, False}
+
+
 @pytest.mark.parametrize("setup", [None, (40, 1, 0), (40, 2, 0), (40, 3, 0)],
                          ids=["e3", "e3_class-40-1", "e3_class-40-2",
                               "e3_class-40-3"])
 def test_a_pair_the_screen_clears_builds_no_operator_domain(
-        setup, domain_calls, orth_calls):
+        setup, domain_calls, orth_calls, svd_calls):
     iso = build_isometric_pair(e3().pair if setup is None
                                else e3_class(*setup).pair)
     phi = ContractionParameter.const(np.zeros((iso.defect_dim,) * 2))
+    svd_calls.clear()
     first = forbidden_operator(iso)
+    # The Cholesky screen clears the direct-sum cut: no SVD of the stack.
+    assert svd_calls == []
     assert constant_admissibility(iso, phi) is True
     assert constant_admissibility(
         iso, phi, tolerances=Tolerances(subspace_tol=1e-7)) is True

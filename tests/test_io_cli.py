@@ -25,6 +25,7 @@ from moment2d import (
     SymmetricPair,
     Tolerances,
     build_gns,
+    build_isometric_pair,
     build_operators,
     e1,
     e2,
@@ -125,6 +126,26 @@ def test_pair_round_trip():
     bad["a2_selfadjoint"] = "yes"
     with pytest.raises(SchemaError):
         io.pair_from_json(bad)
+
+
+def test_a_pair_read_from_json_forms_its_a1_gram_product_once(monkeypatch):
+    # The decoder's orthonormality check of a1_domain and the rank check
+    # of cayley() read the same ||Q^H Q - E||_F.
+    calls = []
+    real = io.gram_defect
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    gns = importlib.import_module("moment2d.gns")
+    for module in (io, gns):
+        monkeypatch.setattr(module, "gram_defect", counted)
+    pair = io.pair_from_json(io.pair_to_json(e3_class(20, 2, 1).pair))
+    build_isometric_pair(pair)
+    assert [q is pair.a1_domain for q in calls] == [True, False]
+    assert calls[1] is pair.a2_domain
+    assert pair.a1_gram_defect == real(pair.a1_domain)
 
 
 @pytest.mark.parametrize("field", ["a1_domain", "a2_domain"])
@@ -844,9 +865,9 @@ def test_cli_eval_resolvent_makes_one_grid_call(tmp_path: Path, capsys,
     assert len(grids) == 1
     lam1, lam2 = grids[0]
     assert len(lam1) == len(set(lam1)) == 6 == len(lam2) == len(set(lam2))
+    # One stacked solve for the rows; the columns take no solve.
     assert stacks == [
-        ("resolvent", [resolvents.cayley_point(lam) for lam in lam1]),
-        ("E - z U", [resolvents.cayley_point(lam) for lam in lam2])]
+        ("resolvent", [resolvents.cayley_point(lam) for lam in lam1])]
 
 
 def test_cli_demo_phi_is_a_canonical_extension_of_e3(tmp_path: Path, capsys):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment2d import (
@@ -22,7 +23,7 @@ from moment2d import (
     moments_of_measure,
     monomial_indices,
 )
-from moment2d.moments import _power_table
+from moment2d.moments import _has_close_pair, _power_table
 
 import oracles
 
@@ -282,6 +283,32 @@ _grid_coord = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
 def test_duplicate_atoms_match_pairwise_reference(coords, tol):
     _check_duplicates_like_reference(
         np.asarray(coords, dtype=float).reshape(-1, 2), tol)
+
+
+# The largest doubles, whose differences overflow, among ordinary values.
+_wide_coord = st.one_of(
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308,
+                     8.98846567431158e307, -1e308, 0.0]),
+    _grid_coord, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(_wide_coord, _wide_coord), max_size=9),
+       st.sampled_from([0.0, 1e-9, 0.5, 1e308]))
+@example([(1.7976931348623157e308, 0.0), (-1.7976931348623157e308, 0.0)],
+         1e-9)
+@example([(0.0, 1.7976931348623157e308), (0.0, -1.7976931348623157e308),
+          (1.0, 0.0)], 1e-9)
+@example([(-1e308, 0.0), (1.7976931348623157e308, 1.0), (0.0, 0.0),
+          (0.0, 0.0)], 0.5)
+@settings(max_examples=300, deadline=None)
+def test_overflowing_atom_gaps_match_pairwise_reference_without_warnings(
+        coords, tol):
+    points = np.asarray(coords, dtype=float).reshape(-1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _has_close_pair(points, tol) is (
+            oracles.first_close_pair(points, tol) is not None)
+        _check_duplicates_like_reference(points, tol)
 
 
 def test_duplicate_atom_edge_cases():

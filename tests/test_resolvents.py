@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from moment2d import (
     AdmissibilityFailedError,
+    AtomicMeasure,
     CommutationViolatedError,
     ContractionParameter,
     ExcludedPointError,
@@ -22,6 +21,7 @@ from moment2d import (
     e2,
     e3,
     e3_class,
+    joint_spectral_measure,
     pair_resolvent_of_measure,
     pair_resolvent_symmetric,
     pair_resolvent_unitary,
@@ -237,6 +237,33 @@ def test_grid_is_bit_identical_to_the_gated_oracle_in_any_order(k):
             pair_resolvent_symmetric(prepared, lam1[i], lam2[j]), grid[i, j])
 
 
+@pytest.mark.parametrize("dim", [5, 20, 40])
+def test_grid_agrees_with_the_moebius_oracle_at_well_conditioned_points(dim):
+    # The Moebius column (E - z2 U)^{-1} (E + z2 U) and the lambda form
+    # are the same function; apart from the real axis and +-i both are
+    # accurate, so they agree to rounding.  At the largest lambda2, where
+    # the unscaled lambda2 b would overflow, no eigenvalue of A2 is near 0
+    # here, so the Moebius column is accurate there too.
+    iso, phi = _identity_extension_pair(dim)
+    assert np.min(np.abs(iso.a2_spectrum[0])) > 1e-3
+    rng = np.random.default_rng(dim + 1)
+    pairs = [oracles.random_point_pair(rng) for _ in range(8)]
+    lam1 = [a for a, _ in pairs]
+    lam2 = [b for _, b in pairs] + [1e308j, -1e300 - 1.7e308j]
+    assert {a.imag > 0 for a in lam1} == {b.imag > 0 for b in lam2} == {
+        True, False}
+    wide = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    for h in (None, wide, iso.v_domain[:, :1]):
+        grid = pair_resolvent_symmetric(prepare_pair(iso, phi, h_embed=h),
+                                        lam1, lam2)
+        for i, a in enumerate(lam1):
+            for j, b in enumerate(lam2):
+                want = oracles.pair_resolvent_symmetric_moebius(
+                    iso, phi, a, b, h_embed=h)
+                assert np.linalg.norm(grid[i, j] - want) <= (
+                    1e-12 * np.linalg.norm(want)), (a, b)
+
+
 def test_results_are_writable_and_fresh():
     iso, phi = _identity_extension_pair(5)
     prepared = prepare_pair(iso, phi)
@@ -291,10 +318,10 @@ def test_grid_is_solved_in_slices_under_the_cell_cap(monkeypatch, k):
     monkeypatch.setattr(np.linalg, "solve", solve)
     got = pair_resolvent_symmetric(prepared, lam1, lam2)
     assert np.array_equal(got, want)
-    # Slices of at most 3 points: the 7 z1 take three solves, and the 9
-    # or 18 z2 (18 when lambda1 lies in both half-planes) three or more.
-    assert len(sizes) >= 6
-    assert max(max(s) for s in sizes) <= cap
+    # Slices of at most 3 points: the 7 z1 take three solves, each with
+    # one right-hand side block per point; the lambda2 take none.
+    width = 20 * (k or 20)
+    assert sizes == [(cap, 3 * width)] * 2 + [(20 ** 2, width)]
 
 
 def test_points_that_differ_in_the_sign_of_zero_are_solved_apart(
@@ -315,7 +342,8 @@ def test_points_that_differ_in_the_sign_of_zero_are_solved_apart(
 
     monkeypatch.setattr(resolvents, "_solve_stack", counted)
     grid = pair_resolvent_symmetric(prepared, lam, lam)
-    assert stacks == [[str(p) for p in z]] * 2
+    # One row stack with both points; the columns take no solve.
+    assert stacks == [[str(p) for p in z]]
     for i, lam1 in enumerate(lam):
         for j, lam2 in enumerate(lam):
             want = oracles.pair_resolvent_symmetric_gated(iso, phi, lam1, lam2)
@@ -372,15 +400,50 @@ def test_singular_factor_names_its_point(monkeypatch):
     assert stacks == [3, 1, 1]
 
 
-def test_singular_column_factor_names_its_point():
-    # E - z2 U is singular at the z2 = 1/3 of lambda2 = 2j.
-    iso = SimpleNamespace(u_matrix=np.diag([3.0, 0.5]).astype(complex))
-    prepared = resolvents.PreparedPair(iso, np.zeros((2, 2), dtype=complex))
-    message = f"E - z U singular at z = {resolvents.cayley_point(2j)}"
-    for lam2 in (2j, [1 + 1j, 2j, 3j]):
-        with pytest.raises(SingularMatrixError) as caught:
-            pair_resolvent_symmetric(prepared, 3j, lam2)
-        assert str(caught.value) == message
+def _kernel_cases():
+    """``(name, prepared, measure)``: e3 with the identity commutant element
+    (``A2 = 0``), and a determinate diagonal pair whose ``A2`` has the
+    exact eigenvalues 0.5, -1.25 and 2, both compressed to ``h00``."""
+    scenario = e3()
+    iso = build_isometric_pair(scenario.pair)
+    ext = canonical_extension(scenario.pair, iso, np.eye(1, dtype=complex))
+    prepared = prepare_pair(iso, ContractionParameter.const(
+        iso.ninf_basis.conj().T @ ext.u24),
+        h_embed=scenario.pair.h00[:, None])
+    yield "e3", prepared, joint_spectral_measure(
+        ext.a1_tilde, scenario.pair.full_matrix(2), scenario.pair.h00)
+    t1, t2 = np.array([0.3, -0.7, 1.1]), np.array([0.5, -1.25, 2.0])
+    h00 = np.array([0.6, 0.64, 0.48], dtype=complex)
+    eye = np.eye(3, dtype=complex)
+    pair = SymmetricPair(dim=3, a1_domain=eye, a1_action=np.diag(t1) + 0j,
+                         a2_domain=eye, a2_action=np.diag(t2) + 0j,
+                         h00=h00, j_matrix=eye)
+    iso = build_isometric_pair(pair)
+    yield "diagonal", prepare_pair(iso, _empty_phi(iso),
+                                   h_embed=h00[:, None]), AtomicMeasure(
+        np.column_stack([t1, t2]), np.abs(h00) ** 2)
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()),
+                         ids=lambda case: case[0])
+def test_columns_stay_accurate_at_an_eigenvalue_of_a2_next_to_the_real_axis(
+        case):
+    # lambda2 = b +- i delta with b an eigenvalue of A2 and delta just past
+    # the real-axis cut: E - z2 U is singular to about delta there, while
+    # the lambda form divides by b - lambda2 = -+i delta exactly.
+    _, prepared, measure = case
+    b = prepared.iso.a2_spectrum[0]
+    assert set(b) <= set(measure.points[:, 1])
+    lam1 = [2j, -1 - 0.5j, 0.3 + 1e3j]
+    lam2 = [complex(t, sign * 1.1e-12 * (1 + abs(t))) for t in b
+            for sign in (1, -1)]
+    grid = pair_resolvent_symmetric(prepared, lam1, lam2)[..., 0, 0]
+    assert np.all(np.isfinite(grid))
+    for i, a in enumerate(lam1):
+        for j, c in enumerate(lam2):
+            kernel = pair_resolvent_of_measure(measure, a, c)
+            assert abs(kernel) > 1e8
+            assert abs(grid[i, j] - kernel) <= 1e-12 * abs(kernel), (a, c)
 
 
 def _compression_cases():
@@ -416,9 +479,8 @@ def test_compressed_pair_resolvent_matches_the_gated_oracle(case):
                 iso, phi, lam1, lam2) @ h
             got = pair_resolvent_symmetric(prepared, lam1, lam2)
             assert got.shape == want.shape
-            # Relative to the size of the terms: at lambda2 = 1e13j,
-            # 1 - z2 = 2e-13 holds 3 digits, so E + z2 U cancels where U
-            # has the eigenvalue -1 (e3: A2 has the eigenvalue 0).
+            # Relative to the size of the terms: the column factor
+            # (E + z2 U)(E - z2 U)^{-1} has norm at most 2 ||(E - z2 U)^{-1}||.
             z1, z2 = (resolvents.cayley_point(lam) for lam in (
                 (lam1, lam2) if lam1.imag > 0 else np.conj((lam1, lam2))))
             row = np.eye(iso.dim) - 2.0 * np.linalg.inv(
