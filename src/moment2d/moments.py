@@ -120,6 +120,9 @@ class AtomicMeasure:
     merge_tol : float
         Atoms closer than this in max-coordinate distance are considered
         duplicates and rejected.
+
+    :meth:`_apart`, which only ``solutions._measure_stack`` calls, tests only
+    that atoms are finite: merged atoms lie apart, kept weights are positive.
     """
 
     points: np.ndarray
@@ -147,6 +150,15 @@ class AtomicMeasure:
                                 f"tolerance")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _apart(cls, points, weights, tol: float) -> "AtomicMeasure":
+        """Float ``(k, 2)`` points and ``(k,)`` weights; see the class doc."""
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise ValueError("atoms must be finite")
+        measure = object.__new__(cls)
+        measure.__dict__.update(points=points, weights=weights, merge_tol=tol)
+        return measure
 
     @property
     def n_atoms(self) -> int:
@@ -214,20 +226,19 @@ def moments_of_measure(measure: AtomicMeasure, max_m: int,
     This is the independent oracle the rest of the package is verified
     against: ``s_{m,n} = sum_i w_i t1_i^m t2_i^n`` with ``0^0 = 1``.
     The powers come from :func:`_power_table`; the terms ``w_i t1_i^m
-    t2_i^n``, one ``(k, max_m + 1, max_n + 1)`` array, are added to a zero
-    rectangle one atom's slab at a time, in atom order, so every sum is
-    rounded as in a plain per-atom loop (``np.add.reduce`` over the atom
-    axis sums a 1 x 1 rectangle's atoms pairwise).
+    t2_i^n``, one ``(k, max_m + 1, max_n + 1)`` array, are summed in atom
+    order by ``np.add.accumulate``, and ``+ 0.0`` gives the positive zero
+    of a loop onto a zero rectangle, so every sum is rounded as in a
+    per-atom loop (``np.add.reduce`` sums a 1 x 1 rectangle pairwise).
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
+    if not measure.n_atoms:
+        return MomentTable(max_m, max_n, np.zeros((max_m + 1, max_n + 1)))
     p1 = _power_table(measure.points[:, 0], max_m)
     p2 = _power_table(measure.points[:, 1], max_n)
     terms = measure.weights[:, None, None] * (p1[:, :, None] * p2[:, None, :])
-    values = np.zeros((max_m + 1, max_n + 1))
-    for term in terms:
-        values += term
-    return MomentTable(max_m, max_n, values)
+    return MomentTable(max_m, max_n, np.add.accumulate(terms)[-1] + 0.0)
 
 
 def moment_matrix(table: MomentTable, d_m: int, d_n: int) -> np.ndarray:

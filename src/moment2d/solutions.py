@@ -266,8 +266,8 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     the ``MAX_COMBINATIONS`` drawn once per process is tried (then
     ``ClusterAmbiguityError``).  Atoms below ``WEIGHT_DROP_TOL`` are
     dropped, and atoms within ``tolerances.atom_merge_tol`` of each other
-    are merged, pass after pass, until no two are that close.
-    This is one slice of the stacked kernel of :func:`solve_canonical`.
+    are merged, pass after pass, until no two are that close; the last
+    pass's scan is the only one.  This is one slice of :func:`_measure_stack`.
     """
     a1, a2 = as_complex_matrix(a1), as_complex_matrix(a2)
     h = np.asarray(h00, dtype=complex).reshape(-1)
@@ -283,51 +283,55 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
 def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
                    comm: np.ndarray | None, *, tolerances: Tolerances) -> list:
     """:func:`joint_spectral_measure` of each (Hermitian) slice of ``a1s``;
-    ``comm`` is their :func:`_commute_gate` residuals, computed if None."""
+    ``comm`` is their :func:`_commute_gate` residuals, computed if None.
+    Each slice is read in one pass, as floats: a cluster of several sums as
+    ``np.add.reduceat`` does, and merged atoms need no second scan."""
     merge_tol = tolerances.atom_merge_tol
     comm = _commute_gate(None, a1s, a2) if comm is None else comm
     op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)),
                           float(np.linalg.norm(a2)))
     _gate(comm > STRUCTURE_TOL * op_scale * op_scale, CommutationViolatedError,
           "operators do not commute (residual %.3e)", comm)
-    n = a2.shape[0]
-    measures, pending = [None] * len(a1s), np.arange(len(a1s))
+    n, block_tol = a2.shape[0], (merge_tol * op_scale).tolist()
+    measures, pending = [None] * len(a1s), list(range(len(a1s)))
     for c in _COMBINATIONS:
-        b1 = a1s if pending.size == len(a1s) else a1s[pending]
+        b1 = a1s if len(pending) == len(a1s) else a1s[pending]
         m = c[0] * b1 + c[1] * a2
         vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
         vh = np.swapaxes(vecs.conj(), 1, 2)
         c1, c2 = vh @ b1 @ vecs, vh @ a2 @ vecs
-        # Chain clustering along each slice's sorted eigenvalues.
-        val_scale = 1.0 + np.abs(vals).max(axis=1, initial=0.0)
-        heads = np.ones(vals.shape, dtype=bool)
-        heads[:, 1:] = (vals[:, 1:] - vals[:, :-1]
-                        > tolerances.cluster_tol * val_scale[:, None])
-        starts = np.flatnonzero(heads)
-        sizes = np.diff(np.append(starts, heads.size))
-        diagonals = np.concatenate([c.reshape(-1, n * n)[:, ::n + 1, None].real
-                                    for c in (c1, c2)], axis=-1).reshape(-1, 2)
-        # ``+ 0.0`` turns a negative zero into a positive one.
-        points = np.add.reduceat(diagonals, starts) / sizes[:, None] + 0.0
-        weights = np.add.reduceat(np.abs(vh @ h).ravel() ** 2, starts)
-        scalar = np.ones(len(pending), dtype=bool)
-        for g in np.flatnonzero(sizes > 1):
-            i, s = divmod(starts[g], n)
-            block, eye = slice(s, s + sizes[g]), np.eye(sizes[g])
-            scalar[i] &= max(np.linalg.norm(c[i, block, block] - t * eye)
-                             for c, t in zip((c1, c2), points[g])
-                             ) <= merge_tol * op_scale[pending[i]]
-        first = np.searchsorted(starts, np.arange(len(pending) + 1) * n)
-        for i in np.flatnonzero(scalar):
-            atoms = slice(first[i], first[i + 1])
-            keep = weights[atoms] >= WEIGHT_DROP_TOL
-            p, w = points[atoms][keep], weights[atoms][keep]
-            while _has_close_pair(p, merge_tol):
-                p, w = _merge_atoms(p, w, merge_tol)
-            order = np.lexsort((p[:, 1], p[:, 0]))
-            measures[pending[i]] = AtomicMeasure(p[order], w[order], merge_tol)
-        pending = pending[~scalar]
-        if not pending.size:
+        gaps = tolerances.cluster_tol * (1.0 + abs(vals).max(1, initial=0.0))
+        slices = zip(pending, *(x.tolist() for x in (
+            vals, gaps, c1.diagonal(0, 1, 2).real, c2.diagonal(0, 1, 2).real,
+            np.abs(vh @ h) ** 2)))
+        pending = []
+        for j, (i, lam, gap, d1, d2, mass) in enumerate(slices):
+            atoms, s = [], 0
+            for e in range(1, n + 1):   # chain clustering along sorted lam
+                if e < n and not lam[e] - lam[e - 1] > gap:
+                    continue
+                if e == s + 1:   # ``+ 0.0`` makes a negative zero positive
+                    atom = [d1[s] + 0.0, d2[s] + 0.0, mass[s]]
+                else:
+                    atom = [np.add.reduce(x[s + 1:e], initial=x[s])
+                            for x in (d1, d2, mass)]
+                    atom[:2] = [t / (e - s) + 0.0 for t in atom[:2]]
+                    norms = [np.linalg.norm(b[j, s:e, s:e] - t * np.eye(e - s))
+                             for b, t in zip((c1, c2), atom)]
+                    if not max(norms) <= block_tol[i]:
+                        pending.append(i)
+                        break
+                s = e
+                if atom[2] >= WEIGHT_DROP_TOL:
+                    atoms.append(atom)
+            else:
+                p, w = (a := np.array(atoms).reshape(-1, 3))[:, :2], a[:, 2]
+                while _has_close_pair(p, merge_tol):
+                    p, w = _merge_atoms(p, w, merge_tol)
+                order = np.lexsort((p[:, 1], p[:, 0]))
+                measures[i] = AtomicMeasure._apart(p[order], w[order],
+                                                   merge_tol)
+        if not pending:
             return measures
     raise ClusterAmbiguityError(
         f"joint eigenvalue clusters remained ambiguous after "

@@ -735,6 +735,67 @@ def joint_spectral_measure_one(a1: np.ndarray, a2: np.ndarray,
         f"{MAX_COMBINATIONS} random combinations")
 
 
+def measure_stack_vectorized(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
+                             comm, *, tolerances) -> list:
+    """The stacked joint spectral measure with the cluster bookkeeping done
+    across the whole stack in numpy: chain heads, ``np.add.reduceat`` sums,
+    ``searchsorted`` slice bounds, and the public ``AtomicMeasure``."""
+    from moment2d import AtomicMeasure
+    from moment2d.config import STRUCTURE_TOL, WEIGHT_DROP_TOL
+    from moment2d.errors import (ClusterAmbiguityError,
+                                 CommutationViolatedError)
+    from moment2d.linalg import frobenius
+    from moment2d.moments import _has_close_pair
+    from moment2d.solutions import (_COMBINATIONS, MAX_COMBINATIONS,
+                                    _commute_gate, _gate, _merge_atoms)
+    merge_tol = tolerances.atom_merge_tol
+    comm = _commute_gate(None, a1s, a2) if comm is None else comm
+    op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)),
+                          float(np.linalg.norm(a2)))
+    _gate(comm > STRUCTURE_TOL * op_scale * op_scale, CommutationViolatedError,
+          "operators do not commute (residual %.3e)", comm)
+    n = a2.shape[0]
+    measures, pending = [None] * len(a1s), np.arange(len(a1s))
+    for c in _COMBINATIONS:
+        b1 = a1s if pending.size == len(a1s) else a1s[pending]
+        m = c[0] * b1 + c[1] * a2
+        vals, vecs = np.linalg.eigh(0.5 * (m + np.swapaxes(m.conj(), 1, 2)))
+        vh = np.swapaxes(vecs.conj(), 1, 2)
+        c1, c2 = vh @ b1 @ vecs, vh @ a2 @ vecs
+        val_scale = 1.0 + np.abs(vals).max(axis=1, initial=0.0)
+        heads = np.ones(vals.shape, dtype=bool)
+        heads[:, 1:] = (vals[:, 1:] - vals[:, :-1]
+                        > tolerances.cluster_tol * val_scale[:, None])
+        starts = np.flatnonzero(heads)
+        sizes = np.diff(np.append(starts, heads.size))
+        diagonals = np.concatenate([c.reshape(-1, n * n)[:, ::n + 1, None].real
+                                    for c in (c1, c2)], axis=-1).reshape(-1, 2)
+        points = np.add.reduceat(diagonals, starts) / sizes[:, None] + 0.0
+        weights = np.add.reduceat(np.abs(vh @ h).ravel() ** 2, starts)
+        scalar = np.ones(len(pending), dtype=bool)
+        for g in np.flatnonzero(sizes > 1):
+            i, s = divmod(starts[g], n)
+            block, eye = slice(s, s + sizes[g]), np.eye(sizes[g])
+            scalar[i] &= max(np.linalg.norm(c[i, block, block] - t * eye)
+                             for c, t in zip((c1, c2), points[g])
+                             ) <= merge_tol * op_scale[pending[i]]
+        first = np.searchsorted(starts, np.arange(len(pending) + 1) * n)
+        for i in np.flatnonzero(scalar):
+            atoms = slice(first[i], first[i + 1])
+            keep = weights[atoms] >= WEIGHT_DROP_TOL
+            p, w = points[atoms][keep], weights[atoms][keep]
+            while _has_close_pair(p, merge_tol):
+                p, w = _merge_atoms(p, w, merge_tol)
+            order = np.lexsort((p[:, 1], p[:, 0]))
+            measures[pending[i]] = AtomicMeasure(p[order], w[order], merge_tol)
+        pending = pending[~scalar]
+        if not pending.size:
+            return measures
+    raise ClusterAmbiguityError(
+        f"joint eigenvalue clusters remained ambiguous after "
+        f"{MAX_COMBINATIONS} random combinations")
+
+
 def resolvent_cross_check_one(a1: np.ndarray, r2h: np.ndarray,
                               h00: np.ndarray, measure):
     """The resolvent cross-check of one extension: a ``(points, n, n)``

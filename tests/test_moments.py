@@ -107,6 +107,35 @@ def test_moments_of_measure_is_bit_identical_to_the_per_atom_loop(k):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+_signed_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -1e-160, 1e-160]),
+    st.floats(-4.0, 4.0))
+
+
+@given(st.lists(st.tuples(_signed_coord, _signed_coord,
+                          st.one_of(st.sampled_from([5e-324, 1e-300, 1.0]),
+                                    st.floats(1e-3, 10.0))),
+                max_size=20, unique_by=lambda a: a[:2]),
+       st.integers(0, 6), st.integers(0, 6))
+@example([], 0, 0)
+@example([], 3, 2)
+@example([(-0.0, 1.0, 1.0), (1.0, -0.0, 2.0)], 0, 0)
+@example([(-0.0, 1.0, 1.0), (-1e-160, -0.0, 1e-300)], 1, 1)
+@example([(-1e-160, 1e-160, 1e-300), (1e-160, -1e-160, 5e-324)], 2, 2)
+@example([(0.1 * i - 1.0, 0.5, 1.0 / (i + 3)) for i in range(17)], 0, 0)
+@settings(max_examples=300, deadline=None)
+def test_moments_of_measure_sums_in_atom_order_as_a_loop(atoms, max_m, max_n):
+    # Signed zeros (underflowing and -0.0 coordinates), no atoms, and the
+    # 1 x 1 rectangle, where np.add.reduce over the atoms is pairwise.
+    mu = AtomicMeasure(np.array(atoms).reshape(-1, 3)[:, :2],
+                       np.array(atoms).reshape(-1, 3)[:, 2], 0.0)
+    got = moments_of_measure(mu, max_m, max_n).values
+    want = oracles.moments_of_measure_per_atom(mu, max_m, max_n)
+    assert got.shape == want.shape == (max_m + 1, max_n + 1)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_power_table_is_within_one_ulp_of_the_exact_powers():
     rng = np.random.default_rng(11)
     mags = np.concatenate([[1e-3, 1e3, 1.0], 10.0 ** rng.uniform(-3, 3, 24)])

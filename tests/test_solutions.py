@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1002,6 +1003,174 @@ def test_merge_repeats_until_no_two_atoms_are_close():
         gaps = np.abs(mu.points[:, None] - mu.points[None]).max(axis=2)
         assert np.all(gaps[np.triu_indices(mu.n_atoms, 1)] > ATOM_MERGE_TOL)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-14)
+
+
+def _stack_outcome(measure_stack, a1s, a2, h) -> object:
+    """Each measure's shape, bytes and tolerance, or the error's class
+    and message."""
+    try:
+        measures = measure_stack(a1s, a2, h, None, tolerances=Tolerances())
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(m.points.shape, m.points.tobytes(), m.weights.shape,
+             m.weights.tobytes(), m.merge_tol) for m in measures]
+
+
+def _branch_stack(rng, flags, tiny=1e-7):
+    """Hermitian ``A1`` per entry of ``flags``, commuting with one ``A2``
+    on a Haar basis, and ``h00``.  Eigenvectors 0 and 1 hold atoms that
+    the first combination collides where ``"collide"`` is flagged, 2-4
+    one atom of multiplicity 3 (``"repeat"``), 5 and 6 atoms 5e-8 apart
+    along the first combination, merged (``"merge"``), 7 an atom of
+    weight ``tiny ** 2``, and 8-13 an atom and five partners, one
+    colliding in each combination (``"ambiguous"``)."""
+    c = _combinations()
+    t2 = np.array([0.3, 0.3 + 0.8 * c[0][0], -0.5, -0.5, -0.5, 0.6,
+                   0.6 + 5e-8 * c[0][1], -0.9, 0.05]
+                  + [0.05 + 0.5 * (i + 1) * d[0] for i, d in enumerate(c)])
+    q = haar_unitary(t2.size, rng)
+    amp = rng.normal(size=t2.size) + 1j * rng.normal(size=t2.size)
+    amp[7] = tiny
+    a1s = []
+    for flag in flags:
+        t1 = rng.uniform(-1.0, 1.0, size=t2.size)
+        if "collide" in flag:
+            t1[1] = t1[0] - 0.8 * c[0][1]
+        if "repeat" in flag:
+            t1[3:5] = t1[2]
+        if "merge" in flag:
+            t1[6] = t1[5] + 5e-8 * c[0][0]
+        if "ambiguous" in flag:
+            t1[9:] = t1[8] - 0.5 * np.arange(1, 6) * np.array(c)[:, 1]
+        a1 = q @ np.diag(t1) @ q.conj().T
+        a1s.append(0.5 * (a1 + a1.conj().T))
+    a2 = q @ np.diag(t2) @ q.conj().T
+    return np.array(a1s), 0.5 * (a2 + a2.conj().T), q @ amp / np.linalg.norm(
+        amp)
+
+
+_BRANCH_FLAGS = [(), ("collide",), ("repeat",), ("merge",),
+                 ("collide", "repeat"), ("collide", "merge"),
+                 ("repeat", "merge"), ("collide", "repeat", "merge")]
+
+
+@pytest.mark.parametrize("slices", [1, 16])
+@pytest.mark.parametrize("tiny", [1e-7, 1e-5])
+def test_measure_stack_is_bit_identical_to_the_vectorized_oracle(
+        slices, tiny, monkeypatch):
+    rng = np.random.default_rng(slices)
+    eighs, eigh = [], np.linalg.eigh
+
+    def counted(m):
+        eighs.append(len(m))
+        return eigh(m)
+
+    stacks = ([[f] for f in _BRANCH_FLAGS] if slices == 1
+              else [_BRANCH_FLAGS * 2])
+    for flags in stacks:
+        a1s, a2, h = _branch_stack(rng, flags, tiny)
+        eighs.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            got = _stack_outcome(solutions._measure_stack, a1s, a2, h)
+        assert got == _stack_outcome(oracles.measure_stack_vectorized,
+                                     a1s, a2, h)
+        # Every branch is reached: the slices whose first combination
+        # collides are taken again with the second, and of the 14
+        # eigenvalues a triple atom takes two, a merge and a dropped
+        # weight one each.
+        retried = sum("collide" in flag for flag in flags)
+        assert eighs == [len(flags)] + [retried] * (retried > 0)
+        assert [m[0][0] for m in got] == [
+            14 - 2 * ("repeat" in flag) - ("merge" in flag) - (tiny < 1e-6)
+            for flag in flags]
+
+
+_STACK_ERRORS = {
+    "ambiguous": (ClusterAmbiguityError, "joint eigenvalue clusters "
+                  "remained ambiguous after 5 random combinations"),
+    "nan-a1": (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    "inf-a1": (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    "nan-a2": (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    # Every weight is NaN, and none passes WEIGHT_DROP_TOL.
+    "nan-h": None, "inf-h": None,
+    # Finite input, infinite weights.
+    "huge-h": (ValueError, "atoms must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_ERRORS))
+def test_measure_stack_fails_as_the_vectorized_oracle(case):
+    rng = np.random.default_rng(7)
+    flags = list(_BRANCH_FLAGS * 2)
+    if case == "ambiguous":
+        flags[5] = ("ambiguous",)
+    a1s, a2, h = _branch_stack(rng, flags)
+    if case.endswith("a1"):
+        a1s[5, 2, 2] = np.nan if case == "nan-a1" else np.inf
+    if case == "nan-a2":
+        a2[1, 1] = np.nan
+    if case.endswith("h"):
+        h[3] = {"nan-h": np.nan, "inf-h": np.inf, "huge-h": 1e160}[case]
+    for stack in (a1s, a1s[5:6]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = _stack_outcome(solutions._measure_stack, stack, a2, h)
+            want = _stack_outcome(oracles.measure_stack_vectorized, stack,
+                                  a2, h)
+        assert got == want
+        assert got == (_STACK_ERRORS[case] or [
+            ((0, 2), b"", (0,), b"", ATOM_MERGE_TOL)] * len(stack))
+
+
+def test_merging_stacks_are_bit_identical_to_the_vectorized_oracle():
+    # The draws of test_merge_repeats_until_no_two_atoms_are_close; draw
+    # 80 needs two merge passes.
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        points = np.array([0.3, -0.2]) + rng.uniform(
+            -1.6 * ATOM_MERGE_TOL, 1.6 * ATOM_MERGE_TOL, size=(3, 2))
+        weights = rng.uniform(size=3) ** 3
+        args = (np.diag(points[:, 0])[None] + 0j,
+                np.diag(points[:, 1]) + 0j,
+                np.sqrt(weights / weights.sum()) + 0j)
+        assert (_stack_outcome(solutions._measure_stack, *args)
+                == _stack_outcome(oracles.measure_stack_vectorized, *args))
+
+
+def _count_close_pair_scans(monkeypatch) -> dict:
+    from moment2d import moments
+    calls, real = {"n": 0}, moments._has_close_pair
+
+    def counted(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    for module in (moments, solutions):
+        monkeypatch.setattr(module, "_has_close_pair", counted)
+    return calls
+
+
+def test_each_report_scans_its_atoms_for_a_close_pair_once(monkeypatch):
+    rng = np.random.default_rng(1)
+    table = moments_of_measure(random_atomic_measure(
+        rng, coord_low=-1.0, coord_high=1.0), 8, 8)
+    calls = _count_close_pair_scans(monkeypatch)
+    reports = list(solve_canonical(table))
+    assert len(reports) == 1 and calls["n"] == 1
+    calls["n"] = 0
+    reports = list(solve_canonical(
+        e3_class(10, 2, 3).pair,
+        sampler=SamplerSpec("exhaustive-phases", phases=4)))
+    assert len(reports) == 4 and calls["n"] == 4
+    # A merging report scans once more per merge pass.
+    calls["n"] = 0
+    c = _combinations()[0]
+    points = np.array([[0.4, -0.3], [0.4 + 5e-8 * c[0], -0.3 + 5e-8 * c[1]],
+                       [-1.0, 0.7]])
+    mu = joint_spectral_measure(np.diag(points[:, 0]),
+                                np.diag(points[:, 1]), np.full(3, 0.5 + 0j))
+    assert mu.n_atoms == 2 and calls["n"] == 2
 
 
 def test_combinations_are_the_first_seeded_draws():
