@@ -72,7 +72,7 @@ class MomentTable:
             raise ValueError(
                 f"values shape {values.shape} does not match rectangle "
                 f"({self.max_m + 1}, {self.max_n + 1})")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("moment entries must be finite")
         object.__setattr__(self, "values", values)
 
@@ -134,9 +134,9 @@ class AtomicMeasure:
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if points.shape[0] != weights.shape[0]:
             raise ValueError("points and weights must have equal length")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
             raise ValueError("atoms must be finite")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("weights must be strictly positive")
         if _has_close_pair(points, self.merge_tol):
             # Name the first coinciding pair in input order.
@@ -227,9 +227,10 @@ def moments_of_measure(measure: AtomicMeasure, max_m: int,
     against: ``s_{m,n} = sum_i w_i t1_i^m t2_i^n`` with ``0^0 = 1``.
     The powers come from :func:`_power_table`; the terms ``w_i t1_i^m
     t2_i^n``, one ``(k, max_m + 1, max_n + 1)`` array, are summed in atom
-    order by ``np.add.accumulate``, and ``+ 0.0`` gives the positive zero
-    of a loop onto a zero rectangle, so every sum is rounded as in a
-    per-atom loop (``np.add.reduce`` sums a 1 x 1 rectangle pairwise).
+    order, and ``+ 0.0`` gives the positive zero of a loop onto a zero
+    rectangle, so every sum is rounded as in a per-atom loop.
+    ``np.add.reduce`` adds row after row of cells, but it sums a 1 x 1
+    rectangle pairwise, so that one takes ``np.add.accumulate``.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("max_m and max_n must be >= 0")
@@ -238,7 +239,9 @@ def moments_of_measure(measure: AtomicMeasure, max_m: int,
     p1 = _power_table(measure.points[:, 0], max_m)
     p2 = _power_table(measure.points[:, 1], max_n)
     terms = measure.weights[:, None, None] * (p1[:, :, None] * p2[:, None, :])
-    return MomentTable(max_m, max_n, np.add.accumulate(terms)[-1] + 0.0)
+    sums = (np.add.reduce(terms) if max_m or max_n
+            else np.add.accumulate(terms)[-1])
+    return MomentTable(max_m, max_n, sums + 0.0)
 
 
 def moment_matrix(table: MomentTable, d_m: int, d_n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ feeds the determinate round-trip suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ __all__ = [
     "e3_class",
     "random_atomic_measure",
 ]
+
+#: Consecutive rejected candidates after which ``random_atomic_measure``
+#: gives up.  Seeded calls reject far fewer in a row: at most 18 over the
+#: tests, 4 over the benchmark's tables and probes of seeds 1-10.
+MAX_REJECTED_CANDIDATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -160,16 +166,36 @@ def random_atomic_measure(rng: np.random.Generator,
     atom in both coordinates (max-norm distance) is resampled so that
     recovery at moderate degrees stays well-conditioned.  Two atoms may
     still share nearly the same ``t1`` or the same ``t2``.
+
+    Draws, in this order: ``rng.integers(2, 7)`` atoms when ``n_atoms``
+    is None, one ``rng.uniform(coord_low, coord_high, size=2)`` per
+    candidate, then ``rng.uniform(weight_low, weight_high, size=n_atoms)``.
+    Seeded tests, the benchmark's pools and its known-defect probe rely
+    on these draws and on the state they leave.  Raises ValueError before
+    any candidate when the square splits into fewer than ``n_atoms`` cells
+    of side at most ``min_separation`` (each holds one atom at most), and
+    after ``MAX_REJECTED_CANDIDATES`` rejections in a row (a jammed
+    placement).
     """
     if n_atoms is None:
         n_atoms = int(rng.integers(2, 7))
     if n_atoms < 1:
         raise ValueError("n_atoms must be at least 1")
-    points: list[np.ndarray] = []
+    side = coord_high - coord_low
+    if n_atoms > 1 and 0.0 <= side <= math.isqrt(n_atoms - 1) * min_separation:
+        raise ValueError(f"{n_atoms} atoms do not fit {min_separation} "
+                         f"apart in a square of side {side}")
+    points: list[list[float]] = []
     while len(points) < n_atoms:
-        cand = rng.uniform(coord_low, coord_high, size=2)
-        if all(float(np.max(np.abs(cand - p))) > min_separation
-               for p in points):
-            points.append(cand)
+        for _ in range(MAX_REJECTED_CANDIDATES):
+            a, b = cand = rng.uniform(coord_low, coord_high, size=2).tolist()
+            if all(max(abs(a - p), abs(b - q)) > min_separation
+                   for p, q in points):
+                points.append(cand)
+                break
+        else:
+            raise ValueError(
+                f"{MAX_REJECTED_CANDIDATES} consecutive candidates fell "
+                f"within {min_separation} of the {len(points)} atoms placed")
     weights = rng.uniform(weight_low, weight_high, size=n_atoms)
     return AtomicMeasure(np.array(points), weights)

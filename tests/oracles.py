@@ -985,3 +985,31 @@ def write_json_recursive(obj, path: str):
     """The file ``io.write_json`` writes, from :func:`dumps_recursive`."""
     with open(path, "w") as fh:
         fh.write(dumps_recursive(obj) + "\n")
+
+
+def random_atomic_measure_per_candidate(rng: np.random.Generator,
+                                        n_atoms: int | None = None,
+                                        coord_low: float = -2.0,
+                                        coord_high: float = 2.0,
+                                        weight_low: float = 0.1,
+                                        weight_high: float = 1.0,
+                                        min_separation: float = 0.15) -> tuple:
+    """Points and weights of ``scenarios.random_atomic_measure``, drawn
+    as numpy 2-vectors and compared with ``np.max(np.abs(...))``.
+
+    The same draws in the same order: the atom count when ``n_atoms`` is
+    None, one ``uniform(size=2)`` per candidate, resampled while it lies
+    within ``min_separation`` of an accepted atom in max-coordinate
+    distance, then the ``n_atoms`` weights.  Returns the ``(k, 2)`` points
+    and ``(k,)`` weights as arrays.
+    """
+    if n_atoms is None:
+        n_atoms = int(rng.integers(2, 7))
+    points: list[np.ndarray] = []
+    while len(points) < n_atoms:
+        cand = rng.uniform(coord_low, coord_high, size=2)
+        if all(float(np.max(np.abs(cand - p))) > min_separation
+               for p in points):
+            points.append(cand)
+    weights = rng.uniform(weight_low, weight_high, size=n_atoms)
+    return np.array(points), weights

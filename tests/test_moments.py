@@ -393,3 +393,62 @@ def test_moment_matrix_gathers_fresh_arrays_from_read_only_indices():
     assert np.array_equal(moment_matrix(table, 2, 2),
                           oracles.moment_matrix_direct(
                               table.values, monomial_indices(2, 2)))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("points, weights, message", [
+    # Length first, even with a NaN point and a zero weight.
+    ([[0.0, 0.0], [1.0, 1.0]], [1.0], "points and weights must have "
+                                      "equal length"),
+    ([[_NAN, 0.0]], [0.0, 1.0], "points and weights must have equal "
+                                "length"),
+    ([[0.0, _NAN], [1.0, 1.0]], [1.0, 1.0], "atoms must be finite"),
+    ([[0.0, 0.0], [-_INF, 1.0]], [1.0, 1.0], "atoms must be finite"),
+    ([[0.0, 0.0], [1.0, 1.0]], [1.0, _INF], "atoms must be finite"),
+    ([[0.0, 0.0], [1.0, 1.0]], [_NAN, 1.0], "atoms must be finite"),
+    # Finiteness before the sign of the weights.
+    ([[0.0, _NAN], [1.0, 1.0]], [1.0, 0.0], "atoms must be finite"),
+    ([[0.0, 0.0], [1.0, 1.0]], [_NAN, 0.0], "atoms must be finite"),
+    ([[0.0, 0.0], [1.0, 1.0]], [1.0, 0.0], "weights must be strictly "
+                                           "positive"),
+    ([[0.0, 0.0], [1.0, 1.0]], [-0.5, 1.0], "weights must be strictly "
+                                            "positive"),
+    ([[0.0, 0.0], [1.0, 1.0]], [1.0, -0.0], "weights must be strictly "
+                                            "positive"),
+    # Weights before the close pair.
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], "weights must be strictly "
+                                           "positive"),
+    # The first close pair in input order, by its indices.
+    ([[0.0, 0.0], [3.0, 3.0], [1.0, 1.0], [3.0, 3.0 + 1e-8],
+      [1.0, 1.0]], [1.0] * 5, "atoms 1 and 3 coincide within merge "
+                              "tolerance"),
+    ([[2.0, -1.0], [0.0, 0.0], [2.0 - 5e-8, -1.0 + 5e-8]], [1.0] * 3,
+     "atoms 0 and 2 coincide within merge tolerance"),
+])
+def test_atomic_measure_refuses_with_its_first_failing_check(points, weights,
+                                                             message):
+    with pytest.raises(ValueError) as info:
+        AtomicMeasure(np.array(points, dtype=float),
+                      np.array(weights, dtype=float))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("max_m, max_n, values, message", [
+    # Degrees first, even when the shape is wrong too.
+    (-1, 0, np.zeros((0, 1)), "max_m and max_n must be >= 0"),
+    (0, -1, np.full((2, 2), _NAN), "max_m and max_n must be >= 0"),
+    # Shape before the entries.
+    (1, 1, np.zeros((2, 3)), "values shape (2, 3) does not match "
+                             "rectangle (2, 2)"),
+    (2, 1, np.full((2, 2), _INF), "values shape (2, 2) does not match "
+                                  "rectangle (3, 2)"),
+    (1, 1, [[1.0, 2.0], [3.0, -_INF]], "moment entries must be finite"),
+    (1, 0, [[_NAN], [1.0]], "moment entries must be finite"),
+])
+def test_moment_table_refuses_with_its_first_failing_check(max_m, max_n,
+                                                           values, message):
+    with pytest.raises(ValueError) as info:
+        MomentTable(max_m, max_n, values)
+    assert str(info.value) == message
