@@ -39,11 +39,8 @@ __all__ = [
 ]
 
 
-def _number_texts(values) -> list | None:
-    """The texts of plain ``float`` and ``int`` values in one pass, or
-    ``None`` if any value has another type (``bool`` included)."""
-    if not set(map(type, values)) <= {float, int}:
-        return None
+def _number_texts(values) -> list:
+    """The texts of plain ``float`` and ``int`` values in one pass."""
     texts = [str(v) if type(v) is int else "%.17g" % v for v in values]
     # "-0" would read back as the integer 0 and lose the sign.
     if "-0" in texts:
@@ -52,20 +49,37 @@ def _number_texts(values) -> list | None:
 
 
 def _list_parts(obj, indent: int) -> list:
-    """The texts of a list's items: in one pass for plain numbers and for
-    equally long lists of plain numbers that all fit inline (matrix rows
-    of ``[re, im]`` cells, table entries, grid rows), else one
-    :func:`dumps` call per item."""
-    texts = _number_texts(obj)
-    if texts is not None:
-        return texts
-    if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
-        size = len(obj[0])
-        texts = _number_texts(list(chain.from_iterable(obj)))
-        if size and texts is not None and max(map(len, texts)) < 40:
-            item = "[" + ", ".join(["%s"] * size) + "]"
-            return list(map(item.__mod__, zip(*[iter(texts)] * size)))
-    return [dumps(v, indent + 1) for v in obj]
+    """The texts of a list's items, in one pass for the shapes that
+    :func:`dumps` names, else with one :func:`dumps` call per item."""
+    sizes, leaves, types = [], obj, set(map(type, obj))
+    while (types <= {list, tuple} and len(set(map(len, leaves))) == 1
+           and len(leaves[0])):
+        sizes.append(len(leaves[0]))
+        leaves = tuple(chain.from_iterable(leaves))
+        types = set(map(type, leaves))
+    if not types <= {float, int}:
+        return [dumps(v, indent + 1) for v in obj]
+    if not sizes:
+        return _number_texts(obj)
+    # A "%.17g" text is under 40 characters, so float cells stay inline.
+    spec, args, widths = "%.17g", leaves, None
+    if types != {float}:
+        args = _number_texts(leaves)
+        spec, widths = "%s", list(map(len, args))
+    for depth, size in reversed(list(enumerate(sizes, indent + 1))):
+        line = "\n" + "  " * (depth + 1)
+        short = "[" + ", ".join([spec] * size) + "]"
+        long = "[" + line + ("," + line).join([spec] * size) + line[:-2] + "]"
+        formats = [short] * (len(args) // size) if widths is None else [
+            long if w >= 40 else short
+            for w in map(max, zip(*[iter(widths)] * size))]
+        text = "\0".join(formats) % tuple(args)
+        # As in _number_texts: "-0" would read back as the integer 0.
+        if spec != "%s" and ("-0," in text or "-0]" in text):
+            text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+        args, spec = text.split("\0"), "%s"
+        widths = list(map(len, args))
+    return args
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -75,11 +89,13 @@ def dumps(obj, indent: int = 0) -> str:
     back the same double; ``-0`` is written ``-0.0`` to keep the sign.
     Ints are printed with ``str``.  A list is written on one line when
     each of its items is under 40 characters and holds no newline, else
-    one item per line; a dict always puts one key per line.  Lists of
-    plain ``float``/``int`` values, and lists of such lists (the
-    ``[re, im]`` cells of a matrix row), are formatted in one pass; other
-    values (``bool``, ``None``, numpy scalars, ...) take the recursive
-    path, which gives the same text.
+    one item per line; a dict always puts one key per line.  In one pass
+    go a list of plain ``float``/``int`` values and a uniform grid of
+    them: equally long lists of such values (table entries, ``[re, im]``
+    cells), equally long lists of those (the rows of a complex matrix),
+    and so on, with one ``%`` call per level.  Other values (``bool``,
+    ``None``, numpy scalars, ...) and ragged or empty lists take the
+    recursive path, which gives the same text.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -112,8 +128,9 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def write_json(obj, path: str):
+    text = dumps(obj) + "\n"   # first: opening the file empties it
     with open(path, "w") as fh:
-        fh.write(dumps(obj) + "\n")
+        fh.write(text)
 
 
 def read_json(path: str):

@@ -503,6 +503,86 @@ def test_pair_json_matches_the_recursive_writer_byte_for_byte(dim, tmp_path):
     assert new.read_bytes() == old.read_bytes()
 
 
+# Parts with 17 significant digits: a cell of two of them, such as
+# [-0.66666666666666663, 0.33333333333333331], is 40 or more characters.
+_LONG_FLOATS = st.floats(-1e3, 1e3).map(lambda x: x / 3)
+_GRID_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), _LONG_FLOATS)
+_GRID_LEAVES = st.one_of(_GRID_FLOATS, st.integers(2 ** 53 + 1, 10 ** 45),
+                         st.booleans(), _GRID_FLOATS.map(np.float64))
+
+
+@st.composite
+def _uniform_grids(draw):
+    """Equally long rows of equally long cells of 1-3 numbers; plain
+    floats only, or mixed with long ints, bools and numpy floats; with a
+    tuple cell, a ragged cell or a ragged row now and then."""
+    rows, cols, size = (draw(st.integers(1, 4)) for _ in range(3))
+    leaves = draw(st.sampled_from([_GRID_FLOATS, _GRID_LEAVES]))
+    grid = [[draw(st.lists(leaves, min_size=size, max_size=size))
+             for _ in range(cols)] for _ in range(rows)]
+    change = draw(st.sampled_from([None, None, "tuple", "cell", "row"]))
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if change == "tuple":
+        grid[i][j] = tuple(grid[i][j])
+    elif change == "cell":
+        grid[i][j] = grid[i][j] + [draw(leaves)]
+    elif change == "row":
+        grid[i] = grid[i][:-1] if cols > 1 else grid[i] + grid[i]
+    return grid
+
+
+@given(_uniform_grids())
+@example([[[-2 / 3, 1 / 3], [0.5, -0.0]], [[0.0, 1.0], [2.0, 3.0]]])
+@example([[[10 ** 40, 1]], [[2, 3]]])
+@example([[[[1.0, -0.0]], [[-2 / 3, -2 / 3]]]])
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_the_recursive_writer_on_uniform_grids(grid):
+    for indent in range(4):
+        assert io.dumps(grid, indent) == oracles.dumps_recursive(grid, indent)
+
+
+def test_a_complex_matrix_with_long_cells_matches_the_recursive_writer(
+        tmp_path):
+    rng = np.random.default_rng(33)
+    mat = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))) / 3
+    mat[0] = mat[0].real
+    mat[1, 1] = complex(-0.0, -0.0)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    io.write_json(io.complex_matrix_to_json(mat), str(new))
+    oracles.write_json_recursive(oracles.complex_matrix_to_json_per_cell(mat),
+                                 str(old))
+    assert new.read_bytes() == old.read_bytes()
+    lines = new.read_text().splitlines()
+    assert lines[1].startswith("  [[") and "    [-0.0, -0.0]," in lines
+
+
+def test_writing_a_pair_makes_as_many_dumps_calls_at_any_dim(tmp_path,
+                                                             monkeypatch):
+    calls = []
+
+    def counted(obj, indent=0, _real=io.dumps):
+        calls.append(indent)
+        return _real(obj, indent)
+
+    monkeypatch.setattr(io, "dumps", counted)
+    counts = {}
+    for dim in (5, 40):
+        calls.clear()
+        io.write_json(io.pair_to_json(e3_class(dim, 2, 1).pair),
+                      str(tmp_path / f"pair-{dim}.json"))
+        counts[dim] = len(calls)
+    assert counts[5] == counts[40], counts
+
+
+def test_write_json_keeps_the_old_file_when_the_value_is_refused(tmp_path):
+    path = tmp_path / "x.json"
+    io.write_json({"a": 1}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        io.write_json({"a": object()}, str(path))
+    assert path.read_bytes() == before == b'{\n  "a": 1\n}\n'
+
+
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([x for x in _EDGE_FLOATS if np.isfinite(x)]))
