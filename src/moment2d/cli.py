@@ -121,7 +121,7 @@ def _apply_config(args, options: tuple) -> None:
     """
     config = {}
     if args.config is not None:
-        config = io.read_json(args.config)
+        config = io.load(args.config, lambda obj: obj)
         if not isinstance(config, dict):
             raise SchemaError("config file must hold a JSON object")
     keyed = {flag[2:].replace("-", "_"): (kind, default)
@@ -177,17 +177,18 @@ def _write_or_print(text: str, path: str | None):
 
 def _load_source(path: str):
     """Moment table or operator pair, sniffed from the JSON keys."""
-    obj = io.read_json(path)
-    if isinstance(obj, dict) and "entries" in obj:
-        return io.moment_table_from_json(obj)
-    if isinstance(obj, dict) and "a1_domain" in obj:
-        return io.pair_from_json(obj)
-    raise SchemaError(f"{path}: expected a moment table (key 'entries') "
-                      f"or an operator pair (key 'a1_domain')")
+    def decode(obj):
+        if isinstance(obj, dict) and "entries" in obj:
+            return io.moment_table_from_json(obj)
+        if isinstance(obj, dict) and "a1_domain" in obj:
+            return io.pair_from_json(obj)
+        raise SchemaError(f"{path}: expected a moment table (key 'entries') "
+                          f"or an operator pair (key 'a1_domain')")
+    return io.load(path, decode)
 
 
 def cmd_check(args) -> int:
-    table = io.moment_table_from_json(io.read_json(args.table))
+    table = io.load(args.table, io.moment_table_from_json)
     tolerances = _tolerances(args)
     variant = args.carleman_variant
     # Checked here, since a table too small for a Carleman row reads none.
@@ -250,7 +251,7 @@ def cmd_solve_canonical(args) -> int:
 
 
 def cmd_eval_resolvent(args) -> int:
-    pair = io.pair_from_json(io.read_json(args.input))
+    pair = io.load(args.input, io.pair_from_json)
     tolerances = _tolerances(args)
     iso = build_isometric_pair(pair, tolerances=tolerances)
     d_n0 = iso.n0_basis.shape[1]
@@ -258,8 +259,8 @@ def cmd_eval_resolvent(args) -> int:
     if args.phi is None:
         phi_matrix = np.zeros((d_ninf, d_n0), dtype=complex)
     else:
-        phi_matrix = io.complex_matrix_from_json(
-            io.read_json(args.phi), "phi", rows=d_ninf, cols=d_n0)
+        phi_matrix = io.load(args.phi, lambda obj: io.complex_matrix_from_json(
+            obj, "phi", rows=d_ninf, cols=d_n0))
     grid1 = _grid(args, "l1")
     grid2 = _grid(args, "l2")
     if args.format not in _FORMATS:
@@ -308,8 +309,8 @@ def _grid(args, which: str) -> list:
 
 
 def cmd_verify(args) -> int:
-    measure = io.measure_from_json(io.read_json(args.measure))
-    table = io.moment_table_from_json(io.read_json(args.table))
+    measure = io.load(args.measure, io.measure_from_json)
+    table = io.load(args.table, io.moment_table_from_json)
     report = verify_solution(measure, table, tolerances=_tolerances(args))
     _write_or_print(io.dumps(io.report_to_json(report)), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -5,10 +5,19 @@ that parsing the output reproduces the binary doubles exactly and
 reruns are byte-identical.  Complex matrices are stored as nested
 arrays of ``[re, im]`` pairs; a ``dim x 0`` matrix is a list of ``dim``
 empty rows.
+
+The command line reads every file with :func:`load`, which parses and
+decodes it with the cyclic garbage collector paused: ``json.loads``
+makes one list per ``[re, im]`` cell, and each 700 new lists would start
+a collection while all of them are alive.  The parsed object is freed
+before the collector resumes, so its lists die by reference count.
+``gc.disable`` is process-wide: another thread's allocations also go
+uncollected for the few milliseconds of a decode.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 
@@ -25,6 +34,7 @@ __all__ = [
     "dumps",
     "write_json",
     "read_json",
+    "load",
     "moment_table_to_json",
     "moment_table_from_json",
     "measure_to_json",
@@ -134,13 +144,31 @@ def write_json(obj, path: str):
 
 
 def read_json(path: str):
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
+
+
+def load(path: str, decode):
+    """``decode(read_json(path))`` with the cyclic collector paused.
+
+    The collector resumes, if it was enabled, once ``decode`` returns or
+    raises; a parsed object that ``decode`` does not keep is freed first.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return decode(read_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _expect(cond: bool, message: str):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -12,6 +14,15 @@ def acceptance_log():
         _ACCEPTANCE_LINES.append(line)
         print(line)
     return log
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 import json
 import os
@@ -18,6 +19,7 @@ import oracles
 
 from moment2d import (
     AtomicMeasure,
+    ContractionParameter,
     IsometricPair,
     MomentTable,
     SamplerSpec,
@@ -27,12 +29,15 @@ from moment2d import (
     build_gns,
     build_isometric_pair,
     build_operators,
+    canonical_extension,
     e1,
     e2,
     e3,
     e3_class,
     moments_of_measure,
     pair_resolvent_of_measure,
+    pair_resolvent_symmetric,
+    prepare_pair,
     solve_canonical,
     verify_solution,
 )
@@ -429,6 +434,107 @@ def test_read_json_rejects_malformed_files(tmp_path: Path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         io.read_json(str(bad))
+
+
+def test_read_json_names_a_file_that_is_not_utf8(tmp_path: Path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}: not UTF-8"):
+        io.read_json(str(bad))
+    files = _write_demo(tmp_path, capsys)
+    for argv in (["eval-resolvent", str(bad), "--l1-start", "2j",
+                  "--l2-start", "2j"],
+                 ["eval-resolvent", str(files["e3-pair.json"]), "--phi",
+                  str(bad), "--l1-start", "2j", "--l2-start", "2j"],
+                 ["check", str(bad)],
+                 ["check", str(files["e2-table.json"]), "--config", str(bad)],
+                 ["verify", str(files["e2-measure.json"]), str(bad)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: "), err
+
+
+def _pair_file(tmp_path: Path, dim: int = 40, seed: int = 1):
+    pair = e3_class(dim, 2, seed).pair
+    path = tmp_path / f"pair-{dim}-{seed}.json"
+    io.write_json(io.pair_to_json(pair), path)
+    return pair, str(path)
+
+
+def test_reading_a_pair_file_runs_no_collection(tmp_path: Path):
+    pair, path = _pair_file(tmp_path)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        read = io.load(path, io.pair_from_json)
+        # The parsed lists are freed by the time load returns, so these
+        # few allocations do not reach the collection threshold.
+        spare = [[] for _ in range(100)]
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == [] and len(spare) == 100
+    assert np.array_equal(read.a1_action, pair.a1_action)
+    assert np.array_equal(read.j_matrix, pair.j_matrix)
+
+
+def test_load_restores_the_collector_state(tmp_path: Path):
+    _, path = _pair_file(tmp_path, dim=5)
+    bad = tmp_path / "bad-pair.json"
+    obj = io.read_json(path)
+    bad.write_text(json.dumps(dict(obj, j_matrix=[
+        [[2 * x for x in cell] for cell in row] for row in obj["j_matrix"]])))
+    seen = []
+
+    def decode(obj):
+        seen.append(gc.isenabled())
+        return io.pair_from_json(obj)
+
+    for caller_enabled in (True, False):
+        if not caller_enabled:
+            gc.disable()
+        try:
+            assert io.load(path, decode).dim == 5
+            assert gc.isenabled() is caller_enabled
+            with pytest.raises(SchemaError, match="j_matrix"):
+                io.load(str(bad), decode)
+            assert gc.isenabled() is caller_enabled
+        finally:
+            gc.enable()
+    assert seen == [False] * 4
+
+
+def test_cli_eval_resolvent_matches_a_direct_evaluation_bit_for_bit(
+        tmp_path: Path, capsys):
+    pair, path = _pair_file(tmp_path)
+    iso = build_isometric_pair(pair)
+    ext = canonical_extension(pair, iso, np.eye(iso.defect_dim, dtype=complex))
+    phi = iso.ninf_basis.conj().T @ ext.u24
+    phi_path = tmp_path / "phi.json"
+    io.write_json(io.complex_matrix_to_json(phi), phi_path)
+    prepared = prepare_pair(iso, ContractionParameter.const(phi),
+                            h_embed=pair.h00[:, None])
+    # Grid points the CLI's linspace gives exactly.
+    lam1 = [complex(-1, 0.5), complex(0, 1.5), complex(1, 2.5)]
+    lam2 = [complex(-0.5, -1), complex(0.5, -2), complex(1.5, -3)]
+    values = pair_resolvent_symmetric(prepared, lam1, lam2)[..., 0, 0]
+    expected = [[a.real, a.imag, b.real, b.imag, v.real, v.imag]
+                for a, line in zip(lam1, values) for b, v in zip(lam2, line)]
+    argv = ["eval-resolvent", path, "--phi", str(phi_path),
+            "--l1-start=-1+0.5j", "--l1-stop=1+2.5j", "--l1-count=3",
+            "--l2-start=-0.5-1j", "--l2-stop=1.5-3j", "--l2-count=3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# excluded: 0"
+    assert [[float(x) for x in line.split(",")]
+            for line in lines[1:-1]] == expected
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == expected
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
