@@ -61,8 +61,8 @@ from .errors import (ContractionViolatedError, FixedPointError,
                      NotSupportedError, StructureViolationError)
 from .gns import A2_OUT_OF_RANGE, SymmetricPair  # re-exports A2_OUT_OF_RANGE
 from .linalg import (as_complex_matrix, complement_basis, empty_basis,
-                     frobenius, is_conjugation, is_hermitian, is_unitary,
-                     orth_columns, read_only, require_unitary,
+                     fro_norm, frobenius, is_conjugation, is_hermitian,
+                     is_unitary, orth_columns, read_only, require_unitary,
                      subspace_residual)
 
 __all__ = [
@@ -172,8 +172,8 @@ class IsometricPair:
         w2 = self.w2
         d2 = n0.shape[1]
         if d2:
-            red = float(np.linalg.norm(u @ n0 - n0 @ w2))
-            if red > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(u))):
+            red = fro_norm(u @ n0 - n0 @ w2)
+            if red > STRUCTURE_TOL * max(1.0, fro_norm(u)):
                 raise StructureViolationError(
                     f"second Cayley transform does not reduce the defect "
                     f"subspace (residual {red:.3e})")
@@ -181,7 +181,7 @@ class IsometricPair:
         # J o K is linear: x -> J(K x) = j_matrix conj(n0 K conj(x)).
         u24 = self.j_matrix @ np.conj(n0 @ k_matrix)
         if d2:
-            iso_res = float(np.linalg.norm(u24.conj().T @ u24 - np.eye(d2)))
+            iso_res = fro_norm(u24.conj().T @ u24 - np.eye(d2))
             if iso_res > STRUCTURE_TOL * d2:
                 raise StructureViolationError(
                     f"U24 is not isometric (residual {iso_res:.3e})")
@@ -398,8 +398,8 @@ def build_isometric_pair(pair: SymmetricPair, *,
     if cay.domain.shape[1]:
         v = iso.v_matrix
         comm = (v @ u - u @ v) @ cay.domain
-        scale = max(1.0, float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
-        if float(np.linalg.norm(comm)) > STRUCTURE_TOL * scale:
+        scale = max(1.0, fro_norm(u) * fro_norm(v))
+        if fro_norm(comm) > STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "U and V do not commute on D(V)")
     if n0.shape[1] and not _clears_fixed_vector_gate(pair, subspace_tol):
@@ -419,7 +419,7 @@ def _clears_fixed_vector_gate(pair: SymmetricPair, subspace_tol: float) -> bool:
     most 1/4, ``G`` and ``R^H R`` have spectra in ``[3/4, 5/4]`` and ``[3/4,
     5/4 + ||T||_F^2]``: ``cond <= (5/3) hypot(1, ||T||_F)``, which the cut
     ``hypot(1, ||T||_F) <= 1 / (4 subspace_tol)`` keeps 12/5 below the SVD's."""
-    d, top = pair.a1_gram_defect, np.linalg.norm(pair.a1_action)
+    d, top = pair.a1_gram_defect, fro_norm(pair.a1_action)
     e = d + STRUCTURE_TOL * (1.0 + np.sqrt(1.0 + d) * top)
     return e <= 0.25 and np.hypot(1.0, top) <= 0.25 / subspace_tol
 
@@ -466,7 +466,7 @@ def godich_lutsenko(w: np.ndarray, *,
     # eigenvalue clustering.
     t, z_mat = schur or scipy.linalg.schur(w, output="complex")
     off = t - np.diag(np.diagonal(t))
-    if float(np.linalg.norm(off)) > STRUCTURE_TOL * n:
+    if fro_norm(off) > STRUCTURE_TOL * n:
         raise StructureViolationError("input is not normal within tolerance")
     l_matrix = z_mat @ z_mat.T
     k_matrix = w @ l_matrix
@@ -516,8 +516,8 @@ def forbidden_operator(iso: IsometricPair, *,
                 raise NotDirectSumError(
                     "N_-i and D(A) overlap; sum is not direct")
     coeffs = np.linalg.solve(stacked, n0)
-    residual = float(np.linalg.norm(stacked @ coeffs - n0))
-    if residual > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(n0))):
+    residual = fro_norm(stacked @ coeffs - n0)
+    if residual > STRUCTURE_TOL * max(1.0, fro_norm(n0)):
         raise NoDecompositionError(
             f"decomposition residual {residual:.3e} exceeds gate")
     return n0, ninf @ coeffs[: iso.defect_dim]
@@ -595,6 +595,6 @@ def commutation_check(iso: IsometricPair, phi: ContractionParameter,
     """
     m = extend_isometry(iso, phi, z) if extended is None else extended
     u = iso.u_matrix
-    comm = float(np.linalg.norm(m @ u - u @ m))
-    scale = max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(u)))
+    comm = fro_norm(m @ u - u @ m)
+    scale = max(1.0, fro_norm(m) * fro_norm(u))
     return comm <= STRUCTURE_TOL * scale

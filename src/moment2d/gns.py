@@ -26,7 +26,8 @@ from .config import (DEFAULT_TOLERANCES, FIXED_POINT_TOL, RESIDUAL_GATE,
 from .errors import (DomainCollapseError, InconsistentShiftError,
                      NotPsdError, NotSelfAdjointA2Error, SingularShiftError,
                      StructureViolationError)
-from .linalg import gram_defect, is_hermitian, read_only, truncated_svd
+from .linalg import (fro_norm, gram_defect, is_hermitian, read_only,
+                     truncated_svd)
 from .moments import MomentTable, _monomials, _per_rectangle, moment_matrix
 
 __all__ = ["GnsSpace", "SymmetricPair", "build_gns", "build_operators"]
@@ -126,7 +127,7 @@ class SymmetricPair:
         ``StructureViolationError`` when ``sigma_min(U - E) = 2 / hypot(1,
         max |b|)`` is at most ``FIXED_POINT_TOL``; raising keeps nothing."""
         vals, vecs = np.linalg.eigh(self.a2_matrix)
-        if 2.0 / np.hypot(1.0, np.max(np.abs(vals))) <= FIXED_POINT_TOL:
+        if 2.0 / np.hypot(1.0, abs(vals).max()) <= FIXED_POINT_TOL:
             raise StructureViolationError(A2_OUT_OF_RANGE)
         return read_only(vals), read_only(vecs)
 
@@ -163,22 +164,15 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
               tolerances: Tolerances = DEFAULT_TOLERANCES) -> GnsSpace:
     """Quotient-space coordinates from the localized moment matrix.
 
-    The Gram matrix is eigendecomposed; eigenvalues at or below
-    ``tolerances.rank_tol`` times the largest are treated as kernel, an
-    eigenvalue below the negated threshold raises ``NotPsdError``.
+    The Gram matrix is eigendecomposed and cut by :func:`_rank_cut`; a
+    1 x 1 Gram ``[s00]`` is cut as ``s00``, which ``eigh`` returns exactly.
     Coordinates are ``sqrt(lambda) * E^T`` over the retained eigenpairs,
     so column inner products reproduce the Gram entries exactly in exact
     arithmetic.
     """
     gram = moment_matrix(table, d_m, d_n)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    thresh = tolerances.rank_tol * scale
-    if eigvals.size and float(eigvals[0]) < -thresh:
-        raise NotPsdError(
-            f"Gram matrix at rectangle ({d_m}, {d_n}) has eigenvalue "
-            f"{eigvals[0]:.3e} below -{thresh:.3e}")
-    keep = eigvals > thresh
+    keep = _rank_cut(eigvals, (d_m, d_n), tolerances)
     lam = eigvals[keep]
     vecs = eigvecs[:, keep]
     # Largest eigenvalue first keeps the coordinate rows in a stable,
@@ -189,6 +183,17 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
     coords = np.sqrt(lam)[:, None] * vecs.T
     return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=_monomials(d_m, d_n),
                     gram=gram, rank=int(lam.size), coords=coords)
+
+
+def _rank_cut(eigvals: np.ndarray, rect: tuple, tolerances: Tolerances):
+    """Mask of the ascending Gram ``eigvals`` above ``rank_tol`` times the
+    largest ``|lambda|``; below minus that, the smallest is ``NotPsdError``."""
+    thresh = tolerances.rank_tol * float(abs(eigvals).max())
+    if float(eigvals[0]) < -thresh:
+        raise NotPsdError(
+            f"Gram matrix at rectangle ({rect[0]}, {rect[1]}) has eigenvalue "
+            f"{eigvals[0]:.3e} below -{thresh:.3e}")
+    return eigvals > thresh
 
 
 @_per_rectangle
@@ -221,7 +226,7 @@ def _shift_operator(space: GnsSpace, which: int, tolerances: Tolerances,
     r_pinv = vh.conj().T / s
     action = img_vectors @ r_pinv
     action += (img_vectors - action @ r) @ r_pinv
-    residual = float(np.linalg.norm(action @ r - img_vectors))
+    residual = fro_norm(action @ r - img_vectors)
     if residual > gate:
         raise InconsistentShiftError(
             f"shift A{which} leaves the quotient span: residual "
@@ -241,7 +246,7 @@ def build_operators(space: GnsSpace, *,
     """
     if space.d_m < 1 or space.d_n < 1:
         raise ValueError("build_operators needs d_m >= 1 and d_n >= 1")
-    gate = RESIDUAL_GATE * max(1.0, float(np.linalg.norm(space.gram)))
+    gate = RESIDUAL_GATE * max(1.0, fro_norm(space.gram))
     a1_domain, a1_action = _shift_operator(space, 1, tolerances, gate)
     a2_domain, a2_action = _shift_operator(space, 2, tolerances, gate)
     dim = space.rank
@@ -264,6 +269,6 @@ def _shift_step(domain: np.ndarray, action: np.ndarray, x: np.ndarray,
     ``x`` leaves its domain: the residual of the projection onto the
     domain exceeds ``tol * max(1, ||x||)``."""
     c = domain.conj().T @ x
-    if np.linalg.norm(x - domain @ c) > tol * max(1.0, np.linalg.norm(x)):
+    if fro_norm(x - domain @ c) > tol * max(1.0, fro_norm(x)):
         return None
     return action @ c

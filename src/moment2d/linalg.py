@@ -5,9 +5,15 @@ basis; an empty subspace is an ``(n, 0)`` array.  Antilinear maps on
 ``C^n`` are represented by a matrix ``M`` acting as ``x -> M @ conj(x)``;
 a conjugation is an antilinear involutive isometry, i.e. a unitary ``M``
 with ``M @ conj(M) = I`` (equivalently ``M`` unitary symmetric).
+
+Two Frobenius norms: :func:`fro_norm` of one matrix is numpy's (same
+BLAS dots) without the ``np.linalg.norm`` wrapper, which outweighs small
+gates' dots; :func:`frobenius` of each slice of a stack sums pairwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,7 +61,7 @@ def truncated_svd(a: np.ndarray, tol: float = SUBSPACE_TOL) -> tuple:
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = np.count_nonzero(s > tol * s[0]) if s.size else 0
     return u[:, :rank], s[:rank], vh[:rank]
 
 
@@ -72,7 +78,7 @@ def complement_basis(basis: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray
     if basis.shape[1] == 0:
         return np.eye(n, dtype=complex)
     u, s, _ = np.linalg.svd(basis, full_matrices=True)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    rank = np.count_nonzero(s > tol * max(s[0], 1.0))
     return u[:, rank:]
 
 
@@ -85,8 +91,19 @@ def subspace_residual(basis: np.ndarray, x: np.ndarray) -> float:
         x = x[:, None]
     proj = basis @ (basis.conj().T @ x) if basis.shape[1] else np.zeros_like(x)
     out = x - proj
-    denom = max(1.0, float(np.linalg.norm(x)))
-    return float(np.linalg.norm(out)) / denom
+    return fro_norm(out) / max(1.0, fro_norm(x))
+
+
+def fro_norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a))`` bit for bit, for double precision or
+    integer ``a``: numpy's cast to float, ``ravel(order="K")``, ``x . x``
+    (``re . re + im . im``) and ``sqrt``."""
+    x = (a if a.dtype.kind in "fc" else a.astype(float)).ravel(order="K")
+    if x.dtype.kind != "c":
+        sq = x.dot(x)
+    else:
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag)
+    return math.sqrt(sq)
 
 
 def frobenius(a: np.ndarray) -> np.ndarray:
@@ -97,13 +114,12 @@ def frobenius(a: np.ndarray) -> np.ndarray:
 def gram_defect(q: np.ndarray) -> float:
     """``||Q^H Q - E||_F``: how far the columns of ``q`` are from
     orthonormal."""
-    return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
+    return fro_norm(q.conj().T @ q - np.eye(q.shape[1]))
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     a = as_complex_matrix(a)
-    scale = 1.0 + float(np.linalg.norm(a))
-    return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
+    return fro_norm(a - a.conj().T) <= tol * (1.0 + fro_norm(a))
 
 
 def is_unitary(u: np.ndarray, tol: float):
@@ -146,5 +162,4 @@ def is_conjugation(m: np.ndarray, tol: float) -> bool:
         return True
     if not is_unitary(m, tol):
         return False
-    eye = np.eye(m.shape[0])
-    return float(np.linalg.norm(m @ np.conj(m) - eye)) <= tol * m.shape[0]
+    return fro_norm(m @ np.conj(m) - np.eye(len(m))) <= tol * len(m)

@@ -71,7 +71,7 @@ from .config import (DEFAULT_TOLERANCES, EXCLUDED_RADIUS, PSD_TOL_BASE,
 from .errors import (AdmissibilityFailedError, CommutationViolatedError,
                      ExcludedPointError, IndexOutOfRangeError,
                      NotSupportedError, SingularMatrixError)
-from .linalg import CHUNK_CELLS, as_complex_matrix
+from .linalg import CHUNK_CELLS, as_complex_matrix, fro_norm
 from .moments import AtomicMeasure
 
 __all__ = [
@@ -224,8 +224,8 @@ def pair_resolvent_unitary(u1: np.ndarray, u2: np.ndarray,
     u1 = as_complex_matrix(u1)
     u2 = as_complex_matrix(u2)
     h = as_complex_matrix(h_embed)
-    comm = float(np.linalg.norm(u1 @ u2 - u2 @ u1))
-    scale = max(1.0, float(np.linalg.norm(u1)) * float(np.linalg.norm(u2)))
+    comm = fro_norm(u1 @ u2 - u2 @ u1)
+    scale = max(1.0, fro_norm(u1) * fro_norm(u2))
     if comm > STRUCTURE_TOL * scale:
         raise CommutationViolatedError(
             f"extension unitaries do not commute (residual {comm:.3e})")

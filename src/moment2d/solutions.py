@@ -23,7 +23,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .cayley import IsometricPair, _inverse_cayley_stack, build_isometric_pair
 from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
@@ -31,10 +30,11 @@ from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
 from .errors import (ClusterAmbiguityError, CommutationViolatedError,
                      FixedPointError, IndexOutOfRangeError, Moment2dError,
                      NotPsdError, NotUnitaryError, StructureViolationError)
-from .gns import (GnsSpace, SymmetricPair, _shift_step, build_gns,
+from .gns import (GnsSpace, SymmetricPair, _rank_cut, _shift_step, build_gns,
                   build_operators)
-from .linalg import (CHUNK_CELLS, as_complex_matrix, frobenius, haar_unitary,
-                     is_hermitian, is_unitary, read_only, require_unitary)
+from .linalg import (CHUNK_CELLS, as_complex_matrix, fro_norm, frobenius,
+                     haar_unitary, is_hermitian, is_unitary, read_only,
+                     require_unitary)
 from .moments import (AtomicMeasure, MomentTable, _has_close_pair,
                       _power_table, moments_of_measure)
 
@@ -59,7 +59,7 @@ SAMPLER_KINDS = ("identity-only", "haar-random", "exhaustive-phases")
 MAX_COMBINATIONS = 5
 COMBINATION_SEED = 1234
 _COMBINATIONS = tuple(
-    read_only(c / np.linalg.norm(c)) for c in np.random.default_rng(
+    read_only(c / fro_norm(c)) for c in np.random.default_rng(
         COMBINATION_SEED).normal(size=(MAX_COMBINATIONS, 2)))
 
 #: Resolvent cross-check of every emitted solution: number of random
@@ -161,7 +161,7 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
         return
     t, z_mat = schur or scipy.linalg.schur(w2, output="complex")
     off = t - np.diag(np.diagonal(t))
-    if float(np.linalg.norm(off)) > STRUCTURE_TOL * d:
+    if fro_norm(off) > STRUCTURE_TOL * d:
         raise StructureViolationError("W2 is not normal within tolerance")
     blocks = _cluster_values(np.diagonal(t), tolerances.cluster_tol)
 
@@ -216,8 +216,8 @@ def canonical_extension(pair: SymmetricPair, iso: IsometricPair,
 
 def _gate(failed: np.ndarray, error: type, message: str, *values):
     """Raise ``error(message % (v[j], ...))`` at the first failed ``j``."""
-    for j in failed.nonzero()[0][:1]:
-        raise error(message % tuple(v[j] for v in values))
+    if failed.any():
+        raise error(message % tuple(v[failed.argmax()] for v in values))
 
 
 def _extension_stack(pair: SymmetricPair, iso: IsometricPair, u2s: np.ndarray):
@@ -227,7 +227,7 @@ def _extension_stack(pair: SymmetricPair, iso: IsometricPair, u2s: np.ndarray):
           f"U2 is not unitary within tolerance {STRUCTURE_TOL}")
     u24, w2 = iso.u24, iso.w2
     comm = frobenius(u2s @ w2 - w2 @ u2s)
-    _gate(comm > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(w2))),
+    _gate(comm > STRUCTURE_TOL * max(1.0, fro_norm(w2)),
           CommutationViolatedError,
           "U2 does not commute with W2 (residual %.3e)", comm)
     v_tilde = iso.extend(u24 @ u2s)
@@ -235,7 +235,7 @@ def _extension_stack(pair: SymmetricPair, iso: IsometricPair, u2s: np.ndarray):
           "extended isometry is not unitary")
     a1s, fixed = _inverse_cayley_stack(v_tilde)
     ext_res = frobenius(a1s @ pair.a1_domain - pair.a1_action)
-    scale = max(1.0, float(np.linalg.norm(pair.a1_action)))
+    scale = max(1.0, fro_norm(pair.a1_action))
     _gate(ext_res > STRUCTURE_TOL * 100 * scale, StructureViolationError,
           "extension does not restrict to A1 (residual %.3e)", ext_res)
     return a1s, fixed
@@ -245,7 +245,7 @@ def _commute_gate(name: str | None, a1s: np.ndarray, a2: np.ndarray):
     """``||A1 A2 - A2 A1||`` per slice, gated relatively when ``name``d."""
     comm = frobenius(a1s @ a2 - a2 @ a1s)
     if name:
-        scale = np.maximum(1.0, frobenius(a1s) * float(np.linalg.norm(a2)))
+        scale = np.maximum(1.0, frobenius(a1s) * fro_norm(a2))
         _gate(comm > STRUCTURE_TOL * 100 * scale, StructureViolationError,
               f"{name} does not commute with A2 (residual %.3e)", comm)
     return comm
@@ -288,8 +288,7 @@ def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
     ``np.add.reduceat`` does, and merged atoms need no second scan."""
     merge_tol = tolerances.atom_merge_tol
     comm = _commute_gate(None, a1s, a2) if comm is None else comm
-    op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)),
-                          float(np.linalg.norm(a2)))
+    op_scale = np.maximum(np.maximum(1.0, frobenius(a1s)), fro_norm(a2))
     _gate(comm > STRUCTURE_TOL * op_scale * op_scale, CommutationViolatedError,
           "operators do not commute (residual %.3e)", comm)
     n, block_tol = a2.shape[0], (merge_tol * op_scale).tolist()
@@ -316,7 +315,7 @@ def _measure_stack(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
                     atom = [np.add.reduce(x[s + 1:e], initial=x[s])
                             for x in (d1, d2, mass)]
                     atom[:2] = [t / (e - s) + 0.0 for t in atom[:2]]
-                    norms = [np.linalg.norm(b[j, s:e, s:e] - t * np.eye(e - s))
+                    norms = [fro_norm(b[j, s:e, s:e] - t * np.eye(e - s))
                              for b, t in zip((c1, c2), atom)]
                     if not max(norms) <= block_tol[i]:
                         pending.append(i)
@@ -368,7 +367,7 @@ def verify_solution(measure: AtomicMeasure, table: MomentTable, *,
     ``tolerances.verify_tol``.
     """
     mom = moments_of_measure(measure, table.max_m, table.max_n)
-    err = float(np.max(np.abs(mom.values - table.values)))
+    err = float(abs(mom.values - table.values).max())
     return SolutionReport(measure=measure, max_abs_moment_error=err,
                           degrees_checked=(table.max_m, table.max_n),
                           determinate=determinate, u2_seed=u2_seed,
@@ -433,9 +432,8 @@ def moments_from_pair(pair: SymmetricPair, max_m: int, max_n: int, *,
         row = shifted
         rows.append([complex(np.vdot(pair.h00, v)) for v in row])
     values = np.asarray(rows)
-    worst = float(np.max(np.abs(values.imag)))
-    if worst > STRUCTURE_TOL * (
-            1.0 + float(np.max(np.abs(values)))):
+    worst = float(abs(values.imag).max())
+    if worst > STRUCTURE_TOL * (1.0 + float(abs(values).max())):
         raise StructureViolationError(
             f"pair moments are not real (max imaginary part {worst:.3e})")
     return MomentTable(len(rows) - 1, max_n, values.real)
@@ -478,6 +476,8 @@ def refine_measure(measure: AtomicMeasure,
                          measure.weights])
     lower = np.concatenate([np.full(2 * k, -np.inf), np.full(k, 1e-14)])
     upper = np.full(3 * k, np.inf)
+    # Imported here, as only ``--refine`` needs it: it slows every start-up.
+    import scipy.optimize
     result = scipy.optimize.least_squares(
         residuals, x0, jac=jacobian, bounds=(lower, upper), method="trf",
         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=REFINE_MAX_NFEV)
@@ -553,20 +553,20 @@ def _default_gns(table: MomentTable, largest: tuple, *,
     flat-extension certificate of Curto and Fialkow.  Ranks of nested
     Grams cannot fall, so the rank grows on neither side there.  The
     shifts need the larger of the two squares, since ``A1`` on row
-    ``d`` reads row ``d + 1``.  When no square is flat, or a square's
-    Gram fails the PSD gate, the space is the one at ``largest``, as
-    with no search.
+    ``d`` reads row ``d + 1``.  The 1 x 1 Gram ``[s00]`` is its own
+    eigenvalue, so ``build_gns``'s cut of ``s00`` decides ``d = 0`` with
+    no space.  When no square is flat, or a square's Gram fails the PSD
+    gate, the space is the one at ``largest``, as with no search.
     """
-    space = None
     try:
-        for d in range(min(largest) + 1):
-            prev, space = space, build_gns(table, d, d, tolerances=tolerances)
-            if prev is not None and prev.rank == space.rank:
+        rank = int(_rank_cut(table.values[:1, 0], (0, 0), tolerances)[0])
+        for d in range(1, min(largest) + 1):
+            space = build_gns(table, d, d, tolerances=tolerances)
+            if rank == space.rank or (d, d) == largest:
                 return space
+            rank = space.rank
     except NotPsdError:
-        space = None
-    if space is not None and (space.d_m, space.d_n) == largest:
-        return space
+        pass
     return build_gns(table, *largest, tolerances=tolerances)
 
 

@@ -1013,3 +1013,25 @@ def random_atomic_measure_per_candidate(rng: np.random.Generator,
             points.append(cand)
     weights = rng.uniform(weight_low, weight_high, size=n_atoms)
     return np.array(points), weights
+
+
+def default_gns_per_square(table, largest: tuple, *, tolerances):
+    """``solutions._default_gns`` building a space at every square from
+    ``(0, 0)`` on, the 1 x 1 one included, through ``solutions.build_gns``
+    as looked up at call time: the smallest flat square ``(d + 1, d + 1)``
+    with ``rank(d, d) == rank(d + 1, d + 1)``, else the space at
+    ``largest``, which a square failing the PSD gate also leaves."""
+    from moment2d import solutions
+    from moment2d.errors import NotPsdError
+    space = None
+    try:
+        for d in range(min(largest) + 1):
+            prev, space = space, solutions.build_gns(table, d, d,
+                                                     tolerances=tolerances)
+            if prev is not None and prev.rank == space.rank:
+                return space
+    except NotPsdError:
+        space = None
+    if space is not None and (space.d_m, space.d_n) == largest:
+        return space
+    return solutions.build_gns(table, *largest, tolerances=tolerances)

@@ -1151,6 +1151,19 @@ def test_console_script_entry_point(tmp_path: Path):
     assert "wrote" in result.stdout
 
 
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    """Only ``--refine`` uses ``scipy.optimize``, and ``refine_measure``
+    imports it, so no other run pays for loading it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(moment2d.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, moment2d; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "False\n")
+
+
 def test_cli_shared_parser_matches_fresh_processes(tmp_path: Path, capsys,
                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -695,6 +695,76 @@ def test_default_rectangle_keeps_the_table_wide_psd_gate():
         list(solve_canonical(table))
 
 
+def test_gate_raises_at_the_first_failed_slice_only():
+    values = (np.array([0.5, 1.5, 2.5]), ["a", "b", "c"])
+    for failed in (np.zeros(3, bool), np.zeros(0, bool)):
+        assert solutions._gate(failed, ValueError, "%s", values[0]) is None
+    with pytest.raises(ValueError, match=r"^1\.500e\+00 b$"):
+        solutions._gate(np.array([False, True, True]), ValueError,
+                        "%.3e %s", *values)
+
+
+def _flat_search_cases():
+    """Seeded tables of degrees 8-40 on the unit square and on the
+    generator's default ``[-2, 2]^2`` (the benchmark probe's measures),
+    some of them wider than tall, then the edge cases of ``s00``."""
+    rng = np.random.default_rng(35)
+    for box in (1.0, 2.0):
+        for degree in (8, 10, 12, 14, 16, 20, 24, 32, 40):
+            for i in range(12):
+                mu = random_atomic_measure(rng, coord_low=-box,
+                                           coord_high=box)
+                yield moments_of_measure(mu, degree, degree + 4 * (i % 3 == 2)
+                                         ), Tolerances()
+    line = AtomicMeasure(np.stack([np.linspace(-1.5, 1.5, 6), np.zeros(6)],
+                                  axis=1), np.linspace(0.2, 0.7, 6))
+    yield moments_of_measure(line, 4, 6), Tolerances()   # never flat
+    for table in (e2().table, moments_of_measure(mu, 12, 12)):
+        for s00 in (-table.values[0, 0], 0.0, -1e-300):
+            values = table.values.copy()
+            values[0, 0] = s00
+            yield MomentTable(table.max_m, table.max_n, values), Tolerances()
+        for rank_tol in (1.5, np.inf, 0.0):
+            yield table, Tolerances(rank_tol=rank_tol)
+
+
+def test_flat_search_matches_the_per_square_oracle_with_one_build_fewer(
+        monkeypatch):
+    """The search cuts ``[s00]`` instead of building the 1 x 1 space: the
+    same square, rank, Gram and coordinates (or error) as building every
+    square, from one ``build_gns`` call fewer."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return build_gns(*args, **kwargs)
+
+    monkeypatch.setattr(solutions, "build_gns", counted)
+    outcomes = set()
+    for table, tolerances in _flat_search_cases():
+        largest = (table.max_m // 2, table.max_n // 2)
+        runs = []
+        for search in (oracles.default_gns_per_square, solutions._default_gns):
+            calls.clear()
+            try:
+                space = search(table, largest, tolerances=tolerances)
+                got = ((space.d_m, space.d_n, space.rank,
+                        space.monomial_index),
+                       (space.gram.dtype, space.gram.shape,
+                        space.gram.tobytes()),
+                       (space.coords.dtype, space.coords.shape,
+                        space.coords.tobytes()))
+            except NotPsdError as exc:
+                got = str(exc)
+            runs.append((got, len(calls)))
+        (want, oracle_calls), (got, search_calls) = runs
+        assert got == want
+        assert search_calls == oracle_calls - 1
+        outcomes.add(got[0][:2] == largest if type(got) is tuple else got)
+    # Flat squares below the largest, the largest, and refused tables.
+    assert {True, False} <= outcomes and len(outcomes) > 2
+
+
 @pytest.mark.parametrize("max_m, max_n, kwargs", [
     (1, 4, {}), (4, 1, {}), (0, 0, {}), (1, 6, {"d_n": 2}),
     (6, 1, {"d_m": 2})])
