@@ -52,7 +52,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .config import (CONTRACTION_SLACK, DEFAULT_TOLERANCES, FIXED_POINT_TOL,
                      STRUCTURE_TOL, Tolerances)
@@ -149,6 +148,7 @@ class IsometricPair:
     @cached_property
     def w2_schur(self) -> tuple:
         """Complex Schur form ``(T, Z)`` of ``w2``, gated by each user."""
+        import scipy.linalg
         t, z_mat = scipy.linalg.schur(self.w2, output="complex")
         return read_only(t), read_only(z_mat)
 
@@ -306,6 +306,7 @@ def cayley(pair: SymmetricPair, *,
     minus = t - 1j * q
     plus = t + 1j * q
     dom, r = np.linalg.qr(minus)
+    import scipy.linalg   # here, not at import: ``check`` needs none of it
     action = scipy.linalg.solve_triangular(r.T, plus.T, lower=True).T
     if not (frobenius(action.conj().T @ action - np.eye(k)) <= 0.5
             and tol < 0.5):
@@ -464,6 +465,7 @@ def godich_lutsenko(w: np.ndarray, *,
         return ConjugationFactorization(k_matrix=empty, l_matrix=empty)
     # Schur of a normal matrix: unitary Z with diagonal T, robust under
     # eigenvalue clustering.
+    import scipy.linalg
     t, z_mat = schur or scipy.linalg.schur(w, output="complex")
     off = t - np.diag(np.diagonal(t))
     if fro_norm(off) > STRUCTURE_TOL * n:

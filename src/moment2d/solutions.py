@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .cayley import IsometricPair, _inverse_cayley_stack, build_isometric_pair
 from .config import (DEFAULT_TOLERANCES, STRUCTURE_TOL, WEIGHT_DROP_TOL,
@@ -68,7 +67,8 @@ CROSS_POINTS = 5
 CROSS_SEED = 777
 CROSS_TOL = 1e-8
 
-#: Parameters per stack, fewer where its cross-check would pass CHUNK_CELLS.
+#: Parameters per stack, fewer where one ``(K, n, n)`` stack of them would
+#: pass CHUNK_CELLS.
 _CHUNK = 16
 
 #: Evaluation budget of the least-squares polish in :func:`refine_measure`.
@@ -159,6 +159,7 @@ def enumerate_commutant_unitaries(w2: np.ndarray, sampler: SamplerSpec, *,
     d = w2.shape[0]
     if d == 0:
         return
+    import scipy.linalg
     t, z_mat = schur or scipy.linalg.schur(w2, output="complex")
     off = t - np.diag(np.diagonal(t))
     if fro_norm(off) > STRUCTURE_TOL * d:
@@ -500,6 +501,7 @@ def _cross_validation_points(count: int, seed: int) -> tuple:
 #: The ``(lam1, lam2)`` points of the resolvent cross-check.
 CROSS_VALIDATION_POINTS = _cross_validation_points(CROSS_POINTS, CROSS_SEED)
 _CROSS_LAM1, _CROSS_LAM2 = np.array(CROSS_VALIDATION_POINTS).T
+_CROSS_Z = (_CROSS_LAM1 - 1j) / (_CROSS_LAM1 + 1j)
 
 
 def _a2_resolvent_block(spectrum: tuple, h00: np.ndarray) -> np.ndarray:
@@ -512,18 +514,55 @@ def _a2_resolvent_block(spectrum: tuple, h00: np.ndarray) -> np.ndarray:
     return vecs @ (coef * (1.0 + _CROSS_LAM2 * vals) / (vals - _CROSS_LAM2))
 
 
-def _cross_check_stack(a1s: np.ndarray, r2h: np.ndarray, h00: np.ndarray,
-                       measures: list):
-    """Check ``((E + lam1 A1)(A1 - lam1)^-1 r2h, h00)``, ``r2h`` the ``A2``
-    factor (:func:`_a2_resolvent_block`), against the atomic-sum kernel of
-    each slice's measure at :data:`CROSS_VALIDATION_POINTS` within
-    ``CROSS_TOL`` relative, by one stacked solve that does not use the
-    eigenbases the measures were read from; the first failing point of the
-    first failing slice raises ``StructureViolationError``."""
-    lam1, lam2 = _CROSS_LAM1[:, None], _CROSS_LAM2[:, None]
+def _a1_cross_values(a1s: np.ndarray, r2h: np.ndarray,
+                     h00: np.ndarray) -> np.ndarray:
+    """``((E + lam1 A1)(A1 - lam1)^-1 r2h, h00)`` per slice and
+    :data:`CROSS_VALIDATION_POINTS` point, by one stacked ``n x n`` solve;
+    ``r2h`` is the ``A2`` factor (:func:`_a2_resolvent_block`)."""
     rhs = np.swapaxes(r2h + _CROSS_LAM1 * (a1s @ r2h), 1, 2)[..., None]
-    shifted = a1s[:, None] - lam1[..., None] * np.eye(r2h.shape[0])
-    lhs = np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+    shifted = a1s[:, None] - _CROSS_LAM1[:, None, None] * np.eye(len(r2h))
+    return np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+
+
+def _cayley_cross_factors(iso: IsometricPair, r2h: np.ndarray,
+                          h00: np.ndarray) -> tuple:
+    """What :func:`_cayley_cross_values` needs of the pair, by one stacked
+    solve ``X = (E - z V0)^-1 [r2h, U24]`` over the points' ``z``: ``h^H X``,
+    ``N0^H X`` and ``h^H r2h``.  ``|z| < 1`` and ``||V0|| <= 1`` keep ``E -
+    z V0`` invertible."""
+    n, d = iso.u24.shape
+    rhs = np.concatenate([r2h.T[..., None],
+                          np.broadcast_to(iso.u24, (CROSS_POINTS, n, d))], 2)
+    x = np.linalg.solve(np.eye(n) - _CROSS_Z[:, None, None] * iso.v_matrix,
+                        rhs)
+    return np.conj(h00) @ x, iso.n0_basis.conj().T @ x, np.conj(h00) @ r2h
+
+
+def _cayley_cross_values(factors: tuple, u2s: np.ndarray) -> np.ndarray:
+    """:func:`_a1_cross_values` of the extensions ``V_tilde = V0 + U24 U2
+    N0^H`` from their Cayley data.  With ``z = (lam1 - i)/(lam1 + i)`` and
+    ``A1_tilde`` the inverse Cayley transform of ``V_tilde``, ``(A1_tilde -
+    lam1)^-1 (E + lam1 A1_tilde) = i (2 (E - z V_tilde)^-1 - E)``, and
+    Woodbury's identity on the ``X = [x, Y]`` of
+    :func:`_cayley_cross_factors` gives ``h^H (E - z V_tilde)^-1 r = h^H x +
+    z g (E_d - z S)^-1 c``, ``g = (h^H Y) U2``, ``S = (N0^H Y) U2`` and ``c =
+    N0^H x``: one stacked ``d x d`` solve per parameter and point."""
+    hx, nx, hr = factors
+    z = _CROSS_Z[:, None, None]
+    s = nx[:, :, 1:] @ u2s[:, None]
+    w = np.linalg.solve(np.eye(nx.shape[1]) - z * s, nx[:, :, :1])
+    g = hx[:, None, 1:] @ u2s[:, None]
+    return 1j * (2.0 * (hx[:, 0] + _CROSS_Z * (g @ w)[..., 0, 0]) - hr)
+
+
+def _cross_check_stack(lhs: np.ndarray, measures: list):
+    """Check each slice's values ``lhs`` of the pair resolvent (from
+    :func:`_a1_cross_values` or :func:`_cayley_cross_values`) against the
+    atomic-sum kernel of its measure at :data:`CROSS_VALIDATION_POINTS`
+    within ``CROSS_TOL`` relative; neither side uses the eigenbases the
+    measures were read from.  The first failing point of the first failing
+    slice raises ``StructureViolationError``."""
+    lam1, lam2 = _CROSS_LAM1[:, None], _CROSS_LAM2[:, None]
     for measure, row in zip(measures, lhs):
         t1, t2 = measure.points.T
         kernel = (((1.0 + lam1 * t1) / (t1 - lam1))
@@ -610,7 +649,12 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
     Every emitted measure is cross-validated: the scalar pair resolvent
     of ``(A1_tilde, A2)`` equals the atomic-sum kernel of the measure at
     ``CROSS_POINTS`` seeded random points within ``CROSS_TOL`` (else
-    ``StructureViolationError`` naming the first failing point).
+    ``StructureViolationError`` naming the first failing point).  At a
+    nonzero defect the resolvent is built from the Cayley data ``V0``,
+    ``U24``, ``N0`` and ``U2``, not from ``A1_tilde``, so the check also
+    sees a wrong inverse Cayley transform or extension: one ``n x n``
+    solve per point for the stream, then one ``d x d`` solve per
+    parameter and point.  At defect 0 it solves with ``A1``.
     Parameters whose extended isometry has a fixed point are skipped
     after calling ``on_reject(label, error)`` when given.  With
     ``refine`` atoms and weights are polished against the table before
@@ -677,22 +721,34 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         ref_table = moments_from_pair(pair, 2 * pair.dim, max_n,
                                       tolerances=tolerances)
 
+    factors = None   # the cross-check's Cayley factors, built at first use
+
     def evaluate(chunk: list) -> list:
         """Per parameter its measure or error, or one error for them all."""
+        nonlocal factors
         try:
-            a1s, fixed = ((a1_tilde, [None]) if determinate else
-                          _extension_stack(pair, iso, np.array(chunk)))
-            comm = (a1_comm if determinate else
-                    _commute_gate("extension", a1s, a2_full))
+            if determinate:
+                a1s, fixed, comm = a1_tilde, [None], a1_comm
+            else:
+                u2s = np.array(chunk)
+                a1s, fixed = _extension_stack(pair, iso, u2s)
+                comm = _commute_gate("extension", a1s, a2_full)
             measures = _measure_stack(a1s, a2_full, pair.h00, comm,
                                       tolerances=tolerances)
-            _cross_check_stack(a1s, a2_block, pair.h00, measures)
+            if determinate:
+                lhs = _a1_cross_values(a1s, a2_block, pair.h00)
+            else:
+                factors = factors or _cayley_cross_factors(
+                    iso, a2_block, pair.h00)
+                lhs = _cayley_cross_values(
+                    factors, u2s[[error is None for error in fixed]])
+            _cross_check_stack(lhs, measures)
         except (Moment2dError, ValueError) as exc:   # LinAlgError too
             return [exc]
         found = iter(measures)
         return [error or next(found) for error in fixed]
 
-    size = max(1, min(_CHUNK, CHUNK_CELLS // (CROSS_POINTS * pair.dim ** 2)))
+    size = max(1, min(_CHUNK, CHUNK_CELLS // pair.dim ** 2))
     while chunk := list(itertools.islice(stream, size)):
         outcomes = evaluate(chunk)
         if len(outcomes) < len(chunk):   # each error at its own place

@@ -796,16 +796,26 @@ def measure_stack_vectorized(a1s: np.ndarray, a2: np.ndarray, h: np.ndarray,
         f"{MAX_COMBINATIONS} random combinations")
 
 
+def resolvent_cross_values_one(a1: np.ndarray, r2h: np.ndarray,
+                               h00: np.ndarray) -> np.ndarray:
+    """``((E + lam1 A1)(A1 - lam1)^-1 r2h, h00)`` of one extension at each
+    cross-check point, by a ``(points, n, n)`` solve with ``A1``."""
+    from moment2d.solutions import CROSS_VALIDATION_POINTS
+    lam1 = np.array(CROSS_VALIDATION_POINTS)[:, 0]
+    rhs = (r2h + lam1 * (a1 @ r2h)).T[..., None]
+    shifted = a1 - lam1[:, None, None] * np.eye(a1.shape[0])
+    return np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+
+
 def resolvent_cross_check_one(a1: np.ndarray, r2h: np.ndarray,
                               h00: np.ndarray, measure):
-    """The resolvent cross-check of one extension: a ``(points, n, n)``
-    solve and the atomic-sum kernel; the first failing point raises."""
+    """The resolvent cross-check of one extension: the values of
+    :func:`resolvent_cross_values_one` against the atomic-sum kernel; the
+    first failing point raises."""
     from moment2d.errors import StructureViolationError
     from moment2d.solutions import CROSS_TOL, CROSS_VALIDATION_POINTS
     lam1, lam2 = np.array(CROSS_VALIDATION_POINTS).T
-    rhs = (r2h + lam1 * (a1 @ r2h)).T[..., None]
-    shifted = a1 - lam1[:, None, None] * np.eye(a1.shape[0])
-    lhs = np.linalg.solve(shifted, rhs)[..., 0] @ np.conj(h00)
+    lhs = resolvent_cross_values_one(a1, r2h, h00)
     t1 = measure.points[:, 0]
     t2 = measure.points[:, 1]
     kernel = (((1.0 + lam1[:, None] * t1) / (t1 - lam1[:, None]))

@@ -1164,6 +1164,28 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     assert (result.returncode, result.stdout) == (0, "False\n")
 
 
+def test_check_and_verify_leave_scipy_linalg_unloaded(tmp_path: Path):
+    """``scipy.linalg`` is imported where the Cayley transform and the
+    Schur forms use it, so importing the package, ``check`` and
+    ``verify`` do not load it."""
+    assert main(["demo", "--output-dir", str(tmp_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(moment2d.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    table, measure = (str(tmp_path / f"e2-{name}.json")
+                      for name in ("table", "measure"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, moment2d; "
+         "from moment2d.cli import main; "
+         "seen = ['scipy.linalg' in sys.modules]; "
+         f"codes = [main(['check', {table!r}]), "
+         f"main(['verify', {measure!r}, {table!r}])]; "
+         "print(codes, seen + ['scipy.linalg' in sys.modules], "
+         "file=sys.stderr)"],
+        capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "[0, 0] [False, False]\n")
+
+
 def test_cli_shared_parser_matches_fresh_processes(tmp_path: Path, capsys,
                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -425,24 +425,26 @@ def test_verify_solution_reads_verify_tol():
 
 
 def _first_extension(pair):
-    """Cayley data and the first non-rejected canonical extension of a
-    pair over four phases."""
+    """Cayley data, parameter and the first non-rejected canonical
+    extension of a pair over four phases."""
     iso = build_isometric_pair(pair)
     for u2 in enumerate_commutant_unitaries(
             iso.w2, SamplerSpec("exhaustive-phases", phases=4)):
         try:
-            return iso, canonical_extension(pair, iso, u2)
+            return iso, u2, canonical_extension(pair, iso, u2)
         except FixedPointError:
             continue
     raise AssertionError("every parameter was rejected")
 
 
-def _cross_check_failure(a1, a2, h00, measure):
-    """``(lam1, lam2)`` named by the batched cross-check, or None."""
+def _cross_check_failure(pair, iso, u2, measure):
+    """``(lam1, lam2)`` named by the batched cross-check of the extension
+    from ``u2``, its values taken from the Cayley data, or None."""
+    r2h = solutions._a2_resolvent_block(pair.a2_spectrum, pair.h00)
+    lhs = solutions._cayley_cross_values(
+        solutions._cayley_cross_factors(iso, r2h, pair.h00), u2[None])
     try:
-        solutions._cross_check_stack(
-            a1[None], solutions._a2_resolvent_block(np.linalg.eigh(a2), h00),
-            h00, [measure])
+        solutions._cross_check_stack(lhs, [measure])
     except StructureViolationError as exc:
         found = re.match(r"resolvent cross-validation failed at "
                          r"\((\S+), (\S+)\):", str(exc))
@@ -456,7 +458,7 @@ def _cross_check_failure(a1, a2, h00, measure):
                               "e3_class-40-3-7"])
 def test_batched_cross_check_decides_as_the_per_point_oracle(setup):
     pair = e3().pair if setup is None else e3_class(*setup).pair
-    iso, ext = _first_extension(pair)
+    iso, u2, ext = _first_extension(pair)
     a2 = pair.full_matrix(2)
     measure = joint_spectral_measure(ext.a1_tilde, a2, pair.h00)
     rng = np.random.default_rng(11)
@@ -471,7 +473,7 @@ def test_batched_cross_check_decides_as_the_per_point_oracle(setup):
             want = oracles.resolvent_cross_check_per_point(
                 ext.a1_tilde, a2, pair.h00, perturbed,
                 CROSS_VALIDATION_POINTS, CROSS_TOL)
-            got = _cross_check_failure(ext.a1_tilde, a2, pair.h00, perturbed)
+            got = _cross_check_failure(pair, iso, u2, perturbed)
             assert got == (None if want is None else want[:2])
             decisions.add(got)
     # Both outcomes occur on every pair.
@@ -489,7 +491,7 @@ def test_cross_check_names_the_first_failing_point(monkeypatch):
     def perturbed(*args, **kwargs):
         return [_perturbed(m) for m in real(*args, **kwargs)]
 
-    iso, ext = _first_extension(pair)
+    iso, _, ext = _first_extension(pair)
     a2 = pair.full_matrix(2)
     lam1, lam2, _, _ = oracles.resolvent_cross_check_per_point(
         ext.a1_tilde, a2, pair.h00,
@@ -500,6 +502,51 @@ def test_cross_check_names_the_first_failing_point(monkeypatch):
             f"resolvent cross-validation failed at ({lam1}, {lam2}): |")):
         list(solve_canonical(pair, sampler=SamplerSpec("exhaustive-phases",
                                                        phases=4)))
+
+
+@pytest.mark.parametrize("dim", [10, 20, 40, 80])
+@pytest.mark.parametrize("defect", [1, 2, 3])
+def test_cayley_cross_values_match_the_a1_solve(dim, defect):
+    """The cross-check's values from the Cayley data ``V0``, ``U24``, ``N0``
+    and ``U2`` are those of a solve with each surviving ``A1_tilde``."""
+    for seed, sampler in ((0, SamplerSpec("exhaustive-phases", phases=3)),
+                          (1, SamplerSpec("haar-random", count=3, seed=5))):
+        pair = e3_class(dim, defect, seed).pair
+        iso = build_isometric_pair(pair)
+        u2s = np.array(list(enumerate_commutant_unitaries(iso.w2, sampler)))
+        a1s, fixed = solutions._extension_stack(pair, iso, u2s)
+        r2h = solutions._a2_resolvent_block(pair.a2_spectrum, pair.h00)
+        got = solutions._cayley_cross_values(
+            solutions._cayley_cross_factors(iso, r2h, pair.h00),
+            u2s[[error is None for error in fixed]])
+        want = np.array([oracles.resolvent_cross_values_one(a1, r2h, pair.h00)
+                         for a1 in a1s])
+        assert got.shape == want.shape == (len(a1s), len(CROSS_VALIDATION_POINTS))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_cross_check_sees_a_measure_of_another_extension(monkeypatch):
+    """Each measure is checked against its own parameter's Cayley data,
+    not against the matrix it was read from: extensions of the next phase
+    pass every other gate, and the cross-check names its first failing
+    point, that of the per-point oracle on the right extension."""
+    pair = e3_class(20, 2, 4).pair
+    sampler = SamplerSpec("exhaustive-phases", phases=4)
+    iso = build_isometric_pair(pair)
+    v0, real = iso.v_matrix, solutions._inverse_cayley_stack
+    # V0 + U24 U2 N0^H -> V0 + U24 (i U2) N0^H, the next of the four phases.
+    monkeypatch.setattr(solutions, "_inverse_cayley_stack",
+                        lambda us: real(v0 + 1j * (us - v0)))
+    u2 = next(enumerate_commutant_unitaries(iso.w2, sampler))
+    (a1, wrong), _ = real(np.array([iso.extend(iso.u24 @ u)
+                                    for u in (u2, 1j * u2)]))
+    a2 = pair.full_matrix(2)
+    lam1, lam2, _, _ = oracles.resolvent_cross_check_per_point(
+        a1, a2, pair.h00, joint_spectral_measure(wrong, a2, pair.h00),
+        CROSS_VALIDATION_POINTS, CROSS_TOL)
+    with pytest.raises(StructureViolationError, match=re.escape(
+            f"resolvent cross-validation failed at ({lam1}, {lam2}): |")):
+        list(solve_canonical(pair, sampler=sampler))
 
 
 def test_solve_canonical_builds_the_pair_data_once(monkeypatch):
@@ -1004,6 +1051,31 @@ def test_fixed_point_inside_a_chunk_is_rejected_and_the_rest_yield(
     assert [label for label, _, _ in rejected] == [
         "haar-random:seed=1:5", "haar-random:seed=1:17"]
     assert all(cls is FixedPointError for _, cls, _ in rejected)
+    assert len(reports) == 18 and error is None
+
+
+def test_fixed_point_inside_a_chunk_leaves_one_stacked_pass(monkeypatch):
+    """The cross-check reads the ``U2`` of the slices that survive the
+    fixed-point gate, so a chunk with a rejected parameter passes as one
+    stack: a misaligned ``U2`` would fail it and retry parameter by
+    parameter."""
+    pair = e3().pair
+    u2s = [np.array([[p]]) for p in np.exp(2j * np.pi * np.arange(20) / 20)]
+    for k in (5, 17):
+        u2s[k] = _fixed_point_phase(pair)
+    _stream(monkeypatch, u2s)
+    sizes, real = [], solutions._extension_stack
+
+    def counted(pair, iso, stack):
+        sizes.append(len(stack))
+        return real(pair, iso, stack)
+
+    monkeypatch.setattr(solutions, "_extension_stack", counted)
+    reports, rejected, error = _outcome(
+        solve_canonical, pair, SamplerSpec("haar-random", count=20, seed=1))
+    assert sizes == [16, 4]
+    assert [label for label, _, _ in rejected] == [
+        "haar-random:seed=1:5", "haar-random:seed=1:17"]
     assert len(reports) == 18 and error is None
 
 
