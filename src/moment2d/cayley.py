@@ -250,6 +250,10 @@ class ContractionParameter:
             value = self.matrix
         else:
             value = as_complex_matrix(self.evaluator(complex(z)))
+        if not np.isfinite(value).all():   # no contraction, and no SVD
+            at = tuple(np.argwhere(~np.isfinite(value))[0].tolist())
+            raise ContractionViolatedError(
+                f"parameter entry {at} is {value[at]}, not finite")
         if value.size:
             top = float(np.linalg.svd(value, compute_uv=False)[0])
             if top > 1.0 + CONTRACTION_SLACK:

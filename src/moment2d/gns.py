@@ -78,7 +78,10 @@ class SymmetricPair:
     together with an action matrix sending domain coordinates to space
     coordinates: ``A (domain @ c) = action @ c``.  ``j_matrix`` is the
     matrix of the antilinear conjugation ``x -> j_matrix @ conj(x)``
-    fixing the monomial classes.  The pair holds only these matrices;
+    fixing the monomial classes, always complex; the other five arrays
+    are float64 in a pair :func:`build_operators` makes from a table and
+    complex in one read from JSON or built by a scenario.  The pair holds
+    only these matrices;
     ``a2_matrix``, ``a2_selfadjoint``, ``a2_spectrum`` and
     ``a1_gram_defect`` are derived from them on first use and kept on the
     instance.
@@ -172,28 +175,23 @@ def build_gns(table: MomentTable, d_m: int, d_n: int, *,
     """
     gram = moment_matrix(table, d_m, d_n)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    keep = _rank_cut(eigvals, (d_m, d_n), tolerances)
-    lam = eigvals[keep]
-    vecs = eigvecs[:, keep]
-    # Largest eigenvalue first keeps the coordinate rows in a stable,
-    # reproducible order.
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vecs = vecs[:, order]
-    coords = np.sqrt(lam)[:, None] * vecs.T
+    rank = _rank_cut(eigvals, (d_m, d_n), tolerances)
+    # eigh's ascending suffix, reversed: largest eigenvalue first.
+    lam, vecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
+    coords = np.multiply(np.sqrt(lam)[:, None], vecs.T, order="C")
     return GnsSpace(d_m=d_m, d_n=d_n, monomial_index=_monomials(d_m, d_n),
-                    gram=gram, rank=int(lam.size), coords=coords)
+                    gram=gram, rank=rank, coords=coords)
 
 
-def _rank_cut(eigvals: np.ndarray, rect: tuple, tolerances: Tolerances):
-    """Mask of the ascending Gram ``eigvals`` above ``rank_tol`` times the
-    largest ``|lambda|``; below minus that, the smallest is ``NotPsdError``."""
-    thresh = tolerances.rank_tol * float(abs(eigvals).max())
+def _rank_cut(eigvals: np.ndarray, rect: tuple, tolerances: Tolerances) -> int:
+    """Count of the ascending Gram ``eigvals`` above ``rank_tol`` times
+    ``max(-lambda_min, lambda_max)``; below minus that: ``NotPsdError``."""
+    thresh = tolerances.rank_tol * max(-float(eigvals[0]), float(eigvals[-1]))
     if float(eigvals[0]) < -thresh:
         raise NotPsdError(
             f"Gram matrix at rectangle ({rect[0]}, {rect[1]}) has eigenvalue "
             f"{eigvals[0]:.3e} below -{thresh:.3e}")
-    return eigvals > thresh
+    return int(np.count_nonzero(eigvals > thresh))
 
 
 @_per_rectangle
@@ -238,29 +236,25 @@ def build_operators(space: GnsSpace, *,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> SymmetricPair:
     """Symmetric shift pair on the GNS quotient.
 
-    Requires ``d_m >= 1`` and ``d_n >= 1`` so that both shifts have a
-    nontrivial domain rectangle.  Raises ``InconsistentShiftError`` when
-    a shifted Gram column leaves the retained span (inconsistent
-    truncation) and ``DomainCollapseError`` when a domain comes out
-    zero-dimensional.
+    The Gram and the shifts' SVDs are real, and so are the domains,
+    actions and ``h00`` (``solve_canonical`` casts them to complex only for
+    an indeterminate table's Cayley data).  Requires ``d_m >= 1`` and
+    ``d_n >= 1`` so that both shifts have a nontrivial domain rectangle.
+    Raises ``InconsistentShiftError`` when a shifted Gram column leaves the
+    retained span (inconsistent truncation) and ``DomainCollapseError``
+    when a domain comes out zero-dimensional.
     """
     if space.d_m < 1 or space.d_n < 1:
         raise ValueError("build_operators needs d_m >= 1 and d_n >= 1")
     gate = RESIDUAL_GATE * max(1.0, fro_norm(space.gram))
     a1_domain, a1_action = _shift_operator(space, 1, tolerances, gate)
     a2_domain, a2_action = _shift_operator(space, 2, tolerances, gate)
-    dim = space.rank
-    h00 = space.class_vector(0, 0)
     # Real Gram, real eigendecomposition: the conjugation fixing all
     # classes is entrywise conjugation.
-    j_matrix = np.eye(dim, dtype=complex)
-    return SymmetricPair(dim=dim,
-                         a1_domain=a1_domain.astype(complex),
-                         a1_action=a1_action.astype(complex),
-                         a2_domain=a2_domain.astype(complex),
-                         a2_action=a2_action.astype(complex),
-                         h00=h00.astype(complex),
-                         j_matrix=j_matrix)
+    return SymmetricPair(dim=space.rank, a1_domain=a1_domain,
+                         a1_action=a1_action, a2_domain=a2_domain,
+                         a2_action=a2_action, h00=space.class_vector(0, 0),
+                         j_matrix=np.eye(space.rank, dtype=complex))
 
 
 def _shift_step(domain: np.ndarray, action: np.ndarray, x: np.ndarray,

@@ -357,6 +357,8 @@ class TrigMomentTable:
             raise ValueError(
                 f"c_full has shape {c_full.shape}, expected {expected}")
         object.__setattr__(self, "c_full", c_full)
+        if not np.isfinite(c_full).all():
+            raise ValueError("trigonometric moments must be finite")
         c00 = c_full[self.order_j, self.order_k]
         if abs(c00.imag) > 1e-10 * (1.0 + abs(c00)) or c00.real <= 0.0:
             raise ValueError(f"c_00 = {c00} must be real positive")

@@ -18,7 +18,7 @@ those of one parameter at a time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -268,10 +268,12 @@ def joint_spectral_measure(a1: np.ndarray, a2: np.ndarray, h00: np.ndarray, *,
     ``ClusterAmbiguityError``).  Atoms below ``WEIGHT_DROP_TOL`` are
     dropped, and atoms within ``tolerances.atom_merge_tol`` of each other
     are merged, pass after pass, until no two are that close; the last
-    pass's scan is the only one.  This is one slice of :func:`_measure_stack`.
+    pass's scan is the only one.  Real input stays real, as a table's pair
+    does in :func:`solve_canonical`.  One slice of :func:`_measure_stack`.
     """
-    a1, a2 = as_complex_matrix(a1), as_complex_matrix(a2)
-    h = np.asarray(h00, dtype=complex).reshape(-1)
+    dtype = np.result_type(*map(np.asarray, (a1, a2, h00)), float)
+    a1, a2, h = (np.asarray(x, dtype) for x in (a1, a2, h00))
+    h = h.reshape(-1)
     n = a1.shape[0]
     if a1.shape != (n, n) or a2.shape != (n, n) or h.shape[0] != n:
         raise ValueError("dimension mismatch between operators and h00")
@@ -598,7 +600,7 @@ def _default_gns(table: MomentTable, largest: tuple, *,
     gate, the space is the one at ``largest``, as with no search.
     """
     try:
-        rank = int(_rank_cut(table.values[:1, 0], (0, 0), tolerances)[0])
+        rank = _rank_cut(table.values[:1, 0], (0, 0), tolerances)
         for d in range(1, min(largest) + 1):
             space = build_gns(table, d, d, tolerances=tolerances)
             if rank == space.rank or (d, d) == largest:
@@ -699,6 +701,9 @@ def solve_canonical(source, sampler: SamplerSpec = SamplerSpec(),
         "are unavailable (operator-driven input with a self-adjoint "
         "A2 is the supported route)")
     determinate = determinacy(pair)
+    if not (determinate or np.iscomplexobj(pair.h00)):   # a table's real pair
+        pair = replace(pair, **{k: getattr(pair, k).astype(complex) for k in (
+            "a1_domain", "a1_action", "a2_domain", "a2_action", "h00")})
     a2_full = pair.a2_matrix
     if determinate:
         # A1 is its own, and only, self-adjoint extension.

@@ -1045,3 +1045,45 @@ def default_gns_per_square(table, largest: tuple, *, tolerances):
     if space is not None and (space.d_m, space.d_n) == largest:
         return space
     return solutions.build_gns(table, *largest, tolerances=tolerances)
+
+
+def build_gns_sorted(table, d_m: int, d_n: int, *, tolerances):
+    """``gns.build_gns`` by a boolean mask and a sort: keep the Gram
+    eigenpairs above ``rank_tol`` times the largest ``|lambda|`` (the
+    smallest below minus that is ``NotPsdError``), then order the kept
+    ones largest first by ``argsort``."""
+    from moment2d.errors import NotPsdError
+    from moment2d.gns import GnsSpace
+    from moment2d.moments import monomial_indices, moment_matrix
+    gram = moment_matrix(table, d_m, d_n)
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    thresh = tolerances.rank_tol * float(np.abs(eigvals).max())
+    if float(eigvals[0]) < -thresh:
+        raise NotPsdError(
+            f"Gram matrix at rectangle ({d_m}, {d_n}) has eigenvalue "
+            f"{eigvals[0]:.3e} below -{thresh:.3e}")
+    keep = eigvals > thresh
+    lam, vecs = eigvals[keep], eigvecs[:, keep]
+    order = np.argsort(lam)[::-1]
+    lam, vecs = lam[order], vecs[:, order]
+    return GnsSpace(d_m=d_m, d_n=d_n,
+                    monomial_index=tuple(monomial_indices(d_m, d_n)),
+                    gram=gram, rank=int(lam.size),
+                    coords=np.sqrt(lam)[:, None] * vecs.T)
+
+
+def lines_table(seed: int, lines: int, per_line: int, d_m: int):
+    """Moments up to degrees ``(2 d_m, 2 lines)`` of ``per_line`` atoms on
+    each of ``lines`` horizontal lines ``t2 = c_l``: ``t1`` uniform on
+    ``[-1, 1]``, the ``c_l`` spread over ``[-0.9, 0.9]``, weights uniform
+    on ``[0.1, 1]``.  ``prod (t2 - c_l)`` vanishes on the support, so at
+    the rectangle ``(d_m, lines)`` the GNS pair has ``A2`` self-adjoint
+    and ``A1`` with defect ``lines``."""
+    from moment2d import AtomicMeasure, moments_of_measure
+    rng = np.random.default_rng(seed)
+    heights = np.linspace(-0.8, 0.8, lines) + rng.uniform(-0.1, 0.1, lines)
+    points = [(float(rng.uniform(-1.0, 1.0)), c)
+              for c in heights for _ in range(per_line)]
+    weights = rng.uniform(0.1, 1.0, len(points))
+    return moments_of_measure(AtomicMeasure(np.array(points), weights),
+                              2 * d_m, 2 * lines)

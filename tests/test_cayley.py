@@ -28,6 +28,7 @@ from moment2d import (
     build_isometric_pair,
     canonical_extension,
     cayley,
+    chumakin_resolvent,
     commutation_check,
     constant_admissibility,
     e2,
@@ -269,6 +270,27 @@ def test_contraction_parameter_enforces_norm_bound():
     moving = ContractionParameter.pointwise(
         lambda z: np.array([[z / 2.0]], dtype=complex))
     assert moving.at(0.4)[0, 0] == pytest.approx(0.2)
+
+
+def test_contraction_parameter_refuses_non_finite_values():
+    """A NaN or infinite entry is named before the contraction bound's SVD,
+    which would not converge on it; every user of the value sees that."""
+    value = np.array([[0.5, 0.0], [0.0, np.nan]], dtype=complex)
+    message = r"^parameter entry \(1, 1\) is \(nan\+0j\), not finite$"
+    for phi in (ContractionParameter.const(value),
+                ContractionParameter.pointwise(lambda z: value)):
+        with pytest.raises(ContractionViolatedError, match=message):
+            phi.at(0.25)
+    inf = ContractionParameter.const([[np.inf]])
+    with pytest.raises(ContractionViolatedError, match=r"\(0, 0\) is"):
+        inf.at(0.0)
+    iso = build_isometric_pair(_scalar_pair())
+    nan = ContractionParameter.const([[np.nan]])
+    for call in (lambda: extend_isometry(iso, nan),
+                 lambda: prepare_pair(iso, nan),
+                 lambda: chumakin_resolvent(iso, nan, 0.5)):
+        with pytest.raises(ContractionViolatedError, match="not finite"):
+            call()
 
 
 def test_conjugation_factorization_small_cases():

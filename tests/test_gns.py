@@ -98,6 +98,20 @@ def test_defect_indices_of_truncated_operator():
         pair.domain(3)
 
 
+def test_build_operators_keeps_a_tables_pair_real():
+    """A table's Gram and the shifts' SVDs are real, and so are the five
+    arrays of its pair; only the conjugation ``J`` is stored complex."""
+    rng = np.random.default_rng(37)
+    for table, d in ((e2().table, 2),
+                     (moments_of_measure(_random_measure(rng, 4), 8, 8), 4)):
+        pair = build_operators(build_gns(table, d, d))
+        assert {a.dtype for a in (pair.a1_domain, pair.a1_action,
+                                  pair.a2_domain, pair.a2_action, pair.h00,
+                                  pair.a2_matrix, *pair.a2_spectrum)} == {
+            np.dtype(np.float64)}
+        assert pair.j_matrix.dtype == complex
+
+
 def test_build_operators_requires_shift_room():
     space = build_gns(e2().table, 0, 1)
     with pytest.raises(ValueError):

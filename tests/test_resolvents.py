@@ -568,6 +568,21 @@ def test_trig_moment_table_validation():
             e1().pair.h00, 1, 1)
 
 
+@pytest.mark.parametrize("where, value", [
+    ((1, 1), np.nan), ((0, 2), complex(np.nan, 1.0)), ((1, 1), np.inf)])
+def test_trig_moment_table_refuses_non_finite_moments(where, value):
+    """NaN passes every comparison, so each non-finite table is refused
+    by name before the bound and symmetry checks (``psd_check`` would
+    stop in numpy's eigensolver)."""
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 1] = 1.0
+    c[where] = value
+    c[2 - where[0], 2 - where[1]] = np.conj(value)
+    with pytest.raises(ValueError, match="^trigonometric moments must be "
+                                         "finite$"):
+        TrigMomentTable(1, 1, c)
+
+
 def test_block_toeplitz_equals_entrywise_definition():
     rng = np.random.default_rng(4)
     for order_j, order_k in ((0, 0), (1, 2), (3, 3)):

@@ -41,6 +41,7 @@ from moment2d import (
     solve_canonical,
     verify_solution,
 )
+from moment2d.errors import Moment2dError
 from moment2d.config import (ATOM_MERGE_TOL, CLUSTER_TOL, RANK_TOL,
                              STRUCTURE_TOL, WEIGHT_DROP_TOL)
 from moment2d.linalg import haar_unitary, is_unitary
@@ -810,6 +811,118 @@ def test_flat_search_matches_the_per_square_oracle_with_one_build_fewer(
         outcomes.add(got[0][:2] == largest if type(got) is tuple else got)
     # Flat squares below the largest, the largest, and refused tables.
     assert {True, False} <= outcomes and len(outcomes) > 2
+
+
+def test_build_gns_takes_eighs_ascending_suffix_bit_for_bit(monkeypatch):
+    """Every space the flat search builds on its seeded tables, and the
+    largest one, cut as the reversed suffix of ``eigh``'s ascending order,
+    has the Gram and the coordinates, byte for byte, or the ``NotPsdError``
+    text, of a boolean mask of the eigenvalues sorted by ``argsort``."""
+    calls = []
+
+    def recorded(table, d_m, d_n, *, tolerances):
+        calls.append((table, d_m, d_n, tolerances))
+        return build_gns(table, d_m, d_n, tolerances=tolerances)
+
+    monkeypatch.setattr(solutions, "build_gns", recorded)
+    for table, tolerances in _flat_search_cases():
+        largest = (table.max_m // 2, table.max_n // 2)
+        try:
+            solutions._default_gns(table, largest, tolerances=tolerances)
+        except NotPsdError:
+            pass
+        calls.append((table, *largest, tolerances))
+    assert len(calls) > 700
+    ranks = set()
+    for table, d_m, d_n, tolerances in calls:
+        spaces = []
+        for build in (build_gns, oracles.build_gns_sorted):
+            try:
+                space = build(table, d_m, d_n, tolerances=tolerances)
+                spaces.append((space.rank, space.monomial_index,
+                               space.gram.tobytes(), space.coords.dtype,
+                               space.coords.shape, space.coords.tobytes()))
+            except NotPsdError as exc:
+                spaces.append(str(exc))
+        assert spaces[0] == spaces[1]
+        ranks.add(spaces[0][0] if type(spaces[0]) is tuple else None)
+    assert ranks == {None, 0, 1, 2, 3, 4, 5, 6}
+
+
+def test_determinate_recovery_makes_no_complex_eigh_or_svd(monkeypatch):
+    """A table's pair is real, so a determinate recovery runs every
+    eigensolver and SVD in real arithmetic; the cross-check's solve, whose
+    points are complex, is the one complex LAPACK call."""
+    calls = {}
+    for name in ("eigh", "svd", "solve"):
+        def counted(a, *args, _call=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            key = (_name, np.asarray(a).dtype.kind)
+            calls[key] = calls.get(key, 0) + 1
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(3701)
+    for degree in (8, 12, 14, 16, 20):
+        mu = random_atomic_measure(rng, coord_low=-1.0, coord_high=1.0)
+        reports = list(solve_canonical(moments_of_measure(mu, degree, degree)))
+        assert [report.determinate for report in reports] == [True]
+    assert set(calls) == {("eigh", "f"), ("svd", "f"), ("solve", "c")}
+    assert calls["solve", "c"] == 5 and calls["svd", "f"] == 10
+
+
+def test_joint_spectral_measure_of_a_real_pair_is_the_tables_measure():
+    """Real input stays real, so the public function measures a
+    determinate table's pair exactly as ``solve_canonical`` does."""
+    rng = np.random.default_rng(3702)
+    for degree in (8, 12, 16, 20):
+        for _ in range(5):
+            mu = random_atomic_measure(rng, coord_low=-1.0, coord_high=1.0)
+            table, d = moments_of_measure(mu, degree, degree), degree // 2
+            pair = solutions.build_operators(build_gns(table, d, d))
+            a1 = pair.full_matrix(1)
+            measure = joint_spectral_measure(0.5 * (a1 + a1.T),
+                                             pair.a2_matrix, pair.h00)
+            (report,) = solve_canonical(table, d_m=d, d_n=d)
+            assert report.determinate and report.passed
+            assert measure.points.tobytes() == report.measure.points.tobytes()
+            assert (measure.weights.tobytes()
+                    == report.measure.weights.tobytes())
+
+
+def test_indeterminate_table_path_runs_on_the_complex_pair():
+    """Where a table is indeterminate its real pair is cast to complex once,
+    so the Cayley layer, whose rounding picks the canonical solutions the
+    input leaves open, gets the arrays a complex pair gives: every measure
+    and rejection, on seeded measures on lines, is that of ``solve_canonical``
+    on the same pair cast to complex."""
+    sampler = SamplerSpec("exhaustive-phases", phases=2)
+    fields = ("a1_domain", "a1_action", "a2_domain", "a2_action", "h00")
+    emitted = 0
+    for seed in range(20):
+        for lines, per_line, d_m in ((2, 10, 3), (3, 12, 4)):
+            table = oracles.lines_table(seed, lines, per_line, d_m)
+            pair = solutions.build_operators(build_gns(table, d_m, lines))
+            assert pair.h00.dtype == np.float64 and not determinacy(pair)
+            cast = dataclasses.replace(pair, **{
+                k: getattr(pair, k).astype(complex) for k in fields})
+            runs = []
+            for source, kwargs in ((table, {"d_m": d_m, "d_n": lines}),
+                                   (cast, {})):
+                rejected = []
+                stream = solve_canonical(
+                    source, sampler, **kwargs,
+                    on_reject=lambda label, exc: rejected.append(
+                        (label, str(exc))))
+                try:
+                    got = [(r.u2_seed, r.determinate,
+                            r.measure.points.tobytes(),
+                            r.measure.weights.tobytes()) for r in stream]
+                except Moment2dError as exc:
+                    got = (type(exc), str(exc))
+                runs.append((got, rejected))
+            assert runs[0] == runs[1]
+            emitted += len(runs[0][0])
+    assert emitted > 200
 
 
 @pytest.mark.parametrize("max_m, max_n, kwargs", [
